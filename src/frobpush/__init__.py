@@ -31,13 +31,11 @@ from .picard import (
     SegreCone,
     SegreConeBlowup,
     Spinor,
-    SplitBundleTotalSpace,
     VeroneseCone,
     VeroneseConeBlowup,
     change_basis,
 )
 from .catalog import (
-    PullbackRequest,
     blowup_multiplicity,
     hirzebruch_block_multiplicities,
     hirzebruch_closed_multiplicities,
@@ -48,16 +46,16 @@ from .catalog import (
     pushforward_segre_cone,
     pushforward_veronese_cone,
     quadric_pushforward_support,
-    split_bundle_requests,
     veronese_cone_blocks,
 )
-from .restriction import (
-    blowup_chart_counts,
+from .restriction import RestrictionRule, blowup_chart_counts
+from .families import (
+    CONE_KINDS,
+    FAMILIES,
+    Family,
+    family_of,
     restrict,
-    restrict_blowup_to_exceptional,
-    restrict_hirzebruch_to_section,
-    restrict_segre_to_exceptional,
-    restrict_veronese_to_exceptional,
+    structure_pushforward,
 )
 from .positivity import (
     QuadricKernelReport,
@@ -69,7 +67,6 @@ from .positivity import (
     determinant_twist_sum,
     kernel_restriction_verdict,
     quadric_kernel_verdict,
-    structure_pushforward,
     trace_kernel,
     volume_identity,
 )

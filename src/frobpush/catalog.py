@@ -9,11 +9,10 @@ entries are always dropped so support comparisons are canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
-from typing import Optional, Sequence
+from typing import Optional
 
 from .combinat import PrimePower, composition_count, floor_residue
-from .errors import InvalidParameterError, LatticeMismatchError, OutOfRegimeError
+from .errors import InvalidParameterError, OutOfRegimeError
 from .picard import (
     Decomposition,
     Hirzebruch,
@@ -26,7 +25,6 @@ from .picard import (
     SegreConeBlowup,
     Spinor,
     Summand,
-    VarietyDescriptor,
     VeroneseConeBlowup,
 )
 
@@ -61,46 +59,6 @@ def pushforward_product(r: int, s: int, u: int, v: int, fp: PrimePower) -> Decom
             if right:
                 items.append((Line(PicClass((k - i, l - j), basis)), left * right))
     return Decomposition(variety, items)
-
-
-@dataclass(frozen=True)
-class PullbackRequest:
-    """One term of the total-space pushforward: a base pushforward request.
-
-    ``combination`` is the tensor combination of the bundle twists picked out
-    by ``exponents``; ``request`` is that combination twisted by the target
-    bundle, i.e. the line bundle whose pushforward is being requested on the
-    base.
-    """
-
-    exponents: tuple[int, ...]
-    combination: PicClass
-    request: PicClass
-
-
-def split_bundle_requests(
-    twists: Sequence[PicClass], target: PicClass, fp: PrimePower
-) -> list[PullbackRequest]:
-    """Enumerate the base pushforward requests for F^e_* on the total space of
-    a split bundle.
-
-    One request per exponent tuple in [0, q-1]^{len(twists)}; the pushforward
-    of the pullback of ``target`` is the direct sum of the pullbacks of these
-    requests.  Intended for small q^{len(twists)} budgets.
-    """
-    if not twists:
-        raise InvalidParameterError("at least one twist is required")
-    basis = target.basis
-    for t in twists:
-        if t.basis != basis:
-            raise LatticeMismatchError(f"twist basis {t.basis} vs target basis {basis}")
-    requests = []
-    for exps in iter_product(range(fp.q), repeat=len(twists)):
-        combo = PicClass.zero(basis)
-        for e_i, twist in zip(exps, twists):
-            combo = combo + twist.scaled(e_i)
-        requests.append(PullbackRequest(exps, combo, combo + target))
-    return requests
 
 
 def pushforward_hirzebruch(eps: int, u: int, v: int, fp: PrimePower) -> Decomposition:
@@ -381,23 +339,3 @@ def quadric_pushforward_support(d: int, fp: PrimePower) -> Decomposition:
             items.append((Spinor(j), None))
     return Decomposition(variety, items, support_only=True)
 
-
-def ample_test_pairing(variety: VarietyDescriptor, basis: tuple[str, ...]) -> tuple[int, ...]:
-    """Pairing vector of the family's test curve (a line or fiber on which
-    the pullback of the ample polarization is checked).
-
-    Every non-trivial summand class of F^e_* O pairs non-positively with it.
-    """
-    table: dict[tuple[type, tuple[str, ...]], tuple[int, ...]] = {
-        (ProjSpace, ("H",)): (1,),
-        (Product, ("H1", "H2")): (1, 1),
-        (Hirzebruch, ("C0", "f")): (0, 1),
-        (LinearBlowup, ("H", "H'")): (1, 1),
-        (LinearBlowup, ("H", "E")): (1, 0),
-        (VeroneseConeBlowup, ("H", "H'")): (1, 0),
-        (SegreConeBlowup, ("H", "G1", "G2")): (1, 0, 0),
-    }
-    key = (type(variety), tuple(basis))
-    if key not in table:
-        raise InvalidParameterError(f"no test curve declared for {variety} in basis {basis}")
-    return table[key]

@@ -14,27 +14,10 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import catalog, localalg, positivity, verify
+from . import families, localalg, positivity, verify
 from .combinat import PrimePower
 from .errors import FrobpushError, OutOfRegimeError
-from .picard import (
-    ConeP,
-    Decomposition,
-    Hirzebruch,
-    Line,
-    LinearBlowup,
-    PicClass,
-    Product,
-    ProjSpace,
-    Quadric,
-    RationalNormalCone,
-    SegreCone,
-    SegreConeBlowup,
-    Spinor,
-    VarietyDescriptor,
-    VeroneseCone,
-    VeroneseConeBlowup,
-)
+from .picard import Decomposition, Line, PicClass, Spinor, VarietyDescriptor
 from .positivity import Verdict
 
 EXIT_OK = 0
@@ -49,58 +32,14 @@ EXIT_REGIME = 3
 
 
 def descriptor_to_json(variety: VarietyDescriptor) -> dict:
-    if isinstance(variety, ProjSpace):
-        params = {"d": variety.d}
-    elif isinstance(variety, Product):
-        params = {"r": variety.r, "s": variety.s}
-    elif isinstance(variety, Hirzebruch):
-        params = {"eps": variety.eps}
-    elif isinstance(variety, LinearBlowup):
-        params = {"d": variety.d, "r": variety.r}
-    elif isinstance(variety, VeroneseConeBlowup):
-        params = {"d": variety.d, "eps": variety.eps}
-    elif isinstance(variety, SegreConeBlowup):
-        params = {"r": variety.r, "s": variety.s}
-    elif isinstance(variety, Quadric):
-        params = {"d": variety.d}
-    elif isinstance(variety, ConeP):
-        kind = variety.kind
-        if isinstance(kind, RationalNormalCone):
-            params = {"kind": "rnc", "eps": kind.eps}
-        elif isinstance(kind, VeroneseCone):
-            params = {"kind": "veronese", "d": kind.d, "eps": kind.eps}
-        else:
-            params = {"kind": "segre", "r": kind.r, "s": kind.s}
-    else:
-        raise FrobpushError(f"cannot serialize {variety!r}")
-    return {"tag": variety.tag, "params": params}
+    return {"tag": variety.tag, "params": families.descriptor_params(variety)}
 
 
 def descriptor_from_json(data: dict) -> VarietyDescriptor:
     tag, params = data["tag"], data["params"]
-    if tag == "projspace":
-        return ProjSpace(params["d"])
-    if tag == "product":
-        return Product(params["r"], params["s"])
-    if tag == "hirzebruch":
-        return Hirzebruch(params["eps"])
-    if tag == "blowup-linear":
-        return LinearBlowup(params["d"], params["r"])
-    if tag == "veronese-cone":
-        return VeroneseConeBlowup(params["d"], params["eps"])
-    if tag == "segre-cone":
-        return SegreConeBlowup(params["r"], params["s"])
-    if tag == "quadric":
-        return Quadric(params["d"])
-    if tag == "cone-p":
-        kind = params["kind"]
-        if kind == "rnc":
-            return ConeP(RationalNormalCone(params["eps"]))
-        if kind == "veronese":
-            return ConeP(VeroneseCone(params["d"], params["eps"]))
-        if kind == "segre":
-            return ConeP(SegreCone(params["r"], params["s"]))
-    raise FrobpushError(f"unknown variety tag {tag!r}")
+    if tag not in families.FAMILIES:
+        raise FrobpushError(f"unknown variety tag {tag!r}")
+    return families.build_descriptor(families.FAMILIES[tag].descriptor, params.__getitem__)
 
 
 def decomposition_to_json(decomp: Decomposition) -> dict:
@@ -200,16 +139,7 @@ def render_verdict(verdict: Verdict) -> str:
 # Argument plumbing
 # ---------------------------------------------------------------------------
 
-VARIETIES = (
-    "projspace",
-    "product",
-    "hirzebruch",
-    "blowup-linear",
-    "veronese-cone",
-    "segre-cone",
-    "quadric",
-    "cone-p",
-)
+VARIETIES = tuple(families.FAMILIES)
 
 
 def _parse_bundle(parser: argparse.ArgumentParser, raw: Optional[str], arity: int) -> list[int]:
@@ -224,99 +154,31 @@ def _parse_bundle(parser: argparse.ArgumentParser, raw: Optional[str], arity: in
     return values
 
 
-def _need(parser: argparse.ArgumentParser, args: argparse.Namespace, *names: str) -> list[int]:
-    values = []
-    for name in names:
-        value = getattr(args, name)
-        if value is None:
-            parser.error(f"--{name} is required for --variety {args.variety}")
-        values.append(value)
-    return values
+def _descriptor(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, cls: type, label: str
+):
+    """Build ``cls`` from the flags named after its fields; ``label`` names
+    the selecting flag in usage errors."""
+
+    def value(name: str):
+        got = getattr(args, name)
+        if got is None:
+            parser.error(f"--{name} is required for {label}")
+        return got
+
+    return families.build_descriptor(cls, value)
 
 
 def _build_decomposition(
     parser: argparse.ArgumentParser, args: argparse.Namespace, fp: PrimePower
 ) -> Decomposition:
-    variety = args.variety
-    if variety == "projspace":
-        (d,) = _need(parser, args, "d")
-        (n,) = _parse_bundle(parser, args.bundle, 1)
-        return catalog.pushforward_projective_space(d, n, fp)
-    if variety == "product":
-        r, s = _need(parser, args, "r", "s")
-        u, v = _parse_bundle(parser, args.bundle, 2)
-        return catalog.pushforward_product(r, s, u, v, fp)
-    if variety == "hirzebruch":
-        (eps,) = _need(parser, args, "eps")
-        u, v = _parse_bundle(parser, args.bundle, 2)
-        return catalog.pushforward_hirzebruch(eps, u, v, fp)
-    if variety == "blowup-linear":
-        d, r = _need(parser, args, "d", "r")
-        if any(_parse_bundle(parser, args.bundle, 2)):
-            parser.error("blowup-linear only supports the structure sheaf (--bundle 0,0)")
-        return catalog.pushforward_linear_blowup(d, r, fp)
-    if variety == "veronese-cone":
-        d, eps = _need(parser, args, "d", "eps")
-        n, nprime = _parse_bundle(parser, args.bundle, 2)
-        return catalog.pushforward_veronese_cone(d, eps, n, nprime, fp)
-    if variety == "segre-cone":
-        r, s = _need(parser, args, "r", "s")
-        n, n1, n2 = _parse_bundle(parser, args.bundle, 3)
-        return catalog.pushforward_segre_cone(r, s, n, n1, n2, fp)
-    if variety == "quadric":
-        (d,) = _need(parser, args, "d")
-        if any(_parse_bundle(parser, args.bundle, 1)):
-            parser.error("quadric support is computed for the canonical twist only")
-        return catalog.quadric_pushforward_support(d, fp)
-    if variety == "cone-p":
-        if args.bundle is not None and any(int(x) for x in args.bundle.split(",")):
-            parser.error("cone-p decompositions are computed for the structure sheaf only")
-        kind = _cone_kind(parser, args)
-        return localalg.cone_pushforward(kind, fp)
-    parser.error(f"unknown variety {variety!r}")
-    raise AssertionError
-
-
-def _cone_kind(parser: argparse.ArgumentParser, args: argparse.Namespace):
-    if args.kind is None:
-        parser.error("--kind is required (rnc | veronese | segre)")
-    if args.kind == "rnc":
-        (eps,) = _need(parser, args, "eps")
-        return RationalNormalCone(eps)
-    if args.kind == "veronese":
-        d, eps = _need(parser, args, "d", "eps")
-        return VeroneseCone(d, eps)
-    if args.kind == "segre":
-        r, s = _need(parser, args, "r", "s")
-        return SegreCone(r, s)
-    parser.error(f"unknown cone kind {args.kind!r}")
-    raise AssertionError
-
-
-def _catalog_descriptor(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> VarietyDescriptor:
-    variety = args.variety
-    if variety == "projspace":
-        (d,) = _need(parser, args, "d")
-        return ProjSpace(d)
-    if variety == "product":
-        r, s = _need(parser, args, "r", "s")
-        return Product(r, s)
-    if variety == "hirzebruch":
-        (eps,) = _need(parser, args, "eps")
-        return Hirzebruch(eps)
-    if variety == "blowup-linear":
-        d, r = _need(parser, args, "d", "r")
-        return LinearBlowup(d, r)
-    if variety == "veronese-cone":
-        d, eps = _need(parser, args, "d", "eps")
-        return VeroneseConeBlowup(d, eps)
-    if variety == "segre-cone":
-        r, s = _need(parser, args, "r", "s")
-        return SegreConeBlowup(r, s)
-    parser.error(f"--variety {variety} has no kernel verdict")
-    raise AssertionError
+    family = families.FAMILIES[args.variety]
+    bundle = _parse_bundle(parser, args.bundle, family.arity)
+    if family.structure_only and any(bundle):
+        zeros = ",".join("0" * family.arity)
+        parser.error(f"--variety {args.variety} supports only --bundle {zeros}")
+    variety = _descriptor(parser, args, family.descriptor, f"--variety {args.variety}")
+    return family.build(variety, tuple(bundle), fp)
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +198,11 @@ def cmd_decompose(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 def cmd_kernel(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     fp = PrimePower(args.p, args.e)
+    family = families.FAMILIES[args.variety]
+    label = f"--variety {args.variety}"
     if args.variety == "quadric":
-        (d,) = _need(parser, args, "d")
-        report = positivity.quadric_kernel_verdict(d, fp)
+        quadric = _descriptor(parser, args, family.descriptor, label)
+        report = positivity.quadric_kernel_verdict(quadric.d, fp)
         kernel = report.support.remove_trivial()
         if args.format == "json":
             payload = {
@@ -358,9 +222,11 @@ def cmd_kernel(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             if report.disagreement:
                 print("WARNING: the two verdicts disagree")
         return EXIT_OK
-    variety = _catalog_descriptor(parser, args)
+    if not family.split:
+        parser.error(f"{label} has no kernel verdict")
+    variety = _descriptor(parser, args, family.descriptor, label)
     kernel = positivity.trace_kernel(variety, fp)
-    if isinstance(variety, (ProjSpace, Product)):
+    if family.rule is None:
         verdict = positivity.ample_verdict(kernel)
     else:
         verdict = positivity.kernel_restriction_verdict(variety, fp)
@@ -378,7 +244,7 @@ def cmd_kernel(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 def cmd_local(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     fp = PrimePower(args.p, args.e)
-    kind = _cone_kind(parser, args)
+    kind = _descriptor(parser, args, families.CONE_KINDS[args.kind], f"--kind {args.kind}")
     number = localalg.splitting_number(kind, fp)
     convergent = localalg.f_signature_convergent(kind, fp)
     signature = localalg.f_signature(kind)
@@ -431,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, with_variety: bool = True) -> None:
         if with_variety:
             p.add_argument("--variety", choices=VARIETIES, required=True)
-            p.add_argument("--kind", choices=("rnc", "veronese", "segre"))
+            p.add_argument("--kind", choices=tuple(families.CONE_KINDS))
             p.add_argument("--bundle", help="bundle coordinates, e.g. '0' or '0,1'")
         p.add_argument("--d", type=int)
         p.add_argument("--r", type=int)
@@ -448,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(kernel)
 
     local = sub.add_parser("local", help="splitting number, convergent, F-signature")
-    local.add_argument("--kind", choices=("rnc", "veronese", "segre"), required=True)
+    local.add_argument("--kind", choices=tuple(families.CONE_KINDS), required=True)
     add_common(local, with_variety=False)
 
     ver = sub.add_parser("verify", help="run the batch verification suites")

@@ -18,12 +18,7 @@ from .catalog import (
     hirzebruch_closed_multiplicities,
     veronese_cone_blocks,
 )
-from .combinat import (
-    PrimePower,
-    bounded_power_coefficients,
-    composition_count,
-    eulerian,
-)
+from .combinat import PrimePower, composition_count, eulerian
 from .errors import InvalidParameterError
 from .picard import (
     ConeP,
@@ -107,33 +102,15 @@ def cone_pushforward(kind: ConeKind, fp: PrimePower) -> Decomposition:
     return Decomposition(variety, items, basis=basis)
 
 
-def _segre_splitting_by_coefficients(r: int, s: int, fp: PrimePower) -> int:
-    """Splitting number of the Segre cone by coefficient extraction.
-
-    Dot product of the coefficient lists of (1 + u + ... + u^{q-1})^{r+1}
-    and of the same polynomial in v to the power s+1: it picks out the
-    monomials u^t v^t, an independent route from the composition-count sum.
-    """
-    left = bounded_power_coefficients(fp.q, r + 1)
-    right = bounded_power_coefficients(fp.q, s + 1)
-    return sum(a * b for a, b in zip(left, right))
-
-
 def splitting_number(kind: ConeKind, fp: PrimePower) -> int:
     """The e-th F-splitting number: free rank of F^e_* of the cone's local ring."""
     if isinstance(kind, SegreCone):
         r, s = kind.r, kind.s
-        double_sum = sum(
+        return sum(
             composition_count(k, j, r, fp) * composition_count(k, j, s, fp)
             for k in range(min(r, s) + 1)
             for j in range(fp.q)
         )
-        extracted = _segre_splitting_by_coefficients(r, s, fp)
-        if double_sum != extracted:
-            raise ArithmeticError(
-                f"segre splitting mismatch: sum {double_sum}, coefficients {extracted}"
-            )
-        return double_sum
     if isinstance(kind, VeroneseCone):
         blocks = veronese_cone_blocks(kind.d, kind.eps, 0, 0, fp)
         return sum(

@@ -262,6 +262,7 @@ class RationalNormalCone:
     """Projective cone over the rational normal curve of degree eps."""
 
     eps: int
+    tag: ClassVar[str] = "rnc"
 
     def __post_init__(self) -> None:
         if self.eps < 1:
@@ -278,6 +279,7 @@ class VeroneseCone:
 
     d: int
     eps: int
+    tag: ClassVar[str] = "veronese"
 
     def __post_init__(self) -> None:
         if self.d < 1 or self.eps < 1:
@@ -296,6 +298,7 @@ class SegreCone:
 
     r: int
     s: int
+    tag: ClassVar[str] = "segre"
 
     def __post_init__(self) -> None:
         if self.r < 1 or self.s < 1:
@@ -344,37 +347,7 @@ VarietyDescriptor = Union[
     SegreConeBlowup,
     Quadric,
     ConeP,
-    "SplitBundleTotalSpace",
 ]
-
-
-@dataclass(frozen=True)
-class SplitBundleTotalSpace:
-    """Total space of a split vector bundle over a base variety.
-
-    Its class lattice is the base lattice (pullback is an isomorphism), so
-    decompositions on it reuse the base basis.
-    """
-
-    base: VarietyDescriptor
-    twists: tuple[PicClass, ...]
-    tag: ClassVar[str] = "split-bundle"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "twists", tuple(self.twists))
-        if not self.twists:
-            raise InvalidParameterError("split bundle needs at least one twist")
-        for t in self.twists:
-            if t.basis not in self.base.bases:
-                raise LatticeMismatchError(f"twist basis {t.basis} not on base")
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim + len(self.twists)
-
-    @property
-    def bases(self) -> tuple[Basis, ...]:
-        return self.base.bases
 
 
 def summand_rank(summand: Summand, variety: VarietyDescriptor) -> int:

@@ -1,9 +1,9 @@
 """Restriction of decompositions to the distinguished divisors of each family.
 
-Each restriction is a lattice homomorphism declared as data in
-``RESTRICTION_RULES``, keyed by (variety type, divisor name), so adding a
-divisor is a table entry, not new code.  A chart-level enumeration oracle for
-the simplest blowup cross-checks the global formulas.
+Each restriction is a lattice homomorphism declared as data in a
+``RestrictionRule``; the rules themselves live with their families in
+``families.FAMILIES``.  A chart-level enumeration oracle for the simplest
+blowup cross-checks the global formulas.
 """
 
 from __future__ import annotations
@@ -11,34 +11,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .catalog import (
-    blowup_multiplicity,
-    pushforward_linear_blowup,
-    pushforward_veronese_cone,
-    pushforward_segre_cone,
-    veronese_cone_blocks,
-)
-from .combinat import PrimePower, composition_count
-from .errors import InvalidParameterError, LatticeMismatchError
+from .combinat import PrimePower
+from .errors import InvalidParameterError
 from .picard import (
     Basis,
     Decomposition,
-    Hirzebruch,
     Line,
-    LinearBlowup,
     PicClass,
-    Product,
-    ProjSpace,
-    SegreConeBlowup,
     VarietyDescriptor,
-    VeroneseConeBlowup,
     change_basis,
 )
 
 
 @dataclass(frozen=True)
 class RestrictionRule:
-    """How classes of one family restrict to a distinguished divisor.
+    """How classes of one family restrict to its distinguished divisor.
 
     ``matrix`` maps source coordinates to target coordinates (one row per
     source generator); ``pullbacks`` gives, per target generator, the source
@@ -46,59 +33,21 @@ class RestrictionRule:
     commutes with twisting.
     """
 
+    divisor: str
     source_basis: Basis
     target: Callable[[VarietyDescriptor], VarietyDescriptor]
     matrix: Callable[[VarietyDescriptor], tuple[tuple[int, ...], ...]]
     pullbacks: tuple[tuple[int, ...], ...]
 
 
-RESTRICTION_RULES: dict[tuple[type, str], RestrictionRule] = {
-    # On the ruled surface, f and C0 restrict to the negative section as
-    # degrees 1 and -eps.
-    (Hirzebruch, "C0"): RestrictionRule(
-        source_basis=("C0", "f"),
-        target=lambda v: ProjSpace(1),
-        matrix=lambda v: ((-v.eps,), (1,)),
-        pullbacks=((0, 1),),
-    ),
-    # On the linear blowup, classes restrict to a fiber of the exceptional
-    # bundle through their H' coordinate; H dies.
-    (LinearBlowup, "E"): RestrictionRule(
-        source_basis=("H", "H'"),
-        target=lambda v: ProjSpace(v.d - v.r),
-        matrix=lambda v: ((0,), (1,)),
-        pullbacks=((0, 1),),
-    ),
-    (VeroneseConeBlowup, "E"): RestrictionRule(
-        source_basis=("H", "H'"),
-        target=lambda v: ProjSpace(v.d),
-        matrix=lambda v: ((0,), (1,)),
-        pullbacks=((0, 1),),
-    ),
-    (SegreConeBlowup, "E"): RestrictionRule(
-        source_basis=("H", "G1", "G2"),
-        target=lambda v: Product(v.r, v.s),
-        matrix=lambda v: ((0, 0), (1, 0), (0, 1)),
-        pullbacks=((0, 1, 0), (0, 0, 1)),
-    ),
-}
+def apply_rule(rule: RestrictionRule, decomp: Decomposition) -> Decomposition:
+    """Restrict a line-bundle decomposition along ``rule``.
 
-
-def restrict(decomp: Decomposition, divisor: str) -> Decomposition:
-    """Restrict a line-bundle decomposition to a named distinguished divisor."""
-    key = (type(decomp.variety), divisor)
-    if key not in RESTRICTION_RULES:
-        raise InvalidParameterError(
-            f"no restriction rule for divisor {divisor!r} on {decomp.variety}"
-        )
-    rule = RESTRICTION_RULES[key]
+    A decomposition in another basis is first rewritten into the rule's
+    source basis (only linear blowups have a second basis).
+    """
     if decomp.basis != rule.source_basis:
-        if isinstance(decomp.variety, LinearBlowup):
-            decomp = change_basis(decomp, rule.source_basis)
-        else:
-            raise LatticeMismatchError(
-                f"restriction declared in basis {rule.source_basis}, got {decomp.basis}"
-            )
+        decomp = change_basis(decomp, rule.source_basis)
     target = rule.target(decomp.variety)
     rows = rule.matrix(decomp.variety)
     target_basis = target.bases[0]
@@ -112,56 +61,6 @@ def restrict(decomp: Decomposition, divisor: str) -> Decomposition:
         )
         items.append((Line(PicClass(coords, target_basis)), mult))
     return Decomposition(target, items, support_only=decomp.support_only)
-
-
-def restrict_hirzebruch_to_section(decomp: Decomposition) -> Decomposition:
-    """Restrict a Hirzebruch decomposition to the negative section C0."""
-    if not isinstance(decomp.variety, Hirzebruch):
-        raise LatticeMismatchError(f"expected a Hirzebruch decomposition; got {decomp.variety}")
-    return restrict(decomp, "C0")
-
-
-def restrict_blowup_to_exceptional(d: int, r: int, fp: PrimePower) -> Decomposition:
-    """Restrict F^e_* O on the linear blowup to (a fiber of) the exceptional
-    divisor.
-
-    Computed by summing the blowup multiplicities column-wise; cross-checked
-    against the closed form q^{r-1} * (count(k+1,0;d-r+1) - count(k+1,0;d-r)
-    + count(k,0;d-r)), which must agree.
-    """
-    restricted = restrict(pushforward_linear_blowup(d, r, fp), "E")
-    basis = restricted.basis
-    for k in range(d - r + 1):
-        summed = sum(blowup_multiplicity(i, k, d, r, fp) for i in range(r + 1))
-        closed = fp.q ** (r - 1) * (
-            composition_count(k + 1, 0, d - r + 1, fp)
-            - composition_count(k + 1, 0, d - r, fp)
-            + composition_count(k, 0, d - r, fp)
-        )
-        if summed != closed:
-            raise ArithmeticError(
-                f"blowup restriction mismatch at k={k}: column sum {summed}, closed {closed}"
-            )
-        if restricted.multiplicity(Line(PicClass((-k,), basis))) != summed:
-            raise ArithmeticError(f"blowup restriction mismatch at k={k}")
-    return restricted
-
-
-def restrict_veronese_to_exceptional(d: int, eps: int, fp: PrimePower) -> Decomposition:
-    """Restrict F^e_* O on the Veronese cone blowup to the exceptional P^d."""
-    restricted = restrict(pushforward_veronese_cone(d, eps, 0, 0, fp), "E")
-    blocks = veronese_cone_blocks(d, eps, 0, 0, fp)
-    basis = restricted.basis
-    for k in range(d + 1):
-        expected = blocks.section_counts.get(k, 0) + blocks.exceptional_counts.get(eps + k, 0)
-        if restricted.entries.get(Line(PicClass((-k,), basis)), 0) != expected:
-            raise ArithmeticError(f"veronese restriction mismatch at degree {-k}")
-    return restricted
-
-
-def restrict_segre_to_exceptional(r: int, s: int, fp: PrimePower) -> Decomposition:
-    """Restrict F^e_* O on the Segre cone blowup to the exceptional P^r x P^s."""
-    return restrict(pushforward_segre_cone(r, s, 0, 0, 0, fp), "E")
 
 
 def blowup_chart_counts(fp: PrimePower) -> tuple[int, int]:

@@ -16,12 +16,14 @@ from dataclasses import dataclass
 from . import catalog, localalg, positivity, restriction
 from .combinat import (
     PrimePower,
+    bounded_power_coefficients,
     composition_count,
     composition_count_oracle,
     eulerian,
     shifted_sum_identity_holds,
     sum_identity_holds,
 )
+from .families import FAMILIES, restrict, structure_pushforward
 from .picard import (
     Line,
     PicClass,
@@ -88,17 +90,9 @@ def check_mult_oracle(p: int, e: int, d: int) -> tuple[str, str]:
     return "PASS", f"closed form == convolution, q={fp.q}"
 
 
-def check_rank_law(p: int, e: int, family: str, *params: int) -> tuple[str, str]:
+def check_rank_law(p: int, e: int, tag: str, *params: int) -> tuple[str, str]:
     fp = PrimePower(p, e)
-    builders = {
-        "projspace": lambda d: catalog.pushforward_projective_space(d, 0, fp),
-        "product": lambda r, s: catalog.pushforward_product(r, s, 0, 0, fp),
-        "hirzebruch": lambda eps: catalog.pushforward_hirzebruch(eps, 0, 0, fp),
-        "blowup": lambda d, r: catalog.pushforward_linear_blowup(d, r, fp),
-        "veronese": lambda d, eps: catalog.pushforward_veronese_cone(d, eps, 0, 0, fp),
-        "segre": lambda r, s: catalog.pushforward_segre_cone(r, s, 0, 0, 0, fp),
-    }
-    decomp = builders[family](*params)
+    decomp = structure_pushforward(FAMILIES[tag].descriptor(*params), fp)
     expected = fp.q**decomp.variety.dim
     got = decomp.rank()
     return _ok(got == expected, f"rank {got} vs q^dim {expected}")
@@ -106,8 +100,9 @@ def check_rank_law(p: int, e: int, family: str, *params: int) -> tuple[str, str]
 
 def check_alpha_det(p: int, e: int, d: int) -> tuple[str, str]:
     fp = PrimePower(p, e)
-    cls = positivity.determinant_twist_sum(d, fp)  # raises on mismatch
-    return "PASS", f"coefficient {cls.coords[0]}"
+    cls = positivity.determinant_twist_sum(d, fp)
+    closed = -d * fp.q**d * (fp.q - 1) // 2
+    return _ok(cls.coords == (closed,), f"coefficient {cls.coords[0]} vs closed {closed}")
 
 
 def check_volume(p: int, e: int, d: int, a: int) -> tuple[str, str]:
@@ -129,7 +124,7 @@ def check_chart_oracle(p: int, e: int) -> tuple[str, str]:
     counts = restriction.blowup_chart_counts(fp)
     if counts != (q * (q + 1) // 2, q * (q - 1) // 2):
         return "FAIL", f"chart counts {counts}"
-    restricted = restriction.restrict_blowup_to_exceptional(2, 1, fp)
+    restricted = restrict(catalog.pushforward_linear_blowup(2, 1, fp), "E")
     basis = restricted.basis
     pair = (
         restricted.multiplicity(Line(PicClass((0,), basis))),
@@ -139,18 +134,41 @@ def check_chart_oracle(p: int, e: int) -> tuple[str, str]:
 
 
 def check_blowup_restrict(p: int, e: int, d: int, r: int) -> tuple[str, str]:
+    """Restriction to the exceptional divisor vs the column sums of the
+    blowup multiplicities and their closed form
+    q^{r-1} * (count(k+1,0;d-r+1) - count(k+1,0;d-r) + count(k,0;d-r))."""
     fp = PrimePower(p, e)
-    restricted = restriction.restrict_blowup_to_exceptional(d, r, fp)  # self-checks
+    restricted = restrict(catalog.pushforward_linear_blowup(d, r, fp), "E")
+    basis = restricted.basis
+    for k in range(d - r + 1):
+        summed = sum(catalog.blowup_multiplicity(i, k, d, r, fp) for i in range(r + 1))
+        closed = fp.q ** (r - 1) * (
+            composition_count(k + 1, 0, d - r + 1, fp)
+            - composition_count(k + 1, 0, d - r, fp)
+            + composition_count(k, 0, d - r, fp)
+        )
+        got = restricted.multiplicity(Line(PicClass((-k,), basis)))
+        if not summed == closed == got:
+            return "FAIL", f"k={k}: column sum {summed}, closed {closed}, restricted {got}"
     got = restricted.rank()
     return _ok(got == fp.q**d, f"restricted rank {got}")
 
 
 def check_segre_split_routes(p: int, e: int, r: int, s: int) -> tuple[str, str]:
+    """Splitting number vs the cone's trivial multiplicity and vs coefficient
+    extraction: the dot product of the coefficient lists of
+    (1 + u + ... + u^{q-1})^{r+1} and of the same polynomial to the power
+    s+1 picks out the monomials u^t v^t."""
     fp = PrimePower(p, e)
-    # splitting_number itself compares the two routes and raises on mismatch.
     number = localalg.splitting_number(SegreCone(r, s), fp)
     trivial = localalg.cone_pushforward(SegreCone(r, s), fp).trivial_multiplicity()
-    return _ok(number == trivial, f"splitting {number} vs cone trivial {trivial}")
+    left = bounded_power_coefficients(fp.q, r + 1)
+    right = bounded_power_coefficients(fp.q, s + 1)
+    extracted = sum(a * b for a, b in zip(left, right))
+    return _ok(
+        number == trivial == extracted,
+        f"splitting {number} vs cone trivial {trivial} vs coefficients {extracted}",
+    )
 
 
 def check_veronese_direct(p: int, e: int, d: int, eps: int, n: int, nprime: int) -> tuple[str, str]:
@@ -207,14 +225,10 @@ def check_fix_projspace(p: int, e: int) -> tuple[str, str]:
     return "PASS", "P^1 and P^2 exponent tables"
 
 
-def _hirzebruch_sigma_from_blocks(eps: int, fp: PrimePower) -> tuple[int, ...]:
-    return catalog.hirzebruch_block_multiplicities(eps, fp)
-
-
 def check_fix_hirzebruch_eps1(p: int, e: int) -> tuple[str, str]:
     fp = PrimePower(p, e)
     q = fp.q
-    got = _hirzebruch_sigma_from_blocks(1, fp)
+    got = catalog.hirzebruch_block_multiplicities(1, fp)
     expected = ((q + 2) * (q - 1) // 2, (q - 2) * (q - 1) // 2)
     return _ok(got == expected, f"{got} vs {expected}")
 
@@ -222,7 +236,7 @@ def check_fix_hirzebruch_eps1(p: int, e: int) -> tuple[str, str]:
 def check_fix_hirzebruch_eps2(p: int, e: int) -> tuple[str, str]:
     fp = PrimePower(p, e)
     q = fp.q
-    got = _hirzebruch_sigma_from_blocks(2, fp)
+    got = catalog.hirzebruch_block_multiplicities(2, fp)
     if p != 2:
         expected = (
             (q - 1) * (q + 1) // 4,
@@ -237,7 +251,7 @@ def check_fix_hirzebruch_eps2(p: int, e: int) -> tuple[str, str]:
 def check_fix_hirzebruch_eps3(p: int, e: int) -> tuple[str, str]:
     fp = PrimePower(p, e)
     q = fp.q
-    got = _hirzebruch_sigma_from_blocks(3, fp)
+    got = catalog.hirzebruch_block_multiplicities(3, fp)
     if q % 3 == 1:
         expected = (
             q * (q - 1) // 6,
@@ -384,7 +398,7 @@ def warn_blowup_k0_claim(p: int, e: int, d: int, r: int) -> tuple[str, str]:
 
     fp = PrimePower(p, e)
     q = fp.q
-    restricted = restriction.restrict_blowup_to_exceptional(d, r, fp)
+    restricted = restrict(catalog.pushforward_linear_blowup(d, r, fp), "E")
     computed = restricted.trivial_multiplicity()
     recorded = q**r * binom(q + d - r, d - r)
     if computed == recorded:
@@ -451,17 +465,17 @@ def build_cases(
             for r in (1, 2):
                 for s in (1, 2):
                     cases.append(("rank-law", (p, e, "product", r, s)))
-                    cases.append(("rank-law", (p, e, "segre", r, s)))
+                    cases.append(("rank-law", (p, e, "segre-cone", r, s)))
             for eps in range(0, 5):
                 cases.append(("rank-law", (p, e, "hirzebruch", eps)))
             for d in range(2, max_d + 1):
                 for r in range(1, d):
-                    cases.append(("rank-law", (p, e, "blowup", d, r)))
+                    cases.append(("rank-law", (p, e, "blowup-linear", d, r)))
             q = p**e
             for d in range(1, min(max_d, 3) + 1):
                 for eps in range(1, 5):
                     if q >= eps:
-                        cases.append(("rank-law", (p, e, "veronese", d, eps)))
+                        cases.append(("rank-law", (p, e, "veronese-cone", d, eps)))
             for d in range(1, min(max_d, 3) + 1):
                 cases.append(("alpha-det", (p, e, d)))
                 for a in (1, 2, 3):

@@ -30,6 +30,7 @@ from frobpush.combinat import (
     shifted_sum_identity_holds,
     sum_identity_holds,
 )
+from frobpush.families import restrict
 from frobpush.localalg import (
     cone_pushforward,
     f_signature,
@@ -57,10 +58,7 @@ from frobpush.positivity import (
     trace_kernel,
     volume_identity,
 )
-from frobpush.restriction import (
-    blowup_chart_counts,
-    restrict_blowup_to_exceptional,
-)
+from frobpush.restriction import blowup_chart_counts
 
 PRIMES = (2, 3, 5)
 
@@ -237,7 +235,7 @@ def test_c08_chart_oracle():
         assert q <= 16
         counts = blowup_chart_counts(fp)
         assert counts == (q * (q + 1) // 2, q * (q - 1) // 2)
-        restricted = restrict_blowup_to_exceptional(2, 1, fp)
+        restricted = restrict(pushforward_linear_blowup(2, 1, fp), "E")
         assert as_map(restricted) == {(0,): counts[0], (-1,): counts[1]}
     print("PASS criterion 8: chart oracle == restriction formulas (q <= 16)")
 
@@ -336,7 +334,7 @@ def test_c10_local_algebra():
 def test_c11_determinant_and_volume():
     for fp in fields(max_e=2):
         for d in (1, 2, 3):
-            cls = determinant_twist_sum(d, fp)  # self-checks sum vs closed form
+            cls = determinant_twist_sum(d, fp)
             assert cls.coords == (-d * fp.q**d * (fp.q - 1) // 2,)
     for fp in fields(max_e=3):
         for d in (1, 2, 3):

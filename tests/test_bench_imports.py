@@ -1,0 +1,78 @@
+"""The benchmark in ``bench/`` uses frobpush's public names; these tests fail
+when a change to the package removes or renames one of them.
+
+The benchmark files are parsed with ``ast``, never imported or edited.
+"""
+
+import ast
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+BENCH_FILES = sorted(BENCH.glob("*.py"))
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def constant(tree: ast.Module, name: str):
+    """The literal value of a module-level assignment ``name = ...``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} not assigned")
+
+
+def resolve(module: str, name: str):
+    """``from module import name``: an attribute, else a submodule."""
+    owner = importlib.import_module(module)
+    if hasattr(owner, name):
+        return getattr(owner, name)
+    return importlib.import_module(f"{module}.{name}")
+
+
+def test_bench_files_found():
+    assert {"run.py", "tracer.py", "workloads.py"} <= {p.name for p in BENCH_FILES}
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_names_resolve(path):
+    """Every name imported from frobpush resolves, and so does every
+    attribute read off an imported frobpush module."""
+    tree = parse(path)
+    imported = {}
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "frobpush":
+            for alias in node.names:
+                try:
+                    value = resolve(node.module, alias.name)
+                except (AttributeError, ImportError):
+                    missing.append(f"{node.module}.{alias.name}")
+                else:
+                    imported[alias.asname or alias.name] = value
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "frobpush":
+                    importlib.import_module(alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            owner = imported.get(node.value.id)
+            if isinstance(owner, types.ModuleType) and not hasattr(owner, node.attr):
+                missing.append(f"{owner.__name__}.{node.attr}")
+    assert not missing, f"{path.name} uses names frobpush no longer has: {missing}"
+
+
+def test_tracer_layers_import():
+    tree = parse(BENCH / "tracer.py")
+    for layer in constant(tree, "LAYERS"):
+        importlib.import_module(f"frobpush.{layer}")
+    picard = importlib.import_module("frobpush.picard")
+    for cls_name, method in constant(tree, "PICARD_LEAVES") + constant(tree, "PICARD_METHODS"):
+        assert hasattr(getattr(picard, cls_name), method), f"picard.{cls_name}.{method}"

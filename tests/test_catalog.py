@@ -8,7 +8,6 @@ recorded value failed reconciliation.
 import pytest
 
 from frobpush.catalog import (
-    ample_test_pairing,
     blowup_multiplicity,
     hirzebruch_block_multiplicities,
     hirzebruch_closed_multiplicities,
@@ -19,12 +18,22 @@ from frobpush.catalog import (
     pushforward_segre_cone,
     pushforward_veronese_cone,
     quadric_pushforward_support,
-    split_bundle_requests,
     veronese_cone_blocks,
 )
 from frobpush.combinat import PrimePower, composition_count, floor_residue
 from frobpush.errors import InvalidParameterError, OutOfRegimeError
-from frobpush.picard import Line, PicClass, Spinor
+from frobpush.picard import (
+    Hirzebruch,
+    Line,
+    LinearBlowup,
+    PicClass,
+    Product,
+    ProjSpace,
+    SegreConeBlowup,
+    Spinor,
+    VeroneseConeBlowup,
+    change_basis,
+)
 
 FIELDS = [PrimePower(p, e) for p in (2, 3, 5) for e in (1, 2)]
 FIELDS_E3 = [PrimePower(p, e) for p in (2, 3, 5) for e in (1, 2, 3)]
@@ -97,36 +106,6 @@ class TestProduct:
         base = pushforward_product(1, 2, 1, 2, fp)
         shifted = pushforward_product(1, 2, 1 + fp.q, 2 - fp.q, fp)
         assert shifted == base.twist(PicClass((1, -1), ("H1", "H2")))
-
-
-class TestSplitBundleRequests:
-    def test_trivial_twist_gives_q_copies(self):
-        fp = PrimePower(3, 1)
-        basis = ("H",)
-        zero = PicClass.zero(basis)
-        target = PicClass((2,), basis)
-        requests = split_bundle_requests([zero], target, fp)
-        assert len(requests) == fp.q
-        assert all(req.request == target for req in requests)
-
-    def test_hyperplane_twist_requests(self):
-        fp = PrimePower(3, 1)
-        basis = ("H",)
-        requests = split_bundle_requests(
-            [PicClass((1,), basis)], PicClass.zero(basis), fp
-        )
-        assert sorted(req.request.coords[0] for req in requests) == list(range(fp.q))
-
-    def test_two_trivial_twists(self):
-        fp = PrimePower(2, 2)
-        basis = ("H",)
-        zero = PicClass.zero(basis)
-        requests = split_bundle_requests([zero, zero], zero, fp)
-        assert len(requests) == fp.q**2
-
-    def test_needs_a_twist(self):
-        with pytest.raises(InvalidParameterError):
-            split_bundle_requests([], PicClass.zero(("H",)), PrimePower(2, 1))
 
 
 class TestHirzebruch:
@@ -453,6 +432,18 @@ class TestQuadricSupport:
 
 
 class TestAntiEffectivity:
+    # Pairing vector of each family's test curve (a line or fiber on which
+    # the pullback of the ample polarization is checked), per basis.
+    PAIRINGS = {
+        (ProjSpace, ("H",)): (1,),
+        (Product, ("H1", "H2")): (1, 1),
+        (Hirzebruch, ("C0", "f")): (0, 1),
+        (LinearBlowup, ("H", "H'")): (1, 1),
+        (LinearBlowup, ("H", "E")): (1, 0),
+        (VeroneseConeBlowup, ("H", "H'")): (1, 0),
+        (SegreConeBlowup, ("H", "G1", "G2")): (1, 0, 0),
+    }
+
     def test_nontrivial_classes_pair_nonpositively(self):
         fp = PrimePower(3, 1)
         decomps = [
@@ -460,11 +451,12 @@ class TestAntiEffectivity:
             pushforward_product(2, 2, 0, 0, fp),
             pushforward_hirzebruch(2, 0, 0, fp),
             pushforward_linear_blowup(3, 1, fp),
+            change_basis(pushforward_linear_blowup(3, 1, fp), ("H", "E")),
             pushforward_veronese_cone(2, 2, 0, 0, fp),
             pushforward_segre_cone(1, 2, 0, 0, 0, fp),
         ]
         for decomp in decomps:
-            pairing = ample_test_pairing(decomp.variety, decomp.basis)
+            pairing = self.PAIRINGS[(type(decomp.variety), decomp.basis)]
             for summand, _ in decomp.items():
                 if summand.cls.is_zero:
                     continue

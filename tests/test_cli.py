@@ -16,7 +16,7 @@ from frobpush.catalog import (
 )
 from frobpush.combinat import PrimePower
 from frobpush.localalg import cone_pushforward
-from frobpush.picard import RationalNormalCone, SegreCone, change_basis
+from frobpush.picard import RationalNormalCone, SegreCone, VeroneseCone, change_basis
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +166,12 @@ class TestExitCodes:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_local_missing_parameter_is_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["local", "--kind", "rnc", "--p", "2", "--e", "1"])
+        assert exc.value.code == 2
+        assert "--eps is required for --kind rnc" in capsys.readouterr().err
+
     def test_domain_error_is_1(self, capsys):
         code, _, err = run_cli(
             capsys, "decompose", "--variety", "projspace", "--d", "2",
@@ -230,6 +236,7 @@ class TestJsonRoundTrip:
             quadric_pushforward_support(4, PrimePower(2, 2)),
             cone_pushforward(RationalNormalCone(3), fp),
             cone_pushforward(SegreCone(1, 2), fp),
+            cone_pushforward(VeroneseCone(2, 2), fp),
         ]
         for decomp in decomps:
             payload = json.loads(json.dumps(cli.decomposition_to_json(decomp)))

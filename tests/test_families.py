@@ -1,0 +1,120 @@
+"""Tests for the family registry: coverage, JSON round-trips, the rank law,
+and the CLI surface generated from it."""
+
+import json
+
+import pytest
+
+from frobpush import cli
+from frobpush.combinat import PrimePower
+from frobpush.errors import InvalidParameterError
+from frobpush.families import (
+    CONE_KINDS,
+    FAMILIES,
+    build_descriptor,
+    descriptor_params,
+    family_of,
+    structure_pushforward,
+)
+from frobpush.picard import (
+    ConeP,
+    Hirzebruch,
+    LinearBlowup,
+    Product,
+    ProjSpace,
+    Quadric,
+    RationalNormalCone,
+    SegreCone,
+    SegreConeBlowup,
+    VeroneseCone,
+    VeroneseConeBlowup,
+)
+
+# One descriptor per registry tag, plus every cone kind; each builds at q=2.
+SAMPLES = [
+    ProjSpace(2),
+    Product(1, 2),
+    Hirzebruch(3),
+    LinearBlowup(3, 1),
+    VeroneseConeBlowup(2, 2),
+    SegreConeBlowup(1, 2),
+    Quadric(4),
+    ConeP(RationalNormalCone(3)),
+    ConeP(VeroneseCone(2, 2)),
+    ConeP(SegreCone(1, 2)),
+]
+FIRST_SAMPLE = {tag: next(v for v in SAMPLES if v.tag == tag) for tag in FAMILIES}
+
+
+def cli_params(variety) -> list[str]:
+    return [f"--{name}={value}" for name, value in descriptor_params(variety).items()]
+
+
+def test_samples_cover_registry():
+    assert {v.tag for v in SAMPLES} == set(FAMILIES)
+    assert {v.kind.tag for v in SAMPLES if isinstance(v, ConeP)} == set(CONE_KINDS)
+
+
+@pytest.mark.parametrize("variety", SAMPLES, ids=repr)
+def test_descriptor_json_round_trip(variety):
+    payload = json.loads(json.dumps(cli.descriptor_to_json(variety)))
+    assert payload["tag"] == variety.tag
+    assert cli.descriptor_from_json(payload) == variety
+
+
+def test_unknown_tags_rejected():
+    with pytest.raises(InvalidParameterError):
+        family_of(SegreCone(1, 1))
+    with pytest.raises(InvalidParameterError):
+        build_descriptor(ConeP, {"kind": "toric"}.__getitem__)
+
+
+@pytest.mark.parametrize("variety", SAMPLES, ids=repr)
+def test_builder_rank_law(variety):
+    for fp in (PrimePower(2, 1), PrimePower(3, 1), PrimePower(2, 2)):
+        decomp = structure_pushforward(variety, fp)
+        assert decomp.variety == variety
+        if decomp.support_only:
+            assert decomp.trivial_multiplicity() == 1
+        else:
+            assert decomp.rank() == fp.q**variety.dim
+
+
+def test_cli_choices_are_registry_tags():
+    assert cli.VARIETIES == tuple(FAMILIES)
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    for name in ("decompose", "kernel", "local"):
+        choices = {a.dest: a.choices for a in commands.choices[name]._actions}
+        if name != "local":
+            assert tuple(choices["variety"]) == tuple(FAMILIES)
+        assert tuple(choices["kind"]) == tuple(CONE_KINDS)
+
+
+def decompose_argv(tag: str, *extra: str) -> list[str]:
+    return ["decompose", f"--variety={tag}", *cli_params(FIRST_SAMPLE[tag]),
+            *extra, "--p=2", "--e=1"]
+
+
+@pytest.mark.parametrize("tag", list(FAMILIES))
+def test_zero_bundle_accepted(tag, capsys):
+    zeros = ",".join("0" * FAMILIES[tag].arity)
+    assert cli.main(decompose_argv(tag, f"--bundle={zeros}")) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("tag", list(FAMILIES))
+def test_malformed_bundle_is_usage_error(tag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(decompose_argv(tag, "--bundle=x"))
+    assert exc.value.code == 2
+    assert "--bundle must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tag", list(FAMILIES))
+def test_wrong_bundle_arity_is_usage_error(tag, capsys):
+    too_many = ",".join("0" * (FAMILIES[tag].arity + 1))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(decompose_argv(tag, f"--bundle={too_many}"))
+    assert exc.value.code == 2
+    assert "--bundle needs" in capsys.readouterr().err

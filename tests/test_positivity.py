@@ -103,10 +103,11 @@ class TestAmpleVerdict:
         assert verdict.witness.summand.cls.coords == (1, 0)
 
     def test_not_nef_with_witness(self):
-        from frobpush.restriction import restrict_veronese_to_exceptional
+        from frobpush.catalog import pushforward_veronese_cone
+        from frobpush.families import restrict
 
         fp = PrimePower(3, 1)
-        verdict = ample_verdict(restrict_veronese_to_exceptional(2, 2, fp))
+        verdict = ample_verdict(restrict(pushforward_veronese_cone(2, 2, 0, 0, fp), "E"))
         assert verdict.status is VerdictStatus.NOT_NEF
         assert min(verdict.witness.summand.cls.coords) < 0
 

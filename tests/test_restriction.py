@@ -5,22 +5,16 @@ import pytest
 from frobpush.catalog import (
     hirzebruch_closed_multiplicities,
     pushforward_hirzebruch,
+    pushforward_linear_blowup,
     pushforward_segre_cone,
     pushforward_veronese_cone,
     veronese_cone_blocks,
 )
 from frobpush.combinat import PrimePower, composition_count
-from frobpush.errors import InvalidParameterError, LatticeMismatchError
+from frobpush.errors import InvalidParameterError
+from frobpush.families import family_of, restrict
 from frobpush.picard import Decomposition, Hirzebruch, Line, PicClass, ProjSpace
-from frobpush.restriction import (
-    RESTRICTION_RULES,
-    blowup_chart_counts,
-    restrict,
-    restrict_blowup_to_exceptional,
-    restrict_hirzebruch_to_section,
-    restrict_segre_to_exceptional,
-    restrict_veronese_to_exceptional,
-)
+from frobpush.restriction import blowup_chart_counts
 
 FIELDS = [PrimePower(p, e) for p in (2, 3, 5) for e in (1, 2)]
 
@@ -33,7 +27,7 @@ class TestHirzebruchSection:
     def test_eps1_fixture(self):
         for fp in FIELDS:
             q = fp.q
-            restricted = restrict_hirzebruch_to_section(pushforward_hirzebruch(1, 0, 0, fp))
+            restricted = restrict(pushforward_hirzebruch(1, 0, 0, fp), "C0")
             assert as_map(restricted) == {(0,): q * (q + 1) // 2, (-1,): q * (q - 1) // 2}
 
     def test_general_display(self):
@@ -43,9 +37,7 @@ class TestHirzebruchSection:
                 if q < eps:
                     continue
                 sigma = hirzebruch_closed_multiplicities(eps, fp)
-                restricted = restrict_hirzebruch_to_section(
-                    pushforward_hirzebruch(eps, 0, 0, fp)
-                )
+                restricted = restrict(pushforward_hirzebruch(eps, 0, 0, fp), "C0")
                 expected = {(0,): 1 + sigma[eps - 1], (-1,): q - 1 + sigma[eps]}
                 for i in range(1, eps):
                     expected[(i,)] = expected.get((i,), 0) + sigma[eps - i - 1]
@@ -55,7 +47,7 @@ class TestHirzebruchSection:
     def test_trivial_decomposition(self):
         basis = ("C0", "f")
         decomp = Decomposition(Hirzebruch(2), [(Line(PicClass.zero(basis)), 1)])
-        restricted = restrict_hirzebruch_to_section(decomp)
+        restricted = restrict(decomp, "C0")
         assert as_map(restricted) == {(0,): 1}
         assert isinstance(restricted.variety, ProjSpace)
 
@@ -63,25 +55,25 @@ class TestHirzebruchSection:
         fp = PrimePower(2, 1)
         from frobpush.catalog import pushforward_projective_space
 
-        with pytest.raises(LatticeMismatchError):
-            restrict_hirzebruch_to_section(pushforward_projective_space(1, 0, fp))
+        with pytest.raises(InvalidParameterError):
+            restrict(pushforward_projective_space(1, 0, fp), "C0")
 
 
 class TestBlowupExceptional:
     def test_point_blowup_matches_chart(self):
         for fp in FIELDS:
-            restricted = restrict_blowup_to_exceptional(2, 1, fp)
+            restricted = restrict(pushforward_linear_blowup(2, 1, fp), "E")
             trivial, negative = blowup_chart_counts(fp)
             assert as_map(restricted) == {(0,): trivial, (-1,): negative}
 
     def test_rank_preserved(self):
         for fp in FIELDS:
             for d, r in ((2, 1), (3, 1), (3, 2), (4, 2)):
-                assert restrict_blowup_to_exceptional(d, r, fp).rank() == fp.q**d
+                assert restrict(pushforward_linear_blowup(d, r, fp), "E").rank() == fp.q**d
 
     def test_closed_form_multiplicities(self):
         fp = PrimePower(2, 1)
-        restricted = restrict_blowup_to_exceptional(3, 1, fp)
+        restricted = restrict(pushforward_linear_blowup(3, 1, fp), "E")
         q = fp.q
         expected = {}
         for k in range(3):
@@ -103,7 +95,7 @@ class TestVeroneseExceptional:
                     if fp.q < eps:
                         continue
                     blocks = veronese_cone_blocks(d, eps, 0, 0, fp)
-                    restricted = restrict_veronese_to_exceptional(d, eps, fp)
+                    restricted = restrict(pushforward_veronese_cone(d, eps, 0, 0, fp), "E")
                     expected = {}
                     for k in range(d + 1):
                         value = blocks.section_counts.get(
@@ -123,7 +115,7 @@ class TestVeroneseExceptional:
                 if fp.q < eps:
                     continue
                 sigma = hirzebruch_closed_multiplicities(eps, fp)
-                restricted = restrict_veronese_to_exceptional(1, eps, fp)
+                restricted = restrict(pushforward_veronese_cone(1, eps, 0, 0, fp), "E")
                 assert restricted.trivial_multiplicity() == 1 + sigma[eps - 1]
 
     def test_d1_matches_hirzebruch_section(self):
@@ -131,27 +123,25 @@ class TestVeroneseExceptional:
             for eps in (1, 2, 3, 4):
                 if fp.q < eps:
                     continue
-                via_cone = restrict_veronese_to_exceptional(1, eps, fp)
-                via_surface = restrict_hirzebruch_to_section(
-                    pushforward_hirzebruch(eps, 0, 0, fp)
-                )
+                via_cone = restrict(pushforward_veronese_cone(1, eps, 0, 0, fp), "E")
+                via_surface = restrict(pushforward_hirzebruch(eps, 0, 0, fp), "C0")
                 assert as_map(via_cone) == as_map(via_surface)
 
     def test_rank_preserved(self):
         fp = PrimePower(3, 1)
-        assert restrict_veronese_to_exceptional(2, 3, fp).rank() == fp.q**3
+        assert restrict(pushforward_veronese_cone(2, 3, 0, 0, fp), "E").rank() == fp.q**3
 
 
 class TestSegreExceptional:
     def test_q2_trivial_entry(self):
         fp = PrimePower(2, 1)
-        restricted = restrict_segre_to_exceptional(1, 1, fp)
+        restricted = restrict(pushforward_segre_cone(1, 1, 0, 0, 0, fp), "E")
         assert restricted.trivial_multiplicity() == 5
 
     def test_display(self):
         for fp in FIELDS:
             for r, s in ((1, 1), (1, 2), (2, 2)):
-                restricted = restrict_segre_to_exceptional(r, s, fp)
+                restricted = restrict(pushforward_segre_cone(r, s, 0, 0, 0, fp), "E")
                 expected = {}
                 for k in range(r + 1):
                     for l in range(s + 1):
@@ -165,7 +155,7 @@ class TestSegreExceptional:
 
     def test_rank_preserved(self):
         for fp in FIELDS:
-            assert restrict_segre_to_exceptional(1, 2, fp).rank() == fp.q**4
+            assert restrict(pushforward_segre_cone(1, 2, 0, 0, 0, fp), "E").rank() == fp.q**4
 
 
 class TestChartOracle:
@@ -191,8 +181,6 @@ class TestRestrictionGenerics:
     def test_commutes_with_pullback_twists(self):
         # Twisting by a class pulled back from the target then restricting
         # equals restricting then twisting by the original target class.
-        from frobpush.catalog import pushforward_linear_blowup
-
         fp = PrimePower(3, 1)
         sources = [
             (pushforward_hirzebruch(2, 0, 0, fp), "C0"),
@@ -201,7 +189,8 @@ class TestRestrictionGenerics:
             (pushforward_segre_cone(1, 1, 0, 0, 0, fp), "E"),
         ]
         for decomp, divisor in sources:
-            rule = RESTRICTION_RULES[(type(decomp.variety), divisor)]
+            rule = family_of(decomp.variety).rule
+            assert rule.divisor == divisor
             target_basis = rule.target(decomp.variety).bases[0]
             for t, pullback in enumerate(rule.pullbacks):
                 for scale in (1, -2):
@@ -217,7 +206,6 @@ class TestRestrictionGenerics:
                     ).twist(down)
 
     def test_restricts_from_alternate_blowup_basis(self):
-        from frobpush.catalog import pushforward_linear_blowup
         from frobpush.picard import change_basis
 
         fp = PrimePower(3, 1)
