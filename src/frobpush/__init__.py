@@ -13,7 +13,9 @@ from .combinat import (
     composition_count,
     composition_count_oracle,
     eulerian,
+    floor_pieces,
     floor_residue,
+    polynomial_range_sum,
     shifted_sum_identity_holds,
     sum_identity_holds,
 )
@@ -46,7 +48,6 @@ from .catalog import (
     pushforward_segre_cone,
     pushforward_veronese_cone,
     quadric_pushforward_support,
-    veronese_cone_blocks,
 )
 from .restriction import RestrictionRule, blowup_chart_counts
 from .families import (

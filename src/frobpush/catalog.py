@@ -4,14 +4,29 @@ Every function here returns a ``Decomposition`` of F^e_* of a line bundle
 (usually the structure sheaf) as an exact multiset of lattice classes.  The
 multiplicities are polynomials or piecewise polynomials in q = p^e; zero
 entries are always dropped so support comparisons are canonical.
+
+Most formulas are sums over the q residues j = 0..q-1 of one coordinate.  On
+each run of j where the floor parts of the twists stay constant
+(``combinat.floor_pieces``), a term is a polynomial in j of degree at most
+the dimension, so each run is summed exactly from a few samples
+(``combinat.polynomial_range_sum``).  Multiplicities are added up per
+coordinate tuple and one ``Line`` is built per class, so the cost depends on
+the dimension, eps and the bit length of q, not on q.  ``verify`` checks
+each sum against a j-by-j loop at small q.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from typing import Optional
 
-from .combinat import PrimePower, composition_count, floor_residue
+from .combinat import (
+    PrimePower,
+    composition_count,
+    floor_pieces,
+    floor_residue,
+    polynomial_range_sum,
+)
 from .errors import InvalidParameterError, OutOfRegimeError
 from .picard import (
     Decomposition,
@@ -27,6 +42,13 @@ from .picard import (
     Summand,
     VeroneseConeBlowup,
 )
+
+
+def _from_counts(variety, counts: Counter) -> Decomposition:
+    basis = variety.bases[0]
+    return Decomposition(
+        variety, [(Line(PicClass(coords, basis)), mult) for coords, mult in counts.items()]
+    )
 
 
 def pushforward_projective_space(d: int, n: int, fp: PrimePower) -> Decomposition:
@@ -65,22 +87,26 @@ def pushforward_hirzebruch(eps: int, u: int, v: int, fp: PrimePower) -> Decompos
     """F^e_* O(u*C0 + v*f) on the ruled surface P(O + O(-eps)) over P^1.
 
     Four blocks: for residues j of u the fiber twist v - j*eps splits as
-    floor/residue in base q, contributing classes k*C0 + floor*f and
-    k*C0 + (floor-1)*f (k drops by one past the residue of u).  This general
-    form is the single source of truth; the per-eps closed forms are
-    regression data derived from it.
+    floor/residue in base q, contributing k*C0 + floor*f with multiplicity
+    residue + 1 and k*C0 + (floor-1)*f with multiplicity q - 1 - residue
+    (k drops by one past the residue m of u).  The sum over j is taken by
+    pieces: [0, m] and [m+1, q-1] each split into the runs on which the
+    floor of (v - j*eps)/q is constant, at most eps + 2 of them, and on a run
+    the residue is linear in j.  This general form is the single source of
+    truth; the per-eps closed forms are regression data derived from it.
     """
     variety = Hirzebruch(eps)
-    basis = variety.bases[0]
     q = fp.q
     k, m = floor_residue(u, q)
-    items: list[tuple[Summand, Optional[int]]] = []
-    for j in range(q):
-        c0 = k if j <= m else k - 1
-        fl, res = floor_residue(v - j * eps, q)
-        items.append((Line(PicClass((c0, fl), basis)), res + 1))
-        items.append((Line(PicClass((c0, fl - 1), basis)), q - 1 - res))
-    return Decomposition(variety, items)
+    counts: Counter = Counter()
+    for c0, lo, hi in ((k, 0, m), (k - 1, m + 1, q - 1)):
+        for fl, jlo, jhi in floor_pieces(-eps, v, q, lo, hi):
+            res = v - jlo * eps - fl * q
+            count = jhi - jlo + 1
+            res_sum = polynomial_range_sum([res, res - eps], count)
+            counts[(c0, fl)] += res_sum + count
+            counts[(c0, fl - 1)] += (q - 1) * count - res_sum
+    return _from_counts(variety, counts)
 
 
 def hirzebruch_block_multiplicities(eps: int, fp: PrimePower) -> tuple[int, ...]:
@@ -137,12 +163,18 @@ def blowup_multiplicity(i: int, k: int, d: int, r: int, fp: PrimePower) -> int:
     linear P^{r-1}.
 
     The uniform formula covers the boundary rows i = 0 and i = r because the
-    composition counts vanish for negative first index.
+    composition counts vanish for negative first index.  The mixed term sums
+    count(k, j; d-r) * count(i-1, q-j; r-1) over j = 1..q-1, a polynomial of
+    degree d - 1 in j, so d samples fix it.
     """
+    q = fp.q
     base = composition_count(k, 0, d - r, fp) * composition_count(i, 0, r - 1, fp)
-    mixed = sum(
-        composition_count(k, j, d - r, fp) * composition_count(i - 1, fp.q - j, r - 1, fp)
-        for j in range(1, fp.q)
+    mixed = polynomial_range_sum(
+        [
+            composition_count(k, j, d - r, fp) * composition_count(i - 1, q - j, r - 1, fp)
+            for j in range(1, min(q, d + 1))
+        ],
+        q - 1,
     )
     return base + mixed
 
@@ -161,31 +193,21 @@ def pushforward_linear_blowup(d: int, r: int, fp: PrimePower) -> Decomposition:
     return Decomposition(variety, items)
 
 
-@dataclass(frozen=True)
-class VeroneseBlocks:
-    """Aggregated multiplicity blocks for the Veronese cone blowup.
-
-    ``section_counts[k]`` is the multiplicity of O(-k*H') and
-    ``exceptional_counts[k]`` that of O(-E - k*H'); the two indices locate
-    the residues n and q-1-n inside their interval partitions.
-    """
-
-    section_index: int
-    exceptional_index: int
-    section_counts: dict[int, int]
-    exceptional_counts: dict[int, int]
-
-
-def veronese_cone_blocks(
+def pushforward_veronese_cone(
     d: int, eps: int, n: int, nprime: int, fp: PrimePower
-) -> VeroneseBlocks:
-    """Interval-partition bookkeeping behind the Veronese cone pushforward.
+) -> Decomposition:
+    """F^e_* O(n*H + n'*H') on the blowup of the Veronese cone, in the
+    ("H", "H'") basis with E = H - eps*H'.
 
-    Splits [0, q-1] into eps intervals on which the floor of
-    (eps*j + n')/q is constant (and [1, q-1] likewise for the negative
-    twists), sums composition counts over each interval, then aggregates the
-    per-interval sums into per-class multiplicities.
+    Valid in the regime q >= eps - n' >= 1, for residues n, n' in [0, q-1].
+    Residues j = 0..n contribute O((floor - l)*H') and residues
+    j = 1..q-1-n contribute O(-E + (floor - l)*H') = O(-H + (floor - l + eps)*H'),
+    where eps*j + n' (respectively -eps*j + n') splits as floor/residue m in
+    base q, with multiplicity count(l, m; d) for l = 0..d.  Each range is summed by the
+    runs of constant floor, at most eps + 2 of them, on which the count is a
+    polynomial of degree d in j.
     """
+    variety = VeroneseConeBlowup(d, eps)
     q = fp.q
     if not (0 <= n <= q - 1 and 0 <= nprime <= q - 1):
         raise InvalidParameterError(
@@ -195,85 +217,17 @@ def veronese_cone_blocks(
         raise OutOfRegimeError(
             f"needs q >= eps - n' >= 1; got q={q}, eps={eps}, n'={nprime}"
         )
-
-    def intervals(offset: int, start: int) -> list[range]:
-        # i-th piece is (floor(((i-1)q + offset)/eps), floor((iq + offset)/eps)],
-        # except the last which is capped at q-1.
-        pieces = []
-        for i in range(1, eps + 1):
-            lo = ((i - 1) * q + offset) // eps + 1
-            hi = (i * q + offset) // eps if i < eps else q - 1
-            pieces.append(range(max(lo, start), hi + 1))
-        return pieces
-
-    plus_pieces = intervals(-1 - nprime, 0)
-    minus_pieces = intervals(nprime, 1)
-
-    def locate(pieces: list[range], j: int) -> int:
-        for i, piece in enumerate(pieces, start=1):
-            if j in piece:
-                return i
-        raise AssertionError(f"{j} not covered by the interval partition")
-
-    section_index = locate(plus_pieces, n)
-    exceptional_index = 0 if q - 1 - n == 0 else locate(minus_pieces, q - 1 - n)
-
-    # Per-interval sums of composition counts, indexed by (interval, twist).
-    plus_blocks: dict[tuple[int, int], int] = {}
-    for i, piece in enumerate(plus_pieces, start=1):
-        for j in piece:
-            if j > n:
-                break
-            m = eps * j + nprime - (i - 1) * q
-            assert 0 <= m <= q - 1
+    counts: Counter = Counter()
+    # (slope in j, first and last j, H-coordinate, H'-offset of the class)
+    for a, lo, hi, h, offset in ((eps, 0, n, 0, 0), (-eps, 1, q - 1 - n, -1, eps)):
+        for fl, jlo, jhi in floor_pieces(a, nprime, q, lo, hi):
+            count = jhi - jlo + 1
+            residues = [a * j + nprime - fl * q for j in range(jlo, jlo + min(count, d + 1))]
             for l in range(d + 1):
-                cnt = composition_count(l, m, d, fp)
-                if cnt:
-                    plus_blocks[(i, l)] = plus_blocks.get((i, l), 0) + cnt
-    minus_blocks: dict[tuple[int, int], int] = {}
-    for i, piece in enumerate(minus_pieces, start=1):
-        for j in piece:
-            if j > q - 1 - n:
-                break
-            m = i * q - eps * j + nprime
-            assert 0 <= m <= q - 1
-            for l in range(d + 1):
-                cnt = composition_count(l, m, d, fp)
-                if cnt:
-                    minus_blocks[(i, l)] = minus_blocks.get((i, l), 0) + cnt
-
-    section_counts: dict[int, int] = {}
-    for k in range(-section_index + 1, d + 1):
-        total = sum(
-            plus_blocks.get((i, k + i - 1), 0) for i in range(1, section_index + 1)
-        )
-        if total:
-            section_counts[k] = total
-    exceptional_counts: dict[int, int] = {}
-    for k in range(1, exceptional_index + d + 1):
-        total = sum(
-            minus_blocks.get((i, k - i), 0) for i in range(1, exceptional_index + 1)
-        )
-        if total:
-            exceptional_counts[k] = total
-    return VeroneseBlocks(section_index, exceptional_index, section_counts, exceptional_counts)
-
-
-def pushforward_veronese_cone(
-    d: int, eps: int, n: int, nprime: int, fp: PrimePower
-) -> Decomposition:
-    """F^e_* O(n*H + n'*H') on the blowup of the Veronese cone, in the
-    ("H", "H'") basis with E = H - eps*H'."""
-    variety = VeroneseConeBlowup(d, eps)
-    basis = variety.bases[0]
-    blocks = veronese_cone_blocks(d, eps, n, nprime, fp)
-    items = []
-    for k, mult in blocks.section_counts.items():
-        items.append((Line(PicClass((0, -k), basis)), mult))
-    for k, mult in blocks.exceptional_counts.items():
-        # -E - k*H' = -H + (eps - k)*H'
-        items.append((Line(PicClass((-1, eps - k), basis)), mult))
-    return Decomposition(variety, items)
+                counts[(h, fl - l + offset)] += polynomial_range_sum(
+                    [composition_count(l, m, d, fp) for m in residues], count
+                )
+    return _from_counts(variety, counts)
 
 
 def pushforward_segre_cone(
@@ -282,29 +236,34 @@ def pushforward_segre_cone(
     """F^e_* O(n*H + n1*G1 + n2*G2) on the blowup of the Segre cone, in the
     ("H", "G1", "G2") basis with E = H - G1 - G2."""
     variety = SegreConeBlowup(r, s)
-    basis = variety.bases[0]
     q = fp.q
     for name, val in (("n", n), ("n1", n1), ("n2", n2)):
         if not 0 <= val <= q - 1:
             raise InvalidParameterError(
                 f"bundle residues must lie in [0, q-1]; got {name}={val}, q={q}"
             )
-    items = []
-    for j in range(q):
-        h = 0 if j <= n else -1
-        f1, m1 = floor_residue(j + n1, q)
-        f2, m2 = floor_residue(j + n2, q)
-        for k in range(r + 1):
-            left = composition_count(k, m1, r, fp)
-            if not left:
-                continue
-            for l in range(s + 1):
-                right = composition_count(l, m2, s, fp)
-                if right:
-                    items.append(
-                        (Line(PicClass((h, f1 - k, f2 - l), basis)), left * right)
-                    )
-    return Decomposition(variety, items)
+    # Residue j contributes O(h*H + (f1-k)*G1 + (f2-l)*G2) with multiplicity
+    # count(k, m1; r) * count(l, m2; s), where j + n_i = f_i*q + m_i and h
+    # drops to -1 past n.  Between consecutive cuts h, f1 and f2 are constant
+    # and the product is a polynomial of degree r + s in j.
+    cuts = sorted({0, n + 1, q - n1, q - n2, q})
+    counts: Counter = Counter()
+    for lo, hi in zip(cuts, cuts[1:]):
+        h = 0 if lo <= n else -1
+        f1, f2 = (lo + n1) // q, (lo + n2) // q
+        points = range(lo, lo + min(hi - lo, r + s + 1))
+        left = [
+            [composition_count(k, j + n1 - f1 * q, r, fp) for j in points] for k in range(r + 1)
+        ]
+        right = [
+            [composition_count(l, j + n2 - f2 * q, s, fp) for j in points] for l in range(s + 1)
+        ]
+        for k, lk in enumerate(left):
+            for l, rl in enumerate(right):
+                counts[(h, f1 - k, f2 - l)] += polynomial_range_sum(
+                    [x * y for x, y in zip(lk, rl)], hi - lo
+                )
+    return _from_counts(variety, counts)
 
 
 def quadric_pushforward_support(d: int, fp: PrimePower) -> Decomposition:

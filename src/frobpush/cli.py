@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import families, localalg, positivity, verify
 from .combinat import PrimePower
-from .errors import FrobpushError, OutOfRegimeError
+from .errors import FrobpushError, InvalidParameterError, OutOfRegimeError
 from .picard import Decomposition, Line, PicClass, Spinor, VarietyDescriptor
 from .positivity import Verdict
 
@@ -36,10 +36,19 @@ def descriptor_to_json(variety: VarietyDescriptor) -> dict:
 
 
 def descriptor_from_json(data: dict) -> VarietyDescriptor:
+    for key in ("tag", "params"):
+        if key not in data:
+            raise InvalidParameterError(f"variety JSON lacks {key!r}")
     tag, params = data["tag"], data["params"]
     if tag not in families.FAMILIES:
         raise FrobpushError(f"unknown variety tag {tag!r}")
-    return families.build_descriptor(families.FAMILIES[tag].descriptor, params.__getitem__)
+
+    def value(name: str):
+        if name not in params:
+            raise InvalidParameterError(f"variety {tag!r} lacks parameter {name!r}")
+        return params[name]
+
+    return families.build_descriptor(families.FAMILIES[tag].descriptor, value)
 
 
 def decomposition_to_json(decomp: Decomposition) -> dict:
@@ -169,14 +178,19 @@ def _descriptor(
     return families.build_descriptor(cls, value)
 
 
+def _require_zero(parser: argparse.ArgumentParser, bundle: list[int], what: str) -> None:
+    if any(bundle):
+        zeros = ",".join("0" * len(bundle))
+        parser.error(f"{what} supports only --bundle {zeros}")
+
+
 def _build_decomposition(
     parser: argparse.ArgumentParser, args: argparse.Namespace, fp: PrimePower
 ) -> Decomposition:
     family = families.FAMILIES[args.variety]
     bundle = _parse_bundle(parser, args.bundle, family.arity)
-    if family.structure_only and any(bundle):
-        zeros = ",".join("0" * family.arity)
-        parser.error(f"--variety {args.variety} supports only --bundle {zeros}")
+    if family.structure_only:
+        _require_zero(parser, bundle, f"--variety {args.variety}")
     variety = _descriptor(parser, args, family.descriptor, f"--variety {args.variety}")
     return family.build(variety, tuple(bundle), fp)
 
@@ -200,6 +214,8 @@ def cmd_kernel(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     fp = PrimePower(args.p, args.e)
     family = families.FAMILIES[args.variety]
     label = f"--variety {args.variety}"
+    # The trace kernel is always that of O (the canonical twist on quadrics).
+    _require_zero(parser, _parse_bundle(parser, args.bundle, family.arity), "kernel")
     if args.variety == "quadric":
         quadric = _descriptor(parser, args, family.descriptor, label)
         report = positivity.quadric_kernel_verdict(quadric.d, fp)

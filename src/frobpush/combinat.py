@@ -7,6 +7,15 @@ binomial sum and checked against ``composition_count_oracle``, which extracts
 the same coefficient from the polynomial (1 + t + ... + t^{q-1})^{d+1} by
 direct convolution.  Everything is plain ``int`` arithmetic; the counts grow
 like q^d and overflow fixed-width integers almost immediately.
+
+For a fixed index i the count is a polynomial of degree d in m on [0, q-1],
+so every sum of counts over a range of residues is a sum of a polynomial.
+``floor_pieces`` cuts a range of j into the runs on which
+floor((a*j + b)/q) is constant, and ``polynomial_range_sum`` sums a
+polynomial over a run from a few samples; together they let the catalog sum
+over all q residues at a cost that does not grow with q.  Every function here
+is a leaf: it calls only the standard library and other functions of this
+module, never a function handed to it.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InvalidParameterError
 
@@ -69,6 +78,53 @@ def floor_residue(n: int, q: int) -> FloorResidue:
         raise InvalidParameterError(f"modulus must be positive; got q={q}")
     fl, r = divmod(n, q)
     return FloorResidue(fl, r)
+
+
+def floor_pieces(a: int, b: int, q: int, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
+    """Runs of j in [lo, hi] on which floor((a*j + b)/q) is constant.
+
+    Yields (floor, jlo, jhi) in increasing j; the runs cover [lo, hi]
+    contiguously and an empty range yields nothing.  There are at most
+    |a|*(hi - lo)//q + 2 runs (and never more than hi - lo + 1), so for a
+    fixed slope a the count does not grow with q.
+    """
+    if q <= 0:
+        raise InvalidParameterError(f"modulus must be positive; got q={q}")
+    j = lo
+    while j <= hi:
+        fl = (a * j + b) // q
+        if a > 0:
+            # First j' with a*j' + b >= (fl + 1)*q.
+            nxt = -((b - (fl + 1) * q) // a)
+        elif a < 0:
+            # First j' with a*j' + b <= fl*q - 1.
+            nxt = -((fl * q - 1 - b) // -a)
+        else:
+            nxt = hi + 1
+        end = min(nxt - 1, hi)
+        yield fl, j, end
+        j = end + 1
+
+
+def polynomial_range_sum(samples: Sequence[int], count: int) -> int:
+    """Exact sum f(0) + f(1) + ... + f(count - 1) of an integer-valued
+    polynomial f of degree < len(samples), given samples[t] = f(t).
+
+    Uses Newton's forward differences: f(t) = sum_k D^k f(0) C(t, k), and
+    sum_{t < count} C(t, k) = C(count, k + 1).  When count <= len(samples)
+    the samples are summed directly, so the caller need only evaluate f at
+    the first min(count, degree + 1) points of its range.
+    """
+    if count < 0:
+        raise InvalidParameterError(f"count must satisfy count >= 0; got {count}")
+    if count <= len(samples):
+        return sum(samples[:count])
+    total = 0
+    diffs = list(samples)
+    for k in range(len(samples)):
+        total += diffs[0] * math.comb(count, k + 1)
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+    return total
 
 
 def binom(n: int, k: int) -> int:

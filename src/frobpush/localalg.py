@@ -16,9 +16,9 @@ from typing import Union
 from .catalog import (
     hirzebruch_block_multiplicities,
     hirzebruch_closed_multiplicities,
-    veronese_cone_blocks,
+    pushforward_veronese_cone,
 )
-from .combinat import PrimePower, composition_count, eulerian
+from .combinat import PrimePower, composition_count, eulerian, polynomial_range_sum
 from .errors import InvalidParameterError
 from .picard import (
     ConeP,
@@ -45,7 +45,8 @@ def _veronese_style_class_counts(d: int, eps: int, fp: PrimePower) -> dict[int, 
 
     All classes -k*L coincide modulo eps near the vertex (eps*L is Cartier
     and locally trivial there), so upstairs multiplicities aggregate over
-    the residue of k.
+    the residue of k.  Upstairs, a*H + b*H' with a in {0, -1} is -k*L for
+    k = -b - a*eps, which is -b modulo eps.
     """
     counts: dict[int, int] = {}
 
@@ -60,12 +61,21 @@ def _veronese_style_class_counts(d: int, eps: int, fp: PrimePower) -> dict[int, 
         for i, mult in enumerate(_rnc_sigma(eps, fp), start=1):
             add(i, mult)
     else:
-        blocks = veronese_cone_blocks(d, eps, 0, 0, fp)
-        for k, mult in blocks.section_counts.items():
-            add(k, mult)
-        for k, mult in blocks.exceptional_counts.items():
-            add(k, mult)
+        for summand, mult in pushforward_veronese_cone(d, eps, 0, 0, fp).items():
+            add(-summand.cls.coords[1], mult)
     return counts
+
+
+def _segre_pair_sum(k: int, l: int, r: int, s: int, fp: PrimePower) -> int:
+    """sum_{j=0}^{q-1} count(k, j; r) * count(l, j; s), a polynomial of degree
+    r + s in j summed exactly."""
+    return polynomial_range_sum(
+        [
+            composition_count(k, j, r, fp) * composition_count(l, j, s, fp)
+            for j in range(min(fp.q, r + s + 1))
+        ],
+        fp.q,
+    )
 
 
 def cone_pushforward(kind: ConeKind, fp: PrimePower) -> Decomposition:
@@ -87,15 +97,11 @@ def cone_pushforward(kind: ConeKind, fp: PrimePower) -> Decomposition:
     elif isinstance(kind, SegreCone):
         r, s = kind.r, kind.s
         for i in range(-r, s + 1):
-            mult = 0
-            for k in range(r + 1):
-                l = k + i
-                if not 0 <= l <= s:
-                    continue
-                mult += sum(
-                    composition_count(k, j, r, fp) * composition_count(l, j, s, fp)
-                    for j in range(fp.q)
-                )
+            mult = sum(
+                _segre_pair_sum(k, k + i, r, s, fp)
+                for k in range(r + 1)
+                if 0 <= k + i <= s
+            )
             items.append((Line(PicClass((i,), basis)), mult))
     else:
         raise InvalidParameterError(f"unknown cone kind {kind!r}")
@@ -106,17 +112,13 @@ def splitting_number(kind: ConeKind, fp: PrimePower) -> int:
     """The e-th F-splitting number: free rank of F^e_* of the cone's local ring."""
     if isinstance(kind, SegreCone):
         r, s = kind.r, kind.s
-        return sum(
-            composition_count(k, j, r, fp) * composition_count(k, j, s, fp)
-            for k in range(min(r, s) + 1)
-            for j in range(fp.q)
-        )
+        return sum(_segre_pair_sum(k, k, r, s, fp) for k in range(min(r, s) + 1))
     if isinstance(kind, VeroneseCone):
-        blocks = veronese_cone_blocks(kind.d, kind.eps, 0, 0, fp)
+        # The free summands are the upstairs classes that are trivial near
+        # the vertex: H'-coordinate divisible by eps.
+        decomp = pushforward_veronese_cone(kind.d, kind.eps, 0, 0, fp)
         return sum(
-            blocks.section_counts.get(k * kind.eps, 0)
-            + blocks.exceptional_counts.get((k + 1) * kind.eps, 0)
-            for k in range(kind.d // kind.eps + 1)
+            mult for summand, mult in decomp.items() if summand.cls.coords[1] % kind.eps == 0
         )
     if isinstance(kind, RationalNormalCone):
         decomp = cone_pushforward(kind, fp)

@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import restriction
-from .catalog import pushforward_projective_space, quadric_pushforward_support
-from .combinat import PrimePower, binom, composition_count
+from .catalog import quadric_pushforward_support
+from .combinat import PrimePower, binom, composition_count, polynomial_range_sum
 from .errors import InvalidParameterError, UnsupportedConeError
 from .families import family_of, structure_pushforward
 from .picard import (
@@ -204,16 +204,20 @@ def quadric_kernel_verdict(d: int, fp: PrimePower) -> QuadricKernelReport:
 def determinant_twist_sum(d: int, fp: PrimePower) -> PicClass:
     """Sum of det F^e_* O(n) over n = 0..q-1 on P^d.
 
-    Equals -d * q^d * (q-1)/2 times the hyperplane class; the ``alpha-det``
-    verification check compares the two.
+    F^e_* O(n) is the sum of O(-i) with multiplicity count(i, n; d), a
+    polynomial of degree d in n, so each sum over n is taken exactly from
+    d + 1 samples.  Equals -d * q^d * (q-1)/2 times the hyperplane class;
+    the ``alpha-det`` verification check compares the two.
     """
     if d < 1:
         raise InvalidParameterError(f"needs d >= 1; got d={d}")
     basis = ProjSpace(d).bases[0]
-    total = PicClass.zero(basis)
-    for n in range(fp.q):
-        total = total + pushforward_projective_space(d, n, fp).det()
-    return total
+    points = range(min(fp.q, d + 1))
+    coefficient = -sum(
+        i * polynomial_range_sum([composition_count(i, n, d, fp) for n in points], fp.q)
+        for i in range(1, d + 1)
+    )
+    return PicClass((coefficient,), basis)
 
 
 def volume_identity(d: int, a: int, fp: PrimePower) -> tuple[bool, Fraction]:

@@ -1,5 +1,6 @@
 """The benchmark in ``bench/`` uses frobpush's public names; these tests fail
-when a change to the package removes or renames one of them.
+when a change to the package removes or renames one of them, or breaks an
+assumption its tracer makes about the package.
 
 The benchmark files are parsed with ``ast``, never imported or edited.
 """
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+COMBINAT = Path(__file__).resolve().parent.parent / "src" / "frobpush" / "combinat.py"
 BENCH_FILES = sorted(BENCH.glob("*.py"))
 
 
@@ -76,3 +78,26 @@ def test_tracer_layers_import():
     picard = importlib.import_module("frobpush.picard")
     for cls_name, method in constant(tree, "PICARD_LEAVES") + constant(tree, "PICARD_METHODS"):
         assert hasattr(getattr(picard, cls_name), method), f"picard.{cls_name}.{method}"
+
+
+def test_combinat_functions_are_leaves():
+    """The tracer times ``combinat`` functions as leaves that call no other
+    traced function.  A public function that calls one of its parameters
+    could call back into a traced layer, so none may."""
+    tree = parse(COMBINAT)
+    assert "combinat" in constant(parse(BENCH / "tracer.py"), "LEAF_LAYERS")
+    offenders = []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        args = node.args
+        params = {
+            a.arg
+            for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            if a is not None
+        }
+        for call in ast.walk(node):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id in params):
+                offenders.append(f"{node.name} calls its parameter {call.func.id}")
+    assert not offenders, offenders

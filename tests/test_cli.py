@@ -1,6 +1,7 @@
 """Tests for the command line: output fixtures, JSON round-trips, exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,7 @@ from frobpush.catalog import (
     quadric_pushforward_support,
 )
 from frobpush.combinat import PrimePower
+from frobpush.errors import InvalidParameterError
 from frobpush.localalg import cone_pushforward
 from frobpush.picard import RationalNormalCone, SegreCone, VeroneseCone, change_basis
 
@@ -147,6 +149,20 @@ class TestLocal:
         assert code == 0
         assert "splitting number: 32" in out
 
+    def test_segre_large_e(self, capsys):
+        # q = 2^64: the sum over residues is taken by pieces, not j by j.
+        q = 2**64
+        code, out, _ = run_cli(
+            capsys, "local", "--kind", "segre", "--r", "1", "--s", "1",
+            "--p", "2", "--e", "64", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        number = int(payload["splitting_number"])
+        convergent = Fraction(int(payload["convergent"]["num"]), int(payload["convergent"]["den"]))
+        assert convergent == Fraction(number, q**3)
+        assert abs(convergent - Fraction(2, 3)) < Fraction(1, q)
+
     def test_json_num_den(self, capsys):
         code, out, _ = run_cli(
             capsys, "local", "--kind", "segre", "--r", "1", "--s", "1",
@@ -157,6 +173,19 @@ class TestLocal:
         assert payload["splitting_number"] == "6"
         assert payload["convergent"] == {"num": "3", "den": "4"}
         assert payload["f_signature"] == {"num": "2", "den": "3"}
+
+
+class TestLargeE:
+    def test_hirzebruch_e40(self, capsys):
+        q = 2**40
+        code, out, _ = run_cli(
+            capsys, "decompose", "--variety", "hirzebruch", "--eps", "3",
+            "--p", "2", "--e", "40", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert int(payload["rank"]) == q**2
+        assert sum(int(s["mult"]) for s in payload["summands"]) == q**2
 
 
 class TestExitCodes:
@@ -241,6 +270,23 @@ class TestJsonRoundTrip:
         for decomp in decomps:
             payload = json.loads(json.dumps(cli.decomposition_to_json(decomp)))
             assert cli.decomposition_from_json(payload) == decomp
+
+    @pytest.mark.parametrize(
+        "data, missing",
+        [
+            ({"tag": "projspace", "params": {}}, "'d'"),
+            ({"tag": "product", "params": {"r": 1}}, "'s'"),
+            ({"tag": "cone-p", "params": {"kind": "segre", "r": 1}}, "'s'"),
+            ({"params": {"d": 2}}, "'tag'"),
+            ({"tag": "projspace"}, "'params'"),
+        ],
+    )
+    def test_missing_descriptor_field(self, data, missing):
+        with pytest.raises(InvalidParameterError, match=missing):
+            cli.descriptor_from_json(data)
+        decomp = cli.decomposition_to_json(pushforward_projective_space(1, 0, PrimePower(2, 1)))
+        with pytest.raises(InvalidParameterError, match=missing):
+            cli.decomposition_from_json({**decomp, "variety": data})
 
     def test_schema_shape(self):
         fp = PrimePower(2, 1)

@@ -19,7 +19,9 @@ from frobpush.combinat import (
     composition_count,
     composition_count_oracle,
     eulerian,
+    floor_pieces,
     floor_residue,
+    polynomial_range_sum,
     shifted_sum_identity_holds,
     sum_identity_holds,
 )
@@ -63,6 +65,74 @@ class TestFloorResidue:
         fl, r = floor_residue(n, q)
         assert n == fl * q + r
         assert 0 <= r <= q - 1
+
+
+class TestFloorPieces:
+    @given(
+        st.integers(-20, 20),
+        st.integers(-10**6, 10**6),
+        st.integers(1, 300),
+        st.integers(-50, 50),
+        st.integers(-5, 120),
+    )
+    def test_runs_cover_range_with_constant_floor(self, a, b, q, lo, length):
+        hi = lo + length
+        runs = list(floor_pieces(a, b, q, lo, hi))
+        if hi < lo:
+            assert runs == []
+            return
+        assert runs[0][1] == lo and runs[-1][2] == hi
+        for (_, _, end), (_, start, _) in zip(runs, runs[1:]):
+            assert start == end + 1
+        for fl, jlo, jhi in runs:
+            assert jlo <= jhi
+            assert all((a * j + b) // q == fl for j in range(jlo, jhi + 1))
+        # Maximal runs: the floor changes between neighbours.
+        assert all(x[0] != y[0] for x, y in zip(runs, runs[1:]))
+        assert len(runs) <= abs(a) * (hi - lo) // q + 2
+
+    def test_huge_modulus(self):
+        q = 2**64
+        runs = list(floor_pieces(-3, 0, q, 1, q - 1))
+        assert [fl for fl, _, _ in runs] == [-1, -2, -3]
+        assert runs[0][1] == 1 and runs[-1][2] == q - 1
+
+    def test_rejects_nonpositive_modulus(self):
+        with pytest.raises(InvalidParameterError):
+            list(floor_pieces(1, 0, 0, 0, 3))
+
+
+class TestPolynomialRangeSum:
+    @given(
+        st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=7),
+        st.integers(-50, 50),
+        st.integers(0, 60),
+        st.integers(0, 3),
+    )
+    def test_matches_direct_sum(self, coeffs, start, count, extra):
+        # A random integer polynomial of degree len(coeffs) - 1 <= 6, sampled
+        # at start, start + 1, ...; ``extra`` samples more points than the
+        # degree needs, so short ranges are summed from the samples alone.
+        def f(x):
+            return sum(c * x**k for k, c in enumerate(coeffs))
+
+        samples = [f(start + t) for t in range(len(coeffs) + extra)]
+        direct = sum(f(start + t) for t in range(count))
+        assert polynomial_range_sum(samples, count) == direct
+
+    def test_empty_and_short_ranges(self):
+        assert polynomial_range_sum([], 0) == 0
+        assert polynomial_range_sum([5, 7, 11], 0) == 0
+        assert polynomial_range_sum([5, 7, 11], 2) == 12
+        assert polynomial_range_sum([5, 7, 11], 3) == 23
+
+    def test_huge_count(self):
+        n = 3**40
+        assert polynomial_range_sum([0, 1, 4], n) == (n - 1) * n * (2 * n - 1) // 6
+
+    def test_rejects_negative_count(self):
+        with pytest.raises(InvalidParameterError):
+            polynomial_range_sum([1], -1)
 
 
 class TestBinom:

@@ -91,30 +91,48 @@ def test_cli_choices_are_registry_tags():
         assert tuple(choices["kind"]) == tuple(CONE_KINDS)
 
 
-def decompose_argv(tag: str, *extra: str) -> list[str]:
-    return ["decompose", f"--variety={tag}", *cli_params(FIRST_SAMPLE[tag]),
+def argv(command: str, tag: str, *extra: str) -> list[str]:
+    return [command, f"--variety={tag}", *cli_params(FIRST_SAMPLE[tag]),
             *extra, "--p=2", "--e=1"]
+
+
+def has_kernel(tag: str) -> bool:
+    return FAMILIES[tag].split or tag == "quadric"
 
 
 @pytest.mark.parametrize("tag", list(FAMILIES))
 def test_zero_bundle_accepted(tag, capsys):
     zeros = ",".join("0" * FAMILIES[tag].arity)
-    assert cli.main(decompose_argv(tag, f"--bundle={zeros}")) == 0
+    assert cli.main(argv("decompose", tag, f"--bundle={zeros}")) == 0
+    if has_kernel(tag):
+        assert cli.main(argv("kernel", tag, f"--bundle={zeros}")) == 0
     capsys.readouterr()
 
 
 @pytest.mark.parametrize("tag", list(FAMILIES))
 def test_malformed_bundle_is_usage_error(tag, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(decompose_argv(tag, "--bundle=x"))
-    assert exc.value.code == 2
-    assert "--bundle must be" in capsys.readouterr().err
+    for command in ("decompose", "kernel"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv(command, tag, "--bundle=x"))
+        assert exc.value.code == 2
+        assert "--bundle must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tag", list(FAMILIES))
 def test_wrong_bundle_arity_is_usage_error(tag, capsys):
     too_many = ",".join("0" * (FAMILIES[tag].arity + 1))
+    for command in ("decompose", "kernel"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv(command, tag, f"--bundle={too_many}"))
+        assert exc.value.code == 2
+        assert "--bundle needs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tag", list(FAMILIES))
+def test_kernel_rejects_nonzero_bundle(tag, capsys):
+    # The trace kernel is always that of O, whatever the family.
+    one = ",".join(["1"] + ["0"] * (FAMILIES[tag].arity - 1))
     with pytest.raises(SystemExit) as exc:
-        cli.main(decompose_argv(tag, f"--bundle={too_many}"))
+        cli.main(argv("kernel", tag, f"--bundle={one}"))
     assert exc.value.code == 2
-    assert "--bundle needs" in capsys.readouterr().err
+    assert "kernel supports only --bundle" in capsys.readouterr().err

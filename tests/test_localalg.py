@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from frobpush.catalog import hirzebruch_closed_multiplicities
+from frobpush.catalog import hirzebruch_closed_multiplicities, pushforward_veronese_cone
 from frobpush.combinat import PrimePower, eulerian
 from frobpush.errors import OutOfRegimeError
 from frobpush.localalg import (
@@ -13,9 +13,23 @@ from frobpush.localalg import (
     f_signature_convergent,
     splitting_number,
 )
-from frobpush.picard import ConeP, RationalNormalCone, SegreCone, VeroneseCone
+from frobpush.picard import (
+    ConeP,
+    Line,
+    PicClass,
+    RationalNormalCone,
+    SegreCone,
+    VeroneseCone,
+)
 
 FIELDS = [PrimePower(p, e) for p in (2, 3, 5) for e in (1, 2)]
+
+
+def exceptional_block(d, eps, fp):
+    """Multiplicity of O(-H) = O(-E - eps*H') in F^e_* O on the blowup of
+    the Veronese cone."""
+    decomp = pushforward_veronese_cone(d, eps, 0, 0, fp)
+    return decomp.multiplicity(Line(PicClass((-1, 0), decomp.basis)))
 
 
 class TestConePushforward:
@@ -131,25 +145,21 @@ class TestSplittingNumber:
     def test_veronese_boundary_is_single_block(self):
         # For d <= eps - 1 the sum collapses to its k=0 term 1 + sigma_eps;
         # for d >= eps the extra blocks are nonzero, so the collapse holds on
-        # that side of the boundary only.
-        from frobpush.catalog import veronese_cone_blocks
-
+        # that side of the boundary only.  sigma_eps is the multiplicity of
+        # O(-E - eps*H') = O(-H) on the blowup.
         for fp in FIELDS:
             for eps in (2, 3):
                 if fp.q < eps:
                     continue
                 d = eps - 1
-                blocks = veronese_cone_blocks(d, eps, 0, 0, fp)
+                sigma = exceptional_block(d, eps, fp)
                 number = splitting_number(VeroneseCone(d, eps), fp)
-                assert number == 1 + blocks.exceptional_counts.get(eps, 0)
+                assert number == 1 + sigma
 
     def test_veronese_above_boundary_exceeds_single_block(self):
-        from frobpush.catalog import veronese_cone_blocks
-
         fp = PrimePower(3, 1)
-        blocks = veronese_cone_blocks(2, 2, 0, 0, fp)
         number = splitting_number(VeroneseCone(2, 2), fp)
-        assert number > 1 + blocks.exceptional_counts.get(2, 0)
+        assert number > 1 + exceptional_block(2, 2, fp)
 
     def test_bounds(self):
         for fp in FIELDS:

@@ -1,0 +1,126 @@
+"""Differential tests: every builder that sums over the q residues by pieces
+against the j-by-j loop it replaced, at q <= 32, with exact equality."""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from frobpush import verify
+from frobpush.catalog import (
+    pushforward_hirzebruch,
+    pushforward_linear_blowup,
+    pushforward_projective_space,
+    pushforward_segre_cone,
+    pushforward_veronese_cone,
+)
+from frobpush.combinat import PrimePower, composition_count
+from frobpush.errors import OutOfRegimeError
+from frobpush.localalg import cone_pushforward, splitting_number
+from frobpush.picard import PicClass, SegreCone, VeroneseCone
+from frobpush.positivity import determinant_twist_sum
+
+FIELDS = [
+    PrimePower(p, e)
+    for p, e in ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3),
+                 (5, 1), (5, 2), (7, 1), (11, 1), (13, 1), (29, 1), (31, 1))
+]
+fields = st.sampled_from(FIELDS)
+
+
+def as_map(decomp):
+    return {s.cls.coords: m for s, m in decomp.items()}
+
+
+def residue(data, fp):
+    return data.draw(st.integers(0, fp.q - 1))
+
+
+@given(fields, st.integers(0, 6), st.data())
+def test_hirzebruch_matches_loop(fp, eps, data):
+    q = fp.q
+    twist = st.one_of(st.integers(-3 * q, 3 * q), st.integers(-10**12, 10**12))
+    u, v = data.draw(twist), data.draw(twist)
+    got = as_map(pushforward_hirzebruch(eps, u, v, fp))
+    assert got == verify.hirzebruch_loop(eps, u, v, fp)
+
+
+@given(fields, st.integers(1, 3), st.integers(1, 3), st.data())
+def test_segre_cone_matches_loop(fp, r, s, data):
+    n, n1, n2 = residue(data, fp), residue(data, fp), residue(data, fp)
+    got = as_map(pushforward_segre_cone(r, s, n, n1, n2, fp))
+    assert got == verify.segre_cone_loop(r, s, n, n1, n2, fp)
+
+
+@given(fields, st.integers(2, 5), st.data())
+def test_linear_blowup_matches_loop(fp, d, data):
+    r = data.draw(st.integers(1, d - 1))
+    assert as_map(pushforward_linear_blowup(d, r, fp)) == verify.blowup_loop(d, r, fp)
+
+
+@given(fields, st.integers(1, 3), st.integers(1, 6), st.data())
+def test_veronese_cone_matches_loop(fp, d, eps, data):
+    n, nprime = residue(data, fp), residue(data, fp)
+    if not fp.q >= eps - nprime >= 1:
+        with pytest.raises(OutOfRegimeError):
+            pushforward_veronese_cone(d, eps, n, nprime, fp)
+        return
+    got = as_map(pushforward_veronese_cone(d, eps, n, nprime, fp))
+    assert got == verify.veronese_loop(d, eps, n, nprime, fp)
+
+
+@given(fields, st.integers(1, 3), st.integers(1, 3))
+def test_segre_local_matches_loop(fp, r, s):
+    def loop(k, l):
+        return sum(
+            composition_count(k, j, r, fp) * composition_count(l, j, s, fp) for j in range(fp.q)
+        )
+
+    expected = {}
+    for i in range(-r, s + 1):
+        mult = sum(loop(k, k + i) for k in range(r + 1) if 0 <= k + i <= s)
+        if mult:
+            expected[(i,)] = mult
+    assert as_map(cone_pushforward(SegreCone(r, s), fp)) == expected
+    assert splitting_number(SegreCone(r, s), fp) == expected[(0,)]
+
+
+@given(fields, st.integers(1, 3), st.integers(1, 4))
+def test_veronese_splitting_matches_loop(fp, d, eps):
+    if fp.q < eps:
+        with pytest.raises(OutOfRegimeError):
+            splitting_number(VeroneseCone(d, eps), fp)
+        return
+    classes = verify.veronese_loop(d, eps, 0, 0, fp)
+    expected = sum(mult for (_, b), mult in classes.items() if b % eps == 0)
+    assert splitting_number(VeroneseCone(d, eps), fp) == expected
+
+
+@given(fields, st.integers(1, 4))
+def test_determinant_twist_sum_matches_loop(fp, d):
+    total = PicClass.zero(("H",))
+    for n in range(fp.q):
+        total = total + pushforward_projective_space(d, n, fp).det()
+    assert determinant_twist_sum(d, fp) == total
+
+
+class TestLoopOracleSuite:
+    def test_loop_cases_run_and_pass(self):
+        cases = verify.build_cases("oracles", max_d=3, max_e=1, primes=(2, 3))
+        names = {name for name, _ in cases}
+        assert {"hz-loop", "segre-loop", "blowup-loop"} <= names
+        for case in cases:
+            if case[0] in ("hz-loop", "segre-loop", "blowup-loop"):
+                result = verify.run_case(case)
+                assert result.status == "PASS", result
+                assert "classes" in result.detail
+
+    def test_general_twists_skipped_above_cap(self):
+        assert 7**3 <= verify.LOOP_Q_CAP < 5**4
+        status, detail = verify.check_hirzebruch_loop(7, 3, 1, -1, 7**3 + 2)
+        assert status == "PASS" and "classes" in detail
+        status, detail = verify.check_hirzebruch_loop(7, 4, 1, -1, 7**4 + 2)
+        assert (status, detail) == ("PASS", f"skipped (q > {verify.LOOP_Q_CAP})")
+        status, detail = verify.check_segre_cone_loop(5, 4, 1, 1, 1, 0, 624)
+        assert (status, detail) == ("PASS", f"skipped (q > {verify.LOOP_Q_CAP})")
+        status, detail = verify.check_hirzebruch_loop(5, 4, 2, 0, 0)
+        assert status == "PASS" and "classes" in detail

@@ -8,7 +8,6 @@ from frobpush.catalog import (
     pushforward_linear_blowup,
     pushforward_segre_cone,
     pushforward_veronese_cone,
-    veronese_cone_blocks,
 )
 from frobpush.combinat import PrimePower, composition_count
 from frobpush.errors import InvalidParameterError
@@ -94,17 +93,23 @@ class TestVeroneseExceptional:
                 for eps in (1, 2, 3):
                     if fp.q < eps:
                         continue
-                    blocks = veronese_cone_blocks(d, eps, 0, 0, fp)
-                    restricted = restrict(pushforward_veronese_cone(d, eps, 0, 0, fp), "E")
+                    decomp = pushforward_veronese_cone(d, eps, 0, 0, fp)
+                    cone = as_map(decomp)
+
+                    def section(k):  # O(-k*H')
+                        return cone.get((0, -k), 0)
+
+                    def exceptional(k):  # O(-E - k*H') = O(-H + (eps - k)*H')
+                        return cone.get((-1, eps - k), 0)
+
+                    restricted = restrict(decomp, "E")
                     expected = {}
                     for k in range(d + 1):
-                        value = blocks.section_counts.get(
-                            k, 0
-                        ) + blocks.exceptional_counts.get(eps + k, 0)
+                        value = section(k) + exceptional(eps + k)
                         if value:
                             expected[(-k,)] = value
                     for k in range(1, eps):
-                        value = blocks.exceptional_counts.get(eps - k, 0)
+                        value = exceptional(eps - k)
                         if value:
                             expected[(k,)] = expected.get((k,), 0) + value
                     assert as_map(restricted) == expected
