@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
@@ -70,19 +71,59 @@ def decomposition_to_json(decomp: Decomposition) -> dict:
     }
 
 
+def _summand_from_json(entry: dict, basis: tuple[str, ...]) -> tuple[object, Optional[int]]:
+    for key in ("kind", "class", "mult"):
+        if key not in entry:
+            raise InvalidParameterError(f"summand JSON lacks {key!r}")
+    kind, cls, raw = entry["kind"], entry["class"], entry["mult"]
+    try:
+        mult = None if raw == "unknown" else int(raw)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            f"summand mult must be a decimal string or 'unknown'; got {raw!r}"
+        ) from None
+    if kind == "line":
+        try:
+            return Line(PicClass(tuple(cls), basis)), mult
+        except (TypeError, ValueError):
+            raise InvalidParameterError(
+                f"line summand class must be a list of integers; got {cls!r}"
+            ) from None
+    if kind == "spinor":
+        j = cls.get("j") if isinstance(cls, dict) else None
+        if type(j) is not int:
+            raise InvalidParameterError(f"spinor summand class needs an integer 'j'; got {cls!r}")
+        return Spinor(j), mult
+    raise InvalidParameterError(f"unknown summand kind {kind!r}")
+
+
 def decomposition_from_json(data: dict) -> Decomposition:
+    for key in ("variety", "basis", "summands"):
+        if key not in data:
+            raise InvalidParameterError(f"decomposition JSON lacks {key!r}")
     variety = descriptor_from_json(data["variety"])
     basis = tuple(data["basis"])
     support_only = data.get("rank") is None
-    items = []
-    for entry in data["summands"]:
-        mult = None if entry["mult"] == "unknown" else int(entry["mult"])
-        if entry["kind"] == "line":
-            summand: object = Line(PicClass(tuple(entry["class"]), basis))
-        else:
-            summand = Spinor(entry["class"]["j"])
-        items.append((summand, mult))
+    items = [_summand_from_json(entry, basis) for entry in data["summands"]]
     return Decomposition(variety, items, basis=basis, support_only=support_only)
+
+
+def verify_suite_to_json(suite: str, results: list) -> dict:
+    """One suite of a ``verify`` run: every case, then the suite's totals;
+    the totals' ``seconds`` is the sum of its cases' times."""
+    counts = Counter(res.status for res in results)
+    cases = [
+        {"key": res.key, "status": res.status, "detail": res.detail, "seconds": res.seconds}
+        for res in results
+    ]
+    totals = {
+        "passed": counts["PASS"],
+        "warnings": counts["WARN"],
+        "failed": counts["FAIL"],
+        "cases": len(results),
+        "seconds": sum(res.seconds for res in results),
+    }
+    return {"suite": suite, "cases": cases, "totals": totals}
 
 
 def _fraction_json(value: Fraction) -> dict:
@@ -284,21 +325,25 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         primes = tuple(int(p) for p in args.primes.split(","))
     except ValueError:
         parser.error(f"--primes must be a comma-separated integer list; got {args.primes!r}")
+    for p in primes:
+        PrimePower(p, 1)  # reject a non-prime once, before it fails every case
     report = verify.run_suites(
         suites, max_d=args.max_d, max_e=args.max_e, primes=primes, jobs=args.jobs
     )
-    failed = 0
-    for suite, results in report:
-        counts = {"PASS": 0, "FAIL": 0, "WARN": 0}
-        for res in results:
-            counts[res.status] += 1
-            if res.status != "PASS" or args.verbose:
-                print(f"{res.status:4} {suite}:{res.key}  {res.detail}")
-        failed += counts["FAIL"]
-        print(
-            f"suite {suite}: {counts['PASS']} passed, {counts['WARN']} warnings, "
-            f"{counts['FAIL']} failed ({len(results)} cases)"
-        )
+    failed = sum(res.status == "FAIL" for _, results in report for res in results)
+    if args.format == "json":
+        payload = {"suites": [verify_suite_to_json(suite, results) for suite, results in report]}
+        print(json.dumps(payload, indent=2))
+    else:
+        for suite, results in report:
+            counts = Counter(res.status for res in results)
+            for res in results:
+                if res.status != "PASS" or args.verbose:
+                    print(f"{res.status:4} {suite}:{res.key}  {res.detail}")
+            print(
+                f"suite {suite}: {counts['PASS']} passed, {counts['WARN']} warnings, "
+                f"{counts['FAIL']} failed ({len(results)} cases)"
+            )
     return EXIT_OK if failed == 0 else EXIT_DOMAIN
 
 
@@ -341,6 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--primes", default="2,3,5")
     ver.add_argument("--jobs", type=int, default=1)
     ver.add_argument("--verbose", action="store_true", help="print passing cases too")
+    ver.add_argument("--format", choices=("text", "json"), default="text",
+                     help="json: every case with its time, and per-suite totals")
 
     return parser
 

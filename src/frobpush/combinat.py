@@ -3,10 +3,12 @@
 The single most important quantity is ``composition_count(i, m, d, q)``: the
 number of ordered (d+1)-tuples with entries in [0, q-1] summing to m + i*q,
 where q = p^e is a prime power.  It is computed through an alternating
-binomial sum and checked against ``composition_count_oracle``, which extracts
-the same coefficient from the polynomial (1 + t + ... + t^{q-1})^{d+1} by
-direct convolution.  Everything is plain ``int`` arithmetic; the counts grow
-like q^d and overflow fixed-width integers almost immediately.
+binomial sum.  ``bounded_power_coefficients`` gives the same counts as the
+coefficient list of (1 + t + ... + t^{q-1})^{d+1}, by direct convolution;
+the oracles in ``verify`` build that list once per (q, d) in a case and read
+every count they need from it, and ``composition_count_oracle`` reads one
+count from it for the tests.  Everything is plain ``int`` arithmetic; the
+counts grow like q^d and overflow fixed-width integers almost immediately.
 
 For a fixed index i the count is a polynomial of degree d in m on [0, q-1],
 so every sum of counts over a range of residues is a sum of a polynomial.

@@ -4,24 +4,30 @@ Every case is an independent pure computation keyed by its parameters, so the
 runner may fan cases out across worker processes; results are merged in key
 order and are reproducible regardless of scheduling.  The oracles suite
 checks each builder that sums over the q residues by pieces against a loop
-over every residue j, at small q.  Known tensions between recorded values and
-the computed ones (the small-q ruled-surface row, the blowup k=0 claim, the
-quadric p=2 window for d >= 4) are reported as WARN with both values printed;
-they never fail a run.
+over every residue j, at small q.  The loops, and the check of the closed
+form ``composition_count`` itself, read their counts from one convolution
+table per (q, d), the coefficient list of (1 + t + ... + t^{q-1})^{d+1}
+built once per case; so a fault in the closed form that the builders use
+cannot reach both sides of a comparison.  A case that raises is reported
+as FAIL with the exception, and the run goes on.  Known tensions between
+recorded values and the computed ones (the small-q ruled-surface row, the
+blowup k=0 claim, the quadric p=2 window for d >= 4) are reported as WARN
+with both values printed; they never fail a run.
 """
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 from . import catalog, localalg, positivity, restriction
 from .combinat import (
     PrimePower,
     bounded_power_coefficients,
     composition_count,
-    composition_count_oracle,
     eulerian,
     floor_residue,
     shifted_sum_identity_holds,
@@ -42,6 +48,8 @@ class CheckResult:
     key: str
     status: str  # PASS, FAIL or WARN
     detail: str
+    # Wall time of the check; not part of the result's identity.
+    seconds: float = field(default=0.0, compare=False)
 
 
 SUITES = ("identities", "oracles", "fixtures")
@@ -59,6 +67,23 @@ LOOP_Q_CAP = 343
 
 def _nonzero(counts: dict) -> dict[tuple[int, ...], int]:
     return {coords: mult for coords, mult in counts.items() if mult}
+
+
+def _count_table(d: int, fp: PrimePower) -> Callable[[int, int], int]:
+    """count(i, m): the number of (d+1)-tuples in [0, q-1] summing to m + i*q.
+
+    Read off the coefficient list of (1 + t + ... + t^{q-1})^{d+1}, built
+    once by convolution, so it shares nothing with ``composition_count``.
+    """
+    q = fp.q
+    table = bounded_power_coefficients(q, d + 1)
+    size = len(table)
+
+    def count(i: int, m: int) -> int:
+        n = m + i * q
+        return table[n] if 0 <= n < size else 0
+
+    return count
 
 
 def hirzebruch_loop(eps: int, u: int, v: int, fp: PrimePower) -> dict[tuple[int, ...], int]:
@@ -79,6 +104,7 @@ def segre_cone_loop(
 ) -> dict[tuple[int, ...], int]:
     """F^e_* O(n*H + n1*G1 + n2*G2) on the Segre cone blowup by the loop over j."""
     q = fp.q
+    left, right = _count_table(r, fp), _count_table(s, fp)
     counts: Counter = Counter()
     for j in range(q):
         h = 0 if j <= n else -1
@@ -86,25 +112,20 @@ def segre_cone_loop(
         f2, m2 = floor_residue(j + n2, q)
         for k in range(r + 1):
             for l in range(s + 1):
-                counts[(h, f1 - k, f2 - l)] += composition_count(
-                    k, m1, r, fp
-                ) * composition_count(l, m2, s, fp)
+                counts[(h, f1 - k, f2 - l)] += left(k, m1) * right(l, m2)
     return _nonzero(counts)
 
 
 def blowup_loop(d: int, r: int, fp: PrimePower) -> dict[tuple[int, ...], int]:
     """F^e_* O on the linear blowup, each mixed term summed over j = 1..q-1."""
     q = fp.q
+    outer, inner = _count_table(d - r, fp), _count_table(r - 1, fp)
     counts: Counter = Counter()
     for i in range(r + 1):
         for k in range(d - r + 1):
-            counts[(-i, -k)] += composition_count(k, 0, d - r, fp) * composition_count(
-                i, 0, r - 1, fp
-            )
+            counts[(-i, -k)] += outer(k, 0) * inner(i, 0)
             for j in range(1, q):
-                counts[(-i, -k)] += composition_count(
-                    k, j, d - r, fp
-                ) * composition_count(i - 1, q - j, r - 1, fp)
+                counts[(-i, -k)] += outer(k, j) * inner(i - 1, q - j)
     return _nonzero(counts)
 
 
@@ -114,15 +135,16 @@ def veronese_loop(
     """F^e_* O(n*H + n'*H') on the Veronese cone blowup by the direct
     floor/residue loop over j."""
     q = fp.q
+    count = _count_table(d, fp)
     counts: Counter = Counter()
     for j in range(0, n + 1):
         fl, m = floor_residue(eps * j + nprime, q)
         for l in range(d + 1):
-            counts[(0, fl - l)] += composition_count(l, m, d, fp)
+            counts[(0, fl - l)] += count(l, m)
     for j in range(1, q - n):
         fl, m = floor_residue(-eps * j + nprime, q)
         for l in range(d + 1):
-            counts[(-1, fl - l + eps)] += composition_count(l, m, d, fp)
+            counts[(-1, fl - l + eps)] += count(l, m)
     return _nonzero(counts)
 
 
@@ -170,9 +192,10 @@ def check_eulerian_sum(d: int) -> tuple[str, str]:
 
 def check_mult_oracle(p: int, e: int, d: int) -> tuple[str, str]:
     fp = PrimePower(p, e)
+    count = _count_table(d, fp)
     for i in range(-1, d + 2):
         for m in range(fp.q):
-            if composition_count(i, m, d, fp) != composition_count_oracle(i, m, d, fp):
+            if composition_count(i, m, d, fp) != count(i, m):
                 return "FAIL", f"mismatch at (i={i}, m={m})"
     return "PASS", f"closed form == convolution, q={fp.q}"
 
@@ -662,10 +685,17 @@ def build_cases(
 
 
 def run_case(case: CaseSpec) -> CheckResult:
+    """Run one case.  A check that raises is reported as a FAIL naming the
+    exception, so one faulty case never stops a run."""
     name, args = case
-    status, detail = _CASE_FUNCS[name](*args)
+    start = time.perf_counter()
+    try:
+        status, detail = _CASE_FUNCS[name](*args)
+    except Exception as exc:
+        status, detail = "FAIL", f"raised {type(exc).__name__}: {exc}"
+    seconds = time.perf_counter() - start
     arg_str = ",".join(str(a) for a in args)
-    return CheckResult(f"{name}({arg_str})", status, detail)
+    return CheckResult(f"{name}({arg_str})", status, detail, seconds)
 
 
 def run_suites(

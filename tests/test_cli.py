@@ -1,11 +1,12 @@
 """Tests for the command line: output fixtures, JSON round-trips, exit codes."""
 
 import json
+import multiprocessing
 from fractions import Fraction
 
 import pytest
 
-from frobpush import cli
+from frobpush import cli, verify
 from frobpush.catalog import (
     pushforward_hirzebruch,
     pushforward_linear_blowup,
@@ -249,6 +250,70 @@ class TestVerifyCommand:
         assert code_serial == code_parallel == 0
         assert out_serial == out_parallel
 
+    def test_json_cases_match_verbose(self, capsys):
+        args = ["verify", "--suite", "all", "--max-d", "2", "--max-e", "1", "--primes", "2,3"]
+        code_text, out_text, _ = run_cli(capsys, *args, "--verbose")
+        code_json, out_json, _ = run_cli(capsys, *args, "--format", "json")
+        assert code_text == code_json == 0
+        payload = json.loads(out_json)
+        text_cases = []
+        for line in out_text.splitlines():
+            if not line.startswith("suite "):
+                status, key, detail = line.split(maxsplit=2)
+                text_cases.append((status, key, detail))
+        json_cases = [
+            (case["status"], f"{suite['suite']}:{case['key']}", case["detail"])
+            for suite in payload["suites"]
+            for case in suite["cases"]
+        ]
+        assert json_cases == text_cases
+        assert "WARN" in {status for status, _, _ in json_cases}
+        for suite in payload["suites"]:
+            totals, cases = suite["totals"], suite["cases"]
+            summary = (
+                f"suite {suite['suite']}: {totals['passed']} passed, "
+                f"{totals['warnings']} warnings, {totals['failed']} failed "
+                f"({totals['cases']} cases)"
+            )
+            assert summary in out_text.splitlines()
+            assert all(case["seconds"] >= 0 for case in cases)
+            assert totals["seconds"] == pytest.approx(sum(case["seconds"] for case in cases))
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_raising_case_is_one_fail(self, capsys, monkeypatch, jobs):
+        if jobs != "1" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers do not inherit the patched check")
+
+        def boom(d):
+            raise ZeroDivisionError(f"boom at d={d}")
+
+        monkeypatch.setitem(verify._CASE_FUNCS, "eulerian-sum", boom)
+        args = ["verify", "--suite", "identities", "--max-d", "1", "--max-e", "1",
+                "--primes", "2", "--jobs", jobs]
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 1
+        assert "FAIL identities:eulerian-sum(3)  raised ZeroDivisionError: boom at d=3" in out
+        assert "8 failed" in out.splitlines()[-1]
+        code, out, _ = run_cli(capsys, *args, "--format", "json")
+        assert code == 1
+        (suite,) = json.loads(out)["suites"]
+        assert suite["totals"]["failed"] == 8
+        assert suite["totals"]["passed"] == suite["totals"]["cases"] - 8
+
+    def test_raising_cases_in_pool_workers(self):
+        # p=4 is no prime: every case but the p-free eulerian sums raises.
+        ((_, results),) = verify.run_suites(["identities"], max_d=1, max_e=1, primes=(4,), jobs=2)
+        failed = [res for res in results if res.status == "FAIL"]
+        assert len(failed) == len(results) - 8
+        assert {res.detail for res in failed} == {
+            "raised InvalidParameterError: p must be prime; got p=4"
+        }
+
+    def test_non_prime_rejected_once(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "identities", "--primes", "2,4")
+        assert (code, out) == (1, "")
+        assert err == "error: p must be prime; got p=4\n"
+
 
 class TestJsonRoundTrip:
     def test_catalog_round_trips(self):
@@ -287,6 +352,34 @@ class TestJsonRoundTrip:
         decomp = cli.decomposition_to_json(pushforward_projective_space(1, 0, PrimePower(2, 1)))
         with pytest.raises(InvalidParameterError, match=missing):
             cli.decomposition_from_json({**decomp, "variety": data})
+
+    @pytest.mark.parametrize(
+        "summand, message",
+        [
+            ({"kind": "line", "mult": "1"}, "lacks 'class'"),
+            ({"class": [0], "mult": "1"}, "lacks 'kind'"),
+            ({"kind": "line", "class": [0]}, "lacks 'mult'"),
+            ({"kind": "line", "class": [0], "mult": "x"}, "mult must be"),
+            ({"kind": "line", "class": [0], "mult": None}, "mult must be"),
+            ({"kind": "line", "class": ["x"], "mult": "1"}, "list of integers"),
+            ({"kind": "line", "class": 0, "mult": "1"}, "list of integers"),
+            ({"kind": "curve", "class": [0], "mult": "1"}, "unknown summand kind 'curve'"),
+            ({"kind": "spinor", "class": {}, "mult": "unknown"}, "integer 'j'"),
+            ({"kind": "spinor", "class": [1], "mult": "unknown"}, "integer 'j'"),
+            ({"kind": "spinor", "class": {"j": "1"}, "mult": "unknown"}, "integer 'j'"),
+        ],
+    )
+    def test_malformed_summand(self, summand, message):
+        decomp = cli.decomposition_to_json(pushforward_projective_space(1, 0, PrimePower(2, 1)))
+        with pytest.raises(InvalidParameterError, match=message):
+            cli.decomposition_from_json({**decomp, "summands": [summand]})
+
+    @pytest.mark.parametrize("missing", ["variety", "basis", "summands"])
+    def test_missing_decomposition_field(self, missing):
+        decomp = cli.decomposition_to_json(pushforward_projective_space(1, 0, PrimePower(2, 1)))
+        del decomp[missing]
+        with pytest.raises(InvalidParameterError, match=repr(missing)):
+            cli.decomposition_from_json(decomp)
 
     def test_schema_shape(self):
         fp = PrimePower(2, 1)

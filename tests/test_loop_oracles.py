@@ -1,11 +1,12 @@
 """Differential tests: every builder that sums over the q residues by pieces
-against the j-by-j loop it replaced, at q <= 32, with exact equality."""
+against the j-by-j loop it replaced, at q <= 32, with exact equality; and the
+loops' independence from the closed form the builders use."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from frobpush import verify
+from frobpush import catalog, verify
 from frobpush.catalog import (
     pushforward_hirzebruch,
     pushforward_linear_blowup,
@@ -25,6 +26,7 @@ FIELDS = [
                  (5, 1), (5, 2), (7, 1), (11, 1), (13, 1), (29, 1), (31, 1))
 ]
 fields = st.sampled_from(FIELDS)
+TINY_ORACLES = verify.build_cases("oracles", max_d=3, max_e=1, primes=(2, 3))
 
 
 def as_map(decomp):
@@ -124,3 +126,38 @@ class TestLoopOracleSuite:
         assert (status, detail) == ("PASS", f"skipped (q > {verify.LOOP_Q_CAP})")
         status, detail = verify.check_hirzebruch_loop(5, 4, 2, 0, 0)
         assert status == "PASS" and "classes" in detail
+
+
+@given(fields, st.integers(0, 3))
+def test_count_table_matches_closed_form(fp, d):
+    count = verify._count_table(d, fp)
+    for i in range(-1, d + 3):
+        for m in range(fp.q):
+            assert count(i, m) == composition_count(i, m, d, fp)
+
+
+def off_by_one_at_zero(i, m, d, fp):
+    return composition_count(i, m, d, fp) + (i == 0 and m == 0)
+
+
+def failing_kinds(cases):
+    return {case[0] for case in cases if verify.run_case(case).status == "FAIL"}
+
+
+class TestOracleIndependence:
+    def test_loops_catch_a_closed_form_fault(self, monkeypatch):
+        # The same fault in every caller's closed form: the builders go wrong,
+        # and the loops, which read their own table, must notice.
+        for module in (catalog, verify):
+            monkeypatch.setattr(module, "composition_count", off_by_one_at_zero)
+        loops = {"segre-loop", "veronese-direct", "blowup-loop"}
+        assert loops <= failing_kinds(TINY_ORACLES)
+
+    def test_mult_oracle_catches_a_closed_form_fault(self, monkeypatch):
+        cases = [case for case in TINY_ORACLES if case[0] == "mult-oracle"]
+        assert cases and not failing_kinds(cases)
+        monkeypatch.setattr(verify, "composition_count", off_by_one_at_zero)
+        for case in cases:
+            result = verify.run_case(case)
+            assert result.status == "FAIL"
+            assert result.detail == "mismatch at (i=0, m=0)"
