@@ -130,8 +130,8 @@ def hirzebruch_closed_multiplicities(eps: int, fp: PrimePower) -> tuple[int, ...
     """Closed forms for the O(-C0 - i*f) multiplicities, i = 1..eps+1.
 
     Valid for q >= eps; driven by the residues rho[l] of q*l modulo eps (with
-    rho[eps] set to eps).  Out of regime the four-block summation still
-    applies, so callers fall back to ``hirzebruch_block_multiplicities``.
+    rho[eps] set to eps).  Regression data for the four-block summation,
+    which ``verify`` compares them against.
     """
     if eps < 1:
         raise InvalidParameterError(f"needs eps >= 1; got eps={eps}")

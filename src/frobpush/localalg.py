@@ -1,26 +1,28 @@
 """Pushforwards on the singular cones, F-splitting numbers, and F-signatures.
 
-The blowup computations descend to the cones themselves: classes on the
-blowup collapse to Weil classes near the vertex, where the polarization (eps
-times the ruling for the Veronese-type cones, L1 + L2 for the Segre cone)
-trivializes.  The multiplicity of the trivial class is the e-th F-splitting
-number; divided by q^dim it is the e-th convergent of the F-signature.
+Each cone kind has one route to its vertex-local class counts
+{i: multiplicity of i*L}.  The Veronese-type cones read them off one
+pushforward on the blowup at the vertex, where the classes collapse to Weil
+classes: eps times the ruling L is Cartier and locally trivial there, so
+they are only meaningful modulo eps.  The Segre cone sums products of
+composition counts per class in its affine chart, where L1 + L2 ~ 0.
+``cone_pushforward`` renders the counts as a decomposition.  The count of
+the trivial class is the e-th F-splitting number; divided by q^dim it is
+the e-th convergent of the F-signature.  Closed forms for these counts are
+regression data, checked in ``verify`` and the tests.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
-from typing import Union
 
-from .catalog import (
-    hirzebruch_block_multiplicities,
-    hirzebruch_closed_multiplicities,
-    pushforward_veronese_cone,
-)
+from .catalog import pushforward_hirzebruch, pushforward_veronese_cone
 from .combinat import PrimePower, composition_count, eulerian, polynomial_range_sum
 from .errors import InvalidParameterError
 from .picard import (
+    ConeKind,
     ConeP,
     Decomposition,
     Line,
@@ -30,39 +32,23 @@ from .picard import (
     VeroneseCone,
 )
 
-ConeKind = Union[RationalNormalCone, VeroneseCone, SegreCone]
 
+def _veronese_counts(d: int, eps: int, fp: PrimePower) -> dict[int, int]:
+    """Vertex-local counts of the Veronese-type cone, classes -k*L for
+    0 <= k <= eps-1.
 
-def _rnc_sigma(eps: int, fp: PrimePower) -> tuple[int, ...]:
-    # Closed forms in regime; the four-block summation works for every q.
-    if fp.q >= eps:
-        return hirzebruch_closed_multiplicities(eps, fp)
-    return hirzebruch_block_multiplicities(eps, fp)
-
-
-def _veronese_style_class_counts(d: int, eps: int, fp: PrimePower) -> dict[int, int]:
-    """Vertex-local class counts for a Veronese-type cone.
-
-    All classes -k*L coincide modulo eps near the vertex (eps*L is Cartier
-    and locally trivial there), so upstairs multiplicities aggregate over
-    the residue of k.  Upstairs, a*H + b*H' with a in {0, -1} is -k*L for
-    k = -b - a*eps, which is -b modulo eps.
+    The blowup at the vertex is the ruled surface F_eps for d = 1 and the
+    Veronese cone blowup for d >= 2.  An upstairs class with second
+    coordinate b is -k*L near the vertex with k = -b modulo eps.
     """
-    counts: dict[int, int] = {}
-
-    def add(k: int, mult: int) -> None:
-        if mult:
-            res = k % eps
-            counts[res] = counts.get(res, 0) + mult
-
     if d == 1:
-        add(0, 1)
-        add(1, fp.q - 1)
-        for i, mult in enumerate(_rnc_sigma(eps, fp), start=1):
-            add(i, mult)
+        upstairs = pushforward_hirzebruch(eps, 0, 0, fp)
     else:
-        for summand, mult in pushforward_veronese_cone(d, eps, 0, 0, fp).items():
-            add(-summand.cls.coords[1], mult)
+        upstairs = pushforward_veronese_cone(d, eps, 0, 0, fp)
+    counts: Counter = Counter()
+    for summand, mult in upstairs.items():
+        k = -summand.cls.coords[1] % eps
+        counts[-k] += mult
     return counts
 
 
@@ -78,52 +64,41 @@ def _segre_pair_sum(k: int, l: int, r: int, s: int, fp: PrimePower) -> int:
     )
 
 
-def cone_pushforward(kind: ConeKind, fp: PrimePower) -> Decomposition:
-    """F^e_* O on the cone, over vertex-local Weil classes.
+def _segre_count(i: int, r: int, s: int, fp: PrimePower) -> int:
+    """Vertex-local count of the class i*L on the Segre cone, -r <= i <= s."""
+    return sum(_segre_pair_sum(k, k + i, r, s, fp) for k in range(r + 1) if 0 <= k + i <= s)
 
-    Veronese-type cones use representatives -k*L with 0 <= k <= eps-1 on the
-    single generator L (the ruling); the Segre cone uses the affine-chart
-    generator L with L1 + L2 ~ 0 imposed, classes i*L for -r <= i <= s.
+
+def _class_counts(kind: ConeKind, fp: PrimePower) -> dict[int, int]:
+    if isinstance(kind, SegreCone):
+        return {i: _segre_count(i, kind.r, kind.s, fp) for i in range(-kind.r, kind.s + 1)}
+    if isinstance(kind, RationalNormalCone):
+        return _veronese_counts(1, kind.eps, fp)
+    if isinstance(kind, VeroneseCone):
+        return _veronese_counts(kind.d, kind.eps, fp)
+    raise InvalidParameterError(f"unknown cone kind {kind!r}")
+
+
+def cone_pushforward(kind: ConeKind, fp: PrimePower) -> Decomposition:
+    """F^e_* O on the cone, over vertex-local Weil classes i*L.
+
+    Veronese-type cones use representatives -k*L with 0 <= k <= eps-1, L
+    the ruling; the Segre cone uses the affine-chart generator L, the class
+    of L1 with L1 + L2 ~ 0 imposed, and classes -r <= i <= s.
     """
     variety = ConeP(kind)
-    basis = ("L",)
-    items = []
-    if isinstance(kind, (RationalNormalCone, VeroneseCone)):
-        eps = kind.eps
-        d = 1 if isinstance(kind, RationalNormalCone) else kind.d
-        counts = _veronese_style_class_counts(d, eps, fp)
-        for res in sorted(counts):
-            items.append((Line(PicClass((-res,), basis)), counts[res]))
-    elif isinstance(kind, SegreCone):
-        r, s = kind.r, kind.s
-        for i in range(-r, s + 1):
-            mult = sum(
-                _segre_pair_sum(k, k + i, r, s, fp)
-                for k in range(r + 1)
-                if 0 <= k + i <= s
-            )
-            items.append((Line(PicClass((i,), basis)), mult))
-    else:
-        raise InvalidParameterError(f"unknown cone kind {kind!r}")
-    return Decomposition(variety, items, basis=basis)
+    basis = variety.bases[0]
+    items = [(Line(PicClass((i,), basis)), mult) for i, mult in _class_counts(kind, fp).items()]
+    return Decomposition(variety, items)
 
 
 def splitting_number(kind: ConeKind, fp: PrimePower) -> int:
-    """The e-th F-splitting number: free rank of F^e_* of the cone's local ring."""
+    """The e-th F-splitting number: free rank of F^e_* of the cone's local ring,
+    the vertex-local count of the trivial class."""
     if isinstance(kind, SegreCone):
-        r, s = kind.r, kind.s
-        return sum(_segre_pair_sum(k, k, r, s, fp) for k in range(min(r, s) + 1))
-    if isinstance(kind, VeroneseCone):
-        # The free summands are the upstairs classes that are trivial near
-        # the vertex: H'-coordinate divisible by eps.
-        decomp = pushforward_veronese_cone(kind.d, kind.eps, 0, 0, fp)
-        return sum(
-            mult for summand, mult in decomp.items() if summand.cls.coords[1] % kind.eps == 0
-        )
-    if isinstance(kind, RationalNormalCone):
-        decomp = cone_pushforward(kind, fp)
-        return decomp.trivial_multiplicity()
-    raise InvalidParameterError(f"unknown cone kind {kind!r}")
+        # Only the trivial class, not all r + s + 1 of them.
+        return _segre_count(0, kind.r, kind.s, fp)
+    return _class_counts(kind, fp).get(0, 0)
 
 
 def f_signature(kind: ConeKind) -> Fraction:

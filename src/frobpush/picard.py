@@ -314,13 +314,13 @@ ConeKind = Union[RationalNormalCone, VeroneseCone, SegreCone]
 
 @dataclass(frozen=True)
 class ConeP:
-    """The singular projective cone itself; classes are Weil divisor classes.
+    """The singular projective cone itself; classes are Weil divisor classes
+    near the vertex, on the single generator ("L",).
 
-    For the Segre kind two bases coexist: the projective ("L1", "L2") and the
-    affine-chart single generator ("L",), where the relation L1 + L2 ~ 0 has
-    been imposed and L stands for the class of L1.  For the other kinds the
-    class group near the vertex is generated by the ruling L with eps*L
-    Cartier, so classes are only meaningful modulo eps; decompositions use
+    For the Segre kind L is the class of L1 in the affine chart, where the
+    relation L1 + L2 ~ 0 has been imposed.  For the other kinds the class
+    group near the vertex is generated by the ruling L with eps*L Cartier,
+    so classes are only meaningful modulo eps; decompositions use
     representatives -k*L with 0 <= k <= eps-1.
     """
 
@@ -333,8 +333,6 @@ class ConeP:
 
     @property
     def bases(self) -> tuple[Basis, ...]:
-        if isinstance(self.kind, SegreCone):
-            return (("L1", "L2"), ("L",))
         return (("L",),)
 
 

@@ -17,6 +17,7 @@ with both values printed; they never fail a run.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -26,6 +27,7 @@ from typing import Callable
 from . import catalog, localalg, positivity, restriction
 from .combinat import (
     PrimePower,
+    binom,
     bounded_power_coefficients,
     composition_count,
     eulerian,
@@ -39,8 +41,8 @@ from .picard import (
     PicClass,
     RationalNormalCone,
     SegreCone,
+    Spinor,
 )
-import math
 
 
 @dataclass(frozen=True)
@@ -337,24 +339,21 @@ def check_blowup_loop(p: int, e: int, d: int, r: int) -> tuple[str, str]:
 def check_fix_projspace(p: int, e: int) -> tuple[str, str]:
     fp = PrimePower(p, e)
     q = fp.q
-    basis = ("H",)
     for n in range(-q, q + 1):
         k, m = divmod(n, q)
-        decomp = catalog.pushforward_projective_space(1, n, fp)
         expected = {(k,): m + 1, (k - 1,): q - 1 - m}
-        got = {s.cls.coords: mult for s, mult in decomp.items()}
+        got = _coords(catalog.pushforward_projective_space(1, n, fp))
         expected = {c: v for c, v in expected.items() if v}
         if got != expected:
             return "FAIL", f"line fixture at n={n}: {got} vs {expected}"
     for m in range(q):
-        decomp = catalog.pushforward_projective_space(2, m, fp)
         rows = {
             (0,): (m + 1) * (m + 2) // 2,
             (-1,): (q * q + (2 * m + 3) * q - 2 * (m + 1) * (m + 2)) // 2,
             (-2,): (q - m - 1) * (q - m - 2) // 2,
         }
         rows = {c: v for c, v in rows.items() if v}
-        got = {s.cls.coords: mult for s, mult in decomp.items()}
+        got = _coords(catalog.pushforward_projective_space(2, m, fp))
         if got != rows:
             return "FAIL", f"plane fixture at m={m}: {got} vs {rows}"
     return "PASS", "P^1 and P^2 exponent tables"
@@ -436,15 +435,13 @@ def check_fix_hz_eps1_general(p: int, e: int, u: int, v: int) -> tuple[str, str]
     expected = {c: val for c, val in expected.items() if val}
     if sum(expected.values()) != q * q:
         return "FAIL", "table does not sum to q^2"
-    decomp = catalog.pushforward_hirzebruch(1, u, v, fp)
-    got = {s.cls.coords: mult for s, mult in decomp.items()}
+    got = _coords(catalog.pushforward_hirzebruch(1, u, v, fp))
     return _ok(got == expected, f"(u={u}, v={v})")
 
 
 def check_fix_product_small(p: int, e: int) -> tuple[str, str]:
     fp = PrimePower(p, e)
-    decomp = catalog.pushforward_product(1, 1, 0, 0, fp)
-    got = {s.cls.coords: mult for s, mult in decomp.items()}
+    got = _coords(catalog.pushforward_product(1, 1, 0, 0, fp))
     a0 = [composition_count(i, 0, 1, fp) for i in (0, 1)]
     expected = {}
     for i in (0, 1):
@@ -487,8 +484,6 @@ def check_fix_rnc_closed(p: int, e: int, eps: int) -> tuple[str, str]:
 
 
 def check_fix_quadric_d3(p: int, e: int) -> tuple[str, str]:
-    from .picard import Spinor
-
     fp = PrimePower(p, e)
     q = fp.q
     support = catalog.quadric_pushforward_support(3, fp)
@@ -529,8 +524,6 @@ def warn_hz_small_q_row(p: int, e: int) -> tuple[str, str]:
 def warn_blowup_k0_claim(p: int, e: int, d: int, r: int) -> tuple[str, str]:
     """Recorded trivial-block size q^r * C(q+d-r, d-r) for the restriction to
     the exceptional divisor vs the computed q^{r-1} * C(q+d-r, d-r+1)."""
-    from .combinat import binom
-
     fp = PrimePower(p, e)
     q = fp.q
     restricted = restrict(catalog.pushforward_linear_blowup(d, r, fp), "E")

@@ -1,6 +1,7 @@
 """The benchmark in ``bench/`` uses frobpush's public names; these tests fail
 when a change to the package removes or renames one of them, or breaks an
-assumption its tracer makes about the package.
+assumption its tracer makes about the package, or lets a closed form or an
+oracle into the paths it times.
 
 The benchmark files are parsed with ``ast``, never imported or edited.
 """
@@ -13,7 +14,8 @@ from pathlib import Path
 import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-COMBINAT = Path(__file__).resolve().parent.parent / "src" / "frobpush" / "combinat.py"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "frobpush"
+COMBINAT = PACKAGE / "combinat.py"
 BENCH_FILES = sorted(BENCH.glob("*.py"))
 
 
@@ -100,4 +102,43 @@ def test_combinat_functions_are_leaves():
             if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
                     and call.func.id in params):
                 offenders.append(f"{node.name} calls its parameter {call.func.id}")
+    assert not offenders, offenders
+
+
+# Closed forms and independent oracles: regression data for ``verify`` and
+# the tests, never a route of the library.
+ORACLES = {"hirzebruch_closed_multiplicities", "composition_count_oracle",
+           "bounded_power_coefficients"}
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.ImportFrom):
+        return {alias.name for alias in node.names}
+    return set()
+
+
+def test_oracles_stay_out_of_hot_paths():
+    """Only ``verify`` references a closed form or an oracle.  The modules
+    that define them may build one on another, and ``__init__`` re-exports
+    them."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "verify":
+            continue
+        tree = parse(path)
+        exempt = {
+            id(inner)
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in ORACLES
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if id(node) in exempt or (path.stem == "__init__" and isinstance(node, ast.ImportFrom)):
+                continue
+            for name in referenced_names(node) & ORACLES:
+                offenders.append(f"{path.name}:{node.lineno} references {name}")
     assert not offenders, offenders

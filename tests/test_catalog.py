@@ -301,16 +301,21 @@ class TestVeroneseCone:
                         assert cone.get((0, -k), 0) == composition_count(k, 0, d, fp)
 
     def test_d1_matches_hirzebruch(self):
-        for fp in FIELDS:
-            for eps in (1, 2, 3, 4):
-                if fp.q < eps:
-                    continue
-                cone = pushforward_veronese_cone(1, eps, 0, 0, fp)
-                mapped = {}
-                for summand, mult in cone.items():
-                    a, b = summand.cls.coords
-                    mapped[(a, a * eps + b)] = mult
-                assert mapped == as_map(pushforward_hirzebruch(eps, 0, 0, fp))
+        # For d = 1 the blowup is F_eps with H = C0 + eps*f and H' = f, so
+        # O(n*H + n'*H') is O(n*C0 + (n*eps + n')*f) at every residue pair
+        # in regime.
+        for fp in FIELDS + [PrimePower(p, e) for p, e in ((7, 1), (2, 3))]:
+            q = fp.q
+            for eps in range(1, 7):
+                for n in range(q):
+                    for nprime in range(max(0, eps - q), min(q, eps)):
+                        cone = pushforward_veronese_cone(1, eps, n, nprime, fp)
+                        mapped = {}
+                        for summand, mult in cone.items():
+                            a, b = summand.cls.coords
+                            mapped[(a, a * eps + b)] = mult
+                        ruled = pushforward_hirzebruch(eps, n, n * eps + nprime, fp)
+                        assert mapped == as_map(ruled), (fp, eps, n, nprime)
 
     def test_rank_law(self):
         for fp in FIELDS:

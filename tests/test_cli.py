@@ -143,6 +143,23 @@ class TestLocal:
         assert code == 0
         assert "f-signature: 1/3" in out
 
+    def test_veronese_d1_matches_rnc_below_regime(self, capsys):
+        # q = 2 < eps = 5: the d = 1 Veronese cone is the rational normal cone.
+        fields = ("--eps", "5", "--p", "2", "--e", "1")
+        veronese = run_cli(capsys, "local", "--kind", "veronese", "--d", "1", *fields)
+        rnc = run_cli(capsys, "local", "--kind", "rnc", *fields)
+        assert veronese == rnc
+        code, out, _ = veronese
+        assert code == 0
+        assert len(out.splitlines()) == 3
+
+    def test_veronese_d2_below_regime_is_3(self, capsys):
+        code, _, _ = run_cli(
+            capsys, "local", "--kind", "veronese", "--d", "2", "--eps", "5",
+            "--p", "2", "--e", "1",
+        )
+        assert code == 3
+
     def test_rnc_k0_splitting(self, capsys):
         code, out, _ = run_cli(
             capsys, "local", "--kind", "rnc", "--eps", "2", "--p", "2", "--e", "3",

@@ -25,6 +25,10 @@ from frobpush.picard import (
 FIELDS = [PrimePower(p, e) for p in (2, 3, 5) for e in (1, 2)]
 
 
+def as_map(decomp):
+    return {s.cls.coords: m for s, m in decomp.items()}
+
+
 def exceptional_block(d, eps, fp):
     """Multiplicity of O(-H) = O(-E - eps*H') in F^e_* O on the blowup of
     the Veronese cone."""
@@ -69,6 +73,22 @@ class TestConePushforward:
         decomp = cone_pushforward(RationalNormalCone(3), fp)
         # Blocks at q=2 give the classes 0, -L, -2L with counts 1, 1, 2.
         assert {s.cls.coords[0]: m for s, m in decomp.items()} == {0: 1, -1: 1, -2: 2}
+
+    def test_veronese_d1_is_rnc(self):
+        # The cone over the rational normal curve of degree eps is the d = 1
+        # Veronese cone; both must answer alike at every q, q < eps included.
+        prime_powers = [
+            PrimePower(p, e)
+            for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+            for e in range(1, 6)
+            if p**e <= 32
+        ]
+        for fp in prime_powers:
+            for eps in range(1, 9):
+                veronese, rnc = VeroneseCone(1, eps), RationalNormalCone(eps)
+                assert as_map(cone_pushforward(veronese, fp)) == as_map(cone_pushforward(rnc, fp))
+                assert splitting_number(veronese, fp) == splitting_number(rnc, fp)
+                assert f_signature_convergent(veronese, fp) == f_signature_convergent(rnc, fp)
 
     def test_veronese_classes_reduce_mod_eps(self):
         fp = PrimePower(3, 1)

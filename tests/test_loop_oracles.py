@@ -17,7 +17,7 @@ from frobpush.catalog import (
 from frobpush.combinat import PrimePower, composition_count
 from frobpush.errors import OutOfRegimeError
 from frobpush.localalg import cone_pushforward, splitting_number
-from frobpush.picard import PicClass, SegreCone, VeroneseCone
+from frobpush.picard import PicClass, RationalNormalCone, SegreCone, VeroneseCone
 from frobpush.positivity import determinant_twist_sum
 
 FIELDS = [
@@ -89,8 +89,13 @@ def test_segre_local_matches_loop(fp, r, s):
 @given(fields, st.integers(1, 3), st.integers(1, 4))
 def test_veronese_splitting_matches_loop(fp, d, eps):
     if fp.q < eps:
-        with pytest.raises(OutOfRegimeError):
-            splitting_number(VeroneseCone(d, eps), fp)
+        if d == 1:
+            assert splitting_number(VeroneseCone(1, eps), fp) == splitting_number(
+                RationalNormalCone(eps), fp
+            )
+        else:
+            with pytest.raises(OutOfRegimeError):
+                splitting_number(VeroneseCone(d, eps), fp)
         return
     classes = verify.veronese_loop(d, eps, 0, 0, fp)
     expected = sum(mult for (_, b), mult in classes.items() if b % eps == 0)
