@@ -4,6 +4,9 @@ Exit codes are a stable contract: 0 success, 1 computation-domain error,
 2 usage error, 3 out-of-regime input.  All numeric JSON output uses decimal
 strings (multiplicities, ranks) or num/den string pairs (rationals) so that
 arbitrary precision survives any consumer.
+
+``main`` builds its parser once per process and reuses it on every later
+call; ``verify`` is imported only when the ``verify`` subcommand runs.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
-from . import families, localalg, positivity, verify
+from . import families, localalg, positivity
 from .combinat import PrimePower
 from .errors import FrobpushError, InvalidParameterError, OutOfRegimeError
 from .picard import Decomposition, Line, PicClass, Spinor, VarietyDescriptor
@@ -71,13 +74,31 @@ def decomposition_to_json(decomp: Decomposition) -> dict:
     }
 
 
+# Below the 4300-digit cap that Python 3.11+ puts on int(str) by default.
+_DIGITS = 4000
+
+
+def _decimal(raw) -> int:
+    """``int(raw)``, also for a decimal string longer than the interpreter's
+    int/str digit cap: such a string is read in chunks below the cap."""
+    if not isinstance(raw, str) or len(raw) <= _DIGITS:
+        return int(raw)
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(raw)
+    value = 0
+    for start in range(0, len(raw), _DIGITS):
+        chunk = raw[start:start + _DIGITS]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
 def _summand_from_json(entry: dict, basis: tuple[str, ...]) -> tuple[object, Optional[int]]:
     for key in ("kind", "class", "mult"):
         if key not in entry:
             raise InvalidParameterError(f"summand JSON lacks {key!r}")
     kind, cls, raw = entry["kind"], entry["class"], entry["mult"]
     try:
-        mult = None if raw == "unknown" else int(raw)
+        mult = None if raw == "unknown" else _decimal(raw)
     except (TypeError, ValueError):
         raise InvalidParameterError(
             f"summand mult must be a decimal string or 'unknown'; got {raw!r}"
@@ -320,6 +341,8 @@ def cmd_local(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from . import verify  # only this subcommand needs the suites
+
     suites = list(verify.SUITES) if args.suite == "all" else [args.suite]
     try:
         primes = tuple(int(p) for p in args.primes.split(","))
@@ -369,16 +392,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     decompose = sub.add_parser("decompose", help="print a pushforward decomposition")
+    decompose.set_defaults(handler=cmd_decompose)
     add_common(decompose)
 
     kernel = sub.add_parser("kernel", help="print the trace kernel and its verdict")
+    kernel.set_defaults(handler=cmd_kernel)
     add_common(kernel)
 
     local = sub.add_parser("local", help="splitting number, convergent, F-signature")
+    local.set_defaults(handler=cmd_local)
     local.add_argument("--kind", choices=tuple(families.CONE_KINDS), required=True)
     add_common(local, with_variety=False)
 
     ver = sub.add_parser("verify", help="run the batch verification suites")
+    ver.set_defaults(handler=cmd_verify)
+    # verify.SUITES + ("all",), spelled out so that building the parser
+    # does not import verify.
     ver.add_argument("--suite", choices=("identities", "oracles", "fixtures", "all"),
                      required=True)
     ver.add_argument("--max-d", type=int, default=3, dest="max_d")
@@ -392,23 +421,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per builder.  ``main`` looks ``build_parser`` up when it is
+# called, so a caller that rebinds ``cli.build_parser`` (to wrap
+# ``parse_args``, say) gets a parser of its own builder, built once.
+_PARSERS: dict = {}
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    builder = build_parser
+    parser = _PARSERS.get(builder)
+    if parser is None:
+        parser = _PARSERS[builder] = builder()
     args = parser.parse_args(argv)
-    handlers = {
-        "decompose": cmd_decompose,
-        "kernel": cmd_kernel,
-        "local": cmd_local,
-        "verify": cmd_verify,
-    }
+    # Multiplicities may exceed the interpreter's int/str digit cap (4300
+    # digits by default from Python 3.11; 0 means none): lift it while the
+    # command runs.  Flags are parsed under the cap, so an integer flag of
+    # more digits stays a usage error.
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
     try:
-        return handlers[args.command](parser, args)
+        return args.handler(parser, args)
     except OutOfRegimeError as exc:
         print(f"out of regime: {exc}", file=sys.stderr)
         return EXIT_REGIME
     except FrobpushError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -698,14 +697,19 @@ def run_suites(
     primes: tuple[int, ...] = (2, 3, 5),
     jobs: int = 1,
 ) -> list[tuple[str, list[CheckResult]]]:
-    report = []
-    for suite in suites:
-        cases = build_cases(suite, max_d=max_d, max_e=max_e, primes=primes)
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(run_case, cases))
-        else:
-            results = [run_case(case) for case in cases]
-        results.sort(key=lambda res: res.key)
-        report.append((suite, results))
-    return report
+    """Each suite's results, sorted by key.  With ``jobs > 1`` one pool of
+    that many worker processes runs the cases of every suite."""
+
+    def report(mapper) -> list[tuple[str, list[CheckResult]]]:
+        out = []
+        for suite in suites:
+            cases = build_cases(suite, max_d=max_d, max_e=max_e, primes=primes)
+            out.append((suite, sorted(mapper(run_case, cases), key=lambda res: res.key)))
+        return out
+
+    if jobs <= 1:
+        return report(map)
+    from concurrent.futures import ProcessPoolExecutor  # a serial run needs no multiprocessing
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return report(pool.map)

@@ -1,8 +1,13 @@
 """Tests for the command line: output fixtures, JSON round-trips, exit codes."""
 
+import contextlib
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +31,30 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of one ``cli.main`` call, usage errors
+    (which exit through ``SystemExit``) included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@contextlib.contextmanager
+def digit_cap(digits):
+    """Run with the interpreter's int/str digit cap set to ``digits``."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit cap")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 class TestDecompose:
@@ -204,6 +233,165 @@ class TestLargeE:
         payload = json.loads(out)
         assert int(payload["rank"]) == q**2
         assert sum(int(s["mult"]) for s in payload["summands"]) == q**2
+
+
+class TestBigIntegers:
+    """Multiplicities past the 4300-digit int/str cap of Python 3.11+: the
+    CLI lifts the cap while it runs, and the JSON reader needs no lift."""
+
+    E = 10_000  # rank q^2 = 4^10000 has 6021 digits
+    ARGV = ("decompose", "--variety", "projspace", "--d", "2", "--p", "2", "--e", str(E))
+
+    def expected(self):
+        return pushforward_projective_space(2, 0, PrimePower(2, self.E))
+
+    def test_text_output(self, capsys):
+        with digit_cap(4300):
+            code, out, err = run_cli(capsys, *self.ARGV)
+            assert sys.get_int_max_str_digits() == 4300
+        assert (code, err) == (0, "")
+        with digit_cap(0):
+            assert out.splitlines()[-1] == f"rank: {4**self.E}"
+            assert f"  O: {self.expected().trivial_multiplicity()}" in out.splitlines()
+
+    def test_json_output_round_trips(self, capsys):
+        with digit_cap(4300):
+            code, out, err = run_cli(capsys, *self.ARGV, "--format", "json")
+            assert (code, err) == (0, "")
+            payload = json.loads(out)
+            assert len(payload["rank"]) > 4300
+            assert cli.decomposition_from_json(payload) == self.expected()
+
+    def test_local_output(self, capsys):
+        with digit_cap(4300):
+            code, out, err = run_cli(
+                capsys, "local", "--kind", "segre", "--r", "1", "--s", "1",
+                "--p", "2", "--e", "8000",
+            )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "f-signature: 2/3"
+
+    def test_long_integer_flag_is_usage_error(self, capsys):
+        # Flags are parsed before the cap is lifted.  (Negative, so that a
+        # parse after the lift fails fast with exit 1, not a huge q.)
+        with digit_cap(4300):
+            code, _, err = outcome(capsys, (*self.ARGV[:-2], "--e=-" + "1" * 4400))
+        assert code == 2
+        assert "argument --e: invalid int value" in err
+
+    @pytest.mark.parametrize("digits", [4001, 5000, 8000, 12345])
+    def test_long_mult_parsed(self, digits):
+        mult = (10**digits - 1) // 7
+        with digit_cap(0):
+            raw = str(mult)
+        decomp = cli.decomposition_to_json(pushforward_projective_space(1, 0, PrimePower(2, 1)))
+        summand = {"kind": "line", "class": [0], "mult": raw}
+        with digit_cap(4300):
+            back = cli.decomposition_from_json({**decomp, "summands": [summand]})
+        assert back.trivial_multiplicity() == mult
+
+    @pytest.mark.parametrize("raw", ["1" * 5000 + "x", "-" + "1" * 5000, "1" * 4500 + " "])
+    def test_long_malformed_mult(self, raw):
+        decomp = cli.decomposition_to_json(pushforward_projective_space(1, 0, PrimePower(2, 1)))
+        summand = {"kind": "line", "class": [0], "mult": raw}
+        with pytest.raises(InvalidParameterError, match="mult must be"):
+            cli.decomposition_from_json({**decomp, "summands": [summand]})
+
+
+class TestParserReuse:
+    # A usage error first, so a failed parse must leave nothing behind; a
+    # second one from a handler, after parse_args succeeded.
+    SEQUENCE = [
+        ("decompose", "--variety", "projspace", "--d", "2", "--e", "1"),
+        ("decompose", "--variety", "hirzebruch", "--eps", "1", "--p", "3", "--e", "1"),
+        ("decompose", "--variety", "hirzebruch", "--eps", "1", "--p", "3", "--e", "1",
+         "--format", "json"),
+        ("decompose", "--variety", "projspace", "--d", "2", "--bundle", "7,x",
+         "--p", "2", "--e", "1"),
+        ("kernel", "--variety", "projspace", "--d", "2", "--p", "2", "--e", "2"),
+        ("kernel", "--variety", "hirzebruch", "--eps", "2", "--p", "2", "--e", "1",
+         "--format", "json"),
+        ("local", "--kind", "segre", "--r", "1", "--s", "1", "--p", "2", "--e", "2"),
+        ("local", "--kind", "rnc", "--eps", "3", "--p", "3", "--e", "1", "--format", "json"),
+        ("verify", "--suite", "identities", "--max-d", "1", "--max-e", "1", "--primes", "2"),
+    ]
+
+    def test_reused_parser_carries_no_state(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_PARSERS", {})
+        reused = [outcome(capsys, argv) for argv in self.SEQUENCE]
+        assert list(cli._PARSERS) == [cli.build_parser]
+        fresh = []
+        for argv in self.SEQUENCE:
+            monkeypatch.setattr(cli, "_PARSERS", {})
+            fresh.append(outcome(capsys, argv))
+        assert [code for code, _, _ in reused] == [2, 0, 0, 2, 0, 0, 0, 0, 0]
+        assert reused == fresh
+
+    def test_rebound_builder_is_called_once(self, capsys, monkeypatch):
+        """A caller that rebinds ``cli.build_parser`` to wrap ``parse_args``
+        (as the benchmark's tracer does) gets one parser from its builder,
+        whose ``parse_args`` runs on every call."""
+        builds, parses = [], []
+        original = cli.build_parser
+
+        def build_parser():
+            builds.append(1)
+            parser = original()
+            parse_args = parser.parse_args
+
+            def counted(*args, **kwargs):
+                parses.append(1)
+                return parse_args(*args, **kwargs)
+
+            parser.parse_args = counted
+            return parser
+
+        argv = ["local", "--kind", "segre", "--r", "1", "--s", "1", "--p", "2", "--e", "1"]
+        # The original builder's parser exists before the rebinding, as it
+        # does when a tracer is installed after untraced calls.
+        assert cli.main(argv) == 0
+        monkeypatch.setattr(cli, "_PARSERS", dict(cli._PARSERS))
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        for _ in range(5):
+            assert cli.main(argv) == 0
+        assert (len(builds), len(parses)) == (1, 5)
+        monkeypatch.undo()
+        assert cli.main(argv) == 0
+        assert (len(builds), len(parses)) == (1, 5)
+        capsys.readouterr()
+
+    def test_suite_choices_are_verify_suites(self):
+        parser = cli.build_parser()
+        (commands,) = [a for a in parser._actions if a.dest == "command"]
+        (suite,) = [a for a in commands.choices["verify"]._actions if a.dest == "suite"]
+        assert tuple(suite.choices) == verify.SUITES + ("all",)
+
+
+def test_cli_import_is_lazy():
+    """Building the parser loads no suites and no process pool; a serial
+    ``verify`` loads the suites but no pool; neither moves the digit cap."""
+    script = (
+        "import json, sys\n"
+        "cap = getattr(sys, 'get_int_max_str_digits', lambda: None)\n"
+        "before = cap()\n"
+        "from frobpush import cli\n"
+        "cli.build_parser()\n"
+        "watched = ('frobpush.verify', 'concurrent.futures.process', 'multiprocessing')\n"
+        "built = [m for m in watched if m in sys.modules]\n"
+        "code = cli.main(['verify', '--suite', 'identities', '--max-d', '1',\n"
+        "                 '--max-e', '1', '--primes', '2'])\n"
+        "ran = [m for m in watched if m in sys.modules]\n"
+        "print(json.dumps([built, code, ran, before == cap()]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    built, code, ran, cap_kept = json.loads(done.stdout.splitlines()[-1])
+    assert built == []
+    assert (code, ran) == (0, ["frobpush.verify"])
+    assert cap_kept
 
 
 class TestExitCodes:
