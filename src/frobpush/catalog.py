@@ -18,7 +18,7 @@ each sum against a j-by-j loop at small q.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional
+from typing import Mapping, Optional
 
 from .combinat import (
     PrimePower,
@@ -44,43 +44,36 @@ from .picard import (
 )
 
 
-def _from_counts(variety, counts: Counter) -> Decomposition:
+def _from_counts(variety, counts: Mapping, spinors: Optional[list[int]] = None) -> Decomposition:
+    """The decomposition with multiplicity ``counts[coords]`` at each class, in
+    the variety's default basis.  Quadrics also pass their spinor twists,
+    whose multiplicities are unknown, and get a support-only result."""
     basis = variety.bases[0]
-    return Decomposition(
-        variety, [(Line(PicClass(coords, basis)), mult) for coords, mult in counts.items()]
-    )
+    items: list[tuple[Summand, Optional[int]]] = [
+        (Line(PicClass(coords, basis)), mult) for coords, mult in counts.items()
+    ]
+    items += [(Spinor(j), None) for j in spinors or ()]
+    return Decomposition(variety, items, support_only=spinors is not None)
 
 
 def pushforward_projective_space(d: int, n: int, fp: PrimePower) -> Decomposition:
     """F^e_* O(n) on P^d: twists O(k - i) with composition-count multiplicities,
     where n = k*q + m."""
     variety = ProjSpace(d)
-    basis = variety.bases[0]
     k, m = floor_residue(n, fp.q)
-    items = [
-        (Line(PicClass((k - i,), basis)), composition_count(i, m, d, fp))
-        for i in range(d + 1)
-    ]
-    return Decomposition(variety, items)
+    return _from_counts(variety, {(k - i,): composition_count(i, m, d, fp) for i in range(d + 1)})
 
 
 def pushforward_product(r: int, s: int, u: int, v: int, fp: PrimePower) -> Decomposition:
     """F^e_* O(u, v) on P^r x P^s: the external tensor of the two factor
     decompositions."""
     variety = Product(r, s)
-    basis = variety.bases[0]
     k, m = floor_residue(u, fp.q)
     l, n = floor_residue(v, fp.q)
-    items = []
-    for i in range(r + 1):
-        left = composition_count(i, m, r, fp)
-        if not left:
-            continue
-        for j in range(s + 1):
-            right = composition_count(j, n, s, fp)
-            if right:
-                items.append((Line(PicClass((k - i, l - j), basis)), left * right))
-    return Decomposition(variety, items)
+    left = [composition_count(i, m, r, fp) for i in range(r + 1)]
+    right = [composition_count(j, n, s, fp) for j in range(s + 1)]
+    counts = {(k - i, l - j): a * b for i, a in enumerate(left) for j, b in enumerate(right)}
+    return _from_counts(variety, counts)
 
 
 def pushforward_hirzebruch(eps: int, u: int, v: int, fp: PrimePower) -> Decomposition:
@@ -183,14 +176,12 @@ def pushforward_linear_blowup(d: int, r: int, fp: PrimePower) -> Decomposition:
     """F^e_* O on the blowup of P^d along a linear subspace of dimension r-1,
     in the ("H", "H'") basis."""
     variety = LinearBlowup(d, r)
-    basis = variety.bases[0]
-    items = []
-    for i in range(r + 1):
-        for k in range(d - r + 1):
-            items.append(
-                (Line(PicClass((-i, -k), basis)), blowup_multiplicity(i, k, d, r, fp))
-            )
-    return Decomposition(variety, items)
+    counts = {
+        (-i, -k): blowup_multiplicity(i, k, d, r, fp)
+        for i in range(r + 1)
+        for k in range(d - r + 1)
+    }
+    return _from_counts(variety, counts)
 
 
 def pushforward_veronese_cone(
@@ -275,12 +266,13 @@ def quadric_pushforward_support(d: int, fp: PrimePower) -> Decomposition:
     multiplicity (one); the rest are marked unknown.
     """
     variety = Quadric(d)
-    basis = variety.bases[0]
     q, p, e = fp.q, fp.p, fp.e
-    items: list[tuple[Summand, Optional[int]]] = []
-    for i in range(d + 1):
-        if 0 <= d * (q - 1) - i * q <= d * (q - 1):
-            items.append((Line(PicClass((i,), basis)), 1 if i == 0 else None))
+    lines = {
+        (i,): 1 if i == 0 else None
+        for i in range(d + 1)
+        if 0 <= d * (q - 1) - i * q <= d * (q - 1)
+    }
+    spinors = []
     pe1 = p ** (e - 1)
     for j in range(0, d + 2):
         mid = d * (q - 1) - j * q
@@ -295,6 +287,6 @@ def quadric_pushforward_support(d: int, fp: PrimePower) -> Decomposition:
             hi = d * (q - 1) - q - half * pe1
             present = lo <= mid <= hi
         if present:
-            items.append((Spinor(j), None))
-    return Decomposition(variety, items, support_only=True)
+            spinors.append(j)
+    return _from_counts(variety, lines, spinors)
 

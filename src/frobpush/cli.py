@@ -55,16 +55,19 @@ def descriptor_from_json(data: dict) -> VarietyDescriptor:
     return families.build_descriptor(families.FAMILIES[tag].descriptor, value)
 
 
+def _summand_to_json(summand) -> dict:
+    """The ``kind`` and ``class`` of a summand, shared by decompositions and
+    verdict witnesses."""
+    if isinstance(summand, Line):
+        return {"kind": "line", "class": list(summand.cls.coords)}
+    return {"kind": "spinor", "class": {"j": summand.j}}
+
+
 def decomposition_to_json(decomp: Decomposition) -> dict:
-    summands = []
-    for summand, mult in decomp.sorted_items():
-        mult_str = "unknown" if mult is None else str(mult)
-        if isinstance(summand, Line):
-            summands.append(
-                {"kind": "line", "class": list(summand.cls.coords), "mult": mult_str}
-            )
-        else:
-            summands.append({"kind": "spinor", "class": {"j": summand.j}, "mult": mult_str})
+    summands = [
+        {**_summand_to_json(summand), "mult": "unknown" if mult is None else str(mult)}
+        for summand, mult in decomp.sorted_items()
+    ]
     rank = None if decomp.support_only else str(decomp.rank())
     return {
         "variety": descriptor_to_json(decomp.variety),
@@ -155,12 +158,8 @@ def verdict_to_json(verdict: Verdict) -> dict:
     witness: Optional[dict] = None
     if verdict.witness is not None:
         w = verdict.witness
-        if isinstance(w.summand, Line):
-            summand = {"kind": "line", "class": list(w.summand.cls.coords)}
-        else:
-            summand = {"kind": "spinor", "class": {"j": w.summand.j}}
         witness = {
-            "summand": summand,
+            "summand": _summand_to_json(w.summand),
             "divisor": w.divisor,
             "multiplicity": None if w.multiplicity is None else str(w.multiplicity),
         }

@@ -30,16 +30,32 @@ from typing import Iterator, NamedTuple, Sequence
 from .errors import InvalidParameterError
 
 
+# Miller-Rabin to every one of these bases decides primality exactly for
+# all n below PRIME_BOUND (Sorenson and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Exact for n < PRIME_BOUND: division by the bases, then Miller-Rabin."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -47,8 +63,8 @@ def _is_prime(n: int) -> bool:
 class PrimePower:
     """A prime power q = p^e with p prime and e >= 1.
 
-    Inputs are tiny (p and e both fit comfortably in machine words), so
-    primality is checked by trial division; q itself may be huge.
+    p must lie below ``PRIME_BOUND``, where the deterministic Miller-Rabin
+    check is exact; q itself may be huge.
     """
 
     p: int
@@ -56,6 +72,10 @@ class PrimePower:
     q: int = field(init=False)
 
     def __post_init__(self) -> None:
+        if self.p >= PRIME_BOUND:
+            raise InvalidParameterError(
+                f"p must be below {PRIME_BOUND} to be checked for primality; got p={self.p}"
+            )
         if not _is_prime(self.p):
             raise InvalidParameterError(f"p must be prime; got p={self.p}")
         if self.e < 1:

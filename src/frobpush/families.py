@@ -1,13 +1,14 @@
 """The family registry: one record per variety family, keyed by its tag.
 
 A ``Family`` holds everything the rest of the package needs to know about a
-family: its descriptor class, the number of bundle coordinates its builder
-takes, whether only the structure sheaf is supported, the builder, and the
-restriction rule to its distinguished divisor.  The descriptor's dataclass
-fields are at once its constructor arguments, its CLI flags and its JSON
-``params``; a ``ConeP`` field ``kind`` holds a cone named by a tag in
-``CONE_KINDS``.  Adding a family means writing its descriptor, its builder
-and one entry in ``FAMILIES``.
+family: its descriptor class, whether only the structure sheaf is supported,
+the builder, and the restriction rule to its distinguished divisor.  The
+family's lattice basis is declared once, as the descriptor's ``bases``
+class data; the number of bundle coordinates (``arity``) is read from it.
+The descriptor's dataclass fields are at once its constructor arguments,
+its CLI flags and its JSON ``params``; a ``ConeP`` field ``kind`` holds a
+cone named by a tag in ``CONE_KINDS``.  Adding a family means writing its
+descriptor with its ``bases``, its builder and one entry in ``FAMILIES``.
 
 Builders reach ``catalog`` and ``localalg`` through their module attributes
 at call time, so whatever rebinds those attributes (a tracer, a test double)
@@ -56,7 +57,6 @@ class Family:
     """
 
     descriptor: type
-    arity: int
     build: Builder
     structure_only: bool = False
     split: bool = True
@@ -66,85 +66,73 @@ class Family:
     def tag(self) -> str:
         return self.descriptor.tag
 
+    @property
+    def arity(self) -> int:
+        """The number of coordinates of a bundle: the rank of the default basis."""
+        return len(self.descriptor.bases[0])
+
 
 FAMILIES: dict[str, Family] = {
     family.tag: family
     for family in (
         Family(
             ProjSpace,
-            arity=1,
             build=lambda v, b, fp: catalog.pushforward_projective_space(v.d, *b, fp),
         ),
         Family(
             Product,
-            arity=2,
             build=lambda v, b, fp: catalog.pushforward_product(v.r, v.s, *b, fp),
         ),
         Family(
             Hirzebruch,
-            arity=2,
             build=lambda v, b, fp: catalog.pushforward_hirzebruch(v.eps, *b, fp),
             # f and C0 restrict to the negative section as degrees 1 and -eps.
             rule=RestrictionRule(
                 divisor="C0",
-                source_basis=("C0", "f"),
                 target=lambda v: ProjSpace(1),
                 matrix=lambda v: ((-v.eps,), (1,)),
-                pullbacks=((0, 1),),
             ),
         ),
         Family(
             LinearBlowup,
-            arity=2,
             build=lambda v, b, fp: catalog.pushforward_linear_blowup(v.d, v.r, fp),
             structure_only=True,
             # Classes restrict to a fiber of the exceptional bundle through
             # their H' coordinate; H dies.
             rule=RestrictionRule(
                 divisor="E",
-                source_basis=("H", "H'"),
                 target=lambda v: ProjSpace(v.d - v.r),
                 matrix=lambda v: ((0,), (1,)),
-                pullbacks=((0, 1),),
             ),
         ),
         Family(
             VeroneseConeBlowup,
-            arity=2,
             build=lambda v, b, fp: catalog.pushforward_veronese_cone(v.d, v.eps, *b, fp),
             rule=RestrictionRule(
                 divisor="E",
-                source_basis=("H", "H'"),
                 target=lambda v: ProjSpace(v.d),
                 matrix=lambda v: ((0,), (1,)),
-                pullbacks=((0, 1),),
             ),
         ),
         Family(
             SegreConeBlowup,
-            arity=3,
             build=lambda v, b, fp: catalog.pushforward_segre_cone(v.r, v.s, *b, fp),
             rule=RestrictionRule(
                 divisor="E",
-                source_basis=("H", "G1", "G2"),
                 target=lambda v: Product(v.r, v.s),
                 matrix=lambda v: ((0, 0), (1, 0), (0, 1)),
-                pullbacks=((0, 1, 0), (0, 0, 1)),
             ),
         ),
         # The support of the canonical-twist pushforward F^e_* omega^{1-q}.
         Family(
             Quadric,
-            arity=1,
             build=lambda v, b, fp: catalog.quadric_pushforward_support(v.d, fp),
             structure_only=True,
             split=False,
         ),
-        # Vertex-local Weil classes of the singular cone, on the single
-        # generator ("L",).
+        # Vertex-local Weil classes of the singular cone.
         Family(
             ConeP,
-            arity=1,
             build=lambda v, b, fp: localalg.cone_pushforward(v.kind, fp),
             structure_only=True,
             split=False,

@@ -85,8 +85,10 @@ Summand = Union[Line, Spinor]
 
 
 # ---------------------------------------------------------------------------
-# Variety descriptors.  Each carries its dimension and the admissible ordered
-# bases of its class lattice (first one is the default).
+# Variety descriptors.  Each carries its dimension and, as class data, the
+# admissible ordered bases of its class lattice (the first is the default).
+# ``bases`` is the one declaration of a family's lattice, which every other
+# layer reads; as a ClassVar it is no dataclass field, so never a CLI flag.
 # ---------------------------------------------------------------------------
 
 
@@ -94,6 +96,7 @@ Summand = Union[Line, Spinor]
 class ProjSpace:
     d: int
     tag: ClassVar[str] = "projspace"
+    bases: ClassVar[tuple[Basis, ...]] = (("H",),)
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -103,10 +106,6 @@ class ProjSpace:
     def dim(self) -> int:
         return self.d
 
-    @property
-    def bases(self) -> tuple[Basis, ...]:
-        return (("H",),)
-
 
 @dataclass(frozen=True)
 class Product:
@@ -115,6 +114,7 @@ class Product:
     r: int
     s: int
     tag: ClassVar[str] = "product"
+    bases: ClassVar[tuple[Basis, ...]] = (("H1", "H2"),)
 
     def __post_init__(self) -> None:
         if self.r < 1 or self.s < 1:
@@ -124,10 +124,6 @@ class Product:
     def dim(self) -> int:
         return self.r + self.s
 
-    @property
-    def bases(self) -> tuple[Basis, ...]:
-        return (("H1", "H2"),)
-
 
 @dataclass(frozen=True)
 class Hirzebruch:
@@ -135,18 +131,12 @@ class Hirzebruch:
 
     eps: int
     tag: ClassVar[str] = "hirzebruch"
+    dim: ClassVar[int] = 2
+    bases: ClassVar[tuple[Basis, ...]] = (("C0", "f"),)
 
     def __post_init__(self) -> None:
         if self.eps < 0:
             raise InvalidParameterError(f"hirzebruch needs eps >= 0; got eps={self.eps}")
-
-    @property
-    def dim(self) -> int:
-        return 2
-
-    @property
-    def bases(self) -> tuple[Basis, ...]:
-        return (("C0", "f"),)
 
 
 @dataclass(frozen=True)
@@ -161,6 +151,7 @@ class LinearBlowup:
     d: int
     r: int
     tag: ClassVar[str] = "blowup-linear"
+    bases: ClassVar[tuple[Basis, ...]] = (("H", "H'"), ("H", "E"))
 
     def __post_init__(self) -> None:
         if self.d < 2 or not 1 <= self.r <= self.d - 1:
@@ -171,10 +162,6 @@ class LinearBlowup:
     @property
     def dim(self) -> int:
         return self.d
-
-    @property
-    def bases(self) -> tuple[Basis, ...]:
-        return (("H", "H'"), ("H", "E"))
 
 
 @dataclass(frozen=True)
@@ -188,6 +175,7 @@ class VeroneseConeBlowup:
     d: int
     eps: int
     tag: ClassVar[str] = "veronese-cone"
+    bases: ClassVar[tuple[Basis, ...]] = (("H", "H'"),)
 
     def __post_init__(self) -> None:
         if self.d < 1 or self.eps < 1:
@@ -198,10 +186,6 @@ class VeroneseConeBlowup:
     @property
     def dim(self) -> int:
         return self.d + 1
-
-    @property
-    def bases(self) -> tuple[Basis, ...]:
-        return (("H", "H'"),)
 
 
 @dataclass(frozen=True)
@@ -214,6 +198,7 @@ class SegreConeBlowup:
     r: int
     s: int
     tag: ClassVar[str] = "segre-cone"
+    bases: ClassVar[tuple[Basis, ...]] = (("H", "G1", "G2"),)
 
     def __post_init__(self) -> None:
         if self.r < 1 or self.s < 1:
@@ -225,10 +210,6 @@ class SegreConeBlowup:
     def dim(self) -> int:
         return self.r + self.s + 1
 
-    @property
-    def bases(self) -> tuple[Basis, ...]:
-        return (("H", "G1", "G2"),)
-
 
 @dataclass(frozen=True)
 class Quadric:
@@ -236,6 +217,7 @@ class Quadric:
 
     d: int
     tag: ClassVar[str] = "quadric"
+    bases: ClassVar[tuple[Basis, ...]] = (("O(1)",),)
 
     def __post_init__(self) -> None:
         if self.d < 3:
@@ -249,10 +231,6 @@ class Quadric:
         return self.d
 
     @property
-    def bases(self) -> tuple[Basis, ...]:
-        return (("O(1)",),)
-
-    @property
     def spinor_rank(self) -> int:
         return 2 ** (self.d // 2)
 
@@ -263,14 +241,11 @@ class RationalNormalCone:
 
     eps: int
     tag: ClassVar[str] = "rnc"
+    dim: ClassVar[int] = 2
 
     def __post_init__(self) -> None:
         if self.eps < 1:
             raise InvalidParameterError(f"cone needs eps >= 1; got eps={self.eps}")
-
-    @property
-    def dim(self) -> int:
-        return 2
 
 
 @dataclass(frozen=True)
@@ -326,14 +301,11 @@ class ConeP:
 
     kind: ConeKind
     tag: ClassVar[str] = "cone-p"
+    bases: ClassVar[tuple[Basis, ...]] = (("L",),)
 
     @property
     def dim(self) -> int:
         return self.kind.dim
-
-    @property
-    def bases(self) -> tuple[Basis, ...]:
-        return (("L",),)
 
 
 VarietyDescriptor = Union[

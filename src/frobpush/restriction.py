@@ -2,8 +2,10 @@
 
 Each restriction is a lattice homomorphism declared as data in a
 ``RestrictionRule``; the rules themselves live with their families in
-``families.FAMILIES``.  A chart-level enumeration oracle for the simplest
-blowup cross-checks the global formulas.
+``families.FAMILIES``.  A rule's source is the default basis of its family's
+descriptor, so the rule states only its divisor, its target and its matrix.
+A chart-level enumeration oracle for the simplest blowup cross-checks the
+global formulas.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from typing import Callable
 from .combinat import PrimePower
 from .errors import InvalidParameterError
 from .picard import (
-    Basis,
     Decomposition,
     Line,
     PicClass,
@@ -27,27 +28,24 @@ from .picard import (
 class RestrictionRule:
     """How classes of one family restrict to its distinguished divisor.
 
-    ``matrix`` maps source coordinates to target coordinates (one row per
-    source generator); ``pullbacks`` gives, per target generator, the source
-    class pulling back from the target, used to check that restriction
-    commutes with twisting.
+    ``matrix`` maps source coordinates, in the default basis of the source
+    variety, to coordinates in the default basis of ``target``: one row per
+    source generator.
     """
 
     divisor: str
-    source_basis: Basis
     target: Callable[[VarietyDescriptor], VarietyDescriptor]
     matrix: Callable[[VarietyDescriptor], tuple[tuple[int, ...], ...]]
-    pullbacks: tuple[tuple[int, ...], ...]
 
 
 def apply_rule(rule: RestrictionRule, decomp: Decomposition) -> Decomposition:
     """Restrict a line-bundle decomposition along ``rule``.
 
-    A decomposition in another basis is first rewritten into the rule's
-    source basis (only linear blowups have a second basis).
+    A decomposition in another basis is first rewritten into its variety's
+    default basis (only linear blowups have a second basis).
     """
-    if decomp.basis != rule.source_basis:
-        decomp = change_basis(decomp, rule.source_basis)
+    if decomp.basis != decomp.variety.bases[0]:
+        decomp = change_basis(decomp, decomp.variety.bases[0])
     target = rule.target(decomp.variety)
     rows = rule.matrix(decomp.variety)
     target_basis = target.bases[0]

@@ -19,7 +19,7 @@ from frobpush.catalog import (
     pushforward_veronese_cone,
     quadric_pushforward_support,
 )
-from frobpush.combinat import PrimePower, composition_count, floor_residue
+from frobpush.combinat import PrimePower, _is_prime, composition_count, floor_residue
 from frobpush.errors import InvalidParameterError, OutOfRegimeError
 from frobpush.picard import (
     Hirzebruch,
@@ -33,6 +33,7 @@ from frobpush.picard import (
     VeroneseConeBlowup,
     change_basis,
 )
+from frobpush.positivity import kernel_restriction_verdict
 
 FIELDS = [PrimePower(p, e) for p in (2, 3, 5) for e in (1, 2)]
 FIELDS_E3 = [PrimePower(p, e) for p in (2, 3, 5) for e in (1, 2, 3)]
@@ -266,6 +267,22 @@ class TestLinearBlowup:
                 i, k = summand.cls.coords
                 mapped[(i, i + k)] = mult
             assert mapped == as_map(pushforward_hirzebruch(1, 0, 0, fp))
+
+    def test_point_blowup_is_veronese_cone_blowup(self):
+        # Bl_pt P^d is P(O + O(1)) over P^{d-1}, with the same basis (H, H').
+        prime_powers = [
+            PrimePower(p, e)
+            for p in range(2, 344) if _is_prime(p)
+            for e in range(1, 9) if p**e <= 343
+        ]
+        for fp in prime_powers:
+            for d in (2, 3, 4, 5):
+                blowup = pushforward_linear_blowup(d, 1, fp)
+                cone = pushforward_veronese_cone(d - 1, 1, 0, 0, fp)
+                assert as_map(blowup) == as_map(cone), (d, fp)
+                assert kernel_restriction_verdict(
+                    LinearBlowup(d, 1), fp
+                ) == kernel_restriction_verdict(VeroneseConeBlowup(d - 1, 1), fp), (d, fp)
 
     def test_collapse_identity(self):
         for fp in FIELDS:

@@ -429,6 +429,33 @@ class TestExitCodes:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_prime_near_1e18_answers_at_once(self):
+        # Trial division up to sqrt(p) would run for minutes here.
+        argv = ["decompose", "--variety", "projspace", "--d", "1",
+                "--p", "1000000000000000003", "--e", "1"]
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "frobpush.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=30)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.endswith("rank: 1000000000000000003\n")
+
+    def test_semiprime_p_is_1(self, capsys):
+        p = str(1000000007 * 1000000009)
+        code, out, err = run_cli(
+            capsys, "decompose", "--variety", "projspace", "--d", "1", "--p", p, "--e", "1",
+        )
+        assert (code, out, err) == (1, "", f"error: p must be prime; got p={p}\n")
+
+    def test_p_beyond_primality_bound_is_1(self, capsys):
+        p = "3317044064679887385961981"
+        code, out, err = run_cli(
+            capsys, "decompose", "--variety", "projspace", "--d", "1", "--p", p, "--e", "1",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: p must be below {p}")
+
 
 class TestVerifyCommand:
     def test_identities_pass(self, capsys):
@@ -540,6 +567,20 @@ class TestJsonRoundTrip:
         for decomp in decomps:
             payload = json.loads(json.dumps(cli.decomposition_to_json(decomp)))
             assert cli.decomposition_from_json(payload) == decomp
+
+    def test_summand_key_order(self, capsys):
+        # Line and spinor summands, and the witness, list kind and class first.
+        code, out, _ = run_cli(
+            capsys, "kernel", "--variety", "quadric", "--d", "3", "--p", "2", "--e", "1",
+            "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        summands = payload["kernel"]["summands"]
+        assert {s["kind"] for s in summands} == {"line", "spinor"}
+        assert all(list(s) == ["kind", "class", "mult"] for s in summands)
+        witness = payload["support_verdict"]["witness"]["summand"]
+        assert list(witness) == ["kind", "class"]
 
     @pytest.mark.parametrize(
         "data, missing",

@@ -13,7 +13,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from frobpush.combinat import (
+    PRIME_BOUND,
     PrimePower,
+    _is_prime,
     binom,
     bounded_power_coefficients,
     composition_count,
@@ -28,6 +30,10 @@ from frobpush.combinat import (
 from frobpush.errors import InvalidParameterError
 
 SMALL_FIELDS = [PrimePower(p, e) for p in (2, 3, 5) for e in (1, 2)]
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
 def naive_composition_count(total, parts, q):
@@ -47,6 +53,27 @@ class TestPrimePower:
     def test_rejects_bad_exponent(self):
         with pytest.raises(InvalidParameterError):
             PrimePower(2, 0)
+
+    def test_primality_matches_trial_division(self):
+        for n in range(-2, 10**5):
+            assert _is_prime(n) == trial_division_is_prime(n), n
+
+    @pytest.mark.parametrize("p", [561, 2047, 3215031751, 1000000007 * 1000000009])
+    def test_rejects_pseudoprimes(self, p):
+        # A Carmichael number, the least strong pseudoprime to base 2, the
+        # least to bases 2, 3, 5 and 7, and a product of two large primes.
+        assert not _is_prime(p)
+        with pytest.raises(InvalidParameterError, match="p must be prime"):
+            PrimePower(p, 1)
+
+    def test_large_primes_accepted(self):
+        for p in (1000000007, 1000000000000000003, 2**61 - 1, 2**64 - 59):
+            assert PrimePower(p, 2).q == p * p
+
+    def test_rejects_p_beyond_exact_bound(self):
+        for p in (PRIME_BOUND, PRIME_BOUND + 2, 2**89 - 1):
+            with pytest.raises(InvalidParameterError, match=str(PRIME_BOUND)):
+                PrimePower(p, 1)
 
 
 class TestFloorResidue:

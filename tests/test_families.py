@@ -2,6 +2,7 @@
 and the CLI surface generated from it."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -60,6 +61,23 @@ def test_descriptor_json_round_trip(variety):
     payload = json.loads(json.dumps(cli.descriptor_to_json(variety)))
     assert payload["tag"] == variety.tag
     assert cli.descriptor_from_json(payload) == variety
+
+
+def test_lattice_data_is_no_descriptor_field():
+    # A field would become a constructor argument, a CLI flag and a JSON param.
+    for cls in [family.descriptor for family in FAMILIES.values()] + list(CONE_KINDS.values()):
+        assert not {"tag", "bases", "dim"} & {f.name for f in fields(cls)}, cls
+
+
+@pytest.mark.parametrize("variety", SAMPLES, ids=repr)
+def test_rule_matrix_matches_bases(variety):
+    rule = family_of(variety).rule
+    if rule is None:
+        return
+    rows = rule.matrix(variety)
+    assert len(rows) == len(variety.bases[0])
+    width = len(rule.target(variety).bases[0])
+    assert all(len(row) == width for row in rows)
 
 
 def test_unknown_tags_rejected():

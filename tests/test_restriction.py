@@ -184,8 +184,8 @@ class TestRestrictionGenerics:
             restrict(pushforward_hirzebruch(1, 0, 0, fp), "E")
 
     def test_commutes_with_pullback_twists(self):
-        # Twisting by a class pulled back from the target then restricting
-        # equals restricting then twisting by the original target class.
+        # Twisting by a source generator e_i then restricting equals
+        # restricting then twisting by the image of e_i: row i of the matrix.
         fp = PrimePower(3, 1)
         sources = [
             (pushforward_hirzebruch(2, 0, 0, fp), "C0"),
@@ -197,15 +197,15 @@ class TestRestrictionGenerics:
             rule = family_of(decomp.variety).rule
             assert rule.divisor == divisor
             target_basis = rule.target(decomp.variety).bases[0]
-            for t, pullback in enumerate(rule.pullbacks):
+            rows = rule.matrix(decomp.variety)
+            assert len(rows) == len(decomp.basis)
+            for i, row in enumerate(rows):
                 for scale in (1, -2):
                     up = PicClass(
-                        tuple(scale * c for c in pullback), decomp.basis
+                        tuple(scale if j == i else 0 for j in range(len(decomp.basis))),
+                        decomp.basis,
                     )
-                    down_coords = tuple(
-                        scale if j == t else 0 for j in range(len(target_basis))
-                    )
-                    down = PicClass(down_coords, target_basis)
+                    down = PicClass(tuple(scale * c for c in row), target_basis)
                     assert restrict(decomp.twist(up), divisor) == restrict(
                         decomp, divisor
                     ).twist(down)
