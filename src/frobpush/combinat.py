@@ -5,7 +5,7 @@ number of ordered (d+1)-tuples with entries in [0, q-1] summing to m + i*q,
 where q = p^e is a prime power.  It is computed through an alternating
 binomial sum.  ``bounded_power_coefficients`` gives the same counts as the
 coefficient list of (1 + t + ... + t^{q-1})^{d+1}, by direct convolution;
-the oracles in ``verify`` build that list once per (q, d) in a case and read
+the oracles in ``verify`` build that list once per (q, d) in a run and read
 every count they need from it, and ``composition_count_oracle`` reads one
 count from it for the tests.  Everything is plain ``int`` arithmetic; the
 counts grow like q^d and overflow fixed-width integers almost immediately.
@@ -23,6 +23,7 @@ module, never a function handed to it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
@@ -188,8 +189,9 @@ def composition_count(i: int, m: int, d: int, fp: PrimePower) -> int:
 def bounded_power_coefficients(q: int, parts: int) -> list[int]:
     """Coefficient list of (1 + t + ... + t^{q-1})^{parts}.
 
-    Computed by repeated convolution with a sliding window of prefix sums,
-    so the result is independent of the closed form it is used to check.
+    Computed by repeated convolution, each factor taken as
+    (1 - t^q) / (1 - t): subtract the list shifted by q, then take running
+    sums.  The result is independent of the closed form it is used to check.
     """
     if q < 1:
         raise InvalidParameterError(f"q must satisfy q >= 1; got q={q}")
@@ -197,15 +199,9 @@ def bounded_power_coefficients(q: int, parts: int) -> list[int]:
         raise InvalidParameterError(f"parts must satisfy parts >= 0; got {parts}")
     coeffs = [1]
     for _ in range(parts):
-        prefix = list(accumulate(coeffs))
-        top = len(coeffs) - 1
-        out = []
-        for s in range(len(coeffs) + q - 1):
-            hi = min(s, top)
-            lo = s - q + 1
-            window = prefix[hi] - (prefix[lo - 1] if lo >= 1 else 0)
-            out.append(window)
-        coeffs = out
+        diff = coeffs + [0] * (q - 1)
+        diff[q:] = map(operator.sub, diff[q:], coeffs)
+        coeffs = list(accumulate(diff))
     return coeffs
 
 

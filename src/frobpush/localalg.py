@@ -18,15 +18,13 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from .catalog import pushforward_hirzebruch, pushforward_veronese_cone
+from .catalog import _from_counts, pushforward_hirzebruch, pushforward_veronese_cone
 from .combinat import PrimePower, composition_count, eulerian, polynomial_range_sum
 from .errors import InvalidParameterError
 from .picard import (
     ConeKind,
     ConeP,
     Decomposition,
-    Line,
-    PicClass,
     RationalNormalCone,
     SegreCone,
     VeroneseCone,
@@ -86,10 +84,8 @@ def cone_pushforward(kind: ConeKind, fp: PrimePower) -> Decomposition:
     the ruling; the Segre cone uses the affine-chart generator L, the class
     of L1 with L1 + L2 ~ 0 imposed, and classes -r <= i <= s.
     """
-    variety = ConeP(kind)
-    basis = variety.bases[0]
-    items = [(Line(PicClass((i,), basis)), mult) for i, mult in _class_counts(kind, fp).items()]
-    return Decomposition(variety, items)
+    counts = {(i,): mult for i, mult in _class_counts(kind, fp).items()}
+    return _from_counts(ConeP(kind), counts)
 
 
 def splitting_number(kind: ConeKind, fp: PrimePower) -> int:

@@ -4,7 +4,7 @@ Each restriction is a lattice homomorphism declared as data in a
 ``RestrictionRule``; the rules themselves live with their families in
 ``families.FAMILIES``.  A rule's source is the default basis of its family's
 descriptor, so the rule states only its divisor, its target and its matrix.
-A chart-level enumeration oracle for the simplest blowup cross-checks the
+A chart-level count, row by row, for the simplest blowup cross-checks the
 global formulas.
 """
 
@@ -64,17 +64,17 @@ def apply_rule(rule: RestrictionRule, decomp: Decomposition) -> Decomposition:
 def blowup_chart_counts(fp: PrimePower) -> tuple[int, int]:
     """Chart-level oracle for the point blowup of the plane.
 
-    Enumerates the q^2 monomial generators of the pushforward on one chart
-    and counts how many glue to a trivial bundle (second exponent <= first)
-    versus a degree -1 bundle.  Returns (trivial count, degree -1 count) =
+    Counts, row by row, the q^2 monomial generators x^i y^j of the
+    pushforward on one chart that glue to a trivial bundle (second exponent
+    <= first) versus a degree -1 bundle: row i has min(i + 1, q) trivial
+    points.  Returns (trivial count, degree -1 count) =
     (q(q+1)/2, q(q-1)/2).
     """
+    q = fp.q
     trivial = 0
     negative = 0
-    for i in range(fp.q):
-        for j in range(fp.q):
-            if j <= i:
-                trivial += 1
-            else:
-                negative += 1
+    for i in range(q):
+        row = min(i + 1, q)
+        trivial += row
+        negative += q - row
     return trivial, negative

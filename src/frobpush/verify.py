@@ -6,17 +6,20 @@ order and are reproducible regardless of scheduling.  The oracles suite
 checks each builder that sums over the q residues by pieces against a loop
 over every residue j, at small q.  The loops, and the check of the closed
 form ``composition_count`` itself, read their counts from one convolution
-table per (q, d), the coefficient list of (1 + t + ... + t^{q-1})^{d+1}
-built once per case; so a fault in the closed form that the builders use
-cannot reach both sides of a comparison.  A case that raises is reported
-as FAIL with the exception, and the run goes on.  Known tensions between
-recorded values and the computed ones (the small-q ruled-surface row, the
-blowup k=0 claim, the quadric p=2 window for d >= 4) are reported as WARN
-with both values printed; they never fail a run.
+table per (q, d), the coefficient list of (1 + t + ... + t^{q-1})^{d+1};
+so a fault in the closed form that the builders use cannot reach both sides
+of a comparison.  Each table is built once per (q, d) per ``run_suites``
+call: cases are built grouped by q, and a small memo, emptied when the call
+starts and when it returns, holds the current q's tables.  A case that
+raises is reported as FAIL with the exception, and the run goes on.  Known
+tensions between recorded values and the computed ones (the small-q
+ruled-surface row, the blowup k=0 claim, the quadric p=2 window for d >= 4)
+are reported as WARN with both values printed; they never fail a run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections import Counter
@@ -30,7 +33,6 @@ from .combinat import (
     bounded_power_coefficients,
     composition_count,
     eulerian,
-    floor_residue,
     shifted_sum_identity_holds,
     sum_identity_holds,
 )
@@ -70,14 +72,24 @@ def _nonzero(counts: dict) -> dict[tuple[int, ...], int]:
     return {coords: mult for coords, mult in counts.items() if mult}
 
 
-def _count_table(d: int, fp: PrimePower) -> Callable[[int, int], int]:
-    """count(i, m): the number of (d+1)-tuples in [0, q-1] summing to m + i*q.
+@functools.lru_cache(maxsize=8)
+def _coefficients(q: int, parts: int) -> tuple[int, ...]:
+    """The coefficients of (1 + t + ... + t^{q-1})^parts, padded with zeros to
+    (parts + 1) * q entries: the number of parts-tuples in [0, q-1] summing
+    to m + i*q is table[m + i*q] for 0 <= i <= parts and 0 <= m < q.
 
-    Read off the coefficient list of (1 + t + ... + t^{q-1})^{d+1}, built
-    once by convolution, so it shares nothing with ``composition_count``.
+    Built by convolution, so it shares nothing with ``composition_count``.
+    The memo holds a few tables and is emptied by ``run_suites``.
     """
+    table = bounded_power_coefficients(q, parts)
+    return tuple(table) + (0,) * ((parts + 1) * q - len(table))
+
+
+def _count_table(d: int, fp: PrimePower) -> Callable[[int, int], int]:
+    """count(i, m): the number of (d+1)-tuples in [0, q-1] summing to m + i*q,
+    for any i."""
     q = fp.q
-    table = bounded_power_coefficients(q, d + 1)
+    table = _coefficients(q, d + 1)
     size = len(table)
 
     def count(i: int, m: int) -> int:
@@ -90,11 +102,11 @@ def _count_table(d: int, fp: PrimePower) -> Callable[[int, int], int]:
 def hirzebruch_loop(eps: int, u: int, v: int, fp: PrimePower) -> dict[tuple[int, ...], int]:
     """F^e_* O(u*C0 + v*f) on the ruled surface by the four-block loop over j."""
     q = fp.q
-    k, m = floor_residue(u, q)
+    k, m = divmod(u, q)
     counts: Counter = Counter()
     for j in range(q):
         c0 = k if j <= m else k - 1
-        fl, res = floor_residue(v - j * eps, q)
+        fl, res = divmod(v - j * eps, q)
         counts[(c0, fl)] += res + 1
         counts[(c0, fl - 1)] += q - 1 - res
     return _nonzero(counts)
@@ -105,28 +117,29 @@ def segre_cone_loop(
 ) -> dict[tuple[int, ...], int]:
     """F^e_* O(n*H + n1*G1 + n2*G2) on the Segre cone blowup by the loop over j."""
     q = fp.q
-    left, right = _count_table(r, fp), _count_table(s, fp)
+    left, right = _coefficients(q, r + 1), _coefficients(q, s + 1)
     counts: Counter = Counter()
     for j in range(q):
         h = 0 if j <= n else -1
-        f1, m1 = floor_residue(j + n1, q)
-        f2, m2 = floor_residue(j + n2, q)
+        f1, m1 = divmod(j + n1, q)
+        f2, m2 = divmod(j + n2, q)
         for k in range(r + 1):
+            a = left[m1 + k * q]
             for l in range(s + 1):
-                counts[(h, f1 - k, f2 - l)] += left(k, m1) * right(l, m2)
+                counts[(h, f1 - k, f2 - l)] += a * right[m2 + l * q]
     return _nonzero(counts)
 
 
 def blowup_loop(d: int, r: int, fp: PrimePower) -> dict[tuple[int, ...], int]:
     """F^e_* O on the linear blowup, each mixed term summed over j = 1..q-1."""
     q = fp.q
-    outer, inner = _count_table(d - r, fp), _count_table(r - 1, fp)
+    outer, inner = _coefficients(q, d - r + 1), _coefficients(q, r)
     counts: Counter = Counter()
     for i in range(r + 1):
         for k in range(d - r + 1):
-            counts[(-i, -k)] += outer(k, 0) * inner(i, 0)
-            for j in range(1, q):
-                counts[(-i, -k)] += outer(k, j) * inner(i - 1, q - j)
+            # inner(i - 1, q - j) is inner[i*q - j]; it vanishes at i = 0.
+            mixed = sum(outer[k * q + j] * inner[i * q - j] for j in range(1, q)) if i else 0
+            counts[(-i, -k)] += outer[k * q] * inner[i * q] + mixed
     return _nonzero(counts)
 
 
@@ -136,16 +149,16 @@ def veronese_loop(
     """F^e_* O(n*H + n'*H') on the Veronese cone blowup by the direct
     floor/residue loop over j."""
     q = fp.q
-    count = _count_table(d, fp)
+    table = _coefficients(q, d + 1)
     counts: Counter = Counter()
     for j in range(0, n + 1):
-        fl, m = floor_residue(eps * j + nprime, q)
+        fl, m = divmod(eps * j + nprime, q)
         for l in range(d + 1):
-            counts[(0, fl - l)] += count(l, m)
+            counts[(0, fl - l)] += table[m + l * q]
     for j in range(1, q - n):
-        fl, m = floor_residue(-eps * j + nprime, q)
+        fl, m = divmod(-eps * j + nprime, q)
         for l in range(d + 1):
-            counts[(-1, fl - l + eps)] += count(l, m)
+            counts[(-1, fl - l + eps)] += table[m + l * q]
     return _nonzero(counts)
 
 
@@ -276,8 +289,7 @@ def check_segre_split_routes(p: int, e: int, r: int, s: int) -> tuple[str, str]:
     number = localalg.splitting_number(SegreCone(r, s), fp)
     cone = localalg.cone_pushforward(SegreCone(r, s), fp)
     trivial = cone.trivial_multiplicity()
-    left = bounded_power_coefficients(q, r + 1)
-    right = bounded_power_coefficients(q, s + 1)
+    left, right = _coefficients(q, r + 1), _coefficients(q, s + 1)
     extracted = sum(a * b for a, b in zip(left, right))
     shifted = {
         (i,): sum(
@@ -698,7 +710,9 @@ def run_suites(
     jobs: int = 1,
 ) -> list[tuple[str, list[CheckResult]]]:
     """Each suite's results, sorted by key.  With ``jobs > 1`` one pool of
-    that many worker processes runs the cases of every suite."""
+    that many worker processes runs the cases of every suite, in contiguous
+    chunks, so the same-q cases of a chunk share its worker's table memo.  The
+    memo is empty when the call starts and when it returns."""
 
     def report(mapper) -> list[tuple[str, list[CheckResult]]]:
         out = []
@@ -707,9 +721,18 @@ def run_suites(
             out.append((suite, sorted(mapper(run_case, cases), key=lambda res: res.key)))
         return out
 
-    if jobs <= 1:
-        return report(map)
-    from concurrent.futures import ProcessPoolExecutor  # a serial run needs no multiprocessing
+    _coefficients.cache_clear()
+    try:
+        if jobs <= 1:
+            return report(map)
+        from concurrent.futures import ProcessPoolExecutor  # a serial run needs no multiprocessing
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return report(pool.map)
+        # Cases come grouped by q: about one chunk per q and worker keeps each
+        # chunk on one q, and every q, the costliest too, is shared out.
+        chunks = max(1, len(primes) * max_e) * jobs
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return report(
+                lambda fn, cases: pool.map(fn, cases, chunksize=max(1, len(cases) // chunks))
+            )
+    finally:
+        _coefficients.cache_clear()

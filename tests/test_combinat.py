@@ -244,6 +244,17 @@ class TestCompositionCount:
                         nonzero = composition_count(i, m, d, fp) != 0
                         assert nonzero == (0 <= m + i * q <= (d + 1) * (q - 1))
 
+    @given(st.integers(1, 40), st.integers(0, 5))
+    def test_coefficient_table_matches_naive_convolution(self, q, parts):
+        coeffs = [1]
+        for _ in range(parts):
+            out = [0] * (len(coeffs) + q - 1)
+            for s, c in enumerate(coeffs):
+                for t in range(q):
+                    out[s + t] += c
+            coeffs = out
+        assert bounded_power_coefficients(q, parts) == coeffs
+
     def test_coefficient_table_is_palindromic(self):
         for q in (2, 3, 4, 5, 9):
             for parts in (1, 2, 3, 4):

@@ -166,3 +166,30 @@ class TestOracleIndependence:
             result = verify.run_case(case)
             assert result.status == "FAIL"
             assert result.detail == "mismatch at (i=0, m=0)"
+
+    def test_memo_is_empty_after_a_run(self):
+        verify.run_case(("segre-loop", (2, 1, 1, 1, 0, 0, 0)))
+        assert verify._coefficients.cache_info().currsize
+        verify.run_suites(["oracles"], max_d=2, max_e=1, primes=(2, 3))
+        assert verify._coefficients.cache_info().currsize == 0
+
+    def test_loops_catch_a_table_fault_after_a_clean_run(self, monkeypatch):
+        # Tables memoized by a clean run must not outlive it and hide a fault
+        # in the convolution that the next run makes.
+        grid = dict(max_d=3, max_e=1, primes=(2, 3))
+        ((_, clean),) = verify.run_suites(["oracles"], **grid)
+        assert not [res for res in clean if res.status == "FAIL"]
+        # Cases run on their own, outside any run, leave clean tables behind.
+        assert not failing_kinds(verify.build_cases("oracles", **grid))
+        assert verify._coefficients.cache_info().currsize
+        convolution = verify.bounded_power_coefficients
+
+        def off_by_one_at_zero(q, parts):
+            table = convolution(q, parts)
+            table[0] += 1
+            return table
+
+        monkeypatch.setattr(verify, "bounded_power_coefficients", off_by_one_at_zero)
+        ((_, faulty),) = verify.run_suites(["oracles"], **grid)
+        failed = {res.key.split("(")[0] for res in faulty if res.status == "FAIL"}
+        assert {"segre-loop", "veronese-direct", "blowup-loop", "mult-oracle"} <= failed

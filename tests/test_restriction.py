@@ -163,7 +163,37 @@ class TestSegreExceptional:
             assert restrict(pushforward_segre_cone(1, 2, 0, 0, 0, fp), "E").rank() == fp.q**4
 
 
+def prime_powers_up_to(bound):
+    fields = []
+    for q in range(2, bound + 1):
+        p = next(f for f in range(2, q + 1) if q % f == 0)
+        e, rest = 0, q
+        while rest % p == 0:
+            e, rest = e + 1, rest // p
+        if rest == 1:
+            fields.append(PrimePower(p, e))
+    return fields
+
+
+def enumerated_chart_counts(q):
+    """The q^2 chart points (i, j), each tested: trivial when j <= i."""
+    trivial = negative = 0
+    for i in range(q):
+        for j in range(q):
+            if j <= i:
+                trivial += 1
+            else:
+                negative += 1
+    return trivial, negative
+
+
 class TestChartOracle:
+    def test_matches_enumeration(self):
+        fields = prime_powers_up_to(49)
+        assert len(fields) == 23
+        for fp in fields:
+            assert blowup_chart_counts(fp) == enumerated_chart_counts(fp.q)
+
     def test_small_values(self):
         assert blowup_chart_counts(PrimePower(2, 1)) == (3, 1)
         assert blowup_chart_counts(PrimePower(3, 1)) == (6, 3)
