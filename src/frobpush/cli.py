@@ -343,6 +343,9 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     from . import verify  # only this subcommand needs the suites
 
     suites = list(verify.SUITES) if args.suite == "all" else [args.suite]
+    for flag, value in (("max-d", args.max_d), ("max-e", args.max_e), ("jobs", args.jobs)):
+        if value < 1:  # a grid of no cases, or no workers, checks nothing
+            parser.error(f"--{flag} must be at least 1; got {value}")
     try:
         primes = tuple(int(p) for p in args.primes.split(","))
     except ValueError:

@@ -165,9 +165,9 @@ def composition_count(i: int, m: int, d: int, fp: PrimePower) -> int:
     """Number of (d+1)-tuples in [0, q-1]^{d+1} summing to m + i*q.
 
     Evaluated by the alternating closed form
-    sum_{j=0}^{i} (-1)^{i-j} C(d+1, i-j) C(j*q + m + d, d);
-    returns 0 for i < 0, and vanishes exactly outside
-    0 <= m + i*q <= (d+1)(q-1).
+    sum_{t=0}^{min(i, d+1)} (-1)^t C(d+1, t) C((i-t)*q + m + d, d), whose
+    terms past t = d+1 vanish; returns 0 for i < 0, and vanishes exactly
+    outside 0 <= m + i*q <= (d+1)(q-1).
     """
     q = fp.q
     if not 0 <= m <= q - 1:
@@ -177,12 +177,10 @@ def composition_count(i: int, m: int, d: int, fp: PrimePower) -> int:
     if i < 0:
         return 0
     total = 0
-    for j in range(i + 1):
-        term = binom(d + 1, i - j) * binom(j * q + m + d, d)
-        if (i - j) % 2:
-            total -= term
-        else:
-            total += term
+    for t in range(min(i, d + 1) + 1):
+        # (i-t)*q + m + d >= d, so both binomials are in range.
+        term = math.comb(d + 1, t) * math.comb((i - t) * q + m + d, d)
+        total += -term if t % 2 else term
     return total
 
 

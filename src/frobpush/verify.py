@@ -3,26 +3,28 @@
 Every case is an independent pure computation keyed by its parameters, so the
 runner may fan cases out across worker processes; results are merged in key
 order and are reproducible regardless of scheduling.  The oracles suite
-checks each builder that sums over the q residues by pieces against a loop
-over every residue j, at small q.  The loops, and the check of the closed
-form ``composition_count`` itself, read their counts from one convolution
-table per (q, d), the coefficient list of (1 + t + ... + t^{q-1})^{d+1};
-so a fault in the closed form that the builders use cannot reach both sides
-of a comparison.  Each table is built once per (q, d) per ``run_suites``
-call: cases are built grouped by q, and a small memo, emptied when the call
-starts and when it returns, holds the current q's tables.  A case that
-raises is reported as FAIL with the exception, and the run goes on.  Known
-tensions between recorded values and the computed ones (the small-q
-ruled-surface row, the blowup k=0 claim, the quadric p=2 window for d >= 4)
-are reported as WARN with both values printed; they never fail a run.
+checks each builder that sums over the q residues by pieces against a sum
+over every residue j, at small q.  These loop oracles, and the check of the
+closed form ``composition_count`` itself, read their counts from one
+convolution table per (q, d), the coefficient list of (1 + t + ... +
+t^{q-1})^{d+1}, so a fault in the closed form that the builders use cannot
+reach both sides of a comparison; each class's sum over j is one strided
+slice sum, or dot product of slices, of the tables.  Each table is built
+once per (q, d) per ``run_suites`` call: cases are built grouped by q, and a
+small memo, emptied when the call starts and when it returns, holds the
+current q's tables.  A case that raises is reported as FAIL with the
+exception, and the run goes on.  Known tensions between recorded values and
+the computed ones (the small-q ruled-surface row, the blowup k=0 claim, the
+quadric p=2 window for d >= 4) are reported as WARN with both values
+printed; they never fail a run.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -63,8 +65,8 @@ LOOP_Q_CAP = 343
 
 
 # ---------------------------------------------------------------------------
-# Loop oracles: the catalog's sums over residues j, taken one j at a time.
-# Each returns the decomposition as {coordinates: multiplicity}.
+# Loop oracles: the catalog's sums over residues j, one slice sum or dot
+# product per class.  Each returns {coordinates: multiplicity}.
 # ---------------------------------------------------------------------------
 
 
@@ -99,47 +101,68 @@ def _count_table(d: int, fp: PrimePower) -> Callable[[int, int], int]:
     return count
 
 
+def _progression_sums(table: tuple[int, ...], q: int, lo: int, step: int, count: int) -> dict:
+    """{c: sum of table[x - c*q] over x = lo, lo + step, ... (count terms)
+    with the index in the table}: what a j-loop that adds table[x mod q + l*q]
+    to class floor(x/q) - l, for l = 0..parts-1, adds to class c."""
+    if count <= 0:
+        return {}
+    size = len(table)
+    if not step:
+        return {c: count * table[lo - c * q] for c in range((lo - size) // q + 1, lo // q + 1)}
+    if step < 0:
+        lo, step = lo + step * (count - 1), -step
+    hi = lo + step * (count - 1)
+    return {
+        c: sum(table[max(lo - c * q, (lo - c * q) % step) : min(hi - c * q + 1, size) : step])
+        for c in range((lo - size) // q + 1, hi // q + 1)
+    }
+
+
+def _dot(a, b) -> int:
+    return sum(map(operator.mul, a, b))
+
+
 def hirzebruch_loop(eps: int, u: int, v: int, fp: PrimePower) -> dict[tuple[int, ...], int]:
-    """F^e_* O(u*C0 + v*f) on the ruled surface by the four-block loop over j."""
+    """F^e_* O(u*C0 + v*f) on the ruled surface by the four-block loop over j:
+    with v - j*eps = fl*q + res it adds res + 1 = table[res] to (c0, fl) and
+    q - 1 - res = table[res + q] to (c0, fl - 1), for the 2-part table."""
     q = fp.q
     k, m = divmod(u, q)
-    counts: Counter = Counter()
-    for j in range(q):
-        c0 = k if j <= m else k - 1
-        fl, res = divmod(v - j * eps, q)
-        counts[(c0, fl)] += res + 1
-        counts[(c0, fl - 1)] += q - 1 - res
+    table = _coefficients(q, 2)
+    counts = {(k, c): t for c, t in _progression_sums(table, q, v, -eps, m + 1).items()}
+    for c, t in _progression_sums(table, q, v - eps * (m + 1), -eps, q - 1 - m).items():
+        counts[(k - 1, c)] = t
     return _nonzero(counts)
 
 
 def segre_cone_loop(
     r: int, s: int, n: int, n1: int, n2: int, fp: PrimePower
 ) -> dict[tuple[int, ...], int]:
-    """F^e_* O(n*H + n1*G1 + n2*G2) on the Segre cone blowup by the loop over j."""
+    """F^e_* O(n*H + n1*G1 + n2*G2) on the Segre cone blowup by the loop over
+    j, which adds left[j + n1 - c1*q] * right[j + n2 - c2*q] to (h, c1, c2)."""
     q = fp.q
     left, right = _coefficients(q, r + 1), _coefficients(q, s + 1)
-    counts: Counter = Counter()
-    for j in range(q):
-        h = 0 if j <= n else -1
-        f1, m1 = divmod(j + n1, q)
-        f2, m2 = divmod(j + n2, q)
-        for k in range(r + 1):
-            a = left[m1 + k * q]
-            for l in range(s + 1):
-                counts[(h, f1 - k, f2 - l)] += a * right[m2 + l * q]
+    counts = {}
+    for h, jlo, jhi in ((0, 0, n), (-1, n + 1, q - 1)):
+        for c1 in range((jlo + n1 - len(left)) // q + 1, (jhi + n1) // q + 1):
+            for c2 in range((jlo + n2 - len(right)) // q + 1, (jhi + n2) // q + 1):
+                j, a, b = max(jlo, c1 * q - n1, c2 * q - n2), n1 - c1 * q, n2 - c2 * q
+                counts[(h, c1, c2)] = _dot(left[j + a : jhi + a + 1], right[j + b : jhi + b + 1])
     return _nonzero(counts)
 
 
 def blowup_loop(d: int, r: int, fp: PrimePower) -> dict[tuple[int, ...], int]:
-    """F^e_* O on the linear blowup, each mixed term summed over j = 1..q-1."""
+    """F^e_* O on the linear blowup, each mixed term summed over j = 1..q-1
+    as a slice of outer against a reversed slice of inner."""
     q = fp.q
     outer, inner = _coefficients(q, d - r + 1), _coefficients(q, r)
-    counts: Counter = Counter()
+    counts = {}
     for i in range(r + 1):
         for k in range(d - r + 1):
             # inner(i - 1, q - j) is inner[i*q - j]; it vanishes at i = 0.
-            mixed = sum(outer[k * q + j] * inner[i * q - j] for j in range(1, q)) if i else 0
-            counts[(-i, -k)] += outer[k * q] * inner[i * q] + mixed
+            mixed = i and _dot(outer[k * q + 1 : (k + 1) * q], inner[i * q - 1 : (i - 1) * q : -1])
+            counts[(-i, -k)] = outer[k * q] * inner[i * q] + mixed
     return _nonzero(counts)
 
 
@@ -147,19 +170,20 @@ def veronese_loop(
     d: int, eps: int, n: int, nprime: int, fp: PrimePower
 ) -> dict[tuple[int, ...], int]:
     """F^e_* O(n*H + n'*H') on the Veronese cone blowup by the direct
-    floor/residue loop over j."""
+    floor/residue loop over x = eps*j + n' (j <= n) and -eps*j + n' (j < q-n)."""
     q = fp.q
     table = _coefficients(q, d + 1)
-    counts: Counter = Counter()
-    for j in range(0, n + 1):
-        fl, m = divmod(eps * j + nprime, q)
-        for l in range(d + 1):
-            counts[(0, fl - l)] += table[m + l * q]
-    for j in range(1, q - n):
-        fl, m = divmod(-eps * j + nprime, q)
-        for l in range(d + 1):
-            counts[(-1, fl - l + eps)] += table[m + l * q]
+    counts = {(0, c): t for c, t in _progression_sums(table, q, nprime, eps, n + 1).items()}
+    for c, t in _progression_sums(table, q, nprime - eps, -eps, q - n - 1).items():
+        counts[(-1, c + eps)] = t
     return _nonzero(counts)
+
+
+def segre_shifted_sums(r: int, s: int, fp: PrimePower) -> dict[tuple[int, ...], int]:
+    """``check_segre_split_routes``'s {(i,): multiplicity of i*L}, zeros kept."""
+    q = fp.q
+    left, right = _coefficients(q, r + 1), _coefficients(q, s + 1)
+    return {(i,): _dot(left[max(0, -i * q) :], right[max(0, i * q) :]) for i in range(-r, s + 1)}
 
 
 def _coords(decomp) -> dict[tuple[int, ...], int]:
@@ -285,18 +309,11 @@ def check_segre_split_routes(p: int, e: int, r: int, s: int) -> tuple[str, str]:
     s+1 picks out the monomials u^t v^t.  Shifting one list by i*q gives
     the multiplicity of every other vertex-local class i*L the same way."""
     fp = PrimePower(p, e)
-    q = fp.q
     number = localalg.splitting_number(SegreCone(r, s), fp)
     cone = localalg.cone_pushforward(SegreCone(r, s), fp)
     trivial = cone.trivial_multiplicity()
-    left, right = _coefficients(q, r + 1), _coefficients(q, s + 1)
-    extracted = sum(a * b for a, b in zip(left, right))
-    shifted = {
-        (i,): sum(
-            a * right[t + i * q] for t, a in enumerate(left) if 0 <= t + i * q < len(right)
-        )
-        for i in range(-r, s + 1)
-    }
+    shifted = segre_shifted_sums(r, s, fp)
+    extracted = shifted[(0,)]
     if _coords(cone) != _nonzero(shifted):
         return "FAIL", f"cone classes {_coords(cone)} vs shifted coefficients {shifted}"
     return _ok(

@@ -541,6 +541,14 @@ class TestVerifyCommand:
             "raised InvalidParameterError: p must be prime; got p=4"
         }
 
+    @pytest.mark.parametrize("flag", ["--max-d", "--max-e", "--jobs"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_empty_grid_is_usage_error(self, capsys, flag, value):
+        # A grid of no cases would pass vacuously with exit 0.
+        code, out, err = outcome(capsys, ["verify", "--suite", "all", flag, value])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"frobpush: error: {flag} must be at least 1; got {value}"
+
     def test_non_prime_rejected_once(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "identities", "--primes", "2,4")
         assert (code, out) == (1, "")

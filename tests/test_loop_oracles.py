@@ -1,12 +1,18 @@
 """Differential tests: every builder that sums over the q residues by pieces
-against the j-by-j loop it replaced, at q <= 32, with exact equality; and the
-loops' independence from the closed form the builders use."""
+against the loop oracle in ``verify``, and every loop oracle, which sums
+slices of a convolution table, against the literal j-by-j loop it stands
+for, at q <= 32, with exact equality; and the oracles' independence from the
+closed form the builders use."""
+
+import ast
+import inspect
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from frobpush import catalog, verify
+from frobpush import catalog, combinat, verify
 from frobpush.catalog import (
     pushforward_hirzebruch,
     pushforward_linear_blowup,
@@ -14,7 +20,7 @@ from frobpush.catalog import (
     pushforward_segre_cone,
     pushforward_veronese_cone,
 )
-from frobpush.combinat import PrimePower, composition_count
+from frobpush.combinat import PrimePower, bounded_power_coefficients, composition_count
 from frobpush.errors import OutOfRegimeError
 from frobpush.localalg import cone_pushforward, splitting_number
 from frobpush.picard import PicClass, RationalNormalCone, SegreCone, VeroneseCone
@@ -35,6 +41,131 @@ def as_map(decomp):
 
 def residue(data, fp):
     return data.draw(st.integers(0, fp.q - 1))
+
+
+# ---------------------------------------------------------------------------
+# The loops over j that the oracles sum by slices, one term at a time.  Each
+# count(parts, n) is a coefficient of (1 + t + ... + t^{q-1})^parts.
+# ---------------------------------------------------------------------------
+
+
+def counter(q):
+    tables = {}
+
+    def count(parts, n):
+        if parts not in tables:
+            tables[parts] = bounded_power_coefficients(q, parts)
+        table = tables[parts]
+        return table[n] if 0 <= n < len(table) else 0
+
+    return count
+
+
+def nonzero(counts):
+    return {coords: mult for coords, mult in counts.items() if mult}
+
+
+def hirzebruch_j_loop(eps, u, v, fp):
+    q = fp.q
+    k, m = divmod(u, q)
+    counts = Counter()
+    for j in range(q):
+        c0 = k if j <= m else k - 1
+        fl, res = divmod(v - j * eps, q)
+        counts[(c0, fl)] += res + 1
+        counts[(c0, fl - 1)] += q - 1 - res
+    return nonzero(counts)
+
+
+def segre_cone_j_loop(r, s, n, n1, n2, fp):
+    q, count = fp.q, counter(fp.q)
+    counts = Counter()
+    for j in range(q):
+        h = 0 if j <= n else -1
+        f1, m1 = divmod(j + n1, q)
+        f2, m2 = divmod(j + n2, q)
+        for k in range(r + 1):
+            for l in range(s + 1):
+                counts[(h, f1 - k, f2 - l)] += count(r + 1, m1 + k * q) * count(s + 1, m2 + l * q)
+    return nonzero(counts)
+
+
+def blowup_j_loop(d, r, fp):
+    q, count = fp.q, counter(fp.q)
+    counts = Counter()
+    for i in range(r + 1):
+        for k in range(d - r + 1):
+            counts[(-i, -k)] += count(d - r + 1, k * q) * count(r, i * q)
+            if i:
+                for j in range(1, q):
+                    counts[(-i, -k)] += count(d - r + 1, k * q + j) * count(r, (i - 1) * q + q - j)
+    return nonzero(counts)
+
+
+def veronese_j_loop(d, eps, n, nprime, fp):
+    q, count = fp.q, counter(fp.q)
+    counts = Counter()
+    for j in range(0, n + 1):
+        fl, m = divmod(eps * j + nprime, q)
+        for l in range(d + 1):
+            counts[(0, fl - l)] += count(d + 1, m + l * q)
+    for j in range(1, q - n):
+        fl, m = divmod(-eps * j + nprime, q)
+        for l in range(d + 1):
+            counts[(-1, fl - l + eps)] += count(d + 1, m + l * q)
+    return nonzero(counts)
+
+
+def segre_shifted_t_loop(r, s, fp):
+    q, count = fp.q, counter(fp.q)
+    return {
+        (i,): sum(count(r + 1, t) * count(s + 1, t + i * q) for t in range((r + 2) * q))
+        for i in range(-r, s + 1)
+    }
+
+
+@given(fields, st.integers(1, 3), st.integers(1, 6), st.data())
+def test_veronese_oracle_matches_j_loop(fp, d, eps, data):
+    # Any residue pair, the out-of-regime ones too.
+    n, nprime = residue(data, fp), residue(data, fp)
+    want = veronese_j_loop(d, eps, n, nprime, fp)
+    assert verify.veronese_loop(d, eps, n, nprime, fp) == want
+
+
+@pytest.mark.parametrize("fp", [fp for fp in FIELDS if fp.q <= 9], ids=repr)
+def test_veronese_oracle_matches_j_loop_at_every_pair(fp):
+    for d in (1, 2, 3):
+        for eps in range(1, 7):
+            for n in range(fp.q):
+                for nprime in range(fp.q):
+                    want = veronese_j_loop(d, eps, n, nprime, fp)
+                    assert verify.veronese_loop(d, eps, n, nprime, fp) == want, (d, eps, n, nprime)
+
+
+@given(fields, st.integers(0, 6), st.data())
+def test_hirzebruch_oracle_matches_j_loop(fp, eps, data):
+    q = fp.q
+    twist = st.one_of(st.integers(-3 * q, 3 * q), st.integers(-10**12, 10**12))
+    u, v = data.draw(twist), data.draw(twist)
+    assert verify.hirzebruch_loop(eps, u, v, fp) == hirzebruch_j_loop(eps, u, v, fp)
+
+
+@given(fields, st.integers(1, 3), st.integers(1, 3), st.data())
+def test_segre_cone_oracle_matches_j_loop(fp, r, s, data):
+    n, n1, n2 = residue(data, fp), residue(data, fp), residue(data, fp)
+    want = segre_cone_j_loop(r, s, n, n1, n2, fp)
+    assert verify.segre_cone_loop(r, s, n, n1, n2, fp) == want
+
+
+@given(fields, st.integers(2, 5), st.data())
+def test_blowup_oracle_matches_j_loop(fp, d, data):
+    r = data.draw(st.integers(1, d - 1))
+    assert verify.blowup_loop(d, r, fp) == blowup_j_loop(d, r, fp)
+
+
+@given(fields, st.integers(1, 3), st.integers(1, 3))
+def test_segre_shifted_sums_match_t_loop(fp, r, s):
+    assert verify.segre_shifted_sums(r, s, fp) == segre_shifted_t_loop(r, s, fp)
 
 
 @given(fields, st.integers(0, 6), st.data())
@@ -150,6 +281,30 @@ def failing_kinds(cases):
 
 
 class TestOracleIndependence:
+    def test_oracles_never_reach_the_closed_forms(self):
+        # Follow every call from the loop oracles through verify and combinat.
+        closed_forms = {"composition_count", "floor_pieces", "polynomial_range_sum",
+                        "floor_residue"}
+        defs = {
+            node.name: node
+            for module in (verify, combinat)
+            for node in ast.parse(inspect.getsource(module)).body
+            if isinstance(node, ast.FunctionDef)
+        }
+        seen = set()
+        todo = ["hirzebruch_loop", "segre_cone_loop", "blowup_loop", "veronese_loop",
+                "segre_shifted_sums"]
+        while todo:
+            name = todo.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            names = {node.id for node in ast.walk(defs[name]) if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(defs[name]) if isinstance(node, ast.Attribute)}
+            assert not names & closed_forms, (name, names & closed_forms)
+            todo.extend(names & defs.keys())
+        assert {"_progression_sums", "_coefficients", "bounded_power_coefficients"} <= seen
+
     def test_loops_catch_a_closed_form_fault(self, monkeypatch):
         # The same fault in every caller's closed form: the builders go wrong,
         # and the loops, which read their own table, must notice.
