@@ -16,8 +16,6 @@ from .combinat import (
     floor_pieces,
     floor_residue,
     polynomial_range_sum,
-    shifted_sum_identity_holds,
-    sum_identity_holds,
 )
 from .picard import (
     ConeP,
@@ -49,7 +47,7 @@ from .catalog import (
     pushforward_veronese_cone,
     quadric_pushforward_support,
 )
-from .restriction import RestrictionRule, blowup_chart_counts
+from .restriction import RestrictionRule
 from .families import (
     CONE_KINDS,
     FAMILIES,

@@ -394,20 +394,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     decompose = sub.add_parser("decompose", help="print a pushforward decomposition")
-    decompose.set_defaults(handler=cmd_decompose)
+    decompose.set_defaults(handler=cmd_decompose, parser=decompose)
     add_common(decompose)
 
     kernel = sub.add_parser("kernel", help="print the trace kernel and its verdict")
-    kernel.set_defaults(handler=cmd_kernel)
+    kernel.set_defaults(handler=cmd_kernel, parser=kernel)
     add_common(kernel)
 
     local = sub.add_parser("local", help="splitting number, convergent, F-signature")
-    local.set_defaults(handler=cmd_local)
+    local.set_defaults(handler=cmd_local, parser=local)
     local.add_argument("--kind", choices=tuple(families.CONE_KINDS), required=True)
     add_common(local, with_variety=False)
 
     ver = sub.add_parser("verify", help="run the batch verification suites")
-    ver.set_defaults(handler=cmd_verify)
+    ver.set_defaults(handler=cmd_verify, parser=ver)
     # verify.SUITES + ("all",), spelled out so that building the parser
     # does not import verify.
     ver.add_argument("--suite", choices=("identities", "oracles", "fixtures", "all"),
@@ -443,7 +443,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if cap:
         sys.set_int_max_str_digits(0)
     try:
-        return args.handler(parser, args)
+        return args.handler(args.parser, args)
     except OutOfRegimeError as exc:
         print(f"out of regime: {exc}", file=sys.stderr)
         return EXIT_REGIME

@@ -240,26 +240,3 @@ def eulerian(d: int, i: int) -> int:
             total += term
     return total
 
-
-def sum_identity_holds(m: int, d: int, fp: PrimePower) -> bool:
-    """True iff the counts over i = 0..d for a fixed residue m add up to q^d."""
-    total = sum(composition_count(i, m, d, fp) for i in range(d + 1))
-    return total == fp.q**d
-
-
-def shifted_sum_identity_holds(l: int, d: int, fp: PrimePower) -> bool:
-    """Identity tying a full residue sweep in dimension d-1 to dimension d.
-
-    Checks, for 1 <= l <= d,
-    sum_{j=0}^{q-1} count(l-1, j; d-1) ==
-        count(l, 0; d) - count(l, 0; d-1) + count(l-1, 0; d-1).
-    """
-    if not 1 <= l <= d:
-        raise InvalidParameterError(f"l must satisfy 1 <= l <= d; got l={l}, d={d}")
-    lhs = sum(composition_count(l - 1, j, d - 1, fp) for j in range(fp.q))
-    rhs = (
-        composition_count(l, 0, d, fp)
-        - composition_count(l, 0, d - 1, fp)
-        + composition_count(l - 1, 0, d - 1, fp)
-    )
-    return lhs == rhs

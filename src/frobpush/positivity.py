@@ -38,7 +38,6 @@ class VerdictStatus(str, enum.Enum):
     NEF_NOT_AMPLE = "NefNotAmple"
     NOT_NEF = "NotNef"
     NOT_AMPLE_WITH_WITNESS = "NotAmpleWithWitness"
-    SUPPORT_ONLY = "SupportOnly"
     UNKNOWN = "Unknown"
 
 

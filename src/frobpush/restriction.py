@@ -4,8 +4,6 @@ Each restriction is a lattice homomorphism declared as data in a
 ``RestrictionRule``; the rules themselves live with their families in
 ``families.FAMILIES``.  A rule's source is the default basis of its family's
 descriptor, so the rule states only its divisor, its target and its matrix.
-A chart-level count, row by row, for the simplest blowup cross-checks the
-global formulas.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .combinat import PrimePower
 from .errors import InvalidParameterError
 from .picard import (
     Decomposition,
@@ -60,21 +57,3 @@ def apply_rule(rule: RestrictionRule, decomp: Decomposition) -> Decomposition:
         items.append((Line(PicClass(coords, target_basis)), mult))
     return Decomposition(target, items, support_only=decomp.support_only)
 
-
-def blowup_chart_counts(fp: PrimePower) -> tuple[int, int]:
-    """Chart-level oracle for the point blowup of the plane.
-
-    Counts, row by row, the q^2 monomial generators x^i y^j of the
-    pushforward on one chart that glue to a trivial bundle (second exponent
-    <= first) versus a degree -1 bundle: row i has min(i + 1, q) trivial
-    points.  Returns (trivial count, degree -1 count) =
-    (q(q+1)/2, q(q-1)/2).
-    """
-    q = fp.q
-    trivial = 0
-    negative = 0
-    for i in range(q):
-        row = min(i + 1, q)
-        trivial += row
-        negative += q - row
-    return trivial, negative

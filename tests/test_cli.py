@@ -407,6 +407,26 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--eps is required for --kind rnc" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--variety", "projspace", "--d", "2", "--bundle", "x",
+             "--p", "2", "--e", "1"],
+            ["kernel", "--variety", "projspace", "--d", "2", "--bundle", "1",
+             "--p", "2", "--e", "1"],
+            ["local", "--kind", "rnc", "--p", "2", "--e", "1"],
+            ["verify", "--suite", "all", "--max-e", "0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_usage_error_names_its_subcommand(self, capsys, argv):
+        # Each subcommand's own flag checks print that subcommand's usage.
+        code, out, err = outcome(capsys, argv)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert lines[0].startswith(f"usage: frobpush {argv[0]} ")
+        assert lines[-1].startswith(f"frobpush {argv[0]}: error: ")
+
     def test_domain_error_is_1(self, capsys):
         code, _, err = run_cli(
             capsys, "decompose", "--variety", "projspace", "--d", "2",
@@ -547,7 +567,9 @@ class TestVerifyCommand:
         # A grid of no cases would pass vacuously with exit 0.
         code, out, err = outcome(capsys, ["verify", "--suite", "all", flag, value])
         assert (code, out) == (2, "")
-        assert err.splitlines()[-1] == f"frobpush: error: {flag} must be at least 1; got {value}"
+        assert err.splitlines()[-1] == (
+            f"frobpush verify: error: {flag} must be at least 1; got {value}"
+        )
 
     def test_non_prime_rejected_once(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "identities", "--primes", "2,4")

@@ -24,8 +24,6 @@ from frobpush.combinat import (
     floor_pieces,
     floor_residue,
     polynomial_range_sum,
-    shifted_sum_identity_holds,
-    sum_identity_holds,
 )
 from frobpush.errors import InvalidParameterError
 
@@ -336,31 +334,40 @@ class TestEulerian:
                     assert errors[-1] < errors[0]
 
 
+def counts_over_i(m, d, fp):
+    """count(0, m; d) + ... + count(d, m; d), which should be q^d."""
+    return sum(composition_count(i, m, d, fp) for i in range(d + 1))
+
+
+def shifted_sum_sides(l, d, fp):
+    """Both sides of sum_j count(l-1, j; d-1) ==
+    count(l, 0; d) - count(l, 0; d-1) + count(l-1, 0; d-1), for 1 <= l <= d."""
+    lhs = sum(composition_count(l - 1, j, d - 1, fp) for j in range(fp.q))
+    rhs = (
+        composition_count(l, 0, d, fp)
+        - composition_count(l, 0, d - 1, fp)
+        + composition_count(l - 1, 0, d - 1, fp)
+    )
+    return lhs, rhs
+
+
 class TestIdentities:
     def test_sum_identity(self):
         for fp in SMALL_FIELDS:
             for d in range(5):
                 for m in range(fp.q):
-                    assert sum_identity_holds(m, d, fp)
+                    assert counts_over_i(m, d, fp) == fp.q**d
 
     def test_sum_identity_dimension_zero(self):
-        assert sum_identity_holds(0, 0, PrimePower(7, 1))
+        assert counts_over_i(0, 0, PrimePower(7, 1)) == 1
 
     def test_shifted_sum_identity(self):
         for fp in SMALL_FIELDS:
             for d in range(1, 5):
                 for l in range(1, d + 1):
-                    assert shifted_sum_identity_holds(l, d, fp)
+                    lhs, rhs = shifted_sum_sides(l, d, fp)
+                    assert lhs == rhs
 
     def test_shifted_sum_both_sides_q(self):
         fp = PrimePower(2, 1)
-        lhs = sum(composition_count(0, j, 0, fp) for j in range(fp.q))
-        assert lhs == fp.q
-        assert shifted_sum_identity_holds(1, 1, fp)
-
-    def test_shifted_sum_range_check(self):
-        fp = PrimePower(2, 1)
-        with pytest.raises(InvalidParameterError):
-            shifted_sum_identity_holds(0, 3, fp)
-        with pytest.raises(InvalidParameterError):
-            shifted_sum_identity_holds(4, 3, fp)
+        assert shifted_sum_sides(1, 1, fp) == (fp.q, fp.q)

@@ -252,6 +252,20 @@ class TestLoopOracleSuite:
                 assert result.status == "PASS", result
                 assert "classes" in result.detail
 
+    def test_veronese_direct_skips_what_the_builder_refuses(self, monkeypatch):
+        # The regime gate is the builder's alone: every case it refuses is
+        # reported as skipped, whatever its parameters.
+        def refuse(*args):
+            raise OutOfRegimeError("refused")
+
+        monkeypatch.setattr(catalog, "pushforward_veronese_cone", refuse)
+        cases = verify.build_cases("oracles", max_d=3, max_e=1, primes=(2, 3))
+        cases = [case for case in cases if case[0] == "veronese-direct"]
+        assert len(cases) == 46
+        for case in cases:
+            result = verify.run_case(case)
+            assert (result.status, result.detail) == ("PASS", "skipped (out of regime)"), result
+
     def test_general_twists_skipped_above_cap(self):
         assert 7**3 <= verify.LOOP_Q_CAP < 5**4
         status, detail = verify.check_hirzebruch_loop(7, 3, 1, -1, 7**3 + 2)
@@ -266,10 +280,12 @@ class TestLoopOracleSuite:
 
 @given(fields, st.integers(0, 3))
 def test_count_table_matches_closed_form(fp, d):
-    count = verify._count_table(d, fp)
+    table = verify._coefficients(fp.q, d + 1)
     for i in range(-1, d + 3):
         for m in range(fp.q):
-            assert count(i, m) == composition_count(i, m, d, fp)
+            n = m + i * fp.q
+            count = table[n] if 0 <= n < len(table) else 0
+            assert count == composition_count(i, m, d, fp)
 
 
 def off_by_one_at_zero(i, m, d, fp):

@@ -13,7 +13,6 @@ from frobpush.combinat import PrimePower, composition_count
 from frobpush.errors import InvalidParameterError
 from frobpush.families import family_of, restrict
 from frobpush.picard import Decomposition, Hirzebruch, Line, PicClass, ProjSpace
-from frobpush.restriction import blowup_chart_counts
 
 FIELDS = [PrimePower(p, e) for p in (2, 3, 5) for e in (1, 2)]
 
@@ -61,9 +60,8 @@ class TestHirzebruchSection:
 class TestBlowupExceptional:
     def test_point_blowup_matches_chart(self):
         for fp in FIELDS:
-            restricted = restrict(pushforward_linear_blowup(2, 1, fp), "E")
-            trivial, negative = blowup_chart_counts(fp)
-            assert as_map(restricted) == {(0,): trivial, (-1,): negative}
+            trivial, negative = enumerated_chart_counts(fp.q)
+            assert point_blowup_on_e(fp) == {(0,): trivial, (-1,): negative}
 
     def test_rank_preserved(self):
         for fp in FIELDS:
@@ -187,24 +185,33 @@ def enumerated_chart_counts(q):
     return trivial, negative
 
 
+def point_blowup_on_e(fp):
+    """{class: multiplicity} of F^e_* O on Bl_pt P^2 restricted to E."""
+    return as_map(restrict(pushforward_linear_blowup(2, 1, fp), "E"))
+
+
 class TestChartOracle:
     def test_matches_enumeration(self):
         fields = prime_powers_up_to(49)
         assert len(fields) == 23
         for fp in fields:
-            assert blowup_chart_counts(fp) == enumerated_chart_counts(fp.q)
+            trivial, negative = enumerated_chart_counts(fp.q)
+            assert point_blowup_on_e(fp) == {(0,): trivial, (-1,): negative}
 
     def test_small_values(self):
-        assert blowup_chart_counts(PrimePower(2, 1)) == (3, 1)
-        assert blowup_chart_counts(PrimePower(3, 1)) == (6, 3)
+        assert enumerated_chart_counts(2) == (3, 1)
+        assert enumerated_chart_counts(3) == (6, 3)
+        assert point_blowup_on_e(PrimePower(2, 1)) == {(0,): 3, (-1,): 1}
+        assert point_blowup_on_e(PrimePower(3, 1)) == {(0,): 6, (-1,): 3}
 
     def test_closed_forms_and_total(self):
         for p, e in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1)):
             fp = PrimePower(p, e)
             q = fp.q
-            trivial, negative = blowup_chart_counts(fp)
+            trivial, negative = enumerated_chart_counts(q)
             assert (trivial, negative) == (q * (q + 1) // 2, q * (q - 1) // 2)
             assert trivial + negative == q * q
+            assert point_blowup_on_e(fp) == {(0,): trivial, (-1,): negative}
 
 
 class TestRestrictionGenerics:
