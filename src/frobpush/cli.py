@@ -302,11 +302,12 @@ def cmd_kernel(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     if not family.split:
         parser.error(f"{label} has no kernel verdict")
     variety = _descriptor(parser, args, family.descriptor, label)
-    kernel = positivity.trace_kernel(variety, fp)
+    pushforward = families.structure_pushforward(variety, fp)
+    kernel = positivity.trace_kernel(variety, fp, pushforward)
     if family.rule is None:
         verdict = positivity.ample_verdict(kernel)
     else:
-        verdict = positivity.kernel_restriction_verdict(variety, fp)
+        verdict = positivity.kernel_restriction_verdict(variety, fp, pushforward)
     if args.format == "json":
         payload = {
             "kernel": decomposition_to_json(kernel),

@@ -2,8 +2,9 @@
 
 The single most important quantity is ``composition_count(i, m, d, q)``: the
 number of ordered (d+1)-tuples with entries in [0, q-1] summing to m + i*q,
-where q = p^e is a prime power.  It is computed through an alternating
-binomial sum.  ``bounded_power_coefficients`` gives the same counts as the
+where q = p^e is a prime power.  It vanishes outside 0 <= i <= d, and
+inside it is an alternating binomial sum of i + 1 terms, each costing one
+``math.comb``.  ``bounded_power_coefficients`` gives the same counts as the
 coefficient list of (1 + t + ... + t^{q-1})^{d+1}, by direct convolution;
 the oracles in ``verify`` build that list once per (q, d) in a run and read
 every count they need from it, and ``composition_count_oracle`` reads one
@@ -164,23 +165,27 @@ def binom(n: int, k: int) -> int:
 def composition_count(i: int, m: int, d: int, fp: PrimePower) -> int:
     """Number of (d+1)-tuples in [0, q-1]^{d+1} summing to m + i*q.
 
-    Evaluated by the alternating closed form
-    sum_{t=0}^{min(i, d+1)} (-1)^t C(d+1, t) C((i-t)*q + m + d, d), whose
-    terms past t = d+1 vanish; returns 0 for i < 0, and vanishes exactly
-    outside 0 <= m + i*q <= (d+1)(q-1).
+    Zero outside 0 <= i <= d: d+1 entries below q sum to at most
+    (d+1)(q-1) < (d+1)q.  Inside, evaluated by the alternating closed form
+    sum_{t=0}^{i} (-1)^t C(d+1, t) C((i-t)*q + m + d, d), at one binomial
+    per term: the signed C(d+1, t) follows from the exact recurrence
+    c_{t+1} = -c_t (d+1-t)/(t+1), and the top argument drops by q each step.
     """
     q = fp.q
     if not 0 <= m <= q - 1:
         raise InvalidParameterError(f"m must satisfy 0 <= m <= q-1; got m={m}, q={q}")
     if d < 0:
         raise InvalidParameterError(f"d must satisfy d >= 0; got d={d}")
-    if i < 0:
+    if not 0 <= i <= d:
         return 0
     total = 0
-    for t in range(min(i, d + 1) + 1):
-        # (i-t)*q + m + d >= d, so both binomials are in range.
-        term = math.comb(d + 1, t) * math.comb((i - t) * q + m + d, d)
-        total += -term if t % 2 else term
+    sign_binom = 1
+    # top = (i-t)*q + m + d >= d, so every binomial is in range.
+    top = i * q + m + d
+    for t in range(i + 1):
+        total += sign_binom * math.comb(top, d)
+        sign_binom = -sign_binom * (d + 1 - t) // (t + 1)
+        top -= q
     return total
 
 

@@ -4,11 +4,18 @@ A ``Decomposition`` is a finite multiset of summands (line-bundle classes,
 plus spinor twists on quadrics) with exact integer multiplicities, tagged by
 the variety it lives on.  All values here are immutable; every operation
 returns a fresh object, so unrestricted concurrent use is safe.
+
+``PicClass`` and ``Line`` are the leaf values built millions of times on a
+large run, so both are slotted.  A ``PicClass`` hashes its coordinates and
+basis once, when it is built, and a ``Line`` reuses its class's hash, so
+merging summands in a ``Decomposition`` hashes no tuple twice.  Pickling
+rebuilds a class from its coordinates, so the hash is never carried into
+another process, whose string hashes differ.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import ClassVar, Iterable, Iterator, Optional, Union
 
 from .errors import (
@@ -22,20 +29,29 @@ from .errors import (
 Basis = tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PicClass:
     """An integer vector of coordinates against a named lattice basis."""
 
     coords: tuple[int, ...]
     basis: Basis
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-        object.__setattr__(self, "basis", tuple(self.basis))
-        if len(self.coords) != len(self.basis):
-            raise LatticeMismatchError(
-                f"{len(self.coords)} coordinates against basis {self.basis}"
-            )
+        coords = tuple(map(int, self.coords))
+        basis = tuple(self.basis)
+        if len(coords) != len(basis):
+            raise LatticeMismatchError(f"{len(coords)} coordinates against basis {basis}")
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_hash", hash((coords, basis)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: rebuild, never copy, the hash.
+        return (PicClass, (self.coords, self.basis))
 
     @classmethod
     def zero(cls, basis: Basis) -> "PicClass":
@@ -67,11 +83,14 @@ class PicClass:
         return f"PicClass({self.coords}, basis={self.basis})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Line:
     """A line-bundle summand, rank 1."""
 
     cls: PicClass
+
+    def __hash__(self) -> int:
+        return self.cls._hash
 
 
 @dataclass(frozen=True)
@@ -332,7 +351,8 @@ class Decomposition:
     """A finite multiset of summands with exact multiplicities.
 
     ``support_only`` marks decompositions (quadrics) where some
-    multiplicities are unknown; those entries carry ``None``.
+    multiplicities are unknown; those entries carry ``None``.  Its fields
+    cannot be reassigned, and it is unhashable: ``entries`` is a dict.
     """
 
     __slots__ = ("variety", "basis", "entries", "support_only")
@@ -373,6 +393,18 @@ class Decomposition:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "entries", merged)
         object.__setattr__(self, "support_only", support_only)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (
+            Decomposition,
+            (self.variety, list(self.entries.items()), self.basis, self.support_only),
+        )
 
     # -- basic views --------------------------------------------------------
 

@@ -57,14 +57,19 @@ class Verdict:
     notes: tuple[str, ...] = field(default=())
 
 
-def trace_kernel(variety: VarietyDescriptor, fp: PrimePower) -> Decomposition:
+def trace_kernel(
+    variety: VarietyDescriptor, fp: PrimePower, pushforward: Optional[Decomposition] = None
+) -> Decomposition:
     """The trace kernel: dual of F^e_* O with one trivial summand removed.
 
-    Rank q^dim - 1 on every catalog family.
+    Rank q^dim - 1 on every catalog family.  ``pushforward``, when given,
+    is F^e_* O on ``variety`` at ``fp`` already built, and is not built again.
     """
     if not family_of(variety).split:
         raise InvalidParameterError(f"{variety} is not in the split catalog")
-    return structure_pushforward(variety, fp).remove_trivial().dual()
+    if pushforward is None:
+        pushforward = structure_pushforward(variety, fp)
+    return pushforward.remove_trivial().dual()
 
 
 def classify_class(variety: VarietyDescriptor, cls: PicClass) -> VerdictStatus:
@@ -107,10 +112,13 @@ def ample_verdict(decomp: Decomposition) -> Verdict:
     return Verdict(status, Witness(offender))
 
 
-def kernel_restriction_verdict(variety: VarietyDescriptor, fp: PrimePower) -> Verdict:
+def kernel_restriction_verdict(
+    variety: VarietyDescriptor, fp: PrimePower, pushforward: Optional[Decomposition] = None
+) -> Verdict:
     """Certify that the trace kernel is not ample by restriction.
 
-    Restricts F^e_* O to the family's distinguished divisor.  A trivial
+    Restricts F^e_* O to the family's distinguished divisor; ``pushforward``,
+    when given, is F^e_* O already built, as for ``trace_kernel``.  A trivial
     summand of multiplicity >= 2 there (one copy beyond the canonical split
     copy) puts a trivial summand in the restricted dual kernel.  When the
     extra trivial copy is absent (ruled surfaces far below the regime
@@ -121,7 +129,9 @@ def kernel_restriction_verdict(variety: VarietyDescriptor, fp: PrimePower) -> Ve
     if rule is None:
         raise InvalidParameterError(f"no distinguished divisor for {variety}")
     divisor = rule.divisor
-    restricted = restriction.apply_rule(rule, structure_pushforward(variety, fp))
+    if pushforward is None:
+        pushforward = structure_pushforward(variety, fp)
+    restricted = restriction.apply_rule(rule, pushforward)
     trivial = Line(restricted.trivial_class())
     mult = restricted.entries.get(trivial, 0) or 0
     if mult >= 2:

@@ -1,6 +1,7 @@
 """Tests for the command line: output fixtures, JSON round-trips, exit codes."""
 
 import contextlib
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from frobpush import cli, verify
+from frobpush import cli, families, verify
 from frobpush.catalog import (
     pushforward_hirzebruch,
     pushforward_linear_blowup,
@@ -152,6 +153,35 @@ class TestKernel:
         )
         assert code == 0
         assert "disagree" in out
+
+    SPLIT_FLAGS = {
+        "projspace": ("--d", "2"),
+        "product": ("--r", "1", "--s", "2"),
+        "hirzebruch": ("--eps", "2"),
+        "blowup-linear": ("--d", "3", "--r", "1"),
+        "veronese-cone": ("--d", "1", "--eps", "2"),
+        "segre-cone": ("--r", "1", "--s", "1"),
+    }
+
+    def test_split_flags_cover_the_registry(self):
+        split = {tag for tag, family in families.FAMILIES.items() if family.split}
+        assert set(self.SPLIT_FLAGS) == split
+
+    @pytest.mark.parametrize("tag", sorted(SPLIT_FLAGS))
+    def test_builds_the_pushforward_once(self, capsys, monkeypatch, tag):
+        """One F^e_* O per call, whether or not the verdict restricts it."""
+        family = families.FAMILIES[tag]
+        calls = []
+
+        def build(*args):
+            calls.append(args)
+            return family.build(*args)
+
+        monkeypatch.setitem(families.FAMILIES, tag, dataclasses.replace(family, build=build))
+        code, _, err = run_cli(capsys, "kernel", "--variety", tag, *self.SPLIT_FLAGS[tag],
+                               "--p", "3", "--e", "1")
+        assert (code, err) == (0, "")
+        assert len(calls) == 1
 
 
 class TestLocal:

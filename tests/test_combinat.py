@@ -38,6 +38,21 @@ def naive_composition_count(total, parts, q):
     return sum(1 for t in product(range(q), repeat=parts) if sum(t) == total)
 
 
+def alternating_sum(i, m, d, q):
+    """The closed form term by term: sum over t = 0..min(i, d+1) of
+    (-1)^t C(d+1, t) C((i-t)q + m + d, d), with no shortcut outside 0..d."""
+    return sum(
+        (-1) ** t * math.comb(d + 1, t) * math.comb((i - t) * q + m + d, d)
+        for t in range(min(i, d + 1) + 1)
+    )
+
+
+PRIME_POWERS_TO_64 = [
+    (p, e) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+    for e in range(1, 7) if p**e <= 64
+]
+
+
 class TestPrimePower:
     def test_q_value(self):
         assert PrimePower(3, 2).q == 9
@@ -234,6 +249,22 @@ class TestCompositionCount:
                         assert composition_count(i, m, d, fp) == composition_count_oracle(
                             i, m, d, fp
                         )
+
+    @given(st.sampled_from(PRIME_POWERS_TO_64), st.integers(0, 8), st.data())
+    def test_matches_the_alternating_sum(self, pe, d, data):
+        fp = PrimePower(*pe)
+        i = data.draw(st.integers(-3, 2 * d + 4), label="i")
+        m = data.draw(st.integers(0, fp.q - 1), label="m")
+        assert composition_count(i, m, d, fp) == alternating_sum(i, m, d, fp.q)
+
+    @given(st.sampled_from([(2, 64), (3, 40)]), st.integers(0, 8), st.integers(1, 3), st.data())
+    def test_vanishes_past_d_at_huge_q(self, pe, d, past, data):
+        # No convolution table of length (d+1)q fits at these q; the
+        # alternating sum cancels to 0 for every i in d+1..d+3.
+        fp = PrimePower(*pe)
+        m = data.draw(st.integers(0, fp.q - 1), label="m")
+        i = d + past
+        assert composition_count(i, m, d, fp) == alternating_sum(i, m, d, fp.q) == 0
 
     def test_support_characterization(self):
         for fp in SMALL_FIELDS:

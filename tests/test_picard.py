@@ -1,5 +1,13 @@
 """Tests for lattice classes, descriptors, and decomposition algebra."""
 
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -128,6 +136,107 @@ class TestDecompositionBasics:
     def test_basis_mismatch(self):
         with pytest.raises(LatticeMismatchError):
             Decomposition(ProjSpace(1), [(line([1], basis=("L",)), 1)])
+
+
+C0F = ("C0", "f")
+O1 = ("O(1)",)
+
+# Each value type, built twice from equal (not identical) arguments, with
+# the fields that must refuse assignment and the repr it must keep.
+VALUES = {
+    "PicClass": (
+        lambda: PicClass((1, -2), C0F),
+        lambda: PicClass([1, -2], list(C0F)),
+        ("coords", "basis", "_hash"),
+        "PicClass((1, -2), basis=('C0', 'f'))",
+    ),
+    "Line": (
+        lambda: Line(PicClass((1, -2), C0F)),
+        lambda: Line(PicClass([1, -2], list(C0F))),
+        ("cls",),
+        "Line(cls=PicClass((1, -2), basis=('C0', 'f')))",
+    ),
+    "Spinor": (lambda: Spinor(2), lambda: Spinor(2), ("j",), "Spinor(j=2)"),
+    "Decomposition": (
+        lambda: Decomposition(
+            Quadric(3),
+            [(line([0], O1), 1), (line([-1], O1), 3), (Spinor(1), None)],
+            support_only=True,
+        ),
+        lambda: Decomposition(
+            Quadric(3),
+            [(Spinor(1), None), (line([-1], O1), 2), (line([0], O1), 1), (line([-1], O1), 1)],
+            basis=list(O1),
+            support_only=True,
+        ),
+        ("variety", "basis", "entries", "support_only"),
+        "Decomposition(Quadric(d=3), {Line(cls=PicClass((0,), basis=('O(1)',))): 1, "
+        "Line(cls=PicClass((-1,), basis=('O(1)',))): 3, Spinor(j=1): ?})",
+    ),
+}
+HASHABLE = ["PicClass", "Line", "Spinor"]
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+class TestValueTypes:
+    def test_equal_values_are_equal(self, name):
+        make, make_again, _, _ = VALUES[name]
+        a, b = make(), make_again()
+        assert a is not b and a == b and not a != b
+
+    def test_equal_values_hash_equal(self, name):
+        make, make_again, _, _ = VALUES[name]
+        if name in HASHABLE:
+            assert hash(make()) == hash(make_again())
+            assert {make(): 1}[make_again()] == 1
+        else:
+            # Its entries are a dict, so it is no dict key.
+            with pytest.raises(TypeError):
+                hash(make())
+
+    def test_fields_are_frozen(self, name):
+        make, _, names, _ = VALUES[name]
+        value = make()
+        for field_name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field_name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, field_name)
+        assert value == make()
+
+    def test_pickle_and_deepcopy_round_trip(self, name):
+        make, _, _, _ = VALUES[name]
+        value = make()
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert copied == value
+            if name in HASHABLE:
+                assert hash(copied) == hash(value)
+
+    def test_repr(self, name):
+        make, _, _, text = VALUES[name]
+        assert repr(make()) == text
+
+
+def test_line_is_not_its_class():
+    cls = PicClass((1, -2), C0F)
+    assert Line(cls) != cls and cls != Line(cls)
+    assert Line(cls) != Line(PicClass((1, -2), ("C0", "g")))
+
+
+def test_unpickled_class_rehashes_in_this_process():
+    """A class pickled under other string hashes is a working dict key here."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import pickle, sys; from frobpush.picard import Line, PicClass; "
+        "sys.stdout.buffer.write(pickle.dumps(Line(PicClass((1, -2), ('C0', 'f')))))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="1")
+    dumped = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            check=True).stdout
+    loaded = pickle.loads(dumped)
+    fresh = Line(PicClass((1, -2), C0F))
+    assert hash(loaded) == hash(fresh) and hash(loaded.cls) == hash(fresh.cls)
+    assert {fresh: 1}[loaded] == 1
 
 
 class TestRank:
