@@ -11,7 +11,6 @@ from .combinat import (
     binom,
     bounded_power_coefficients,
     composition_count,
-    composition_count_oracle,
     eulerian,
     floor_pieces,
     floor_residue,
@@ -37,8 +36,6 @@ from .picard import (
 )
 from .catalog import (
     blowup_multiplicity,
-    hirzebruch_block_multiplicities,
-    hirzebruch_closed_multiplicities,
     pushforward_hirzebruch,
     pushforward_linear_blowup,
     pushforward_product,
@@ -63,11 +60,9 @@ from .positivity import (
     Witness,
     ample_verdict,
     classify_class,
-    determinant_twist_sum,
     kernel_restriction_verdict,
     quadric_kernel_verdict,
     trace_kernel,
-    volume_identity,
 )
 from .localalg import (
     cone_pushforward,

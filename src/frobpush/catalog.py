@@ -86,7 +86,7 @@ def pushforward_hirzebruch(eps: int, u: int, v: int, fp: PrimePower) -> Decompos
     pieces: [0, m] and [m+1, q-1] each split into the runs on which the
     floor of (v - j*eps)/q is constant, at most eps + 2 of them, and on a run
     the residue is linear in j.  This general form is the single source of
-    truth; the per-eps closed forms are regression data derived from it.
+    truth; the per-eps closed forms are regression data in ``verify``.
     """
     variety = Hirzebruch(eps)
     q = fp.q
@@ -100,55 +100,6 @@ def pushforward_hirzebruch(eps: int, u: int, v: int, fp: PrimePower) -> Decompos
             counts[(c0, fl)] += res_sum + count
             counts[(c0, fl - 1)] += (q - 1) * count - res_sum
     return _from_counts(variety, counts)
-
-
-def hirzebruch_block_multiplicities(eps: int, fp: PrimePower) -> tuple[int, ...]:
-    """Multiplicities of O(-C0 - i*f), i = 1..eps+1, in F^e_* O, read off the
-    four-block formula."""
-    if eps < 1:
-        raise InvalidParameterError(f"needs eps >= 1; got eps={eps}")
-    decomp = pushforward_hirzebruch(eps, 0, 0, fp)
-    sigma = [0] * (eps + 2)
-    for summand, mult in decomp.items():
-        assert isinstance(summand, Line) and mult is not None
-        a, b = summand.cls.coords
-        if a == 0:
-            continue
-        assert a == -1 and -(eps + 1) <= b <= -1
-        sigma[-b] = mult
-    return tuple(sigma[1:])
-
-
-def hirzebruch_closed_multiplicities(eps: int, fp: PrimePower) -> tuple[int, ...]:
-    """Closed forms for the O(-C0 - i*f) multiplicities, i = 1..eps+1.
-
-    Valid for q >= eps; driven by the residues rho[l] of q*l modulo eps (with
-    rho[eps] set to eps).  Regression data for the four-block summation,
-    which ``verify`` compares them against.
-    """
-    if eps < 1:
-        raise InvalidParameterError(f"needs eps >= 1; got eps={eps}")
-    q = fp.q
-    if q < eps:
-        raise OutOfRegimeError(f"closed forms need q >= eps; got q={q} < eps={eps}")
-
-    k = q % eps
-    rho = [(k * l) % eps for l in range(eps)] + [eps]
-
-    def exact(num: int, den: int) -> int:
-        if num % den:
-            raise ArithmeticError(f"non-integral multiplicity {num}/{den}")
-        return num // den
-
-    sigma = [0] * (eps + 2)
-    sigma[1] = exact((q - rho[1]) * (q + rho[1] - eps + 2), 2 * eps)
-    for i in range(2, eps + 1):
-        squares = rho[i] ** 2 - 2 * rho[i - 1] ** 2 + rho[i - 2] ** 2
-        linear = rho[i] - 2 * rho[i - 1] + rho[i - 2]
-        correction = squares - (eps - 2) * linear
-        sigma[i] = exact(2 * q * q - correction, 2 * eps)
-    sigma[eps + 1] = exact((q - eps + rho[eps - 1]) * (q - rho[eps - 1] - 2), 2 * eps)
-    return tuple(sigma[1:])
 
 
 def blowup_multiplicity(i: int, k: int, d: int, r: int, fp: PrimePower) -> int:

@@ -44,13 +44,22 @@ def descriptor_from_json(data: dict) -> VarietyDescriptor:
         if key not in data:
             raise InvalidParameterError(f"variety JSON lacks {key!r}")
     tag, params = data["tag"], data["params"]
-    if tag not in families.FAMILIES:
+    if not isinstance(tag, str) or tag not in families.FAMILIES:
         raise FrobpushError(f"unknown variety tag {tag!r}")
 
     def value(name: str):
         if name not in params:
             raise InvalidParameterError(f"variety {tag!r} lacks parameter {name!r}")
-        return params[name]
+        arg = params[name]
+        # ``kind`` is a tag of CONE_KINDS, checked by ``build_descriptor``;
+        # every other parameter is a JSON integer.
+        if name == "kind" and not isinstance(arg, str):
+            raise InvalidParameterError(f"unknown cone kind {arg!r}")
+        if name != "kind" and type(arg) is not int:
+            raise InvalidParameterError(
+                f"variety {tag!r} parameter {name!r} must be an integer; got {arg!r}"
+            )
+        return arg
 
     return families.build_descriptor(families.FAMILIES[tag].descriptor, value)
 
@@ -82,12 +91,12 @@ _DIGITS = 4000
 
 
 def _decimal(raw) -> int:
-    """``int(raw)``, also for a decimal string longer than the interpreter's
-    int/str digit cap: such a string is read in chunks below the cap."""
-    if not isinstance(raw, str) or len(raw) <= _DIGITS:
-        return int(raw)
-    if not (raw.isascii() and raw.isdigit()):
+    """The value of a string of ASCII digits, also one longer than the
+    interpreter's int/str digit cap: it is read in chunks below the cap."""
+    if not (isinstance(raw, str) and raw.isascii() and raw.isdigit()):
         raise ValueError(raw)
+    if len(raw) <= _DIGITS:
+        return int(raw)
     value = 0
     for start in range(0, len(raw), _DIGITS):
         chunk = raw[start:start + _DIGITS]
@@ -102,17 +111,16 @@ def _summand_from_json(entry: dict, basis: tuple[str, ...]) -> tuple[object, Opt
     kind, cls, raw = entry["kind"], entry["class"], entry["mult"]
     try:
         mult = None if raw == "unknown" else _decimal(raw)
-    except (TypeError, ValueError):
+    except ValueError:
         raise InvalidParameterError(
             f"summand mult must be a decimal string or 'unknown'; got {raw!r}"
         ) from None
     if kind == "line":
-        try:
-            return Line(PicClass(tuple(cls), basis)), mult
-        except (TypeError, ValueError):
+        if not (isinstance(cls, list) and all(type(c) is int for c in cls)):
             raise InvalidParameterError(
                 f"line summand class must be a list of integers; got {cls!r}"
-            ) from None
+            )
+        return Line(PicClass(tuple(cls), basis)), mult
     if kind == "spinor":
         j = cls.get("j") if isinstance(cls, dict) else None
         if type(j) is not int:

@@ -7,8 +7,7 @@ inside it is an alternating binomial sum of i + 1 terms, each costing one
 ``math.comb``.  ``bounded_power_coefficients`` gives the same counts as the
 coefficient list of (1 + t + ... + t^{q-1})^{d+1}, by direct convolution;
 the oracles in ``verify`` build that list once per (q, d) in a run and read
-every count they need from it, and ``composition_count_oracle`` reads one
-count from it for the tests.  Everything is plain ``int`` arithmetic; the
+every count they need from it.  Everything is plain ``int`` arithmetic; the
 counts grow like q^d and overflow fixed-width integers almost immediately.
 
 For a fixed index i the count is a polynomial of degree d in m on [0, q-1],
@@ -206,24 +205,6 @@ def bounded_power_coefficients(q: int, parts: int) -> list[int]:
         diff[q:] = map(operator.sub, diff[q:], coeffs)
         coeffs = list(accumulate(diff))
     return coeffs
-
-
-def composition_count_oracle(i: int, m: int, d: int, fp: PrimePower) -> int:
-    """Same count as ``composition_count`` by direct coefficient extraction.
-
-    Intended for small q^{d+1} budgets; used as the independent oracle in
-    differential tests.
-    """
-    q = fp.q
-    if not 0 <= m <= q - 1:
-        raise InvalidParameterError(f"m must satisfy 0 <= m <= q-1; got m={m}, q={q}")
-    if d < 0:
-        raise InvalidParameterError(f"d must satisfy d >= 0; got d={d}")
-    n = m + i * q
-    if n < 0:
-        return 0
-    table = bounded_power_coefficients(q, d + 1)
-    return table[n] if n < len(table) else 0
 
 
 def eulerian(d: int, i: int) -> int:

@@ -1,7 +1,10 @@
 """Pushforwards on the singular cones, F-splitting numbers, and F-signatures.
 
 Each cone kind has one route to its vertex-local class counts
-{i: multiplicity of i*L}.  The Veronese-type cones read them off one
+{i: multiplicity of i*L}, and every function branches only on whether the
+kind is the Segre cone.  The rational normal cone of degree eps is
+VeroneseCone(1, eps) in every formula, and for both kinds dim - 1 is the
+base dimension.  These Veronese-type cones read their counts off one
 pushforward on the blowup at the vertex, where the classes collapse to Weil
 classes: eps times the ruling L is Cartier and locally trivial there, so
 they are only meaningful modulo eps.  The Segre cone sums products of
@@ -20,15 +23,7 @@ from fractions import Fraction
 
 from .catalog import _from_counts, pushforward_hirzebruch, pushforward_veronese_cone
 from .combinat import PrimePower, composition_count, eulerian, polynomial_range_sum
-from .errors import InvalidParameterError
-from .picard import (
-    ConeKind,
-    ConeP,
-    Decomposition,
-    RationalNormalCone,
-    SegreCone,
-    VeroneseCone,
-)
+from .picard import ConeKind, ConeP, Decomposition, SegreCone
 
 
 def _veronese_counts(d: int, eps: int, fp: PrimePower) -> dict[int, int]:
@@ -70,11 +65,7 @@ def _segre_count(i: int, r: int, s: int, fp: PrimePower) -> int:
 def _class_counts(kind: ConeKind, fp: PrimePower) -> dict[int, int]:
     if isinstance(kind, SegreCone):
         return {i: _segre_count(i, kind.r, kind.s, fp) for i in range(-kind.r, kind.s + 1)}
-    if isinstance(kind, RationalNormalCone):
-        return _veronese_counts(1, kind.eps, fp)
-    if isinstance(kind, VeroneseCone):
-        return _veronese_counts(kind.d, kind.eps, fp)
-    raise InvalidParameterError(f"unknown cone kind {kind!r}")
+    return _veronese_counts(kind.dim - 1, kind.eps, fp)
 
 
 def cone_pushforward(kind: ConeKind, fp: PrimePower) -> Decomposition:
@@ -103,12 +94,10 @@ def f_signature(kind: ConeKind) -> Fraction:
     1/eps for the Veronese-type cones; for the Segre cone over P^r x P^s it
     is the Eulerian ratio A(r+s+1, r+1) / (r+s+1)!.
     """
-    if isinstance(kind, (RationalNormalCone, VeroneseCone)):
-        return Fraction(1, kind.eps)
     if isinstance(kind, SegreCone):
         n = kind.r + kind.s + 1
         return Fraction(eulerian(n, kind.r + 1), math.factorial(n))
-    raise InvalidParameterError(f"unknown cone kind {kind!r}")
+    return Fraction(1, kind.eps)
 
 
 def f_signature_convergent(kind: ConeKind, fp: PrimePower) -> Fraction:

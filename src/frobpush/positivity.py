@@ -2,31 +2,29 @@
 
 The trace kernel is the rank q^dim - 1 complement of the trivial summand in
 the dual pushforward of the structure sheaf.  On projective spaces and their
-products the ample and nef cones are coordinate-wise, so a direct sum of line
-bundles is classified summand by summand.  On the bundle-type families
-non-ampleness is certified by restricting to a distinguished divisor and
-exhibiting a trivial (or negative) summand in the restricted kernel.
+products, the split families the registry gives no restriction rule, the
+ample and nef cones are coordinate-wise, so a direct sum of line bundles is
+classified summand by summand.  On the bundle-type families non-ampleness is
+certified by restricting to a distinguished divisor and exhibiting a trivial
+(or negative) summand in the restricted kernel.  The determinant and
+section-count identities on P^d are regression data, kept in ``verify``.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from . import restriction
 from .catalog import quadric_pushforward_support
-from .combinat import PrimePower, binom, composition_count, polynomial_range_sum
+from .combinat import PrimePower
 from .errors import InvalidParameterError, UnsupportedConeError
 from .families import family_of, structure_pushforward
 from .picard import (
     Decomposition,
     Line,
     PicClass,
-    Product,
-    ProjSpace,
     Spinor,
     Summand,
     VarietyDescriptor,
@@ -73,8 +71,10 @@ def trace_kernel(
 
 
 def classify_class(variety: VarietyDescriptor, cls: PicClass) -> VerdictStatus:
-    """Coordinate-wise ample/nef classification on P^d and P^r x P^s."""
-    if not isinstance(variety, (ProjSpace, Product)):
+    """Coordinate-wise ample/nef classification on the split families that
+    the registry gives no restriction rule: P^d and P^r x P^s."""
+    family = family_of(variety)
+    if not (family.split and family.rule is None):
         raise UnsupportedConeError(
             f"no ample/nef cone implemented for {variety}; only projective "
             f"spaces and their products are classified"
@@ -208,42 +208,3 @@ def quadric_kernel_verdict(d: int, fp: PrimePower) -> QuadricKernelReport:
     return QuadricKernelReport(
         support, support_verdict, stated_verdict, disagreement, tuple(notes)
     )
-
-
-def determinant_twist_sum(d: int, fp: PrimePower) -> PicClass:
-    """Sum of det F^e_* O(n) over n = 0..q-1 on P^d.
-
-    F^e_* O(n) is the sum of O(-i) with multiplicity count(i, n; d), a
-    polynomial of degree d in n, so each sum over n is taken exactly from
-    d + 1 samples.  Equals -d * q^d * (q-1)/2 times the hyperplane class;
-    the ``alpha-det`` verification check compares the two.
-    """
-    if d < 1:
-        raise InvalidParameterError(f"needs d >= 1; got d={d}")
-    basis = ProjSpace(d).bases[0]
-    points = range(min(fp.q, d + 1))
-    coefficient = -sum(
-        i * polynomial_range_sum([composition_count(i, n, d, fp) for n in points], fp.q)
-        for i in range(1, d + 1)
-    )
-    return PicClass((coefficient,), basis)
-
-
-def volume_identity(d: int, a: int, fp: PrimePower) -> tuple[bool, Fraction]:
-    """Check the section-count splitting for O(a) on P^d and return the
-    scaled deficit.
-
-    The identity is C(aq+d, d) = C(a+d, d) + sum_i count(i,0;d) C(a-i+d, d)
-    (out-of-range binomials vanish by convention).  The deficit
-    (C(aq+d,d) - C(a+d,d)) * d! / q^d is an exact rational converging to the
-    volume a^d.
-    """
-    if d < 1 or a < 1:
-        raise InvalidParameterError(f"needs d, a >= 1; got (d={d}, a={a})")
-    q = fp.q
-    lhs = binom(a * q + d, d)
-    rhs = binom(a + d, d) + sum(
-        composition_count(i, 0, d, fp) * binom(a - i + d, d) for i in range(1, d + 1)
-    )
-    deficit = Fraction((lhs - binom(a + d, d)) * math.factorial(d), q**d)
-    return lhs == rhs, deficit

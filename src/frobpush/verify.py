@@ -17,6 +17,11 @@ exception, and the run goes on.  Known tensions between recorded values and
 the computed ones (the small-q ruled-surface row, the blowup k=0 claim, the
 quadric p=2 window for d >= 4) are reported as WARN with both values
 printed; they never fail a run.
+
+The closed forms and identities that only check the library's answers live
+here too, as regression data: the per-eps ruled-surface multiplicities and
+their block route, and the determinant-sum and section-count identities on
+P^d.  No other command computes them.
 """
 
 from __future__ import annotations
@@ -24,8 +29,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import catalog, localalg, positivity
 from .combinat import (
@@ -34,12 +41,14 @@ from .combinat import (
     bounded_power_coefficients,
     composition_count,
     eulerian,
+    polynomial_range_sum,
 )
-from .errors import OutOfRegimeError
+from .errors import InvalidParameterError, OutOfRegimeError
 from .families import FAMILIES, restrict, structure_pushforward
 from .picard import (
     Line,
     PicClass,
+    ProjSpace,
     RationalNormalCone,
     SegreCone,
     Spinor,
@@ -175,6 +184,100 @@ def _coords(decomp) -> dict[tuple[int, ...], int]:
 
 
 # ---------------------------------------------------------------------------
+# Regression data: closed forms and identities that the library's routes are
+# checked against.
+# ---------------------------------------------------------------------------
+
+
+def hirzebruch_block_multiplicities(eps: int, fp: PrimePower) -> tuple[int, ...]:
+    """Multiplicities of O(-C0 - i*f), i = 1..eps+1, in F^e_* O, read off the
+    four-block formula."""
+    if eps < 1:
+        raise InvalidParameterError(f"needs eps >= 1; got eps={eps}")
+    decomp = catalog.pushforward_hirzebruch(eps, 0, 0, fp)
+    sigma = [0] * (eps + 2)
+    for summand, mult in decomp.items():
+        assert isinstance(summand, Line) and mult is not None
+        a, b = summand.cls.coords
+        if a == 0:
+            continue
+        assert a == -1 and -(eps + 1) <= b <= -1
+        sigma[-b] = mult
+    return tuple(sigma[1:])
+
+
+def hirzebruch_closed_multiplicities(eps: int, fp: PrimePower) -> tuple[int, ...]:
+    """Closed forms for the O(-C0 - i*f) multiplicities, i = 1..eps+1.
+
+    Valid for q >= eps; driven by the residues rho[l] of q*l modulo eps (with
+    rho[eps] set to eps).  Regression data for the four-block summation,
+    which the ``sigma-closed`` check compares them against.
+    """
+    if eps < 1:
+        raise InvalidParameterError(f"needs eps >= 1; got eps={eps}")
+    q = fp.q
+    if q < eps:
+        raise OutOfRegimeError(f"closed forms need q >= eps; got q={q} < eps={eps}")
+
+    k = q % eps
+    rho = [(k * l) % eps for l in range(eps)] + [eps]
+
+    def exact(num: int, den: int) -> int:
+        if num % den:
+            raise ArithmeticError(f"non-integral multiplicity {num}/{den}")
+        return num // den
+
+    sigma = [0] * (eps + 2)
+    sigma[1] = exact((q - rho[1]) * (q + rho[1] - eps + 2), 2 * eps)
+    for i in range(2, eps + 1):
+        squares = rho[i] ** 2 - 2 * rho[i - 1] ** 2 + rho[i - 2] ** 2
+        linear = rho[i] - 2 * rho[i - 1] + rho[i - 2]
+        correction = squares - (eps - 2) * linear
+        sigma[i] = exact(2 * q * q - correction, 2 * eps)
+    sigma[eps + 1] = exact((q - eps + rho[eps - 1]) * (q - rho[eps - 1] - 2), 2 * eps)
+    return tuple(sigma[1:])
+
+
+def determinant_twist_sum(d: int, fp: PrimePower) -> PicClass:
+    """Sum of det F^e_* O(n) over n = 0..q-1 on P^d.
+
+    F^e_* O(n) is the sum of O(-i) with multiplicity count(i, n; d), a
+    polynomial of degree d in n, so each sum over n is taken exactly from
+    d + 1 samples.  Equals -d * q^d * (q-1)/2 times the hyperplane class;
+    the ``alpha-det`` check compares the two.
+    """
+    if d < 1:
+        raise InvalidParameterError(f"needs d >= 1; got d={d}")
+    basis = ProjSpace(d).bases[0]
+    points = range(min(fp.q, d + 1))
+    coefficient = -sum(
+        i * polynomial_range_sum([composition_count(i, n, d, fp) for n in points], fp.q)
+        for i in range(1, d + 1)
+    )
+    return PicClass((coefficient,), basis)
+
+
+def volume_identity(d: int, a: int, fp: PrimePower) -> tuple[bool, Fraction]:
+    """Check the section-count splitting for O(a) on P^d and return the
+    scaled deficit.
+
+    The identity is C(aq+d, d) = C(a+d, d) + sum_i count(i,0;d) C(a-i+d, d)
+    (out-of-range binomials vanish by convention).  The deficit
+    (C(aq+d,d) - C(a+d,d)) * d! / q^d is an exact rational converging to the
+    volume a^d.
+    """
+    if d < 1 or a < 1:
+        raise InvalidParameterError(f"needs d, a >= 1; got (d={d}, a={a})")
+    q = fp.q
+    lhs = binom(a * q + d, d)
+    rhs = binom(a + d, d) + sum(
+        composition_count(i, 0, d, fp) * binom(a - i + d, d) for i in range(1, d + 1)
+    )
+    deficit = Fraction((lhs - binom(a + d, d)) * math.factorial(d), q**d)
+    return lhs == rhs, deficit
+
+
+# ---------------------------------------------------------------------------
 # Individual checks.  Each returns (status, detail).
 # ---------------------------------------------------------------------------
 
@@ -245,21 +348,21 @@ def check_rank_law(p: int, e: int, tag: str, *params: int) -> tuple[str, str]:
 
 def check_alpha_det(p: int, e: int, d: int) -> tuple[str, str]:
     fp = PrimePower(p, e)
-    cls = positivity.determinant_twist_sum(d, fp)
+    cls = determinant_twist_sum(d, fp)
     closed = -d * fp.q**d * (fp.q - 1) // 2
     return _ok(cls.coords == (closed,), f"coefficient {cls.coords[0]} vs closed {closed}")
 
 
 def check_volume(p: int, e: int, d: int, a: int) -> tuple[str, str]:
     fp = PrimePower(p, e)
-    holds, deficit = positivity.volume_identity(d, a, fp)
+    holds, deficit = volume_identity(d, a, fp)
     return _ok(holds, f"deficit {deficit}")
 
 
 def check_sigma_closed(p: int, e: int, eps: int) -> tuple[str, str]:
     fp = PrimePower(p, e)
-    closed = catalog.hirzebruch_closed_multiplicities(eps, fp)
-    blocks = catalog.hirzebruch_block_multiplicities(eps, fp)
+    closed = hirzebruch_closed_multiplicities(eps, fp)
+    blocks = hirzebruch_block_multiplicities(eps, fp)
     return _ok(closed == blocks, f"closed {closed} vs blocks {blocks}")
 
 
@@ -392,7 +495,7 @@ def check_fix_projspace(p: int, e: int) -> tuple[str, str]:
 def check_fix_hirzebruch_eps1(p: int, e: int) -> tuple[str, str]:
     fp = PrimePower(p, e)
     q = fp.q
-    got = catalog.hirzebruch_block_multiplicities(1, fp)
+    got = hirzebruch_block_multiplicities(1, fp)
     expected = ((q + 2) * (q - 1) // 2, (q - 2) * (q - 1) // 2)
     return _ok(got == expected, f"{got} vs {expected}")
 
@@ -400,7 +503,7 @@ def check_fix_hirzebruch_eps1(p: int, e: int) -> tuple[str, str]:
 def check_fix_hirzebruch_eps2(p: int, e: int) -> tuple[str, str]:
     fp = PrimePower(p, e)
     q = fp.q
-    got = catalog.hirzebruch_block_multiplicities(2, fp)
+    got = hirzebruch_block_multiplicities(2, fp)
     if p != 2:
         expected = (
             (q - 1) * (q + 1) // 4,
@@ -415,7 +518,7 @@ def check_fix_hirzebruch_eps2(p: int, e: int) -> tuple[str, str]:
 def check_fix_hirzebruch_eps3(p: int, e: int) -> tuple[str, str]:
     fp = PrimePower(p, e)
     q = fp.q
-    got = catalog.hirzebruch_block_multiplicities(3, fp)
+    got = hirzebruch_block_multiplicities(3, fp)
     if q % 3 == 1:
         expected = (
             q * (q - 1) // 6,
@@ -545,7 +648,7 @@ def warn_hz_small_q_row(p: int, e: int) -> tuple[str, str]:
         return "PASS", "skipped (only q=2)"
     fp = PrimePower(2, 1)
     recorded = (1, 1, 0, 0)
-    blocks = catalog.hirzebruch_block_multiplicities(3, fp)
+    blocks = hirzebruch_block_multiplicities(3, fp)
     if blocks == recorded:
         return "PASS", f"{blocks}"
     return "WARN", f"recorded {recorded} vs computed {blocks}"
@@ -729,9 +832,10 @@ def run_suites(
     jobs: int = 1,
 ) -> list[tuple[str, list[CheckResult]]]:
     """Each suite's results, sorted by key.  With ``jobs > 1`` one pool of
-    that many worker processes runs the cases of every suite, in contiguous
-    chunks, so the same-q cases of a chunk share its worker's table memo.  The
-    memo is empty when the call starts and when it returns."""
+    min(jobs, CPU count) worker processes runs the cases of every suite, in
+    contiguous chunks, so the same-q cases of a chunk share its worker's
+    table memo; with one worker the cases run in this process.  The memo is
+    empty when the call starts and when it returns."""
 
     def report(mapper) -> list[tuple[str, list[CheckResult]]]:
         out = []
@@ -740,16 +844,18 @@ def run_suites(
             out.append((suite, sorted(mapper(run_case, cases), key=lambda res: res.key)))
         return out
 
+    # A pool forks all its workers at the first submit: never more than CPUs.
+    workers = min(jobs, os.cpu_count() or 1)
     _coefficients.cache_clear()
     try:
-        if jobs <= 1:
+        if workers <= 1:
             return report(map)
         from concurrent.futures import ProcessPoolExecutor  # a serial run needs no multiprocessing
 
         # Cases come grouped by q: about one chunk per q and worker keeps each
         # chunk on one q, and every q, the costliest too, is shared out.
-        chunks = max(1, len(primes) * max_e) * jobs
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunks = max(1, len(primes) * max_e) * workers
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return report(
                 lambda fn, cases: pool.map(fn, cases, chunksize=max(1, len(cases) // chunks))
             )

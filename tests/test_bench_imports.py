@@ -107,8 +107,8 @@ def test_combinat_functions_are_leaves():
 
 # Closed forms and independent oracles: regression data for ``verify`` and
 # the tests, never a route of the library.
-ORACLES = {"hirzebruch_closed_multiplicities", "composition_count_oracle",
-           "bounded_power_coefficients"}
+ORACLES = {"hirzebruch_closed_multiplicities", "hirzebruch_block_multiplicities",
+           "determinant_twist_sum", "volume_identity", "bounded_power_coefficients"}
 
 
 def referenced_names(node: ast.AST) -> set[str]:

@@ -9,8 +9,6 @@ import pytest
 
 from frobpush.catalog import (
     blowup_multiplicity,
-    hirzebruch_block_multiplicities,
-    hirzebruch_closed_multiplicities,
     pushforward_hirzebruch,
     pushforward_linear_blowup,
     pushforward_product,
@@ -34,6 +32,7 @@ from frobpush.picard import (
     change_basis,
 )
 from frobpush.positivity import kernel_restriction_verdict
+from frobpush.verify import hirzebruch_block_multiplicities, hirzebruch_closed_multiplicities
 
 FIELDS = [PrimePower(p, e) for p in (2, 3, 5) for e in (1, 2)]
 FIELDS_E3 = [PrimePower(p, e) for p in (2, 3, 5) for e in (1, 2, 3)]

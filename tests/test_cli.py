@@ -23,7 +23,7 @@ from frobpush.catalog import (
     quadric_pushforward_support,
 )
 from frobpush.combinat import PrimePower
-from frobpush.errors import InvalidParameterError
+from frobpush.errors import FrobpushError, InvalidParameterError
 from frobpush.localalg import cone_pushforward
 from frobpush.picard import RationalNormalCone, SegreCone, VeroneseCone, change_basis
 
@@ -591,6 +591,37 @@ class TestVerifyCommand:
             "raised InvalidParameterError: p must be prime; got p=4"
         }
 
+    def test_pool_is_bounded_by_the_cpus(self, monkeypatch):
+        # A pool forks all its workers at its first submit, so a --jobs past
+        # the CPU count must not reach it.  The fake pool maps in-process.
+        import concurrent.futures
+
+        asked = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cases, chunksize=1):
+                return map(fn, cases)
+
+        grid = dict(max_d=1, max_e=1, primes=(2, 3))
+        serial = verify.run_suites(["identities", "oracles"], **grid)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert verify.run_suites(["identities", "oracles"], jobs=10_000, **grid) == serial
+        assert asked == [2]
+        # An unknown CPU count means one worker: the cases run serially.
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert verify.run_suites(["identities", "oracles"], jobs=10_000, **grid) == serial
+        assert asked == [2]
+
     @pytest.mark.parametrize("flag", ["--max-d", "--max-e", "--jobs"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_empty_grid_is_usage_error(self, capsys, flag, value):
@@ -660,6 +691,31 @@ class TestJsonRoundTrip:
             cli.decomposition_from_json({**decomp, "variety": data})
 
     @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"tag": "projspace", "params": {"d": "2"}}, "'d' must be an integer; got '2'"),
+            ({"tag": "projspace", "params": {"d": 1.5}}, "'d' must be an integer; got 1.5"),
+            ({"tag": "projspace", "params": {"d": True}}, "'d' must be an integer; got True"),
+            ({"tag": "product", "params": {"r": 1, "s": None}}, "'s' must be an integer"),
+            ({"tag": "cone-p", "params": {"kind": ["rnc"], "eps": 2}}, r"cone kind \['rnc'\]"),
+            ({"tag": "cone-p", "params": {"kind": "cusp", "eps": 2}}, "unknown cone kind 'cusp'"),
+            ({"tag": "cone-p", "params": {"kind": "rnc", "eps": "2"}}, "'eps' must be an integer"),
+        ],
+    )
+    def test_malformed_descriptor(self, data, message):
+        # JSON read-back accepts only what the schema writes: integer
+        # parameters and a string cone tag.
+        with pytest.raises(InvalidParameterError, match=message):
+            cli.descriptor_from_json(data)
+        decomp = cli.decomposition_to_json(pushforward_projective_space(1, 0, PrimePower(2, 1)))
+        with pytest.raises(InvalidParameterError, match=message):
+            cli.decomposition_from_json({**decomp, "variety": data})
+
+    def test_non_string_tag(self):
+        with pytest.raises(FrobpushError, match="unknown variety tag"):
+            cli.descriptor_from_json({"tag": ["projspace"], "params": {"d": 2}})
+
+    @pytest.mark.parametrize(
         "summand, message",
         [
             ({"kind": "line", "mult": "1"}, "lacks 'class'"),
@@ -673,6 +729,19 @@ class TestJsonRoundTrip:
             ({"kind": "spinor", "class": {}, "mult": "unknown"}, "integer 'j'"),
             ({"kind": "spinor", "class": [1], "mult": "unknown"}, "integer 'j'"),
             ({"kind": "spinor", "class": {"j": "1"}, "mult": "unknown"}, "integer 'j'"),
+            # Only what the schema writes: a digit string, integer coordinates.
+            ({"kind": "line", "class": [0], "mult": 2.7}, "mult must be"),
+            ({"kind": "line", "class": [0], "mult": 2}, "mult must be"),
+            ({"kind": "line", "class": [0], "mult": True}, "mult must be"),
+            ({"kind": "line", "class": [0], "mult": "1_0"}, "mult must be"),
+            ({"kind": "line", "class": [0], "mult": " 12 "}, "mult must be"),
+            ({"kind": "line", "class": [0], "mult": "+3"}, "mult must be"),
+            ({"kind": "line", "class": [0], "mult": "-3"}, "mult must be"),
+            ({"kind": "line", "class": [0], "mult": ""}, "mult must be"),
+            ({"kind": "line", "class": [1.5], "mult": "1"}, "list of integers"),
+            ({"kind": "line", "class": [True], "mult": "1"}, "list of integers"),
+            ({"kind": "line", "class": ["3"], "mult": "1"}, "list of integers"),
+            ({"kind": "line", "class": "3", "mult": "1"}, "list of integers"),
         ],
     )
     def test_malformed_summand(self, summand, message):

@@ -19,13 +19,13 @@ from frobpush.combinat import (
     binom,
     bounded_power_coefficients,
     composition_count,
-    composition_count_oracle,
     eulerian,
     floor_pieces,
     floor_residue,
     polynomial_range_sum,
 )
 from frobpush.errors import InvalidParameterError
+from frobpush.verify import _coefficients
 
 SMALL_FIELDS = [PrimePower(p, e) for p in (2, 3, 5) for e in (1, 2)]
 
@@ -211,7 +211,6 @@ class TestCompositionCount:
     def test_negative_index_is_zero(self):
         fp = PrimePower(3, 1)
         assert composition_count(-1, 0, 2, fp) == 0
-        assert composition_count_oracle(-1, 0, 3, fp) == 0
 
     def test_invalid_residue(self):
         fp = PrimePower(3, 1)
@@ -219,23 +218,22 @@ class TestCompositionCount:
             composition_count(0, 3, 2, fp)
         with pytest.raises(InvalidParameterError):
             composition_count(0, -1, 2, fp)
-        with pytest.raises(InvalidParameterError):
-            composition_count_oracle(0, 9, 2, fp)
 
     def test_oracle_examples(self):
-        assert composition_count_oracle(1, 0, 2, PrimePower(3, 1)) == 7
-        for fp in (PrimePower(3, 1), PrimePower(5, 1), PrimePower(2, 2)):
-            assert composition_count_oracle(0, 2, 2, fp) == 6
+        # (i, m) = (1, 0) and (0, 2) at d = 2 read entries 3 and 2 of the table.
+        assert _coefficients(3, 3)[3] == 7
+        for q in (3, 5, 4):
+            assert _coefficients(q, 3)[2] == 6
 
     def test_oracle_matches_naive_enumeration(self):
         for fp in (PrimePower(2, 1), PrimePower(2, 2), PrimePower(3, 1), PrimePower(5, 1)):
             for d in range(3):
                 if fp.q ** (d + 1) > 4096:
                     continue
-                for total in range(-1, (d + 1) * (fp.q - 1) + 2):
-                    i, m = divmod(total, fp.q) if total >= 0 else (-1, 0)
+                table = _coefficients(fp.q, d + 1)
+                for total in range((d + 2) * fp.q):
                     expected = naive_composition_count(total, d + 1, fp.q)
-                    assert composition_count_oracle(i, m, d, fp) == expected
+                    assert table[total] == expected
 
     def test_closed_form_matches_oracle(self):
         for fp in SMALL_FIELDS:
@@ -244,11 +242,12 @@ class TestCompositionCount:
                     continue
                 # Up to i = 2d+4, well past the support: for i > d+1 the
                 # closed form skips its vanishing terms t = d+2..i.
+                table = _coefficients(fp.q, d + 1)
                 for i in range(-1, 2 * d + 5):
                     for m in range(fp.q):
-                        assert composition_count(i, m, d, fp) == composition_count_oracle(
-                            i, m, d, fp
-                        )
+                        n = m + i * fp.q
+                        want = table[n] if 0 <= n < len(table) else 0
+                        assert composition_count(i, m, d, fp) == want
 
     @given(st.sampled_from(PRIME_POWERS_TO_64), st.integers(0, 8), st.data())
     def test_matches_the_alternating_sum(self, pe, d, data):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from frobpush.catalog import hirzebruch_closed_multiplicities, pushforward_veronese_cone
+from frobpush.catalog import pushforward_veronese_cone
 from frobpush.combinat import PrimePower, eulerian
 from frobpush.errors import OutOfRegimeError
 from frobpush.localalg import (
@@ -21,6 +21,7 @@ from frobpush.picard import (
     SegreCone,
     VeroneseCone,
 )
+from frobpush.verify import hirzebruch_closed_multiplicities
 
 FIELDS = [PrimePower(p, e) for p in (2, 3, 5) for e in (1, 2)]
 

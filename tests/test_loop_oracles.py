@@ -24,7 +24,7 @@ from frobpush.combinat import PrimePower, bounded_power_coefficients, compositio
 from frobpush.errors import OutOfRegimeError
 from frobpush.localalg import cone_pushforward, splitting_number
 from frobpush.picard import PicClass, RationalNormalCone, SegreCone, VeroneseCone
-from frobpush.positivity import determinant_twist_sum
+from frobpush.verify import determinant_twist_sum
 
 FIELDS = [
     PrimePower(p, e)

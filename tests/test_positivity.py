@@ -21,12 +21,11 @@ from frobpush.positivity import (
     VerdictStatus,
     ample_verdict,
     classify_class,
-    determinant_twist_sum,
     kernel_restriction_verdict,
     quadric_kernel_verdict,
     trace_kernel,
-    volume_identity,
 )
+from frobpush.verify import determinant_twist_sum, volume_identity
 
 FIELDS = [PrimePower(p, e) for p in (2, 3, 5) for e in (1, 2)]
 
@@ -77,8 +76,12 @@ class TestClassify:
         assert classify_class(ProjSpace(2), PicClass((-1,), ("H",))) is VerdictStatus.NOT_NEF
 
     def test_unsupported_variety(self):
-        with pytest.raises(UnsupportedConeError):
-            classify_class(Hirzebruch(1), PicClass((1, 1), ("C0", "f")))
+        # Only the split families with no restriction rule are classified.
+        from frobpush.picard import Quadric
+
+        for variety in (Hirzebruch(1), LinearBlowup(2, 1), Quadric(3)):
+            with pytest.raises(UnsupportedConeError):
+                classify_class(variety, PicClass.zero(variety.bases[0]))
 
 
 class TestAmpleVerdict:
@@ -114,7 +117,7 @@ class TestAmpleVerdict:
 
 class TestRestrictionVerdicts:
     def test_hirzebruch_witness(self):
-        from frobpush.catalog import hirzebruch_closed_multiplicities
+        from frobpush.verify import hirzebruch_closed_multiplicities
 
         for fp in FIELDS:
             for eps in (1, 2, 3, 4, 5):

@@ -3,7 +3,6 @@
 import pytest
 
 from frobpush.catalog import (
-    hirzebruch_closed_multiplicities,
     pushforward_hirzebruch,
     pushforward_linear_blowup,
     pushforward_segre_cone,
@@ -13,6 +12,7 @@ from frobpush.combinat import PrimePower, composition_count
 from frobpush.errors import InvalidParameterError
 from frobpush.families import family_of, restrict
 from frobpush.picard import Decomposition, Hirzebruch, Line, PicClass, ProjSpace
+from frobpush.verify import hirzebruch_closed_multiplicities
 
 FIELDS = [PrimePower(p, e) for p in (2, 3, 5) for e in (1, 2)]
 
