@@ -10,9 +10,9 @@ each run of j where the floor parts of the twists stay constant
 (``combinat.floor_pieces``), a term is a polynomial in j of degree at most
 the dimension, so each run is summed exactly from a few samples
 (``combinat.polynomial_range_sum``).  Multiplicities are added up per
-coordinate tuple and one ``Line`` is built per class, so the cost depends on
-the dimension, eps and the bit length of q, not on q.  ``verify`` checks
-each sum against a j-by-j loop at small q.
+coordinate tuple, and the decomposition keeps those tuples, so the cost
+depends on the dimension, eps and the bit length of q, not on q.
+``verify`` checks each sum against a j-by-j loop at small q.
 """
 
 from __future__ import annotations
@@ -31,15 +31,12 @@ from .errors import InvalidParameterError, OutOfRegimeError
 from .picard import (
     Decomposition,
     Hirzebruch,
-    Line,
     LinearBlowup,
-    PicClass,
     Product,
     ProjSpace,
     Quadric,
     SegreConeBlowup,
     Spinor,
-    Summand,
     VeroneseConeBlowup,
 )
 
@@ -48,11 +45,7 @@ def _from_counts(variety, counts: Mapping, spinors: Optional[list[int]] = None) 
     """The decomposition with multiplicity ``counts[coords]`` at each class, in
     the variety's default basis.  Quadrics also pass their spinor twists,
     whose multiplicities are unknown, and get a support-only result."""
-    basis = variety.bases[0]
-    items: list[tuple[Summand, Optional[int]]] = [
-        (Line(PicClass(coords, basis)), mult) for coords, mult in counts.items()
-    ]
-    items += [(Spinor(j), None) for j in spinors or ()]
+    items = [*counts.items(), *((Spinor(j), None) for j in spinors or ())]
     return Decomposition(variety, items, support_only=spinors is not None)
 
 

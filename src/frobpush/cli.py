@@ -21,7 +21,7 @@ from typing import Optional
 from . import families, localalg, positivity
 from .combinat import PrimePower
 from .errors import FrobpushError, InvalidParameterError, OutOfRegimeError
-from .picard import Decomposition, Line, PicClass, Spinor, VarietyDescriptor
+from .picard import Decomposition, Line, Spinor, VarietyDescriptor
 from .positivity import Verdict
 
 EXIT_OK = 0
@@ -39,13 +39,22 @@ def descriptor_to_json(variety: VarietyDescriptor) -> dict:
     return {"tag": variety.tag, "params": families.descriptor_params(variety)}
 
 
-def descriptor_from_json(data: dict) -> VarietyDescriptor:
-    for key in ("tag", "params"):
+def _check_object(data, what: str, keys: tuple[str, ...]) -> None:
+    """Refuse ``data`` unless it is a JSON object holding ``keys``."""
+    if not isinstance(data, dict):
+        raise InvalidParameterError(f"{what} JSON must be an object; got {data!r}")
+    for key in keys:
         if key not in data:
-            raise InvalidParameterError(f"variety JSON lacks {key!r}")
+            raise InvalidParameterError(f"{what} JSON lacks {key!r}")
+
+
+def descriptor_from_json(data: dict) -> VarietyDescriptor:
+    _check_object(data, "variety", ("tag", "params"))
     tag, params = data["tag"], data["params"]
     if not isinstance(tag, str) or tag not in families.FAMILIES:
         raise FrobpushError(f"unknown variety tag {tag!r}")
+    if not isinstance(params, dict):
+        raise InvalidParameterError(f"variety params must be an object; got {params!r}")
 
     def value(name: str):
         if name not in params:
@@ -104,10 +113,10 @@ def _decimal(raw) -> int:
     return value
 
 
-def _summand_from_json(entry: dict, basis: tuple[str, ...]) -> tuple[object, Optional[int]]:
-    for key in ("kind", "class", "mult"):
-        if key not in entry:
-            raise InvalidParameterError(f"summand JSON lacks {key!r}")
+def _summand_from_json(entry: dict) -> tuple[object, Optional[int]]:
+    """A summand as the ``Decomposition`` constructor takes it: a coordinate
+    tuple for a line, a ``Spinor`` for a spinor twist."""
+    _check_object(entry, "summand", ("kind", "class", "mult"))
     kind, cls, raw = entry["kind"], entry["class"], entry["mult"]
     try:
         mult = None if raw == "unknown" else _decimal(raw)
@@ -120,7 +129,7 @@ def _summand_from_json(entry: dict, basis: tuple[str, ...]) -> tuple[object, Opt
             raise InvalidParameterError(
                 f"line summand class must be a list of integers; got {cls!r}"
             )
-        return Line(PicClass(tuple(cls), basis)), mult
+        return tuple(cls), mult
     if kind == "spinor":
         j = cls.get("j") if isinstance(cls, dict) else None
         if type(j) is not int:
@@ -130,14 +139,31 @@ def _summand_from_json(entry: dict, basis: tuple[str, ...]) -> tuple[object, Opt
 
 
 def decomposition_from_json(data: dict) -> Decomposition:
-    for key in ("variety", "basis", "summands"):
-        if key not in data:
-            raise InvalidParameterError(f"decomposition JSON lacks {key!r}")
+    """Read back ``decomposition_to_json``.  A null ``rank`` marks a
+    support-only decomposition; any other must be the decimal rank of the
+    summands read back."""
+    _check_object(data, "decomposition", ("variety", "basis", "summands"))
     variety = descriptor_from_json(data["variety"])
-    basis = tuple(data["basis"])
-    support_only = data.get("rank") is None
-    items = [_summand_from_json(entry, basis) for entry in data["summands"]]
-    return Decomposition(variety, items, basis=basis, support_only=support_only)
+    basis, summands, rank = data["basis"], data["summands"], data.get("rank")
+    if not (isinstance(basis, list) and all(isinstance(name, str) for name in basis)):
+        raise InvalidParameterError(f"basis must be a list of generator names; got {basis!r}")
+    if not isinstance(summands, list):
+        raise InvalidParameterError(f"summands must be a list; got {summands!r}")
+    items = [_summand_from_json(entry) for entry in summands]
+    if rank is None:
+        return Decomposition(variety, items, basis=tuple(basis), support_only=True)
+    if any(mult is None for _, mult in items):
+        raise InvalidParameterError("a decomposition with unknown multiplicities has rank null")
+    try:
+        stated = _decimal(rank)
+    except ValueError:
+        raise InvalidParameterError(
+            f"rank must be a decimal string or null; got {rank!r}"
+        ) from None
+    decomp = Decomposition(variety, items, basis=tuple(basis))
+    if decomp.rank() != stated:
+        raise InvalidParameterError("rank differs from the rank of the summands read back")
+    return decomp
 
 
 def verify_suite_to_json(suite: str, results: list) -> dict:

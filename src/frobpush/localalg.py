@@ -39,9 +39,8 @@ def _veronese_counts(d: int, eps: int, fp: PrimePower) -> dict[int, int]:
     else:
         upstairs = pushforward_veronese_cone(d, eps, 0, 0, fp)
     counts: Counter = Counter()
-    for summand, mult in upstairs.items():
-        k = -summand.cls.coords[1] % eps
-        counts[-k] += mult
+    for (_, b), mult in upstairs.lines.items():
+        counts[-(-b % eps)] += mult
     return counts
 
 

@@ -5,17 +5,23 @@ plus spinor twists on quadrics) with exact integer multiplicities, tagged by
 the variety it lives on.  All values here are immutable; every operation
 returns a fresh object, so unrestricted concurrent use is safe.
 
-``PicClass`` and ``Line`` are the leaf values built millions of times on a
-large run, so both are slotted.  A ``PicClass`` hashes its coordinates and
-basis once, when it is built, and a ``Line`` reuses its class's hash, so
-merging summands in a ``Decomposition`` hashes no tuple twice.  Pickling
-rebuilds a class from its coordinates, so the hash is never carried into
-another process, whose string hashes differ.
+A ``Decomposition`` keeps its line summands as coordinate tuples and its
+spinor twists as integers, so the builders and the algebra (dual, twist,
+basis change, restriction) merge summands on keys that hash and compare in
+C.  ``PicClass`` and ``Line`` are the values a caller reads: they are built
+when a decomposition is iterated or sorted, and for verdict witnesses.  Both
+are slotted; a ``PicClass`` hashes its coordinates and basis once, when it
+is built, and a ``Line`` reuses its class's hash.  Pickling rebuilds a class
+from its coordinates, so the hash is never carried into another process,
+whose string hashes differ.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, dataclass, field
+from operator import add, neg
+from types import MappingProxyType
 from typing import ClassVar, Iterable, Iterator, Optional, Union
 
 from .errors import (
@@ -339,60 +345,105 @@ VarietyDescriptor = Union[
 ]
 
 
-def summand_rank(summand: Summand, variety: VarietyDescriptor) -> int:
-    if isinstance(summand, Line):
-        return 1
-    if not isinstance(variety, Quadric):
-        raise InvalidParameterError("spinor summands only live on quadrics")
-    return variety.spinor_rank
+class _Entries(Mapping):
+    """Read-only view of a decomposition's summands keyed by ``Line`` and
+    ``Spinor``.  Its length reads the stores; a key is built only when the
+    view is iterated."""
+
+    __slots__ = ("_decomp",)
+
+    def __init__(self, decomp: "Decomposition") -> None:
+        self._decomp = decomp
+
+    def __len__(self) -> int:
+        return len(self._decomp._lines) + len(self._decomp._spinors)
+
+    def __iter__(self) -> Iterator[Summand]:
+        for summand, _ in self._decomp.items():
+            yield summand
+
+    def __getitem__(self, summand: Summand) -> Optional[int]:
+        store, key = self._decomp._store(summand)
+        if key in store:
+            return store[key]
+        raise KeyError(summand)
+
+    def __repr__(self) -> str:
+        return repr(dict(self._decomp.items()))
 
 
 class Decomposition:
     """A finite multiset of summands with exact multiplicities.
 
+    The constructor takes each summand as a ``Line``, a ``Spinor`` or a
+    tuple of integer coordinates in ``basis``.  Line summands are stored as
+    ``{coordinate tuple: multiplicity}`` and spinor twists as
+    ``{j: multiplicity}``; ``lines`` and ``spinors`` are read-only views of
+    the two.  The algebra works on those tuples, so building, dualising,
+    twisting or restricting a decomposition builds no ``PicClass`` or
+    ``Line``.  They are built only for a caller that reads them, through
+    ``items``, ``sorted_items`` and ``entries`` (a read-only mapping keyed by
+    ``Line`` and ``Spinor``, whose length builds nothing).
+
     ``support_only`` marks decompositions (quadrics) where some
     multiplicities are unknown; those entries carry ``None``.  Its fields
-    cannot be reassigned, and it is unhashable: ``entries`` is a dict.
+    cannot be reassigned, and it is unhashable, as its stores are dicts.
     """
 
-    __slots__ = ("variety", "basis", "entries", "support_only")
+    __slots__ = ("variety", "basis", "support_only", "_lines", "_spinors")
 
     def __init__(
         self,
         variety: VarietyDescriptor,
-        items: Iterable[tuple[Summand, Optional[int]]],
+        items: Iterable[tuple[Union[Summand, tuple[int, ...]], Optional[int]]],
         basis: Optional[Basis] = None,
         support_only: bool = False,
     ) -> None:
         basis = tuple(basis) if basis is not None else variety.bases[0]
         if basis not in variety.bases:
             raise LatticeMismatchError(f"basis {basis} is not a basis of {variety}")
-        merged: dict[Summand, Optional[int]] = {}
+        size = len(basis)
+        lines: dict[tuple[int, ...], Optional[int]] = {}
+        spinors: dict[int, Optional[int]] = {}
         for summand, mult in items:
-            if isinstance(summand, Line):
+            if type(summand) is tuple:
+                if len(summand) != size:
+                    raise LatticeMismatchError(
+                        f"{len(summand)} coordinates against basis {basis}"
+                    )
+                store, key = lines, summand
+            elif isinstance(summand, Line):
                 if summand.cls.basis != basis:
                     raise LatticeMismatchError(
                         f"summand basis {summand.cls.basis} vs decomposition basis {basis}"
                     )
+                store, key = lines, summand.cls.coords
             elif not isinstance(variety, Quadric):
                 raise InvalidParameterError("spinor summands only live on quadrics")
+            elif isinstance(summand, Spinor):
+                store, key = spinors, summand.j
+            else:
+                raise InvalidParameterError(
+                    f"a summand is a Line, a Spinor or a coordinate tuple; got {summand!r}"
+                )
             if mult is None:
                 if not support_only:
                     raise InvalidParameterError(
                         "unknown multiplicities require support_only=True"
                     )
-                merged[summand] = None
+                store[key] = None
                 continue
             if mult < 0:
                 raise InvalidParameterError(f"multiplicity must be >= 0; got {mult}")
             if mult == 0:
                 continue
-            prev = merged.get(summand, 0)
-            merged[summand] = None if prev is None else prev + mult
+            prev = store.get(key, 0)
+            store[key] = None if prev is None else prev + mult
         object.__setattr__(self, "variety", variety)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "entries", merged)
         object.__setattr__(self, "support_only", support_only)
+        object.__setattr__(self, "_lines", lines)
+        object.__setattr__(self, "_spinors", spinors)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -401,40 +452,73 @@ class Decomposition:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return (
-            Decomposition,
-            (self.variety, list(self.entries.items()), self.basis, self.support_only),
-        )
+        items = [*self._lines.items(), *((Spinor(j), m) for j, m in self._spinors.items())]
+        return (Decomposition, (self.variety, items, self.basis, self.support_only))
+
+    def _store(self, summand) -> tuple[dict, object]:
+        """The store that would hold ``summand`` and its key there; an empty
+        store for a summand that cannot occur here."""
+        if type(summand) is tuple:
+            return self._lines, summand
+        if isinstance(summand, Line):
+            if summand.cls.basis == self.basis:
+                return self._lines, summand.cls.coords
+        elif isinstance(summand, Spinor):
+            return self._spinors, summand.j
+        return {}, None
 
     # -- basic views --------------------------------------------------------
 
+    @property
+    def lines(self) -> Mapping[tuple[int, ...], Optional[int]]:
+        """Line summands as ``{coordinate tuple in basis: multiplicity}``."""
+        return MappingProxyType(self._lines)
+
+    @property
+    def spinors(self) -> Mapping[int, Optional[int]]:
+        """Spinor twists S(j) as ``{j: multiplicity}``."""
+        return MappingProxyType(self._spinors)
+
+    @property
+    def entries(self) -> Mapping[Summand, Optional[int]]:
+        return _Entries(self)
+
     def items(self) -> Iterator[tuple[Summand, Optional[int]]]:
-        return iter(self.entries.items())
+        basis = self.basis
+        for coords, mult in self._lines.items():
+            yield Line(PicClass(coords, basis)), mult
+        for j, mult in self._spinors.items():
+            yield Spinor(j), mult
 
     def sorted_items(self) -> list[tuple[Summand, Optional[int]]]:
-        def key(pair: tuple[Summand, Optional[int]]):
-            summand = pair[0]
-            if isinstance(summand, Line):
-                return (0, tuple(-c for c in summand.cls.coords))
-            return (1, (-summand.j,))
-
-        return sorted(self.entries.items(), key=key)
+        """Line summands by descending coordinates, then spinors by
+        descending twist (keys are distinct, so no multiplicity is
+        compared)."""
+        basis = self.basis
+        items: list[tuple[Summand, Optional[int]]] = [
+            (Line(PicClass(coords, basis)), mult)
+            for coords, mult in sorted(self._lines.items(), reverse=True)
+        ]
+        items += [(Spinor(j), mult) for j, mult in sorted(self._spinors.items(), reverse=True)]
+        return items
 
     @property
     def is_empty(self) -> bool:
-        return not self.entries
+        return not (self._lines or self._spinors)
 
     def trivial_class(self) -> PicClass:
         return PicClass.zero(self.basis)
 
-    def multiplicity(self, summand: Summand) -> int:
-        mult = self.entries.get(summand, 0)
+    def multiplicity(self, summand: Union[Summand, tuple[int, ...]]) -> int:
+        """Multiplicity of a ``Line``, a ``Spinor`` or a coordinate tuple."""
+        store, key = self._store(summand)
+        mult = store.get(key, 0)
         if mult is None:
             raise RankUndefinedError(f"multiplicity of {summand} is unknown")
         return mult
 
     def trivial_multiplicity(self) -> int:
-        return self.multiplicity(Line(self.trivial_class()))
+        return self.multiplicity((0,) * len(self.basis))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Decomposition):
@@ -443,7 +527,8 @@ class Decomposition:
             self.variety == other.variety
             and self.basis == other.basis
             and self.support_only == other.support_only
-            and self.entries == other.entries
+            and self._lines == other._lines
+            and self._spinors == other._spinors
         )
 
     def __repr__(self) -> str:
@@ -457,19 +542,15 @@ class Decomposition:
     def rank(self) -> int:
         if self.support_only:
             raise RankUndefinedError("rank undefined for a support-only decomposition")
-        return sum(
-            mult * summand_rank(summand, self.variety)
-            for summand, mult in self.entries.items()
-        )
+        total = sum(self._lines.values())
+        if self._spinors:
+            total += self.variety.spinor_rank * sum(self._spinors.values())
+        return total
 
     def dual(self) -> "Decomposition":
         """Dualize summand-wise: O(c) -> O(-c) and S(j) -> S(1-j)."""
-        items: list[tuple[Summand, Optional[int]]] = []
-        for summand, mult in self.entries.items():
-            if isinstance(summand, Line):
-                items.append((Line(-summand.cls), mult))
-            else:
-                items.append((Spinor(1 - summand.j), mult))
+        items: list = [(tuple(map(neg, coords)), mult) for coords, mult in self._lines.items()]
+        items += [(Spinor(1 - j), mult) for j, mult in self._spinors.items()]
         return Decomposition(self.variety, items, self.basis, self.support_only)
 
     def twist(self, cls: PicClass) -> "Decomposition":
@@ -482,39 +563,37 @@ class Decomposition:
             raise LatticeMismatchError(
                 f"twist class basis {cls.basis} vs decomposition basis {self.basis}"
             )
-        items: list[tuple[Summand, Optional[int]]] = []
-        for summand, mult in self.entries.items():
-            if isinstance(summand, Line):
-                items.append((Line(summand.cls + cls), mult))
-            else:
-                items.append((Spinor(summand.j + cls.coords[0]), mult))
+        shift = cls.coords
+        items: list = [
+            (tuple(map(add, coords, shift)), mult) for coords, mult in self._lines.items()
+        ]
+        items += [(Spinor(j + shift[0]), mult) for j, mult in self._spinors.items()]
         return Decomposition(self.variety, items, self.basis, self.support_only)
 
     def det(self) -> PicClass:
         """Determinant class: the multiplicity-weighted sum of line classes."""
         if self.support_only:
             raise RankUndefinedError("determinant undefined for support-only data")
-        total = PicClass.zero(self.basis)
-        for summand, mult in self.entries.items():
-            if not isinstance(summand, Line):
-                raise DeterminantUnsupportedError(
-                    "determinant undefined with spinor summands present"
-                )
-            assert mult is not None
-            total = total + summand.cls.scaled(mult)
-        return total
+        if self._spinors:
+            raise DeterminantUnsupportedError("determinant undefined with spinor summands present")
+        total = [0] * len(self.basis)
+        for coords, mult in self._lines.items():
+            for t, c in enumerate(coords):
+                total[t] += mult * c
+        return PicClass(tuple(total), self.basis)
 
     def remove_trivial(self) -> "Decomposition":
         """Strip exactly one copy of the trivial line bundle."""
-        trivial = Line(self.trivial_class())
-        mult = self.entries.get(trivial)
-        if mult is None and trivial in self.entries:
-            raise NotFSplitError("trivial summand present but with unknown multiplicity")
-        if not mult:
+        trivial = (0,) * len(self.basis)
+        lines = dict(self._lines)
+        if trivial not in lines:
             raise NotFSplitError("no trivial summand to remove")
-        items = [(s, m) for s, m in self.entries.items() if s != trivial]
+        mult = lines.pop(trivial)
+        if mult is None:
+            raise NotFSplitError("trivial summand present but with unknown multiplicity")
         if mult > 1:
-            items.append((trivial, mult - 1))
+            lines[trivial] = mult - 1
+        items = [*lines.items(), *((Spinor(j), m) for j, m in self._spinors.items())]
         return Decomposition(self.variety, items, self.basis, self.support_only)
 
 
@@ -531,9 +610,5 @@ def change_basis(decomp: Decomposition, target: Basis) -> Decomposition:
         raise LatticeMismatchError(f"{target} is not a basis of {decomp.variety}")
     if target == decomp.basis:
         return decomp
-    items: list[tuple[Summand, Optional[int]]] = []
-    for summand, mult in decomp.entries.items():
-        assert isinstance(summand, Line)
-        a, b = summand.cls.coords
-        items.append((Line(PicClass((a + b, -b), target)), mult))
+    items = [((a + b, -b), mult) for (a, b), mult in decomp.lines.items()]
     return Decomposition(decomp.variety, items, target, decomp.support_only)

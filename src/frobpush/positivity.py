@@ -132,12 +132,11 @@ def kernel_restriction_verdict(
     if pushforward is None:
         pushforward = structure_pushforward(variety, fp)
     restricted = restriction.apply_rule(rule, pushforward)
-    trivial = Line(restricted.trivial_class())
-    mult = restricted.entries.get(trivial, 0) or 0
+    mult = restricted.lines.get((0,) * len(restricted.basis), 0) or 0
     if mult >= 2:
         return Verdict(
             VerdictStatus.NOT_AMPLE_WITH_WITNESS,
-            Witness(trivial, divisor=divisor, multiplicity=mult),
+            Witness(Line(restricted.trivial_class()), divisor=divisor, multiplicity=mult),
         )
     for summand, smult in restricted.sorted_items():
         assert isinstance(summand, Line)
@@ -189,7 +188,7 @@ def quadric_kernel_verdict(d: int, fp: PrimePower) -> QuadricKernelReport:
         )
     if fp.p != 2:
         stated_verdict = Verdict(VerdictStatus.AMPLE)
-        if Spinor(d - 1) not in support.entries:
+        if d - 1 not in support.spinors:
             notes.append(
                 f"spinor twist S({d - 1}) absent from the support at "
                 f"(e,p)=({fp.e},{fp.p})"

@@ -9,16 +9,11 @@ descriptor, so the rule states only its divisor, its target and its matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable
 
 from .errors import InvalidParameterError
-from .picard import (
-    Decomposition,
-    Line,
-    PicClass,
-    VarietyDescriptor,
-    change_basis,
-)
+from .picard import Decomposition, VarietyDescriptor, change_basis
 
 
 @dataclass(frozen=True)
@@ -43,17 +38,14 @@ def apply_rule(rule: RestrictionRule, decomp: Decomposition) -> Decomposition:
     """
     if decomp.basis != decomp.variety.bases[0]:
         decomp = change_basis(decomp, decomp.variety.bases[0])
+    if decomp.spinors:
+        raise InvalidParameterError("spinor summands cannot be restricted")
     target = rule.target(decomp.variety)
     rows = rule.matrix(decomp.variety)
-    target_basis = target.bases[0]
-    items = []
-    for summand, mult in decomp.items():
-        if not isinstance(summand, Line):
-            raise InvalidParameterError("spinor summands cannot be restricted")
-        coords = tuple(
-            sum(c * row[t] for c, row in zip(summand.cls.coords, rows))
-            for t in range(len(target_basis))
-        )
-        items.append((Line(PicClass(coords, target_basis)), mult))
+    columns = [tuple(row[t] for row in rows) for t in range(len(target.bases[0]))]
+    items = [
+        (tuple(sum(map(mul, coords, column)) for column in columns), mult)
+        for coords, mult in decomp.lines.items()
+    ]
     return Decomposition(target, items, support_only=decomp.support_only)
 

@@ -317,7 +317,7 @@ class TestBigIntegers:
         decomp = cli.decomposition_to_json(pushforward_projective_space(1, 0, PrimePower(2, 1)))
         summand = {"kind": "line", "class": [0], "mult": raw}
         with digit_cap(4300):
-            back = cli.decomposition_from_json({**decomp, "summands": [summand]})
+            back = cli.decomposition_from_json({**decomp, "summands": [summand], "rank": raw})
         assert back.trivial_multiplicity() == mult
 
     @pytest.mark.parametrize("raw", ["1" * 5000 + "x", "-" + "1" * 5000, "1" * 4500 + " "])
@@ -748,6 +748,44 @@ class TestJsonRoundTrip:
         decomp = cli.decomposition_to_json(pushforward_projective_space(1, 0, PrimePower(2, 1)))
         with pytest.raises(InvalidParameterError, match=message):
             cli.decomposition_from_json({**decomp, "summands": [summand]})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("params", 5, "params must be an object"),
+            ("basis", 5, "basis must be a list"),
+            ("summands", 5, "summands must be a list"),
+            ("summands", [5], "summand JSON must be an object"),
+        ],
+    )
+    def test_wrong_container_type(self, field, value, message):
+        decomp = cli.decomposition_to_json(pushforward_projective_space(1, 0, PrimePower(2, 1)))
+        if field == "params":
+            variety = {**decomp["variety"], "params": value}
+            with pytest.raises(InvalidParameterError, match=message):
+                cli.descriptor_from_json(variety)
+            decomp["variety"] = variety
+        else:
+            decomp[field] = value
+        with pytest.raises(InvalidParameterError, match=message):
+            cli.decomposition_from_json(decomp)
+
+    @pytest.mark.parametrize("rank", ["99", "1", "0", "", "2.0", 2, None])
+    def test_rank_is_the_summands_rank(self, rank):
+        decomp = cli.decomposition_to_json(pushforward_projective_space(1, 0, PrimePower(2, 1)))
+        assert decomp["rank"] == "2"
+        if rank is None:
+            # A null rank reads back as support-only, the only other schema.
+            assert cli.decomposition_from_json({**decomp, "rank": rank}).support_only
+            return
+        with pytest.raises(InvalidParameterError, match="rank"):
+            cli.decomposition_from_json({**decomp, "rank": rank})
+
+    def test_unknown_mults_need_null_rank(self):
+        decomp = cli.decomposition_to_json(quadric_pushforward_support(3, PrimePower(2, 1)))
+        assert decomp["rank"] is None
+        with pytest.raises(InvalidParameterError, match="rank null"):
+            cli.decomposition_from_json({**decomp, "rank": "1"})
 
     @pytest.mark.parametrize("missing", ["variety", "basis", "summands"])
     def test_missing_decomposition_field(self, missing):
