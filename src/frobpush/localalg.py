@@ -4,44 +4,61 @@ Each cone kind has one route to its vertex-local class counts
 {i: multiplicity of i*L}, and every function branches only on whether the
 kind is the Segre cone.  The rational normal cone of degree eps is
 VeroneseCone(1, eps) in every formula, and for both kinds dim - 1 is the
-base dimension.  These Veronese-type cones read their counts off one
-pushforward on the blowup at the vertex, where the classes collapse to Weil
-classes: eps times the ruling L is Cartier and locally trivial there, so
-they are only meaningful modulo eps.  The Segre cone sums products of
-composition counts per class in its affine chart, where L1 + L2 ~ 0.
-``cone_pushforward`` renders the counts as a decomposition.  The count of
-the trivial class is the e-th F-splitting number; divided by q^dim it is
-the e-th convergent of the F-signature.  Closed forms for these counts are
-regression data, checked in ``verify`` and the tests.
+base dimension.  These Veronese-type cones are affine toric: the cone over
+P^d of degree eps is the ring of invariants of mu_eps acting diagonally on
+d + 1 variables, so F^e_* of its local ring counts the monomials of the box
+[0, q-1]^(d+1) by the residue of their degree modulo eps (Singh, J. Pure
+Appl. Algebra 196, 2005).  Those counts are a cyclic convolution power in
+Z^eps, taken in O(d * eps) operations on integers below eps^(d+1) and one
+power of q, and they answer at every q, q < eps included.  The classes are
+Weil classes, only meaningful modulo eps: eps times the ruling L is
+Cartier.  The Segre cone sums products of composition counts per class in
+its affine chart, where L1 + L2 ~ 0.  ``cone_pushforward`` renders the
+counts as a decomposition.  The count of the trivial class is the e-th
+F-splitting number; divided by q^dim it is the e-th convergent of the
+F-signature.  Closed forms for these counts are regression data, checked in
+``verify`` with the box count itself; the tests also check the
+Veronese-type counts against the blowup at the vertex, wherever its regime
+holds.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 
-from .catalog import _from_counts, pushforward_hirzebruch, pushforward_veronese_cone
+from .catalog import _from_counts
 from .combinat import PrimePower, composition_count, eulerian, polynomial_range_sum
 from .picard import ConeKind, ConeP, Decomposition, SegreCone
 
 
 def _veronese_counts(d: int, eps: int, fp: PrimePower) -> dict[int, int]:
     """Vertex-local counts of the Veronese-type cone, classes -k*L for
-    0 <= k <= eps-1.
+    0 <= k <= eps-1, zeros dropped.
 
-    The blowup at the vertex is the ruled surface F_eps for d = 1 and the
-    Veronese cone blowup for d >= 2.  An upstairs class with second
-    coordinate b is -k*L near the vertex with k = -b modulo eps.
+    A monomial of the box [0, q-1]^(d+1) whose degree is r modulo eps lies
+    in the class -k*L with k*q = r modulo eps.  The number of box points of
+    each degree residue is the (d+1)-fold cyclic convolution power of
+    c_r = #{0 <= j < q : j = r mod eps}.  With q = a*eps + b, c is the
+    constant a plus the indicator of [0, b).  A constant vector convolved
+    with anything is constant, so the power of c is the power of the
+    indicator plus a constant, which the totals q^(d+1) and b^(d+1) fix.
     """
-    if d == 1:
-        upstairs = pushforward_hirzebruch(eps, 0, 0, fp)
-    else:
-        upstairs = pushforward_veronese_cone(d, eps, 0, 0, fp)
-    counts: Counter = Counter()
-    for (_, b), mult in upstairs.lines.items():
-        counts[-(-b % eps)] += mult
-    return counts
+    q = fp.q
+    b = q % eps
+    power = [1] * b + [0] * (eps - b)
+    for _ in range(d):
+        # Convolving with the indicator sums the b entries ending at r,
+        # cyclically: a sliding window.
+        window = sum(power[eps - b :])
+        step = []
+        for r in range(eps):
+            window += power[r] - power[r - b]
+            step.append(window)
+        power = step
+    shift = (q ** (d + 1) - b ** (d + 1)) // eps
+    mults = [shift + power[k * q % eps] for k in range(eps)]
+    return {-k: mult for k, mult in enumerate(mults) if mult}
 
 
 def _segre_pair_sum(k: int, l: int, r: int, s: int, fp: PrimePower) -> int:

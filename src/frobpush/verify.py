@@ -9,7 +9,8 @@ closed form ``composition_count`` itself, read their counts from one
 convolution table per (q, d), the coefficient list of (1 + t + ... +
 t^{q-1})^{d+1}, so a fault in the closed form that the builders use cannot
 reach both sides of a comparison; each class's sum over j is one strided
-slice sum, or dot product of slices, of the tables.  Each table is built
+slice sum, or dot product of slices, of the tables; so is each box count
+the Veronese-type cones are checked against.  Each table is built
 once per (q, d) per ``run_suites`` call: cases are built grouped by q, and a
 small memo, emptied when the call starts and when it returns, holds the
 current q's tables.  A case that raises is reported as FAIL with the
@@ -45,7 +46,7 @@ from .combinat import (
 )
 from .errors import InvalidParameterError, OutOfRegimeError
 from .families import FAMILIES, restrict, structure_pushforward
-from .picard import PicClass, ProjSpace, RationalNormalCone, SegreCone
+from .picard import PicClass, ProjSpace, RationalNormalCone, SegreCone, VeroneseCone
 
 
 @dataclass(frozen=True)
@@ -424,6 +425,25 @@ def check_veronese_direct(p: int, e: int, d: int, eps: int, n: int, nprime: int)
     return _ok(computed == direct, f"{len(direct)} classes")
 
 
+def check_veronese_box(p: int, e: int, max_d: int) -> tuple[str, str]:
+    """Vertex-local classes of the Veronese-type cones, eps = 2, 3 and
+    d <= max_d, vs the box count: the class -k*L counts the points of
+    [0, q-1]^(d+1) whose coordinate sum is k*q modulo eps, one strided slice
+    sum of the (d+1)-part table."""
+    fp = PrimePower(p, e)
+    q = fp.q
+    if q > LOOP_Q_CAP:
+        return "PASS", f"skipped (q > {LOOP_Q_CAP})"
+    for d in range(1, max_d + 1):
+        table = _coefficients(q, d + 1)
+        for eps in (2, 3):
+            got = _coords(localalg.cone_pushforward(VeroneseCone(d, eps), fp))
+            box = _nonzero({(-k,): sum(table[k * q % eps :: eps]) for k in range(eps)})
+            if got != box:
+                return "FAIL", f"VeroneseCone({d}, {eps}): {got} vs box {box}"
+    return "PASS", f"{2 * max_d} cones"
+
+
 def _loop_check(got: dict, want: dict) -> tuple[str, str]:
     return _ok(got == want, f"{len(want)} classes" if got == want else f"{got} vs loop {want}")
 
@@ -678,6 +698,7 @@ _CASE_FUNCS = {
     "blowup-restrict": check_blowup_restrict,
     "segre-split": check_segre_split_routes,
     "veronese-direct": check_veronese_direct,
+    "veronese-box": check_veronese_box,
     "hz-loop": check_hirzebruch_loop,
     "segre-loop": check_segre_cone_loop,
     "blowup-loop": check_blowup_loop,
@@ -753,6 +774,7 @@ def build_cases(
                             cases.append(
                                 ("veronese-direct", (p, e, d, eps, n % q, nprime % q))
                             )
+            cases.append(("veronese-box", (p, e, min(max_d, 3))))
             for eps in range(0, 5):
                 for u, v in ((0, 0), (-1, q + 2), (q + 1, -3), (2 * q + 1, -q - 3)):
                     cases.append(("hz-loop", (p, e, eps, u, v)))

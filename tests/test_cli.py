@@ -115,6 +115,16 @@ class TestConePDecompose:
         assert "O(-1): 4" in out   # q - 1 + sigma_1 + sigma_3
         assert "rank: 9" in out
 
+    def test_veronese_q_below_eps(self, capsys):
+        # q = 2 < eps = 5: the box [0, 1]^3 has 1, 3, 3, 1 points of degree
+        # 0, 1, 2, 3 modulo 5, and -k*L takes those of degree 2k.
+        code, out, _ = run_cli(
+            capsys, "decompose", "--variety", "cone-p", "--kind", "veronese",
+            "--d", "2", "--eps", "5", "--p", "2", "--e", "1",
+        )
+        assert code == 0
+        assert out.splitlines()[2:] == ["  O: 1", "  O(-1): 3", "  O(-3): 3", "  O(-4): 1", "rank: 8"]
+
     def test_rejects_twist(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["decompose", "--variety", "cone-p", "--kind", "rnc",
@@ -212,12 +222,16 @@ class TestLocal:
         assert code == 0
         assert len(out.splitlines()) == 3
 
-    def test_veronese_d2_below_regime_is_3(self, capsys):
-        code, _, _ = run_cli(
+    def test_veronese_d2_q_below_eps_answers(self, capsys):
+        # q = 2 < eps = 5: of the box [0, 1]^3 only the origin has degree 0
+        # modulo 5.
+        code, out, _ = run_cli(
             capsys, "local", "--kind", "veronese", "--d", "2", "--eps", "5",
             "--p", "2", "--e", "1",
         )
-        assert code == 3
+        assert code == 0
+        assert "splitting number: 1" in out
+        assert "convergent: 1/8" in out
 
     def test_rnc_k0_splitting(self, capsys):
         code, out, _ = run_cli(

@@ -1,12 +1,16 @@
 """Tests for cone pushforwards, splitting numbers, and F-signatures."""
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from frobpush.catalog import pushforward_veronese_cone
+from frobpush import catalog, localalg
+from frobpush.catalog import pushforward_hirzebruch, pushforward_veronese_cone
 from frobpush.combinat import PrimePower, eulerian
-from frobpush.errors import OutOfRegimeError
 from frobpush.localalg import (
     cone_pushforward,
     f_signature,
@@ -40,11 +44,8 @@ def exceptional_block(d, eps, fp):
 class TestConePushforward:
     def test_rank_law(self):
         for fp in FIELDS:
-            kinds = [RationalNormalCone(2), RationalNormalCone(3), SegreCone(1, 1), SegreCone(2, 1)]
-            if fp.q >= 2:
-                kinds.append(VeroneseCone(2, 2))
-            if fp.q >= 3:
-                kinds.append(VeroneseCone(2, 3))
+            kinds = [RationalNormalCone(2), RationalNormalCone(3), SegreCone(1, 1), SegreCone(2, 1),
+                     VeroneseCone(2, 2), VeroneseCone(2, 3)]
             for kind in kinds:
                 decomp = cone_pushforward(kind, fp)
                 assert decomp.rank() == fp.q**kind.dim
@@ -104,8 +105,10 @@ class TestConePushforward:
         assert got == {-1: 1 * 1 + 2 * 0, 0: (1 + 4) + (1 + 0), 1: 1}
 
     def test_veronese_out_of_regime(self):
-        with pytest.raises(OutOfRegimeError):
-            cone_pushforward(VeroneseCone(2, 3), PrimePower(2, 1))
+        # q = 2 < eps = 3, below the blowup's regime: the box [0, 1]^3 has
+        # 2, 3 and 3 points of degree 0, 2 and 1 modulo 3.
+        decomp = cone_pushforward(VeroneseCone(2, 3), PrimePower(2, 1))
+        assert as_map(decomp) == {(0,): 2, (-1,): 3, (-2,): 3}
 
 
 class TestSplittingNumber:
@@ -155,8 +158,6 @@ class TestSplittingNumber:
         for fp in FIELDS:
             for d in (1, 2, 3):
                 for eps in (1, 2, 3):
-                    if fp.q < eps:
-                        continue
                     kind = VeroneseCone(d, eps)
                     assert (
                         splitting_number(kind, fp)
@@ -243,3 +244,69 @@ class TestConvergents:
         ]
         assert convergents[0] == Fraction(6, 8)
         assert convergents[1] == Fraction(2, 3) + Fraction(1, 3 * 16)
+
+
+# ---------------------------------------------------------------------------
+# The Veronese-type cones' cyclic convolution against the blowup at the
+# vertex and against the box [0, q-1]^(d+1), point by point.
+# ---------------------------------------------------------------------------
+
+SMALL_FIELDS = [
+    PrimePower(p, e)
+    for p, e in ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1), (3, 2), (3, 3),
+                 (5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1))
+]
+BOX_POINTS = [(fp, d) for fp in SMALL_FIELDS for d in (1, 2, 3) if fp.q ** (d + 1) <= 4096]
+
+
+def blowup_classes(d, eps, fp):
+    """The cone's classes read off F^e_* O on the blowup at the vertex (F_eps
+    for d = 1): an upstairs class with second coordinate b is -k*L near the
+    vertex, with k = -b modulo eps."""
+    if d == 1:
+        upstairs = pushforward_hirzebruch(eps, 0, 0, fp)
+    else:
+        upstairs = pushforward_veronese_cone(d, eps, 0, 0, fp)
+    classes = Counter()
+    for (_, b), mult in upstairs.lines.items():
+        classes[(-(-b % eps),)] += mult
+    return dict(classes)
+
+
+@given(st.sampled_from(SMALL_FIELDS), st.integers(1, 3), st.integers(1, 8))
+def test_veronese_matches_blowup_in_regime(fp, d, eps):
+    # The blowup answers for d = 1 at every q, and for d >= 2 where q >= eps.
+    if d >= 2 and fp.q < eps:
+        return
+    assert as_map(cone_pushforward(VeroneseCone(d, eps), fp)) == blowup_classes(d, eps, fp)
+
+
+@given(st.sampled_from(BOX_POINTS), st.integers(1, 8))
+def test_veronese_matches_box_count(point, eps):
+    fp, d = point
+    q = fp.q
+    degrees = Counter(sum(u) % eps for u in itertools.product(range(q), repeat=d + 1))
+    box = {(-k,): degrees[k * q % eps] for k in range(eps) if degrees[k * q % eps]}
+    assert as_map(cone_pushforward(VeroneseCone(d, eps), fp)) == box
+
+
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 4000), st.integers(1, 3), st.integers(1, 8))
+def test_veronese_rank_at_large_q(p, e, d, eps):
+    fp = PrimePower(p, e)
+    assert cone_pushforward(VeroneseCone(d, eps), fp).rank() == fp.q ** (d + 1)
+
+
+def test_veronese_type_cones_need_no_blowup(monkeypatch):
+    builders = {name for name in vars(catalog) if name.startswith("pushforward_")}
+    assert not builders & vars(localalg).keys()
+
+    def refuse(*args):
+        raise RuntimeError("the blowup route was called")
+
+    for name in ("pushforward_hirzebruch", "pushforward_veronese_cone"):
+        monkeypatch.setattr(catalog, name, refuse)
+    for fp in (PrimePower(2, 1), PrimePower(3, 2), PrimePower(2, 64)):
+        for kind in (RationalNormalCone(1), RationalNormalCone(5), VeroneseCone(1, 3),
+                     VeroneseCone(2, 3), VeroneseCone(3, 7)):
+            number = splitting_number(kind, fp)
+            assert number == cone_pushforward(kind, fp).trivial_multiplicity() >= 1

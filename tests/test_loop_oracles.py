@@ -6,6 +6,7 @@ closed form the builders use."""
 
 import ast
 import inspect
+import itertools
 from collections import Counter
 
 import pytest
@@ -225,8 +226,12 @@ def test_veronese_splitting_matches_loop(fp, d, eps):
                 RationalNormalCone(eps), fp
             )
         else:
-            with pytest.raises(OutOfRegimeError):
-                splitting_number(VeroneseCone(d, eps), fp)
+            # Below the blowup's regime: the points of the box [0, q-1]^(d+1)
+            # of degree 0 modulo eps.
+            box = sum(
+                1 for u in itertools.product(range(fp.q), repeat=d + 1) if sum(u) % eps == 0
+            )
+            assert splitting_number(VeroneseCone(d, eps), fp) == box
         return
     classes = verify.veronese_loop(d, eps, 0, 0, fp)
     expected = sum(mult for (_, b), mult in classes.items() if b % eps == 0)
@@ -309,7 +314,7 @@ class TestOracleIndependence:
         }
         seen = set()
         todo = ["hirzebruch_loop", "segre_cone_loop", "blowup_loop", "veronese_loop",
-                "segre_shifted_sums"]
+                "segre_shifted_sums", "check_veronese_box"]
         while todo:
             name = todo.pop()
             if name in seen:
@@ -363,4 +368,5 @@ class TestOracleIndependence:
         monkeypatch.setattr(verify, "bounded_power_coefficients", off_by_one_at_zero)
         ((_, faulty),) = verify.run_suites(["oracles"], **grid)
         failed = {res.key.split("(")[0] for res in faulty if res.status == "FAIL"}
-        assert {"segre-loop", "veronese-direct", "blowup-loop", "mult-oracle"} <= failed
+        assert {"segre-loop", "veronese-direct", "blowup-loop", "mult-oracle",
+                "veronese-box"} <= failed
