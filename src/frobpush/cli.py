@@ -1,9 +1,9 @@
 """Command-line surface: decompose, kernel, local, and verify subcommands.
 
-Exit codes are a stable contract: 0 success, 1 computation-domain error,
-2 usage error, 3 out-of-regime input.  All numeric JSON output uses decimal
-strings (multiplicities, ranks) or num/den string pairs (rationals) so that
-arbitrary precision survives any consumer.
+Exit codes are a stable contract: 0 success, 1 computation-domain error
+(or stdout closed early), 2 usage error, 3 out-of-regime input.  All numeric
+JSON output uses decimal strings (multiplicities, ranks) or num/den string
+pairs (rationals) so that arbitrary precision survives any consumer.
 
 ``main`` builds its parser once per process and reuses it on every later
 call; ``verify`` is imported only when the ``verify`` subcommand runs.
@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
-from fractions import Fraction
 from typing import Optional
 
 from . import families, localalg, positivity
@@ -184,7 +184,7 @@ def verify_suite_to_json(suite: str, results: list) -> dict:
     return {"suite": suite, "cases": cases, "totals": totals}
 
 
-def _fraction_json(value: Fraction) -> dict:
+def _fraction_json(value) -> dict:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
@@ -358,7 +358,7 @@ def cmd_local(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     fp = PrimePower(args.p, args.e)
     kind = _descriptor(parser, args, families.CONE_KINDS[args.kind], f"--kind {args.kind}")
     number = localalg.splitting_number(kind, fp)
-    convergent = localalg.f_signature_convergent(kind, fp)
+    convergent = localalg.f_signature_convergent(kind, fp, number)
     signature = localalg.f_signature(kind)
     if args.format == "json":
         payload = {
@@ -478,7 +478,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     if cap:
         sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args.parser, args)
+        code = args.handler(args.parser, args)
+        sys.stdout.flush()  # a reader that closed the pipe is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, so the interpreter's flush at exit is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_DOMAIN
     except OutOfRegimeError as exc:
         print(f"out of regime: {exc}", file=sys.stderr)
         return EXIT_REGIME

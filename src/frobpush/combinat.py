@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .errors import InvalidParameterError
+from .value import Value
 
 
 # Miller-Rabin to every one of these bases decides primality exactly for
@@ -60,47 +60,40 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(Value):
     """A prime power q = p^e with p prime and e >= 1.
 
     p must lie below ``PRIME_BOUND``, where the deterministic Miller-Rabin
     check is exact; q itself may be huge.
     """
 
-    p: int
-    e: int
-    q: int = field(init=False)
+    __slots__ = ("p", "e", "q")
 
-    def __post_init__(self) -> None:
-        if self.p >= PRIME_BOUND:
+    def __init__(self, p: int, e: int) -> None:
+        if p >= PRIME_BOUND:
             raise InvalidParameterError(
-                f"p must be below {PRIME_BOUND} to be checked for primality; got p={self.p}"
+                f"p must be below {PRIME_BOUND} to be checked for primality; got p={p}"
             )
-        if not _is_prime(self.p):
-            raise InvalidParameterError(f"p must be prime; got p={self.p}")
-        if self.e < 1:
-            raise InvalidParameterError(f"e must satisfy e >= 1; got e={self.e}")
-        object.__setattr__(self, "q", self.p**self.e)
+        if not _is_prime(p):
+            raise InvalidParameterError(f"p must be prime; got p={p}")
+        if e < 1:
+            raise InvalidParameterError(f"e must satisfy e >= 1; got e={e}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "q", p**e)
 
-    def __repr__(self) -> str:
-        return f"PrimePower(p={self.p}, e={self.e}, q={self.q})"
-
-
-class FloorResidue(NamedTuple):
-    floor_part: int
-    residue: int
+    def __reduce__(self):
+        return PrimePower, (self.p, self.e)
 
 
-def floor_residue(n: int, q: int) -> FloorResidue:
+def floor_residue(n: int, q: int) -> tuple[int, int]:
     """Euclidean split n = floor_part*q + residue with 0 <= residue <= q-1.
 
     Holds for negative n as well: floor_residue(-6, 4) == (-2, 2).
     """
     if q <= 0:
         raise InvalidParameterError(f"modulus must be positive; got q={q}")
-    fl, r = divmod(n, q)
-    return FloorResidue(fl, r)
+    return divmod(n, q)
 
 
 def floor_pieces(a: int, b: int, q: int, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:

@@ -5,10 +5,11 @@ family: its descriptor class, whether only the structure sheaf is supported,
 the builder, and the restriction rule to its distinguished divisor.  The
 family's lattice basis is declared once, as the descriptor's ``bases``
 class data; the number of bundle coordinates (``arity``) is read from it.
-The descriptor's dataclass fields are at once its constructor arguments,
-its CLI flags and its JSON ``params``; a ``ConeP`` field ``kind`` holds a
-cone named by a tag in ``CONE_KINDS``.  Adding a family means writing its
-descriptor with its ``bases``, its builder and one entry in ``FAMILIES``.
+The descriptor's fields, the names in its ``__slots__``, are at once its
+constructor arguments, its CLI flags and its JSON ``params``; a ``ConeP``
+field ``kind`` holds a cone named by a tag in ``CONE_KINDS``.  Adding a
+family means writing its descriptor with its ``bases``, its builder and one
+entry in ``FAMILIES``.
 
 Builders reach ``catalog`` and ``localalg`` through their module attributes
 at call time, so whatever rebinds those attributes (a tracer, a test double)
@@ -17,7 +18,6 @@ sees every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 from . import catalog, localalg, restriction
@@ -39,12 +39,12 @@ from .picard import (
     VeroneseConeBlowup,
 )
 from .restriction import RestrictionRule
+from .value import Value
 
 Builder = Callable[[VarietyDescriptor, tuple[int, ...], PrimePower], Decomposition]
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Value):
     """One variety family.
 
     ``build(variety, bundle, fp)`` decomposes F^e_* of the line bundle whose
@@ -56,11 +56,11 @@ class Family:
     None where the ample cone is coordinate-wise.
     """
 
-    descriptor: type
-    build: Builder
-    structure_only: bool = False
-    split: bool = True
-    rule: Optional[RestrictionRule] = None
+    __slots__ = ("descriptor", "build", "structure_only", "split", "rule")
+
+    def __init__(self, descriptor: type, build: Builder, structure_only: bool = False,
+                 split: bool = True, rule: Optional[RestrictionRule] = None) -> None:
+        self._set(descriptor, build, structure_only, split, rule)
 
     @property
     def tag(self) -> str:
@@ -154,15 +154,16 @@ def family_of(variety: VarietyDescriptor) -> Family:
 
 
 def build_descriptor(cls: type, value: Callable[[str], object]):
-    """Construct ``cls`` from its dataclass fields, reading each with ``value(name)``.
+    """Construct ``cls`` from its fields, the names in its ``__slots__``,
+    reading each with ``value(name)``.
 
     A field named ``kind`` holds a tag of ``CONE_KINDS``; that cone is built
     the same way from its own fields.
     """
     args = []
-    for f in fields(cls):
-        arg = value(f.name)
-        if f.name == "kind":
+    for name in cls.__slots__:
+        arg = value(name)
+        if name == "kind":
             if arg not in CONE_KINDS:
                 raise InvalidParameterError(f"unknown cone kind {arg!r}")
             arg = build_descriptor(CONE_KINDS[arg], value)
@@ -174,13 +175,13 @@ def descriptor_params(descriptor) -> dict:
     """The inverse of ``build_descriptor``: each field by name, with a cone
     kind flattened into its tag followed by its own fields."""
     params: dict = {}
-    for f in fields(descriptor):
-        arg = getattr(descriptor, f.name)
-        if f.name == "kind":
+    for name in descriptor.__slots__:
+        arg = getattr(descriptor, name)
+        if name == "kind":
             params["kind"] = arg.tag
             params.update(descriptor_params(arg))
         else:
-            params[f.name] = arg
+            params[name] = arg
     return params
 
 

@@ -25,11 +25,14 @@ holds.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING, Optional
 
 from .catalog import _from_counts
 from .combinat import PrimePower, composition_count, eulerian, polynomial_range_sum
 from .picard import ConeKind, ConeP, Decomposition, SegreCone
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _veronese_counts(d: int, eps: int, fp: PrimePower) -> dict[int, int]:
@@ -110,12 +113,19 @@ def f_signature(kind: ConeKind) -> Fraction:
     1/eps for the Veronese-type cones; for the Segre cone over P^r x P^s it
     is the Eulerian ratio A(r+s+1, r+1) / (r+s+1)!.
     """
+    from fractions import Fraction  # here, so that starting a command does not load it
     if isinstance(kind, SegreCone):
         n = kind.r + kind.s + 1
         return Fraction(eulerian(n, kind.r + 1), math.factorial(n))
     return Fraction(1, kind.eps)
 
 
-def f_signature_convergent(kind: ConeKind, fp: PrimePower) -> Fraction:
-    """The e-th convergent splitting_number / q^dim of the F-signature."""
-    return Fraction(splitting_number(kind, fp), fp.q**kind.dim)
+def f_signature_convergent(
+    kind: ConeKind, fp: PrimePower, number: Optional[int] = None
+) -> Fraction:
+    """The e-th convergent splitting_number / q^dim of the F-signature;
+    ``number``, when given, is that splitting number, already computed."""
+    from fractions import Fraction
+    if number is None:
+        number = splitting_number(kind, fp)
+    return Fraction(number, fp.q**kind.dim)

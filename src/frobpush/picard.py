@@ -3,14 +3,17 @@
 A ``Decomposition`` is a finite multiset of summands (line-bundle classes,
 plus spinor twists on quadrics) with exact integer multiplicities, tagged by
 the variety it lives on.  All values here are immutable; every operation
-returns a fresh object, so unrestricted concurrent use is safe.
+returns a fresh object, so unrestricted concurrent use is safe.  The classes,
+summands and variety descriptors are ``value.Value`` records: slotted
+classes whose fields are their ``__slots__``, with a hand-written
+``__init__`` that runs the checks, and no ``dataclasses`` import.
 
 A ``Decomposition`` keeps its line summands as coordinate tuples and its
 spinor twists as integers, so the builders and the algebra (dual, twist,
 basis change, restriction) merge summands on keys that hash and compare in
 C.  ``PicClass`` and ``Line`` are the values a caller reads: they are built
-when a decomposition is iterated or sorted, and for verdict witnesses.  Both
-are slotted; a ``PicClass`` hashes its coordinates and basis once, when it
+when a decomposition is iterated or sorted, and for verdict witnesses.  A
+``PicClass`` hashes its coordinates and basis once, when it
 is built, and a ``Line`` reuses its class's hash.  Pickling rebuilds a class
 from its coordinates, so the hash is never carried into another process,
 whose string hashes differ.
@@ -19,10 +22,9 @@ whose string hashes differ.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import FrozenInstanceError, dataclass, field
 from operator import add, neg
 from types import MappingProxyType
-from typing import ClassVar, Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (
     DeterminantUnsupportedError,
@@ -31,25 +33,25 @@ from .errors import (
     NotFSplitError,
     RankUndefinedError,
 )
+from .value import Value
 
 Basis = tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class PicClass:
+class PicClass(Value):
     """An integer vector of coordinates against a named lattice basis."""
 
-    coords: tuple[int, ...]
-    basis: Basis
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("coords", "basis", "_hash")
+
+    def __init__(self, coords: tuple[int, ...], basis: Basis) -> None:
+        object.__setattr__(self, "coords", tuple(map(int, coords)))
+        object.__setattr__(self, "basis", tuple(basis))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        coords = tuple(map(int, self.coords))
-        basis = tuple(self.basis)
+        coords, basis = self.coords, self.basis
         if len(coords) != len(basis):
             raise LatticeMismatchError(f"{len(coords)} coordinates against basis {basis}")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_hash", hash((coords, basis)))
 
     def __hash__(self) -> int:
@@ -89,21 +91,25 @@ class PicClass:
         return f"PicClass({self.coords}, basis={self.basis})"
 
 
-@dataclass(frozen=True, slots=True)
-class Line:
+class Line(Value):
     """A line-bundle summand, rank 1."""
 
-    cls: PicClass
+    __slots__ = ("cls",)
+
+    def __init__(self, cls: PicClass) -> None:
+        object.__setattr__(self, "cls", cls)
 
     def __hash__(self) -> int:
         return self.cls._hash
 
 
-@dataclass(frozen=True)
-class Spinor:
+class Spinor(Value):
     """A spinor-bundle twist S(j); only meaningful on quadrics."""
 
-    j: int
+    __slots__ = ("j",)
+
+    def __init__(self, j: int) -> None:
+        object.__setattr__(self, "j", j)
 
 
 Summand = Union[Line, Spinor]
@@ -113,59 +119,59 @@ Summand = Union[Line, Spinor]
 # Variety descriptors.  Each carries its dimension and, as class data, the
 # admissible ordered bases of its class lattice (the first is the default).
 # ``bases`` is the one declaration of a family's lattice, which every other
-# layer reads; as a ClassVar it is no dataclass field, so never a CLI flag.
+# layer reads; as class data it is no field (no entry of ``__slots__``), so
+# never a CLI flag.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProjSpace:
-    d: int
-    tag: ClassVar[str] = "projspace"
-    bases: ClassVar[tuple[Basis, ...]] = (("H",),)
+class ProjSpace(Value):
+    __slots__ = ("d",)
+    tag = "projspace"
+    bases: tuple[Basis, ...] = (("H",),)
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise InvalidParameterError(f"projective space needs d >= 1; got d={self.d}")
+    def __init__(self, d: int) -> None:
+        if d < 1:
+            raise InvalidParameterError(f"projective space needs d >= 1; got d={d}")
+        object.__setattr__(self, "d", d)
 
     @property
     def dim(self) -> int:
         return self.d
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Value):
     """A product of two projective spaces P^r x P^s."""
 
-    r: int
-    s: int
-    tag: ClassVar[str] = "product"
-    bases: ClassVar[tuple[Basis, ...]] = (("H1", "H2"),)
+    __slots__ = ("r", "s")
+    tag = "product"
+    bases: tuple[Basis, ...] = (("H1", "H2"),)
 
-    def __post_init__(self) -> None:
-        if self.r < 1 or self.s < 1:
-            raise InvalidParameterError(f"product needs r, s >= 1; got ({self.r}, {self.s})")
+    def __init__(self, r: int, s: int) -> None:
+        if r < 1 or s < 1:
+            raise InvalidParameterError(f"product needs r, s >= 1; got ({r}, {s})")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
 
     @property
     def dim(self) -> int:
         return self.r + self.s
 
 
-@dataclass(frozen=True)
-class Hirzebruch:
+class Hirzebruch(Value):
     """The ruled surface P(O + O(-eps)) over P^1; C0 is the negative section."""
 
-    eps: int
-    tag: ClassVar[str] = "hirzebruch"
-    dim: ClassVar[int] = 2
-    bases: ClassVar[tuple[Basis, ...]] = (("C0", "f"),)
+    __slots__ = ("eps",)
+    tag = "hirzebruch"
+    dim = 2
+    bases: tuple[Basis, ...] = (("C0", "f"),)
 
-    def __post_init__(self) -> None:
-        if self.eps < 0:
-            raise InvalidParameterError(f"hirzebruch needs eps >= 0; got eps={self.eps}")
+    def __init__(self, eps: int) -> None:
+        if eps < 0:
+            raise InvalidParameterError(f"hirzebruch needs eps >= 0; got eps={eps}")
+        object.__setattr__(self, "eps", eps)
 
 
-@dataclass(frozen=True)
-class LinearBlowup:
+class LinearBlowup(Value):
     """Blowup of P^d along a linear subspace of dimension r-1.
 
     Two bases coexist: ("H", "H'") from the projective-bundle structure over
@@ -173,83 +179,82 @@ class LinearBlowup:
     H = H' + E.
     """
 
-    d: int
-    r: int
-    tag: ClassVar[str] = "blowup-linear"
-    bases: ClassVar[tuple[Basis, ...]] = (("H", "H'"), ("H", "E"))
+    __slots__ = ("d", "r")
+    tag = "blowup-linear"
+    bases: tuple[Basis, ...] = (("H", "H'"), ("H", "E"))
 
-    def __post_init__(self) -> None:
-        if self.d < 2 or not 1 <= self.r <= self.d - 1:
+    def __init__(self, d: int, r: int) -> None:
+        if d < 2 or not 1 <= r <= d - 1:
             raise InvalidParameterError(
-                f"linear blowup needs d >= 2 and 1 <= r <= d-1; got (d={self.d}, r={self.r})"
+                f"linear blowup needs d >= 2 and 1 <= r <= d-1; got (d={d}, r={r})"
             )
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "r", r)
 
     @property
     def dim(self) -> int:
         return self.d
 
 
-@dataclass(frozen=True)
-class VeroneseConeBlowup:
+class VeroneseConeBlowup(Value):
     """Blowup at the vertex of the cone over the eps-th Veronese image of P^d.
 
     Realized as the P^1-bundle P(O + O(eps)) over P^d; basis ("H", "H'")
     with H = E + eps*H'.
     """
 
-    d: int
-    eps: int
-    tag: ClassVar[str] = "veronese-cone"
-    bases: ClassVar[tuple[Basis, ...]] = (("H", "H'"),)
+    __slots__ = ("d", "eps")
+    tag = "veronese-cone"
+    bases: tuple[Basis, ...] = (("H", "H'"),)
 
-    def __post_init__(self) -> None:
-        if self.d < 1 or self.eps < 1:
+    def __init__(self, d: int, eps: int) -> None:
+        if d < 1 or eps < 1:
             raise InvalidParameterError(
-                f"veronese cone blowup needs d >= 1, eps >= 1; got (d={self.d}, eps={self.eps})"
+                f"veronese cone blowup needs d >= 1, eps >= 1; got (d={d}, eps={eps})"
             )
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "eps", eps)
 
     @property
     def dim(self) -> int:
         return self.d + 1
 
 
-@dataclass(frozen=True)
-class SegreConeBlowup:
+class SegreConeBlowup(Value):
     """Blowup at the vertex of the cone over the Segre image of P^r x P^s.
 
     Basis ("H", "G1", "G2") with E = H - G1 - G2.
     """
 
-    r: int
-    s: int
-    tag: ClassVar[str] = "segre-cone"
-    bases: ClassVar[tuple[Basis, ...]] = (("H", "G1", "G2"),)
+    __slots__ = ("r", "s")
+    tag = "segre-cone"
+    bases: tuple[Basis, ...] = (("H", "G1", "G2"),)
 
-    def __post_init__(self) -> None:
-        if self.r < 1 or self.s < 1:
-            raise InvalidParameterError(
-                f"segre cone blowup needs r, s >= 1; got ({self.r}, {self.s})"
-            )
+    def __init__(self, r: int, s: int) -> None:
+        if r < 1 or s < 1:
+            raise InvalidParameterError(f"segre cone blowup needs r, s >= 1; got ({r}, {s})")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
 
     @property
     def dim(self) -> int:
         return self.r + self.s + 1
 
 
-@dataclass(frozen=True)
-class Quadric:
+class Quadric(Value):
     """The smooth d-dimensional quadric, d >= 3; summands may include spinors."""
 
-    d: int
-    tag: ClassVar[str] = "quadric"
-    bases: ClassVar[tuple[Basis, ...]] = (("O(1)",),)
+    __slots__ = ("d",)
+    tag = "quadric"
+    bases: tuple[Basis, ...] = (("O(1)",),)
 
-    def __post_init__(self) -> None:
-        if self.d < 3:
+    def __init__(self, d: int) -> None:
+        if d < 3:
             raise InvalidParameterError(
                 f"quadric decompositions need d >= 3 (lower d is covered by "
-                f"projspace/product); got d={self.d}"
+                f"projspace/product); got d={d}"
             )
+        object.__setattr__(self, "d", d)
 
     @property
     def dim(self) -> int:
@@ -260,49 +265,49 @@ class Quadric:
         return 2 ** (self.d // 2)
 
 
-@dataclass(frozen=True)
-class RationalNormalCone:
+class RationalNormalCone(Value):
     """Projective cone over the rational normal curve of degree eps."""
 
-    eps: int
-    tag: ClassVar[str] = "rnc"
-    dim: ClassVar[int] = 2
+    __slots__ = ("eps",)
+    tag = "rnc"
+    dim = 2
 
-    def __post_init__(self) -> None:
-        if self.eps < 1:
-            raise InvalidParameterError(f"cone needs eps >= 1; got eps={self.eps}")
+    def __init__(self, eps: int) -> None:
+        if eps < 1:
+            raise InvalidParameterError(f"cone needs eps >= 1; got eps={eps}")
+        object.__setattr__(self, "eps", eps)
 
 
-@dataclass(frozen=True)
-class VeroneseCone:
+class VeroneseCone(Value):
     """Projective cone over the eps-th Veronese image of P^d."""
 
-    d: int
-    eps: int
-    tag: ClassVar[str] = "veronese"
+    __slots__ = ("d", "eps")
+    tag = "veronese"
 
-    def __post_init__(self) -> None:
-        if self.d < 1 or self.eps < 1:
+    def __init__(self, d: int, eps: int) -> None:
+        if d < 1 or eps < 1:
             raise InvalidParameterError(
-                f"veronese cone needs d >= 1, eps >= 1; got (d={self.d}, eps={self.eps})"
+                f"veronese cone needs d >= 1, eps >= 1; got (d={d}, eps={eps})"
             )
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "eps", eps)
 
     @property
     def dim(self) -> int:
         return self.d + 1
 
 
-@dataclass(frozen=True)
-class SegreCone:
+class SegreCone(Value):
     """Projective cone over the Segre image of P^r x P^s."""
 
-    r: int
-    s: int
-    tag: ClassVar[str] = "segre"
+    __slots__ = ("r", "s")
+    tag = "segre"
 
-    def __post_init__(self) -> None:
-        if self.r < 1 or self.s < 1:
-            raise InvalidParameterError(f"segre cone needs r, s >= 1; got ({self.r}, {self.s})")
+    def __init__(self, r: int, s: int) -> None:
+        if r < 1 or s < 1:
+            raise InvalidParameterError(f"segre cone needs r, s >= 1; got ({r}, {s})")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
 
     @property
     def dim(self) -> int:
@@ -312,8 +317,7 @@ class SegreCone:
 ConeKind = Union[RationalNormalCone, VeroneseCone, SegreCone]
 
 
-@dataclass(frozen=True)
-class ConeP:
+class ConeP(Value):
     """The singular projective cone itself; classes are Weil divisor classes
     near the vertex, on the single generator ("L",).
 
@@ -324,9 +328,12 @@ class ConeP:
     representatives -k*L with 0 <= k <= eps-1.
     """
 
-    kind: ConeKind
-    tag: ClassVar[str] = "cone-p"
-    bases: ClassVar[tuple[Basis, ...]] = (("L",),)
+    __slots__ = ("kind",)
+    tag = "cone-p"
+    bases: tuple[Basis, ...] = (("L",),)
+
+    def __init__(self, kind: ConeKind) -> None:
+        object.__setattr__(self, "kind", kind)
 
     @property
     def dim(self) -> int:
@@ -372,7 +379,7 @@ class _Entries(Mapping):
         return repr(dict(self._decomp.items()))
 
 
-class Decomposition:
+class Decomposition(Value):
     """A finite multiset of summands with exact multiplicities.
 
     The constructor takes each summand as a ``Line``, a ``Spinor`` or a
@@ -386,11 +393,13 @@ class Decomposition:
     ``Line`` and ``Spinor``, whose length builds nothing).
 
     ``support_only`` marks decompositions (quadrics) where some
-    multiplicities are unknown; those entries carry ``None``.  Its fields
-    cannot be reassigned, and it is unhashable, as its stores are dicts.
+    multiplicities are unknown; those entries carry ``None``.  It is a
+    ``Value`` whose fields are its slots: two are equal field by field, no
+    field can be reassigned, and it is unhashable, as its stores are dicts.
     """
 
     __slots__ = ("variety", "basis", "support_only", "_lines", "_spinors")
+    __hash__ = None
 
     def __init__(
         self,
@@ -444,12 +453,6 @@ class Decomposition:
         object.__setattr__(self, "support_only", support_only)
         object.__setattr__(self, "_lines", lines)
         object.__setattr__(self, "_spinors", spinors)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         items = [*self._lines.items(), *((Spinor(j), m) for j, m in self._spinors.items())]
@@ -519,17 +522,6 @@ class Decomposition:
 
     def trivial_multiplicity(self) -> int:
         return self.multiplicity((0,) * len(self.basis))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Decomposition):
-            return NotImplemented
-        return (
-            self.variety == other.variety
-            and self.basis == other.basis
-            and self.support_only == other.support_only
-            and self._lines == other._lines
-            and self._spinors == other._spinors
-        )
 
     def __repr__(self) -> str:
         body = ", ".join(

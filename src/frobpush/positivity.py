@@ -13,7 +13,6 @@ section-count identities on P^d are regression data, kept in ``verify``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import restriction
@@ -29,6 +28,7 @@ from .picard import (
     Summand,
     VarietyDescriptor,
 )
+from .value import Value
 
 
 class VerdictStatus(str, enum.Enum):
@@ -39,20 +39,22 @@ class VerdictStatus(str, enum.Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Value):
     """The summand (and, for restrictions, the divisor) certifying a verdict."""
 
-    summand: Summand
-    divisor: Optional[str] = None
-    multiplicity: Optional[int] = None
+    __slots__ = ("summand", "divisor", "multiplicity")
+
+    def __init__(self, summand: Summand, divisor: Optional[str] = None,
+                 multiplicity: Optional[int] = None) -> None:
+        self._set(summand, divisor, multiplicity)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: VerdictStatus
-    witness: Optional[Witness] = None
-    notes: tuple[str, ...] = field(default=())
+class Verdict(Value):
+    __slots__ = ("status", "witness", "notes")
+
+    def __init__(self, status: VerdictStatus, witness: Optional[Witness] = None,
+                 notes: tuple[str, ...] = ()) -> None:
+        self._set(status, witness, notes)
 
 
 def trace_kernel(
@@ -152,8 +154,7 @@ def kernel_restriction_verdict(
     return Verdict(VerdictStatus.UNKNOWN, notes=("no certificate found",))
 
 
-@dataclass(frozen=True)
-class QuadricKernelReport:
+class QuadricKernelReport(Value):
     """Both verdicts on the quadric trace kernel, plus the support data.
 
     ``support_verdict`` is derived from the computed summand support
@@ -163,11 +164,11 @@ class QuadricKernelReport:
     stated spinor windows exclude S(1); ``disagreement`` makes that visible.
     """
 
-    support: Decomposition
-    support_verdict: Verdict
-    stated_verdict: Verdict
-    disagreement: bool
-    notes: tuple[str, ...]
+    __slots__ = ("support", "support_verdict", "stated_verdict", "disagreement", "notes")
+
+    def __init__(self, support: Decomposition, support_verdict: Verdict,
+                 stated_verdict: Verdict, disagreement: bool, notes: tuple[str, ...]) -> None:
+        self._set(support, support_verdict, stated_verdict, disagreement, notes)
 
 
 def quadric_kernel_verdict(d: int, fp: PrimePower) -> QuadricKernelReport:

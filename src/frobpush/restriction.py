@@ -8,16 +8,15 @@ descriptor, so the rule states only its divisor, its target and its matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Callable
 
 from .errors import InvalidParameterError
 from .picard import Decomposition, VarietyDescriptor, change_basis
+from .value import Value
 
 
-@dataclass(frozen=True)
-class RestrictionRule:
+class RestrictionRule(Value):
     """How classes of one family restrict to its distinguished divisor.
 
     ``matrix`` maps source coordinates, in the default basis of the source
@@ -25,9 +24,11 @@ class RestrictionRule:
     source generator.
     """
 
-    divisor: str
-    target: Callable[[VarietyDescriptor], VarietyDescriptor]
-    matrix: Callable[[VarietyDescriptor], tuple[tuple[int, ...], ...]]
+    __slots__ = ("divisor", "target", "matrix")
+
+    def __init__(self, divisor: str, target: Callable[[VarietyDescriptor], VarietyDescriptor],
+                 matrix: Callable[[VarietyDescriptor], tuple[tuple[int, ...], ...]]) -> None:
+        self._set(divisor, target, matrix)
 
 
 def apply_rule(rule: RestrictionRule, decomp: Decomposition) -> Decomposition:

@@ -1,7 +1,6 @@
 """Tests for the command line: output fixtures, JSON round-trips, exit codes."""
 
 import contextlib
-import dataclasses
 import json
 import multiprocessing
 import os
@@ -187,7 +186,10 @@ class TestKernel:
             calls.append(args)
             return family.build(*args)
 
-        monkeypatch.setitem(families.FAMILIES, tag, dataclasses.replace(family, build=build))
+        patched = families.Family(
+            family.descriptor, build, family.structure_only, family.split, family.rule
+        )
+        monkeypatch.setitem(families.FAMILIES, tag, patched)
         code, _, err = run_cli(capsys, "kernel", "--variety", tag, *self.SPLIT_FLAGS[tag],
                                "--p", "3", "--e", "1")
         assert (code, err) == (0, "")
@@ -438,6 +440,22 @@ def test_cli_import_is_lazy():
     assert cap_kept
 
 
+def test_fresh_start_loads_no_dataclasses():
+    """A fresh CLI start loads neither ``dataclasses`` (with ``inspect``) nor
+    ``fractions``; pytest itself imports them, so this runs in a subprocess."""
+    script = (
+        "import sys, frobpush, frobpush.cli\n"
+        "frobpush.cli.build_parser()\n"
+        "print([m for m in ('dataclasses', 'inspect', 'fractions') if m in sys.modules])\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -504,6 +522,29 @@ class TestExitCodes:
                               capture_output=True, text=True, timeout=30)
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout.endswith("rank: 1000000000000000003\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # Output smaller than the stdout buffer: the write fails at main's flush.
+            ["decompose", "--variety", "projspace", "--d", "2", "--p", "2", "--e", "20"],
+            # Output larger than the buffer: the write fails inside print.
+            ["verify", "--suite", "all", "--max-d", "2", "--max-e", "2", "--primes", "2,3",
+             "--format", "json"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_closed_pipe_is_1_and_quiet(self, argv):
+        """A reader that closes stdout before anything is written, as ``head``
+        does once it has its lines, gets exit 1 and no traceback."""
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-m", "frobpush.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
 
     def test_semiprime_p_is_1(self, capsys):
         p = str(1000000007 * 1000000009)

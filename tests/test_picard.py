@@ -17,6 +17,7 @@ from frobpush.catalog import (
     pushforward_projective_space,
 )
 from frobpush.combinat import PrimePower, composition_count
+from frobpush.families import Family
 from frobpush.errors import (
     DeterminantUnsupportedError,
     InvalidParameterError,
@@ -34,12 +35,17 @@ from frobpush.picard import (
     Product,
     ProjSpace,
     Quadric,
+    RationalNormalCone,
     SegreCone,
     SegreConeBlowup,
     Spinor,
+    VeroneseCone,
     VeroneseConeBlowup,
     change_basis,
 )
+from frobpush.positivity import QuadricKernelReport, Verdict, VerdictStatus, Witness
+from frobpush.restriction import RestrictionRule
+from frobpush.value import Value
 
 H = ("H",)
 
@@ -174,7 +180,84 @@ VALUES = {
         "Line(cls=PicClass((-1,), basis=('O(1)',))): 3, Spinor(j=1): ?})",
     ),
 }
-HASHABLE = ["PicClass", "Line", "Spinor"]
+
+# The descriptors and records, built positionally and then by keyword with
+# every default left out.  Builtins stand in for the callables of a family
+# and a rule: they pickle by name and have a repr that names no address.
+for cls, args, fields, text in [
+    (PrimePower, (3, 2), ("p", "e"), "PrimePower(p=3, e=2, q=9)"),
+    (ProjSpace, (2,), ("d",), "ProjSpace(d=2)"),
+    (Product, (1, 2), ("r", "s"), "Product(r=1, s=2)"),
+    (Hirzebruch, (3,), ("eps",), "Hirzebruch(eps=3)"),
+    (LinearBlowup, (3, 1), ("d", "r"), "LinearBlowup(d=3, r=1)"),
+    (VeroneseConeBlowup, (2, 3), ("d", "eps"), "VeroneseConeBlowup(d=2, eps=3)"),
+    (SegreConeBlowup, (1, 2), ("r", "s"), "SegreConeBlowup(r=1, s=2)"),
+    (Quadric, (4,), ("d",), "Quadric(d=4)"),
+    (RationalNormalCone, (3,), ("eps",), "RationalNormalCone(eps=3)"),
+    (VeroneseCone, (2, 3), ("d", "eps"), "VeroneseCone(d=2, eps=3)"),
+    (SegreCone, (1, 2), ("r", "s"), "SegreCone(r=1, s=2)"),
+    (ConeP, (SegreCone(1, 2),), ("kind",), "ConeP(kind=SegreCone(r=1, s=2))"),
+    (
+        RestrictionRule, ("E", abs, len), ("divisor", "target", "matrix"),
+        "RestrictionRule(divisor='E', target=<built-in function abs>, "
+        "matrix=<built-in function len>)",
+    ),
+]:
+    VALUES[cls.__name__] = (
+        lambda cls=cls, args=args: cls(*args),
+        lambda cls=cls, args=args, fields=fields: cls(**dict(zip(fields, args))),
+        fields + (("q",) if cls is PrimePower else ()),
+        text,
+    )
+
+_REPORT = (
+    Decomposition(Quadric(3), [(Spinor(1), None)], support_only=True),
+    Verdict(VerdictStatus.NOT_AMPLE_WITH_WITNESS, Witness(Spinor(1))),
+    Verdict(VerdictStatus.AMPLE),
+    True,
+    ("a note",),
+)
+VALUES.update({
+    "Family": (
+        lambda: Family(ProjSpace, max, False, True, None),
+        lambda: Family(descriptor=ProjSpace, build=max),
+        ("descriptor", "build", "structure_only", "split", "rule"),
+        "Family(descriptor=<class 'frobpush.picard.ProjSpace'>, "
+        "build=<built-in function max>, structure_only=False, split=True, rule=None)",
+    ),
+    "Witness": (
+        lambda: Witness(Spinor(1), None, None),
+        lambda: Witness(summand=Spinor(1)),
+        ("summand", "divisor", "multiplicity"),
+        "Witness(summand=Spinor(j=1), divisor=None, multiplicity=None)",
+    ),
+    "Verdict": (
+        lambda: Verdict(VerdictStatus.NOT_NEF, None, ()),
+        lambda: Verdict(status=VerdictStatus.NOT_NEF),
+        ("status", "witness", "notes"),
+        "Verdict(status=<VerdictStatus.NOT_NEF: 'NotNef'>, witness=None, notes=())",
+    ),
+    "QuadricKernelReport": (
+        lambda: QuadricKernelReport(*_REPORT),
+        lambda: QuadricKernelReport(
+            support=_REPORT[0], support_verdict=_REPORT[1], stated_verdict=_REPORT[2],
+            disagreement=True, notes=("a note",),
+        ),
+        ("support", "support_verdict", "stated_verdict", "disagreement", "notes"),
+        "QuadricKernelReport(support=Decomposition(Quadric(d=3), {Spinor(j=1): ?}), "
+        "support_verdict=Verdict(status=<VerdictStatus.NOT_AMPLE_WITH_WITNESS: "
+        "'NotAmpleWithWitness'>, witness=Witness(summand=Spinor(j=1), divisor=None, "
+        "multiplicity=None), notes=()), stated_verdict=Verdict(status=<VerdictStatus.AMPLE: "
+        "'Ample'>, witness=None, notes=()), disagreement=True, notes=('a note',))",
+    ),
+})
+# A decomposition's entries are a dict, so neither it nor a record holding
+# one is a dict key.
+HASHABLE = sorted(set(VALUES) - {"Decomposition", "QuadricKernelReport"})
+
+
+def test_every_value_type_is_covered():
+    assert {cls.__name__ for cls in Value.__subclasses__()} <= set(VALUES)
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))
@@ -190,9 +273,18 @@ class TestValueTypes:
             assert hash(make()) == hash(make_again())
             assert {make(): 1}[make_again()] == 1
         else:
-            # Its entries are a dict, so it is no dict key.
             with pytest.raises(TypeError):
                 hash(make())
+
+    def test_hash_is_that_of_the_fields(self, name):
+        make, _, names, _ = VALUES[name]
+        if name not in HASHABLE:
+            return
+        value = make()
+        if name == "Line":  # a line hashes as its class
+            names, value = ("coords", "basis"), value.cls
+        fields = tuple(getattr(value, field) for field in names if field != "_hash")
+        assert hash(value) == hash(fields)
 
     def test_fields_are_frozen(self, name):
         make, _, names, _ = VALUES[name]
