@@ -11,6 +11,7 @@ from .combinat import (
     binom,
     bounded_power_coefficients,
     composition_count,
+    composition_table,
     eulerian,
     floor_pieces,
     floor_residue,
@@ -35,7 +36,6 @@ from .picard import (
     change_basis,
 )
 from .catalog import (
-    blowup_multiplicity,
     pushforward_hirzebruch,
     pushforward_linear_blowup,
     pushforward_product,

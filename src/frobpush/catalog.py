@@ -17,12 +17,14 @@ depends on the dimension, eps and the bit length of q, not on q.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from typing import Mapping, Optional
 
 from .combinat import (
     PrimePower,
     composition_count,
+    composition_table,
     floor_pieces,
     floor_residue,
     polynomial_range_sum,
@@ -95,33 +97,29 @@ def pushforward_hirzebruch(eps: int, u: int, v: int, fp: PrimePower) -> Decompos
     return _from_counts(variety, counts)
 
 
-def blowup_multiplicity(i: int, k: int, d: int, r: int, fp: PrimePower) -> int:
-    """Multiplicity of O(-i*H - k*H') in F^e_* O on the blowup of P^d along a
-    linear P^{r-1}.
-
-    The uniform formula covers the boundary rows i = 0 and i = r because the
-    composition counts vanish for negative first index.  The mixed term sums
-    count(k, j; d-r) * count(i-1, q-j; r-1) over j = 1..q-1, a polynomial of
-    degree d - 1 in j, so d samples fix it.
-    """
-    q = fp.q
-    base = composition_count(k, 0, d - r, fp) * composition_count(i, 0, r - 1, fp)
-    mixed = polynomial_range_sum(
-        [
-            composition_count(k, j, d - r, fp) * composition_count(i - 1, q - j, r - 1, fp)
-            for j in range(1, min(q, d + 1))
-        ],
-        q - 1,
-    )
-    return base + mixed
-
-
 def pushforward_linear_blowup(d: int, r: int, fp: PrimePower) -> Decomposition:
     """F^e_* O on the blowup of P^d along a linear subspace of dimension r-1,
-    in the ("H", "H'") basis."""
+    in the ("H", "H'") basis.
+
+    O(-i*H - k*H') has multiplicity count(k, 0; d-r) * count(i, 0; r-1) plus
+    the mixed term, the sum of count(k, j; d-r) * count(i-1, q-j; r-1) over
+    j = 1..q-1.  The uniform formula covers the boundary rows i = 0 and i = r
+    because the counts vanish outside 0 <= i <= r-1.  The mixed term is a
+    polynomial of degree d - 1 in j, so d samples fix it.  The counts at
+    m = 0 and at the sampled j = 1..min(q, d+1)-1 are built once, as three
+    composition tables, and every (i, k) reads them.
+    """
     variety = LinearBlowup(d, r)
+    q = fp.q
+    js = range(1, min(q, d + 1))
+    # outer[k] holds count(k, m; d - r) at m = 0 and then at each j in js;
+    # inner[i - 1] holds count(i - 1, q - j; r - 1) for j in js.
+    outer = composition_table(range(js.stop), d - r, fp)
+    inner_zero = [row[0] for row in composition_table(range(1), r - 1, fp)] + [0]
+    inner = composition_table(range(q - 1, q - js.stop, -1), r - 1, fp)
     counts = {
-        (-i, -k): blowup_multiplicity(i, k, d, r, fp)
+        (-i, -k): outer[k][0] * inner_zero[i]
+        + (i and polynomial_range_sum(list(map(operator.mul, outer[k][1:], inner[i - 1])), q - 1))
         for i in range(r + 1)
         for k in range(d - r + 1)
     }

@@ -4,7 +4,10 @@ The single most important quantity is ``composition_count(i, m, d, q)``: the
 number of ordered (d+1)-tuples with entries in [0, q-1] summing to m + i*q,
 where q = p^e is a prime power.  It vanishes outside 0 <= i <= d, and
 inside it is an alternating binomial sum of i + 1 terms, each costing one
-``math.comb``.  ``bounded_power_coefficients`` gives the same counts as the
+``math.comb``.  ``composition_table(ms, d, q)`` gives the rows i = 0..d over
+a range of residues m, with the work per residue in C; it pays where many
+residues share one d, and ``composition_count`` is cheaper for a few entries
+at small d.  ``bounded_power_coefficients`` gives the same counts as the
 coefficient list of (1 + t + ... + t^{q-1})^{d+1}, by direct convolution;
 the oracles in ``verify`` build that list once per (q, d) in a run and read
 every count they need from it.  Everything is plain ``int`` arithmetic; the
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterator, Sequence
 
 from .errors import InvalidParameterError
@@ -179,6 +182,32 @@ def composition_count(i: int, m: int, d: int, fp: PrimePower) -> int:
         sign_binom = -sign_binom * (d + 1 - t) // (t + 1)
         top -= q
     return total
+
+
+def composition_table(ms: range, d: int, fp: PrimePower) -> list[list[int]]:
+    """The rows i = 0..d of ``composition_count(i, m, d, fp)`` for m in ``ms``.
+
+    ``ms`` is a range of residues in [0, q-1], of any step, possibly empty.
+    The d + 1 binomial columns B_k(m) = C(m + k*q + d, d) are the
+    coefficients of (1 - t)^{-(d+1)} at m + k*q; the rows are those of
+    (1 - t^q)^{d+1} (1 - t)^{-(d+1)}, so d + 1 rounds of differencing
+    B_k - B_{k-1}, one whole column at a time, turn the columns into the rows.
+    The work per residue runs in C: d + 1 binomials and d(d+1) subtractions.
+    """
+    q = fp.q
+    if ms and not (0 <= ms[0] <= q - 1 and 0 <= ms[-1] <= q - 1):
+        raise InvalidParameterError(f"m must satisfy 0 <= m <= q-1; got m in {ms}, q={q}")
+    if d < 0:
+        raise InvalidParameterError(f"d must satisfy d >= 0; got d={d}")
+    start, stop, step = ms.start + d, ms.stop + d, ms.step
+    rows = [
+        list(map(math.comb, range(start + k * q, stop + k * q, step), repeat(d)))
+        for k in range(d + 1)
+    ]
+    for _ in range(d + 1):
+        for k in range(d, 0, -1):
+            rows[k] = list(map(operator.sub, rows[k], rows[k - 1]))
+    return rows
 
 
 def bounded_power_coefficients(q: int, parts: int) -> list[int]:

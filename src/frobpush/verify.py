@@ -19,10 +19,15 @@ the computed ones (the small-q ruled-surface row, the blowup k=0 claim, the
 quadric p=2 window for d >= 4) are reported as WARN with both values
 printed; they never fail a run.
 
+``sum-identity``, ``support`` and ``shifted-sum`` sweep every residue
+through one ``composition_table`` each, and ``mult-oracle`` checks both
+routes to a count, the table and ``composition_count``, against convolution.
+
 The closed forms and identities that only check the library's answers live
 here too, as regression data: the per-eps ruled-surface multiplicities and
-their block route, and the determinant-sum and section-count identities on
-P^d.  No other command computes them.
+their block route, the linear blowup's multiplicities entry by entry (the
+builder reads shared tables), and the determinant-sum and section-count
+identities on P^d.  No other command computes them.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 
 from . import catalog, localalg, positivity
 from .combinat import (
@@ -41,6 +47,7 @@ from .combinat import (
     binom,
     bounded_power_coefficients,
     composition_count,
+    composition_table,
     eulerian,
     polynomial_range_sum,
 )
@@ -231,6 +238,29 @@ def hirzebruch_closed_multiplicities(eps: int, fp: PrimePower) -> tuple[int, ...
     return tuple(sigma[1:])
 
 
+def blowup_multiplicity(i: int, k: int, d: int, r: int, fp: PrimePower) -> int:
+    """Multiplicity of O(-i*H - k*H') in F^e_* O on the blowup of P^d along a
+    linear P^{r-1}, entry by entry.
+
+    The uniform formula covers the boundary rows i = 0 and i = r because the
+    composition counts vanish for negative first index.  The mixed term sums
+    count(k, j; d-r) * count(i-1, q-j; r-1) over j = 1..q-1, a polynomial of
+    degree d - 1 in j, so d samples fix it.  Regression data for the
+    builder, which reads the same counts from shared composition tables; the
+    ``blowup-restrict`` check compares the two routes.
+    """
+    q = fp.q
+    base = composition_count(k, 0, d - r, fp) * composition_count(i, 0, r - 1, fp)
+    mixed = polynomial_range_sum(
+        [
+            composition_count(k, j, d - r, fp) * composition_count(i - 1, q - j, r - 1, fp)
+            for j in range(1, min(q, d + 1))
+        ],
+        q - 1,
+    )
+    return base + mixed
+
+
 def determinant_twist_sum(d: int, fp: PrimePower) -> PicClass:
     """Sum of det F^e_* O(n) over n = 0..q-1 on P^d.
 
@@ -283,34 +313,41 @@ def check_sum_identity(p: int, e: int, d: int) -> tuple[str, str]:
     """At each residue m the counts over i = 0..d add up to q^d."""
     fp = PrimePower(p, e)
     q = fp.q
-    bad = [
-        m for m in range(q) if sum(composition_count(i, m, d, fp) for i in range(d + 1)) != q**d
-    ]
-    return _ok(not bad, f"failing residues {bad}" if bad else f"all m, q={q}")
+    sums = list(map(sum, zip(*composition_table(range(q), d, fp))))
+    if sums.count(q**d) == q:
+        return "PASS", f"all m, q={q}"
+    return "FAIL", f"failing residues {[m for m, total in enumerate(sums) if total != q**d]}"
 
 
 def check_shifted_sum(p: int, e: int, d: int) -> tuple[str, str]:
     """A full residue sweep in dimension d-1 against dimension d: for l = 1..d,
     sum_j count(l-1, j; d-1) == count(l, 0; d) - count(l, 0; d-1) + count(l-1, 0; d-1)."""
     fp = PrimePower(p, e)
+    swept = [sum(row) for row in composition_table(range(fp.q), d - 1, fp)]
     bad = []
     for l in range(1, d + 1):
-        swept = sum(composition_count(l - 1, j, d - 1, fp) for j in range(fp.q))
         lifted = composition_count(l, 0, d, fp) - composition_count(l, 0, d - 1, fp)
-        if swept != lifted + composition_count(l - 1, 0, d - 1, fp):
+        if swept[l - 1] != lifted + composition_count(l - 1, 0, d - 1, fp):
             bad.append(l)
     return _ok(not bad, f"failing l {bad}" if bad else f"l=1..{d}")
 
 
 def check_support(p: int, e: int, d: int) -> tuple[str, str]:
+    """count(i, m; d) is nonzero exactly when 0 <= m + i*q <= (d+1)(q-1),
+    for i = -2..d+2: the rows 0..d from one table, the rest entry by entry."""
     fp = PrimePower(p, e)
     q = fp.q
+    table = composition_table(range(q), d, fp)
     for i in range(-2, d + 3):
-        for m in range(q):
-            nonzero = composition_count(i, m, d, fp) != 0
-            expected = 0 <= m + i * q <= (d + 1) * (q - 1)
-            if nonzero != expected:
-                return "FAIL", f"support mismatch at (i={i}, m={m})"
+        if 0 <= i <= d:
+            row = table[i]
+        else:
+            row = list(map(composition_count, repeat(i, q), range(q), repeat(d), repeat(fp)))
+        # The count is nonzero exactly for lo <= m < hi.
+        lo, hi = max(0, -i * q), max(0, min(q, (d + 1) * (q - 1) - i * q + 1))
+        if 0 in row[lo:hi] or any(row[:lo]) or any(row[hi:]):
+            m = next(m for m, count in enumerate(row) if (count != 0) != (lo <= m < hi))
+            return "FAIL", f"support mismatch at (i={i}, m={m})"
     return "PASS", f"i=-2..{d + 2}, all m"
 
 
@@ -320,6 +357,8 @@ def check_eulerian_sum(d: int) -> tuple[str, str]:
 
 
 def check_mult_oracle(p: int, e: int, d: int) -> tuple[str, str]:
+    """Both routes to the counts, entry by entry and by the table, vs the
+    convolution coefficients."""
     fp = PrimePower(p, e)
     q = fp.q
     table = _coefficients(q, d + 1)
@@ -328,6 +367,12 @@ def check_mult_oracle(p: int, e: int, d: int) -> tuple[str, str]:
             n = m + i * q
             if composition_count(i, m, d, fp) != (table[n] if n >= 0 else 0):
                 return "FAIL", f"mismatch at (i={i}, m={m})"
+    # The residues ascending, then descending, as the linear blowup reads them.
+    for ms in (range(q), range(q - 1, -1, -1)):
+        for i, row in enumerate(composition_table(ms, d, fp)):
+            for m, count in zip(ms, row):
+                if count != table[m + i * q]:
+                    return "FAIL", f"table mismatch at (i={i}, m={m})"
     return "PASS", f"closed form == convolution, q={q}"
 
 
@@ -374,13 +419,14 @@ def check_chart_oracle(p: int, e: int) -> tuple[str, str]:
 
 
 def check_blowup_restrict(p: int, e: int, d: int, r: int) -> tuple[str, str]:
-    """Restriction to the exceptional divisor vs the column sums of the
+    """Restriction to the exceptional divisor, which the builder computes
+    from shared composition tables, vs the column sums of the entry-by-entry
     blowup multiplicities and their closed form
     q^{r-1} * (count(k+1,0;d-r+1) - count(k+1,0;d-r) + count(k,0;d-r))."""
     fp = PrimePower(p, e)
     restricted = restrict(catalog.pushforward_linear_blowup(d, r, fp), "E")
     for k in range(d - r + 1):
-        summed = sum(catalog.blowup_multiplicity(i, k, d, r, fp) for i in range(r + 1))
+        summed = sum(blowup_multiplicity(i, k, d, r, fp) for i in range(r + 1))
         closed = fp.q ** (r - 1) * (
             composition_count(k + 1, 0, d - r + 1, fp)
             - composition_count(k + 1, 0, d - r, fp)

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from frobpush import verify
 from frobpush.catalog import (
-    blowup_multiplicity,
     pushforward_hirzebruch,
     pushforward_linear_blowup,
     pushforward_product,
@@ -219,7 +218,7 @@ def test_c07_cross_family_consistency():
         for d, r in ((2, 1), (3, 1), (3, 2), (4, 2), (4, 3)):
             for l in range(d + 1):
                 total = sum(
-                    blowup_multiplicity(i, l - i, d, r, fp)
+                    verify.blowup_multiplicity(i, l - i, d, r, fp)
                     for i in range(r + 1)
                     if 0 <= l - i <= d - r
                 )

@@ -108,7 +108,8 @@ def test_combinat_functions_are_leaves():
 # Closed forms and independent oracles: regression data for ``verify`` and
 # the tests, never a route of the library.
 ORACLES = {"hirzebruch_closed_multiplicities", "hirzebruch_block_multiplicities",
-           "determinant_twist_sum", "volume_identity", "bounded_power_coefficients"}
+           "determinant_twist_sum", "volume_identity", "bounded_power_coefficients",
+           "blowup_multiplicity"}
 
 
 def referenced_names(node: ast.AST) -> set[str]:

@@ -7,8 +7,8 @@ recorded value failed reconciliation.
 
 import pytest
 
+from frobpush import catalog
 from frobpush.catalog import (
-    blowup_multiplicity,
     pushforward_hirzebruch,
     pushforward_linear_blowup,
     pushforward_product,
@@ -32,7 +32,11 @@ from frobpush.picard import (
     change_basis,
 )
 from frobpush.positivity import kernel_restriction_verdict
-from frobpush.verify import hirzebruch_block_multiplicities, hirzebruch_closed_multiplicities
+from frobpush.verify import (
+    blowup_multiplicity,
+    hirzebruch_block_multiplicities,
+    hirzebruch_closed_multiplicities,
+)
 
 FIELDS = [PrimePower(p, e) for p in (2, 3, 5) for e in (1, 2)]
 FIELDS_E3 = [PrimePower(p, e) for p in (2, 3, 5) for e in (1, 2, 3)]
@@ -298,6 +302,28 @@ class TestLinearBlowup:
         for fp in FIELDS:
             for d, r in ((2, 1), (3, 1), (3, 2), (4, 2)):
                 assert pushforward_linear_blowup(d, r, fp).rank() == fp.q**d
+
+    def test_table_route_matches_entry_route(self):
+        # The builder reads shared composition tables; the regression route
+        # in verify recomputes every count entry by entry.
+        for fp in FIELDS + [PrimePower(2, 64), PrimePower(3, 40)]:
+            for d in range(2, 7):
+                for r in range(1, d):
+                    got = pushforward_linear_blowup(d, r, fp).lines
+                    for i in range(r + 1):
+                        for k in range(d - r + 1):
+                            want = blowup_multiplicity(i, k, d, r, fp)
+                            assert got.get((-i, -k), 0) == want, (fp, d, r, i, k)
+
+    def test_tables_are_built_once_per_call(self, monkeypatch):
+        calls = []
+        table = catalog.composition_table
+        monkeypatch.setattr(catalog, "composition_count", lambda *args: calls.append(args))
+        monkeypatch.setattr(
+            catalog, "composition_table", lambda *args: calls.append(args) or table(*args)
+        )
+        pushforward_linear_blowup(30, 10, PrimePower(2, 5))
+        assert len(calls) == 3
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameterError):

@@ -1,7 +1,10 @@
 """Tests for the exact combinatorics layer.
 
 The composition counts are checked three ways: the alternating closed form,
-the convolution table, and (for tiny budgets) naive tuple enumeration.
+the convolution table, and (for tiny budgets) naive tuple enumeration.  The
+composition table, which gives whole rows of counts over a progression of
+residues, is checked entry by entry against the convolution coefficients and
+against the one-entry closed form.
 """
 
 import math
@@ -19,6 +22,7 @@ from frobpush.combinat import (
     binom,
     bounded_power_coefficients,
     composition_count,
+    composition_table,
     eulerian,
     floor_pieces,
     floor_residue,
@@ -313,6 +317,77 @@ class TestCompositionCount:
                                 term *= (x - xk) / (xj - xk)
                         value += term
                     assert value == composition_count(i, m, d, probe)
+
+
+STEPS = st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])
+
+
+def progressions(q):
+    """Nonempty ranges of residues in [0, q-1], of step +-1..+-4."""
+    ends = st.lists(st.integers(0, q - 1), min_size=2, max_size=2).map(sorted)
+    return st.builds(
+        lambda ends, step: range(ends[0], ends[1] + 1, step) if step > 0
+        else range(ends[1], ends[0] - 1, step),
+        ends, STEPS,
+    )
+
+
+class TestCompositionTable:
+    @given(st.sampled_from(PRIME_POWERS_TO_64), st.integers(0, 6), st.data())
+    def test_matches_the_convolution(self, pe, d, data):
+        fp = PrimePower(*pe)
+        q = fp.q
+        ms = data.draw(progressions(q), label="ms")
+        coeffs = bounded_power_coefficients(q, d + 1)
+        coeffs += [0] * ((d + 1) * q - len(coeffs))
+        table = composition_table(ms, d, fp)
+        assert len(table) == d + 1
+        for i, row in enumerate(table):
+            assert row == [coeffs[i * q + m] for m in ms]
+
+    @given(st.sampled_from(PRIME_POWERS_TO_64), st.integers(0, 6), st.data())
+    def test_matches_the_closed_form(self, pe, d, data):
+        fp = PrimePower(*pe)
+        ms = data.draw(progressions(fp.q), label="ms")
+        table = composition_table(ms, d, fp)
+        assert table == [[composition_count(i, m, d, fp) for m in ms] for i in range(d + 1)]
+
+    @given(st.sampled_from([(2, 64), (3, 40)]), st.integers(0, 6), st.data())
+    def test_spot_progressions_at_huge_q(self, pe, d, data):
+        # No convolution table fits at these q; a few residues anywhere.
+        fp = PrimePower(*pe)
+        start = data.draw(st.integers(0, fp.q - 1), label="start")
+        step = data.draw(STEPS, label="step")
+        stop = min(start + 5 * step, fp.q) if step > 0 else max(start + 5 * step, -1)
+        ms = range(start, stop, step)
+        table = composition_table(ms, d, fp)
+        assert table == [[composition_count(i, m, d, fp) for m in ms] for i in range(d + 1)]
+
+    def test_every_residue_of_small_q(self):
+        for fp in SMALL_FIELDS:
+            for d in range(5):
+                for ms in (range(fp.q), range(fp.q - 1, -1, -1)):
+                    assert composition_table(ms, d, fp) == [
+                        [composition_count(i, m, d, fp) for m in ms] for i in range(d + 1)
+                    ]
+
+    def test_empty_range_gives_empty_rows(self):
+        fp = PrimePower(3, 2)
+        for d in range(4):
+            for ms in (range(0), range(5, 5), range(8, 2), range(2, 8, -1)):
+                assert composition_table(ms, d, fp) == [[] for _ in range(d + 1)]
+
+    @pytest.mark.parametrize("ms", [range(-1, 3), range(0, 10), range(1, 10, 2), range(8, -2, -1),
+                                    range(10, 12), range(0, 12, 3)])
+    def test_rejects_residues_outside_the_window(self, ms):
+        with pytest.raises(InvalidParameterError, match="0 <= m <= q-1"):
+            composition_table(ms, 2, PrimePower(3, 2))
+
+    def test_rejects_negative_dimension(self):
+        with pytest.raises(InvalidParameterError, match="d >= 0"):
+            composition_table(range(3), -1, PrimePower(3, 2))
+        with pytest.raises(InvalidParameterError, match="d >= 0"):
+            composition_table(range(0), -1, PrimePower(3, 2))
 
 
 class TestEulerian:

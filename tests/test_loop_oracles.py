@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from frobpush import catalog, combinat, verify
+from frobpush import catalog, combinat, localalg, verify
 from frobpush.catalog import (
     pushforward_hirzebruch,
     pushforward_linear_blowup,
@@ -21,7 +21,12 @@ from frobpush.catalog import (
     pushforward_segre_cone,
     pushforward_veronese_cone,
 )
-from frobpush.combinat import PrimePower, bounded_power_coefficients, composition_count
+from frobpush.combinat import (
+    PrimePower,
+    bounded_power_coefficients,
+    composition_count,
+    composition_table,
+)
 from frobpush.errors import OutOfRegimeError
 from frobpush.localalg import cone_pushforward, splitting_number
 from frobpush.picard import PicClass, RationalNormalCone, SegreCone, VeroneseCone
@@ -297,6 +302,29 @@ def off_by_one_at_zero(i, m, d, fp):
     return composition_count(i, m, d, fp) + (i == 0 and m == 0)
 
 
+def table_off_by_one_at_zero(ms, d, fp):
+    """``off_by_one_at_zero`` on the table route."""
+    rows = composition_table(ms, d, fp)
+    if 0 in ms:
+        rows[0][ms.index(0)] += 1
+    return rows
+
+
+def table_off_by_one_at_top(ms, d, fp):
+    """A table fault alone: one more at (i=d, m=q-1), a count that is 0 for
+    d >= 1 and that the linear blowup's builder reads."""
+    rows = composition_table(ms, d, fp)
+    if fp.q - 1 in ms:
+        rows[d][ms.index(fp.q - 1)] += 1
+    return rows
+
+
+def patch_every_caller(monkeypatch, name, fault):
+    for module in (catalog, localalg, verify):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, fault)
+
+
 def failing_kinds(cases):
     return {case[0] for case in cases if verify.run_case(case).status == "FAIL"}
 
@@ -304,8 +332,8 @@ def failing_kinds(cases):
 class TestOracleIndependence:
     def test_oracles_never_reach_the_closed_forms(self):
         # Follow every call from the loop oracles through verify and combinat.
-        closed_forms = {"composition_count", "floor_pieces", "polynomial_range_sum",
-                        "floor_residue"}
+        closed_forms = {"composition_count", "composition_table", "floor_pieces",
+                        "polynomial_range_sum", "floor_residue"}
         defs = {
             node.name: node
             for module in (verify, combinat)
@@ -327,12 +355,26 @@ class TestOracleIndependence:
         assert {"_progression_sums", "_coefficients", "bounded_power_coefficients"} <= seen
 
     def test_loops_catch_a_closed_form_fault(self, monkeypatch):
-        # The same fault in every caller's closed form: the builders go wrong,
-        # and the loops, which read their own table, must notice.
-        for module in (catalog, verify):
-            monkeypatch.setattr(module, "composition_count", off_by_one_at_zero)
+        # The same fault in every caller's closed form, on the one-entry
+        # route and on the table route: the builders go wrong, and the loops,
+        # which read their own convolution table, must notice.
+        patch_every_caller(monkeypatch, "composition_count", off_by_one_at_zero)
+        patch_every_caller(monkeypatch, "composition_table", table_off_by_one_at_zero)
         loops = {"segre-loop", "veronese-direct", "blowup-loop"}
         assert loops <= failing_kinds(TINY_ORACLES)
+
+    def test_a_table_fault_alone_is_caught(self, monkeypatch):
+        identities = verify.build_cases("identities", max_d=3, max_e=1, primes=(2, 3))
+        cases = identities + TINY_ORACLES
+        kinds = {"sum-identity", "support", "blowup-loop", "mult-oracle"}
+        assert not failing_kinds(case for case in cases if case[0] in kinds)
+        patch_every_caller(monkeypatch, "composition_table", table_off_by_one_at_top)
+        assert kinds <= failing_kinds(cases)
+        for case in cases:
+            if case[0] == "mult-oracle":
+                p, e, d = case[1]
+                result = verify.run_case(case)
+                assert result.detail == f"table mismatch at (i={d}, m={p**e - 1})", result
 
     def test_mult_oracle_catches_a_closed_form_fault(self, monkeypatch):
         cases = [case for case in TINY_ORACLES if case[0] == "mult-oracle"]
