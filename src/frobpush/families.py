@@ -2,14 +2,15 @@
 
 A ``Family`` holds everything the rest of the package needs to know about a
 family: its descriptor class, whether only the structure sheaf is supported,
-the builder, and the restriction rule to its distinguished divisor.  The
-family's lattice basis is declared once, as the descriptor's ``bases``
-class data; the number of bundle coordinates (``arity``) is read from it.
-The descriptor's fields, the names in its ``__slots__``, are at once its
-constructor arguments, its CLI flags and its JSON ``params``; a ``ConeP``
-field ``kind`` holds a cone named by a tag in ``CONE_KINDS``.  Adding a
-family means writing its descriptor with its ``bases``, its builder and one
-entry in ``FAMILIES``.
+the builder, and the restriction rule to its distinguished divisor.  Each
+family and each cone kind is declared once, in ``picard``, and ``FAMILIES``
+and ``CONE_KINDS`` are derived from those declarations.  The family's
+lattice basis is the descriptor's ``bases``; the number of bundle
+coordinates (``arity``) is read from it.  The descriptor's fields, the names
+in its ``__slots__``, are at once its constructor arguments, its CLI flags
+and its JSON ``params``; a ``ConeP`` field ``kind`` holds a cone named by a
+tag in ``CONE_KINDS``.  Adding a family means one ``picard._declare`` call
+and its builder.
 
 Builders reach ``catalog`` and ``localalg`` through their module attributes
 at call time, so whatever rebinds those attributes (a tracer, a test double)
@@ -23,21 +24,7 @@ from typing import Callable, Optional
 from . import catalog, localalg, restriction
 from .combinat import PrimePower
 from .errors import InvalidParameterError
-from .picard import (
-    ConeP,
-    Decomposition,
-    Hirzebruch,
-    LinearBlowup,
-    Product,
-    ProjSpace,
-    Quadric,
-    RationalNormalCone,
-    SegreCone,
-    SegreConeBlowup,
-    VarietyDescriptor,
-    VeroneseCone,
-    VeroneseConeBlowup,
-)
+from .picard import DESCRIPTORS, Decomposition, VarietyDescriptor
 from .restriction import RestrictionRule
 from .value import Value
 
@@ -63,86 +50,28 @@ class Family(Value):
         self._set(descriptor, build, structure_only, split, rule)
 
     @property
-    def tag(self) -> str:
-        return self.descriptor.tag
-
-    @property
     def arity(self) -> int:
         """The number of coordinates of a bundle: the rank of the default basis."""
         return len(self.descriptor.bases[0])
 
 
-FAMILIES: dict[str, Family] = {
-    family.tag: family
-    for family in (
-        Family(
-            ProjSpace,
-            build=lambda v, b, fp: catalog.pushforward_projective_space(v.d, *b, fp),
-        ),
-        Family(
-            Product,
-            build=lambda v, b, fp: catalog.pushforward_product(v.r, v.s, *b, fp),
-        ),
-        Family(
-            Hirzebruch,
-            build=lambda v, b, fp: catalog.pushforward_hirzebruch(v.eps, *b, fp),
-            # f and C0 restrict to the negative section as degrees 1 and -eps.
-            rule=RestrictionRule(
-                divisor="C0",
-                target=lambda v: ProjSpace(1),
-                matrix=lambda v: ((-v.eps,), (1,)),
-            ),
-        ),
-        Family(
-            LinearBlowup,
-            build=lambda v, b, fp: catalog.pushforward_linear_blowup(v.d, v.r, fp),
-            structure_only=True,
-            # Classes restrict to a fiber of the exceptional bundle through
-            # their H' coordinate; H dies.
-            rule=RestrictionRule(
-                divisor="E",
-                target=lambda v: ProjSpace(v.d - v.r),
-                matrix=lambda v: ((0,), (1,)),
-            ),
-        ),
-        Family(
-            VeroneseConeBlowup,
-            build=lambda v, b, fp: catalog.pushforward_veronese_cone(v.d, v.eps, *b, fp),
-            rule=RestrictionRule(
-                divisor="E",
-                target=lambda v: ProjSpace(v.d),
-                matrix=lambda v: ((0,), (1,)),
-            ),
-        ),
-        Family(
-            SegreConeBlowup,
-            build=lambda v, b, fp: catalog.pushforward_segre_cone(v.r, v.s, *b, fp),
-            rule=RestrictionRule(
-                divisor="E",
-                target=lambda v: Product(v.r, v.s),
-                matrix=lambda v: ((0, 0), (1, 0), (0, 1)),
-            ),
-        ),
-        # The support of the canonical-twist pushforward F^e_* omega^{1-q}.
-        Family(
-            Quadric,
-            build=lambda v, b, fp: catalog.quadric_pushforward_support(v.d, fp),
-            structure_only=True,
-            split=False,
-        ),
-        # Vertex-local Weil classes of the singular cone.
-        Family(
-            ConeP,
-            build=lambda v, b, fp: localalg.cone_pushforward(v.kind, fp),
-            structure_only=True,
-            split=False,
-        ),
-    )
-}
+def _family(cls: type) -> Family:
+    """The registry record of a declared family.  Its builder is looked up
+    on its module at each call, and a structure-only builder takes no bundle."""
+    module, name = cls.builder.split(".")
+    module = {"catalog": catalog, "localalg": localalg}[module]
+    bundle = slice(0 if cls.structure_only else None)
 
-CONE_KINDS: dict[str, type] = {
-    kind.tag: kind for kind in (RationalNormalCone, VeroneseCone, SegreCone)
-}
+    def build(v, b, fp):
+        return getattr(module, name)(*v._fields(), *b[bundle], fp)
+
+    rule = cls.rule and RestrictionRule(*cls.rule)
+    return Family(cls, build, cls.structure_only, cls.split, rule)
+
+
+FAMILIES: dict[str, Family] = {cls.tag: _family(cls) for cls in DESCRIPTORS if cls.builder}
+
+CONE_KINDS: dict[str, type] = {cls.tag: cls for cls in DESCRIPTORS if not cls.builder}
 
 
 def family_of(variety: VarietyDescriptor) -> Family:

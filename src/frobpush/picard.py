@@ -5,8 +5,13 @@ plus spinor twists on quadrics) with exact integer multiplicities, tagged by
 the variety it lives on.  All values here are immutable; every operation
 returns a fresh object, so unrestricted concurrent use is safe.  The classes,
 summands and variety descriptors are ``value.Value`` records: slotted
-classes whose fields are their ``__slots__``, with a hand-written
-``__init__`` that runs the checks, and no ``dataclasses`` import.
+classes whose fields are their ``__slots__``, with an ``__init__`` that runs
+the checks, and no ``dataclasses`` import.  Each variety family and each
+cone kind is declared once, by one ``_declare`` call that generates its
+descriptor class: fields, refusal, ``tag``, ``bases``, ``dim`` and, for a
+registry family, its builder and restriction rule.  ``Decomposition`` and
+``change_basis`` read the declarations (``spinor_rank``, ``bases``), not the
+descriptor's type.
 
 A ``Decomposition`` keeps its line summands as coordinate tuples and its
 spinor twists as integers, so the builders and the algebra (dual, twist,
@@ -24,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from operator import add, neg
 from types import MappingProxyType
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import (
     DeterminantUnsupportedError,
@@ -69,23 +74,8 @@ class PicClass(Value):
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def _check(self, other: "PicClass") -> None:
-        if self.basis != other.basis:
-            raise LatticeMismatchError(f"{self.basis} vs {other.basis}")
-
-    def __add__(self, other: "PicClass") -> "PicClass":
-        self._check(other)
-        return PicClass(tuple(a + b for a, b in zip(self.coords, other.coords)), self.basis)
-
-    def __sub__(self, other: "PicClass") -> "PicClass":
-        self._check(other)
-        return PicClass(tuple(a - b for a, b in zip(self.coords, other.coords)), self.basis)
-
     def __neg__(self) -> "PicClass":
         return PicClass(tuple(-a for a in self.coords), self.basis)
-
-    def scaled(self, k: int) -> "PicClass":
-        return PicClass(tuple(k * a for a in self.coords), self.basis)
 
     def __repr__(self) -> str:
         return f"PicClass({self.coords}, basis={self.basis})"
@@ -116,208 +106,163 @@ Summand = Union[Line, Spinor]
 
 
 # ---------------------------------------------------------------------------
-# Variety descriptors.  Each carries its dimension and, as class data, the
-# admissible ordered bases of its class lattice (the first is the default).
-# ``bases`` is the one declaration of a family's lattice, which every other
-# layer reads; as class data it is no field (no entry of ``__slots__``), so
-# never a CLI flag.
+# Variety descriptors.  Each family and each cone kind is one ``_declare``
+# call, the only place it is written down; ``families`` derives ``FAMILIES``
+# and ``CONE_KINDS`` from ``DESCRIPTORS``.  ``bases``, the admissible ordered
+# bases of a family's class lattice (the first is the default), is the one
+# declaration of its lattice, which every other layer reads; as class data it
+# is no field (no entry of ``__slots__``), so never a CLI flag.
 # ---------------------------------------------------------------------------
 
-
-class ProjSpace(Value):
-    __slots__ = ("d",)
-    tag = "projspace"
-    bases: tuple[Basis, ...] = (("H",),)
-
-    def __init__(self, d: int) -> None:
-        if d < 1:
-            raise InvalidParameterError(f"projective space needs d >= 1; got d={d}")
-        object.__setattr__(self, "d", d)
-
-    @property
-    def dim(self) -> int:
-        return self.d
+DESCRIPTORS: list[type] = []
 
 
-class Product(Value):
-    """A product of two projective spaces P^r x P^s."""
+def _declare(name: str, tag: str, fields: tuple[str, ...], doc: Optional[str] = None, *,
+             refuse: str = "", refusal: str = "", dim: Callable[[Value], int],
+             bases: tuple[Basis, ...] = (), spinor_rank: Optional[Callable] = None,
+             builder: Optional[str] = None, structure_only: bool = False,
+             split: bool = True, rule: Optional[tuple] = None) -> type:
+    """The descriptor class ``name`` of one family or cone kind.
 
-    __slots__ = ("r", "s")
-    tag = "product"
-    bases: tuple[Basis, ...] = (("H1", "H2"),)
+    ``fields`` are its ``__slots__`` in constructor order: at once its
+    constructor arguments, its CLI flags and its JSON ``params``.  The
+    constructor refuses arguments for which the expression ``refuse`` over
+    the fields holds, raising ``InvalidParameterError`` with ``refusal``
+    formatted from the fields.  It is generated as source, one per class,
+    so a descriptor costs what a hand-written constructor costs: a verify
+    pass builds about 14,000 of them.  ``dim`` and ``spinor_rank`` become
+    properties; a family with a ``spinor_rank`` may hold spinor summands.
 
-    def __init__(self, r: int, s: int) -> None:
-        if r < 1 or s < 1:
-            raise InvalidParameterError(f"product needs r, s >= 1; got ({r}, {s})")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
+    A registry family names its ``builder`` as "module.function", called
+    with the fields, then the bundle coordinates unless ``structure_only``
+    (the family accepts only the zero bundle), then the prime power.
+    ``split`` and ``rule``, the (divisor, target, matrix) of its
+    ``RestrictionRule``, are as in ``families.Family``.  A declaration with
+    no builder is a cone kind, built inside ``ConeP``.
+    """
+    source = f"def __init__(self, {', '.join(fields)}):\n"
+    if refuse:
+        source += f"    if {refuse}:\n        raise InvalidParameterError(f{refusal!r})\n"
+    source += "".join(f"    _set(self, {field!r}, {field})\n" for field in fields)
+    namespace = {"InvalidParameterError": InvalidParameterError, "_set": object.__setattr__}
+    exec(source, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{name}.__init__"
+    cls = type(name, (Value,), {
+        "__slots__": fields, "__doc__": doc, "__module__": __name__, "__init__": init,
+        "tag": tag, "bases": bases, "dim": property(dim),
+        "spinor_rank": spinor_rank and property(spinor_rank), "builder": builder,
+        "structure_only": structure_only, "split": split, "rule": rule,
+    })
+    DESCRIPTORS.append(cls)
+    return cls
 
-    @property
-    def dim(self) -> int:
-        return self.r + self.s
 
+ProjSpace = _declare(
+    "ProjSpace", "projspace", ("d",),
+    refuse="d < 1", refusal="projective space needs d >= 1; got d={d}",
+    dim=lambda v: v.d, bases=(("H",),),
+    builder="catalog.pushforward_projective_space",
+)
 
-class Hirzebruch(Value):
-    """The ruled surface P(O + O(-eps)) over P^1; C0 is the negative section."""
+Product = _declare(
+    "Product", "product", ("r", "s"),
+    "A product of two projective spaces P^r x P^s.",
+    refuse="r < 1 or s < 1", refusal="product needs r, s >= 1; got ({r}, {s})",
+    dim=lambda v: v.r + v.s, bases=(("H1", "H2"),),
+    builder="catalog.pushforward_product",
+)
 
-    __slots__ = ("eps",)
-    tag = "hirzebruch"
-    dim = 2
-    bases: tuple[Basis, ...] = (("C0", "f"),)
+Hirzebruch = _declare(
+    "Hirzebruch", "hirzebruch", ("eps",),
+    "The ruled surface P(O + O(-eps)) over P^1; C0 is the negative section.",
+    refuse="eps < 0", refusal="hirzebruch needs eps >= 0; got eps={eps}",
+    dim=lambda v: 2, bases=(("C0", "f"),),
+    builder="catalog.pushforward_hirzebruch",
+    # f and C0 restrict to the negative section as degrees 1 and -eps.
+    rule=("C0", lambda v: ProjSpace(1), lambda v: ((-v.eps,), (1,))),
+)
 
-    def __init__(self, eps: int) -> None:
-        if eps < 0:
-            raise InvalidParameterError(f"hirzebruch needs eps >= 0; got eps={eps}")
-        object.__setattr__(self, "eps", eps)
-
-
-class LinearBlowup(Value):
+LinearBlowup = _declare(
+    "LinearBlowup", "blowup-linear", ("d", "r"),
     """Blowup of P^d along a linear subspace of dimension r-1.
 
     Two bases coexist: ("H", "H'") from the projective-bundle structure over
     P^{d-r}, and ("H", "E") with the exceptional divisor, related by
     H = H' + E.
-    """
+    """,
+    refuse="d < 2 or not 1 <= r <= d - 1",
+    refusal="linear blowup needs d >= 2 and 1 <= r <= d-1; got (d={d}, r={r})",
+    dim=lambda v: v.d, bases=(("H", "H'"), ("H", "E")),
+    builder="catalog.pushforward_linear_blowup", structure_only=True,
+    # Classes restrict to a fiber of the exceptional bundle through their H'
+    # coordinate; H dies.
+    rule=("E", lambda v: ProjSpace(v.d - v.r), lambda v: ((0,), (1,))),
+)
 
-    __slots__ = ("d", "r")
-    tag = "blowup-linear"
-    bases: tuple[Basis, ...] = (("H", "H'"), ("H", "E"))
-
-    def __init__(self, d: int, r: int) -> None:
-        if d < 2 or not 1 <= r <= d - 1:
-            raise InvalidParameterError(
-                f"linear blowup needs d >= 2 and 1 <= r <= d-1; got (d={d}, r={r})"
-            )
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "r", r)
-
-    @property
-    def dim(self) -> int:
-        return self.d
-
-
-class VeroneseConeBlowup(Value):
+VeroneseConeBlowup = _declare(
+    "VeroneseConeBlowup", "veronese-cone", ("d", "eps"),
     """Blowup at the vertex of the cone over the eps-th Veronese image of P^d.
 
     Realized as the P^1-bundle P(O + O(eps)) over P^d; basis ("H", "H'")
     with H = E + eps*H'.
-    """
+    """,
+    refuse="d < 1 or eps < 1",
+    refusal="veronese cone blowup needs d >= 1, eps >= 1; got (d={d}, eps={eps})",
+    dim=lambda v: v.d + 1, bases=(("H", "H'"),),
+    builder="catalog.pushforward_veronese_cone",
+    rule=("E", lambda v: ProjSpace(v.d), lambda v: ((0,), (1,))),
+)
 
-    __slots__ = ("d", "eps")
-    tag = "veronese-cone"
-    bases: tuple[Basis, ...] = (("H", "H'"),)
-
-    def __init__(self, d: int, eps: int) -> None:
-        if d < 1 or eps < 1:
-            raise InvalidParameterError(
-                f"veronese cone blowup needs d >= 1, eps >= 1; got (d={d}, eps={eps})"
-            )
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "eps", eps)
-
-    @property
-    def dim(self) -> int:
-        return self.d + 1
-
-
-class SegreConeBlowup(Value):
+SegreConeBlowup = _declare(
+    "SegreConeBlowup", "segre-cone", ("r", "s"),
     """Blowup at the vertex of the cone over the Segre image of P^r x P^s.
 
     Basis ("H", "G1", "G2") with E = H - G1 - G2.
-    """
+    """,
+    refuse="r < 1 or s < 1", refusal="segre cone blowup needs r, s >= 1; got ({r}, {s})",
+    dim=lambda v: v.r + v.s + 1, bases=(("H", "G1", "G2"),),
+    builder="catalog.pushforward_segre_cone",
+    rule=("E", lambda v: Product(v.r, v.s), lambda v: ((0, 0), (1, 0), (0, 1))),
+)
 
-    __slots__ = ("r", "s")
-    tag = "segre-cone"
-    bases: tuple[Basis, ...] = (("H", "G1", "G2"),)
+# Its builder gives the support of the canonical-twist pushforward
+# F^e_* omega^{1-q}.
+Quadric = _declare(
+    "Quadric", "quadric", ("d",),
+    "The smooth d-dimensional quadric, d >= 3; summands may include spinors.",
+    refuse="d < 3",
+    refusal="quadric decompositions need d >= 3 (lower d is covered by "
+    "projspace/product); got d={d}",
+    dim=lambda v: v.d, bases=(("O(1)",),), spinor_rank=lambda v: 2 ** (v.d // 2),
+    builder="catalog.quadric_pushforward_support", structure_only=True, split=False,
+)
 
-    def __init__(self, r: int, s: int) -> None:
-        if r < 1 or s < 1:
-            raise InvalidParameterError(f"segre cone blowup needs r, s >= 1; got ({r}, {s})")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
+RationalNormalCone = _declare(
+    "RationalNormalCone", "rnc", ("eps",),
+    "Projective cone over the rational normal curve of degree eps.",
+    refuse="eps < 1", refusal="cone needs eps >= 1; got eps={eps}",
+    dim=lambda v: 2,
+)
 
-    @property
-    def dim(self) -> int:
-        return self.r + self.s + 1
+VeroneseCone = _declare(
+    "VeroneseCone", "veronese", ("d", "eps"),
+    "Projective cone over the eps-th Veronese image of P^d.",
+    refuse="d < 1 or eps < 1",
+    refusal="veronese cone needs d >= 1, eps >= 1; got (d={d}, eps={eps})",
+    dim=lambda v: v.d + 1,
+)
 
+SegreCone = _declare(
+    "SegreCone", "segre", ("r", "s"),
+    "Projective cone over the Segre image of P^r x P^s.",
+    refuse="r < 1 or s < 1", refusal="segre cone needs r, s >= 1; got ({r}, {s})",
+    dim=lambda v: v.r + v.s + 1,
+)
 
-class Quadric(Value):
-    """The smooth d-dimensional quadric, d >= 3; summands may include spinors."""
-
-    __slots__ = ("d",)
-    tag = "quadric"
-    bases: tuple[Basis, ...] = (("O(1)",),)
-
-    def __init__(self, d: int) -> None:
-        if d < 3:
-            raise InvalidParameterError(
-                f"quadric decompositions need d >= 3 (lower d is covered by "
-                f"projspace/product); got d={d}"
-            )
-        object.__setattr__(self, "d", d)
-
-    @property
-    def dim(self) -> int:
-        return self.d
-
-    @property
-    def spinor_rank(self) -> int:
-        return 2 ** (self.d // 2)
-
-
-class RationalNormalCone(Value):
-    """Projective cone over the rational normal curve of degree eps."""
-
-    __slots__ = ("eps",)
-    tag = "rnc"
-    dim = 2
-
-    def __init__(self, eps: int) -> None:
-        if eps < 1:
-            raise InvalidParameterError(f"cone needs eps >= 1; got eps={eps}")
-        object.__setattr__(self, "eps", eps)
-
-
-class VeroneseCone(Value):
-    """Projective cone over the eps-th Veronese image of P^d."""
-
-    __slots__ = ("d", "eps")
-    tag = "veronese"
-
-    def __init__(self, d: int, eps: int) -> None:
-        if d < 1 or eps < 1:
-            raise InvalidParameterError(
-                f"veronese cone needs d >= 1, eps >= 1; got (d={d}, eps={eps})"
-            )
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "eps", eps)
-
-    @property
-    def dim(self) -> int:
-        return self.d + 1
-
-
-class SegreCone(Value):
-    """Projective cone over the Segre image of P^r x P^s."""
-
-    __slots__ = ("r", "s")
-    tag = "segre"
-
-    def __init__(self, r: int, s: int) -> None:
-        if r < 1 or s < 1:
-            raise InvalidParameterError(f"segre cone needs r, s >= 1; got ({r}, {s})")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
-
-    @property
-    def dim(self) -> int:
-        return self.r + self.s + 1
-
-
-ConeKind = Union[RationalNormalCone, VeroneseCone, SegreCone]
-
-
-class ConeP(Value):
+# Its builder gives the vertex-local Weil classes of the singular cone.
+ConeP = _declare(
+    "ConeP", "cone-p", ("kind",),
     """The singular projective cone itself; classes are Weil divisor classes
     near the vertex, on the single generator ("L",).
 
@@ -326,30 +271,13 @@ class ConeP(Value):
     group near the vertex is generated by the ruling L with eps*L Cartier,
     so classes are only meaningful modulo eps; decompositions use
     representatives -k*L with 0 <= k <= eps-1.
-    """
+    """,
+    dim=lambda v: v.kind.dim, bases=(("L",),),
+    builder="localalg.cone_pushforward", structure_only=True, split=False,
+)
 
-    __slots__ = ("kind",)
-    tag = "cone-p"
-    bases: tuple[Basis, ...] = (("L",),)
-
-    def __init__(self, kind: ConeKind) -> None:
-        object.__setattr__(self, "kind", kind)
-
-    @property
-    def dim(self) -> int:
-        return self.kind.dim
-
-
-VarietyDescriptor = Union[
-    ProjSpace,
-    Product,
-    Hirzebruch,
-    LinearBlowup,
-    VeroneseConeBlowup,
-    SegreConeBlowup,
-    Quadric,
-    ConeP,
-]
+# Any declared descriptor; a cone kind is one declared with no builder.
+VarietyDescriptor = ConeKind = Value
 
 
 class _Entries(Mapping):
@@ -427,7 +355,7 @@ class Decomposition(Value):
                         f"summand basis {summand.cls.basis} vs decomposition basis {basis}"
                     )
                 store, key = lines, summand.cls.coords
-            elif not isinstance(variety, Quadric):
+            elif variety.spinor_rank is None:
                 raise InvalidParameterError("spinor summands only live on quadrics")
             elif isinstance(summand, Spinor):
                 store, key = spinors, summand.j
@@ -504,10 +432,6 @@ class Decomposition(Value):
         ]
         items += [(Spinor(j), mult) for j, mult in sorted(self._spinors.items(), reverse=True)]
         return items
-
-    @property
-    def is_empty(self) -> bool:
-        return not (self._lines or self._spinors)
 
     def trivial_class(self) -> PicClass:
         return PicClass.zero(self.basis)
@@ -596,7 +520,7 @@ def change_basis(decomp: Decomposition, target: Basis) -> Decomposition:
     directions (it is an involution).
     """
     target = tuple(target)
-    if not isinstance(decomp.variety, LinearBlowup):
+    if len(decomp.variety.bases) < 2:
         raise LatticeMismatchError("basis change is only defined on linear blowups")
     if target not in decomp.variety.bases:
         raise LatticeMismatchError(f"{target} is not a basis of {decomp.variety}")

@@ -1,9 +1,10 @@
 """Restriction of decompositions to the distinguished divisors of each family.
 
 Each restriction is a lattice homomorphism declared as data in a
-``RestrictionRule``; the rules themselves live with their families in
-``families.FAMILIES``.  A rule's source is the default basis of its family's
-descriptor, so the rule states only its divisor, its target and its matrix.
+``RestrictionRule``; each rule is declared with its family in ``picard``
+and held by its record in ``families.FAMILIES``.  A rule's source is the
+default basis of its family's descriptor, so the rule states only its
+divisor, its target and its matrix.
 """
 
 from __future__ import annotations

@@ -14,9 +14,10 @@ from __future__ import annotations
 class Value:
     """A frozen record whose fields are its class's ``__slots__``.
 
-    The descriptors, built on every builder call, store each field with
-    ``object.__setattr__``; records built off those paths use ``_set``.  A
-    class whose constructor takes other arguments overrides ``__reduce__``.
+    The descriptors, generated by ``picard._declare`` and built on every
+    builder call, store each field with ``object.__setattr__``; records built
+    off those paths use ``_set``.  A class whose constructor takes other
+    arguments overrides ``__reduce__``.
     """
 
     __slots__ = ()

@@ -561,6 +561,44 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: p must be below {p}")
 
+    # Each descriptor's refusal of out-of-range parameters, as the CLI prints
+    # it: every registry tag through decompose (cone-p refuses through its
+    # kind) and every cone kind through local.
+    REFUSALS = [
+        (["decompose", "--variety", "projspace", "--d", "0"],
+         "projective space needs d >= 1; got d=0"),
+        (["decompose", "--variety", "product", "--r", "0", "--s", "1"],
+         "product needs r, s >= 1; got (0, 1)"),
+        (["decompose", "--variety", "hirzebruch", "--eps", "-1"],
+         "hirzebruch needs eps >= 0; got eps=-1"),
+        (["decompose", "--variety", "blowup-linear", "--d", "3", "--r", "3"],
+         "linear blowup needs d >= 2 and 1 <= r <= d-1; got (d=3, r=3)"),
+        (["decompose", "--variety", "veronese-cone", "--d", "0", "--eps", "1"],
+         "veronese cone blowup needs d >= 1, eps >= 1; got (d=0, eps=1)"),
+        (["decompose", "--variety", "segre-cone", "--r", "1", "--s", "0"],
+         "segre cone blowup needs r, s >= 1; got (1, 0)"),
+        (["decompose", "--variety", "quadric", "--d", "2"],
+         "quadric decompositions need d >= 3 (lower d is covered by projspace/product); "
+         "got d=2"),
+        (["decompose", "--variety", "cone-p", "--kind", "segre", "--r", "0", "--s", "1"],
+         "segre cone needs r, s >= 1; got (0, 1)"),
+        (["local", "--kind", "rnc", "--eps", "0"], "cone needs eps >= 1; got eps=0"),
+        (["local", "--kind", "veronese", "--d", "1", "--eps", "0"],
+         "veronese cone needs d >= 1, eps >= 1; got (d=1, eps=0)"),
+        (["local", "--kind", "segre", "--r", "0", "--s", "2"],
+         "segre cone needs r, s >= 1; got (0, 2)"),
+    ]
+
+    def test_refusals_cover_every_descriptor(self):
+        argvs = [argv for argv, _ in self.REFUSALS]
+        assert {a[2] for a in argvs if a[0] == "decompose"} == set(families.FAMILIES)
+        assert {a[2] for a in argvs if a[0] == "local"} == set(families.CONE_KINDS)
+
+    @pytest.mark.parametrize("argv, message", REFUSALS, ids=[a[2] for a, _ in REFUSALS])
+    def test_descriptor_refusal_is_1(self, capsys, argv, message):
+        code, out, err = outcome(capsys, [*argv, "--p", "2", "--e", "1"])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestVerifyCommand:
     def test_identities_pass(self, capsys):

@@ -94,19 +94,20 @@ def ref_twist(decomp, cls):
     items = []
     for summand, mult in decomp.items():
         if isinstance(summand, Line):
-            items.append((Line(summand.cls + cls), mult))
+            coords = tuple(a + b for a, b in zip(summand.cls.coords, cls.coords))
+            items.append((Line(PicClass(coords, cls.basis)), mult))
         else:
             items.append((Spinor(summand.j + cls.coords[0]), mult))
     return Decomposition(decomp.variety, items, decomp.basis, decomp.support_only)
 
 
 def ref_det(decomp):
-    total = PicClass.zero(decomp.basis)
+    total = [0] * len(decomp.basis)
     for summand, mult in decomp.items():
         if not isinstance(summand, Line):
             raise DeterminantUnsupportedError("spinor")
-        total = total + summand.cls.scaled(mult)
-    return total
+        total = [t + mult * c for t, c in zip(total, summand.cls.coords)]
+    return PicClass(tuple(total), decomp.basis)
 
 
 def ref_remove_trivial(decomp):

@@ -65,7 +65,9 @@ def test_descriptor_json_round_trip(variety):
 def test_lattice_data_is_no_descriptor_field():
     # A field would become a constructor argument, a CLI flag and a JSON param.
     for cls in [family.descriptor for family in FAMILIES.values()] + list(CONE_KINDS.values()):
-        assert not {"tag", "bases", "dim"} & set(cls.__slots__), cls
+        class_data = {"tag", "bases", "dim", "spinor_rank", "builder", "structure_only",
+                      "split", "rule"}
+        assert not class_data & set(cls.__slots__), cls
 
 
 @pytest.mark.parametrize("variety", SAMPLES, ids=repr)

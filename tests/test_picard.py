@@ -56,12 +56,11 @@ def line(coords, basis=H):
 
 class TestPicClass:
     def test_arithmetic(self):
+        # Negation is the one operation on classes; sums of classes are
+        # formed on coordinate tuples inside ``Decomposition``.
         a = PicClass((1, 2), ("C0", "f"))
-        b = PicClass((0, -1), ("C0", "f"))
-        assert (a + b).coords == (1, 1)
-        assert (a - b).coords == (1, 3)
-        assert (-a).coords == (-1, -2)
-        assert a.scaled(3).coords == (3, 6)
+        assert -a == PicClass((-1, -2), ("C0", "f"))
+        assert -(-a) == a
 
     def test_zero(self):
         z = PicClass.zero(("H1", "H2"))
@@ -73,8 +72,9 @@ class TestPicClass:
             PicClass((1, 2), ("H",))
 
     def test_basis_mismatch(self):
+        # A twist by a class of another lattice is refused.
         with pytest.raises(LatticeMismatchError):
-            PicClass((1,), ("H",)) + PicClass((1,), ("L",))
+            Decomposition(ProjSpace(1), [(line([1]), 1)]).twist(PicClass((1,), ("L",)))
 
 
 class TestDescriptors:
@@ -447,7 +447,7 @@ class TestRemoveTrivial:
 
     def test_single_trivial_becomes_empty(self):
         decomp = Decomposition(ProjSpace(1), [(line([0]), 1)])
-        assert decomp.remove_trivial().is_empty
+        assert decomp.remove_trivial() == Decomposition(ProjSpace(1), [])
 
     def test_missing_trivial_errors(self):
         decomp = Decomposition(ProjSpace(1), [(line([-1]), 5)])
