@@ -11,6 +11,7 @@ from .combinat import (
     binom,
     bounded_power_coefficients,
     composition_count,
+    composition_row,
     composition_table,
     eulerian,
     floor_pieces,

@@ -23,7 +23,7 @@ from typing import Mapping, Optional
 
 from .combinat import (
     PrimePower,
-    composition_count,
+    composition_row,
     composition_table,
     floor_pieces,
     floor_residue,
@@ -56,7 +56,7 @@ def pushforward_projective_space(d: int, n: int, fp: PrimePower) -> Decompositio
     where n = k*q + m."""
     variety = ProjSpace(d)
     k, m = floor_residue(n, fp.q)
-    return _from_counts(variety, {(k - i,): composition_count(i, m, d, fp) for i in range(d + 1)})
+    return _from_counts(variety, {(k - i,): c for i, c in enumerate(composition_row(m, d, fp))})
 
 
 def pushforward_product(r: int, s: int, u: int, v: int, fp: PrimePower) -> Decomposition:
@@ -65,8 +65,7 @@ def pushforward_product(r: int, s: int, u: int, v: int, fp: PrimePower) -> Decom
     variety = Product(r, s)
     k, m = floor_residue(u, fp.q)
     l, n = floor_residue(v, fp.q)
-    left = [composition_count(i, m, r, fp) for i in range(r + 1)]
-    right = [composition_count(j, n, s, fp) for j in range(s + 1)]
+    left, right = composition_row(m, r, fp), composition_row(n, s, fp)
     counts = {(k - i, l - j): a * b for i, a in enumerate(left) for j, b in enumerate(right)}
     return _from_counts(variety, counts)
 
@@ -155,11 +154,10 @@ def pushforward_veronese_cone(
     for a, lo, hi, h, offset in ((eps, 0, n, 0, 0), (-eps, 1, q - 1 - n, -1, eps)):
         for fl, jlo, jhi in floor_pieces(a, nprime, q, lo, hi):
             count = jhi - jlo + 1
-            residues = [a * j + nprime - fl * q for j in range(jlo, jlo + min(count, d + 1))]
-            for l in range(d + 1):
-                counts[(h, fl - l + offset)] += polynomial_range_sum(
-                    [composition_count(l, m, d, fp) for m in residues], count
-                )
+            samples = range(jlo, jlo + min(count, d + 1))
+            rows = [composition_row(a * j + nprime - fl * q, d, fp) for j in samples]
+            for l, column in enumerate(zip(*rows)):
+                counts[(h, fl - l + offset)] += polynomial_range_sum(column, count)
     return _from_counts(variety, counts)
 
 
@@ -185,12 +183,8 @@ def pushforward_segre_cone(
         h = 0 if lo <= n else -1
         f1, f2 = (lo + n1) // q, (lo + n2) // q
         points = range(lo, lo + min(hi - lo, r + s + 1))
-        left = [
-            [composition_count(k, j + n1 - f1 * q, r, fp) for j in points] for k in range(r + 1)
-        ]
-        right = [
-            [composition_count(l, j + n2 - f2 * q, s, fp) for j in points] for l in range(s + 1)
-        ]
+        left = list(zip(*[composition_row(j + n1 - f1 * q, r, fp) for j in points]))
+        right = list(zip(*[composition_row(j + n2 - f2 * q, s, fp) for j in points]))
         for k, lk in enumerate(left):
             for l, rl in enumerate(right):
                 counts[(h, f1 - k, f2 - l)] += polynomial_range_sum(

@@ -4,10 +4,11 @@ The single most important quantity is ``composition_count(i, m, d, q)``: the
 number of ordered (d+1)-tuples with entries in [0, q-1] summing to m + i*q,
 where q = p^e is a prime power.  It vanishes outside 0 <= i <= d, and
 inside it is an alternating binomial sum of i + 1 terms, each costing one
-``math.comb``.  ``composition_table(ms, d, q)`` gives the rows i = 0..d over
-a range of residues m, with the work per residue in C; it pays where many
-residues share one d, and ``composition_count`` is cheaper for a few entries
-at small d.  ``bounded_power_coefficients`` gives the same counts as the
+``math.comb``.  ``composition_row(m, d, q)`` gives the row i = 0..d at one
+residue from d + 1 binomials, cheaper than its entries at every d, for the
+builders that read a few residues; ``composition_table(ms, d, q)`` gives the
+rows over a range of residues, with the work per residue in C, for sweeps.
+``bounded_power_coefficients`` gives the same counts as the
 coefficient list of (1 + t + ... + t^{q-1})^{d+1}, by direct convolution;
 the oracles in ``verify`` build that list once per (q, d) in a run and read
 every count they need from it.  Everything is plain ``int`` arithmetic; the
@@ -182,6 +183,22 @@ def composition_count(i: int, m: int, d: int, fp: PrimePower) -> int:
         sign_binom = -sign_binom * (d + 1 - t) // (t + 1)
         top -= q
     return total
+
+
+def composition_row(m: int, d: int, fp: PrimePower) -> list[int]:
+    """``composition_count(i, m, d, fp)`` for i = 0..d: the one-residue row of
+    ``composition_table``, at d + 1 binomials and d(d+1) scalar subtractions."""
+    q = fp.q
+    if not 0 <= m <= q - 1:
+        raise InvalidParameterError(f"m must satisfy 0 <= m <= q-1; got m={m}, q={q}")
+    if d < 0:
+        raise InvalidParameterError(f"d must satisfy d >= 0; got d={d}")
+    row = list(map(math.comb, range(m + d, m + d + (d + 1) * q, q), repeat(d)))
+    tops = range(d, 0, -1)
+    for _ in range(d + 1):
+        for k in tops:
+            row[k] -= row[k - 1]
+    return row
 
 
 def composition_table(ms: range, d: int, fp: PrimePower) -> list[list[int]]:

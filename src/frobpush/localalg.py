@@ -12,9 +12,10 @@ Appl. Algebra 196, 2005).  Those counts are a cyclic convolution power in
 Z^eps, taken in O(d * eps) operations on integers below eps^(d+1) and one
 power of q, and they answer at every q, q < eps included.  The classes are
 Weil classes, only meaningful modulo eps: eps times the ruling L is
-Cartier.  The Segre cone sums products of composition counts per class in
-its affine chart, where L1 + L2 ~ 0.  ``cone_pushforward`` renders the
-counts as a decomposition.  The count of the trivial class is the e-th
+Cartier.  The Segre cone counts each class of its affine chart, where
+L1 + L2 ~ 0, as pairs of box points whose degrees differ by a multiple of
+q: one composition row of r + s + 2 parts.  ``cone_pushforward`` renders
+the counts as a decomposition.  The count of the trivial class is the e-th
 F-splitting number; divided by q^dim it is the e-th convergent of the
 F-signature.  Closed forms for these counts are regression data, checked in
 ``verify`` with the box count itself; the tests also check the
@@ -28,7 +29,7 @@ import math
 from typing import TYPE_CHECKING, Optional
 
 from .catalog import _from_counts
-from .combinat import PrimePower, composition_count, eulerian, polynomial_range_sum
+from .combinat import PrimePower, composition_row, eulerian
 from .picard import ConeKind, ConeP, Decomposition, SegreCone
 
 if TYPE_CHECKING:
@@ -64,26 +65,24 @@ def _veronese_counts(d: int, eps: int, fp: PrimePower) -> dict[int, int]:
     return {-k: mult for k, mult in enumerate(mults) if mult}
 
 
-def _segre_pair_sum(k: int, l: int, r: int, s: int, fp: PrimePower) -> int:
-    """sum_{j=0}^{q-1} count(k, j; r) * count(l, j; s), a polynomial of degree
-    r + s in j summed exactly."""
-    return polynomial_range_sum(
-        [
-            composition_count(k, j, r, fp) * composition_count(l, j, s, fp)
-            for j in range(min(fp.q, r + s + 1))
-        ],
-        fp.q,
-    )
+def _segre_counts(r: int, s: int, fp: PrimePower) -> dict[int, int]:
+    """Vertex-local counts of the classes i*L, -r <= i <= s, on the Segre cone.
 
-
-def _segre_count(i: int, r: int, s: int, fp: PrimePower) -> int:
-    """Vertex-local count of the class i*L on the Segre cone, -r <= i <= s."""
-    return sum(_segre_pair_sum(k, k + i, r, s, fp) for k in range(r + 1) if 0 <= k + i <= s)
+    The count of i*L is the number of pairs (u, v) of points of the boxes
+    [0, q-1]^(r+1) and [0, q-1]^(s+1) with |v| = |u| + i*q.  Reflecting v to
+    (q-1) - v makes it the number of (r+s+2)-tuples in [0, q-1] summing to
+    (s+1)(q-1) - i*q, so every class reads one composition row of
+    r + s + 2 parts, at the residue of (s+1)(q-1).
+    """
+    top, m = divmod((s + 1) * (fp.q - 1), fp.q)
+    row = composition_row(m, r + s + 1, fp)
+    # top <= s, so top - i <= r + s stays in the row; past top the count is 0.
+    return {i: row[top - i] if i <= top else 0 for i in range(-r, s + 1)}
 
 
 def _class_counts(kind: ConeKind, fp: PrimePower) -> dict[int, int]:
     if isinstance(kind, SegreCone):
-        return {i: _segre_count(i, kind.r, kind.s, fp) for i in range(-kind.r, kind.s + 1)}
+        return _segre_counts(kind.r, kind.s, fp)
     return _veronese_counts(kind.dim - 1, kind.eps, fp)
 
 
@@ -101,9 +100,6 @@ def cone_pushforward(kind: ConeKind, fp: PrimePower) -> Decomposition:
 def splitting_number(kind: ConeKind, fp: PrimePower) -> int:
     """The e-th F-splitting number: free rank of F^e_* of the cone's local ring,
     the vertex-local count of the trivial class."""
-    if isinstance(kind, SegreCone):
-        # Only the trivial class, not all r + s + 1 of them.
-        return _segre_count(0, kind.r, kind.s, fp)
     return _class_counts(kind, fp).get(0, 0)
 
 

@@ -343,6 +343,11 @@ class Decomposition(Value):
         lines: dict[tuple[int, ...], Optional[int]] = {}
         spinors: dict[int, Optional[int]] = {}
         for summand, mult in items:
+            # The common summand first; anything else takes every check below.
+            if type(summand) is tuple and len(summand) == size and type(mult) is int and mult > 0:
+                prev = lines.get(summand, 0)
+                lines[summand] = None if prev is None else prev + mult
+                continue
             if type(summand) is tuple:
                 if len(summand) != size:
                     raise LatticeMismatchError(
@@ -376,11 +381,11 @@ class Decomposition(Value):
                 continue
             prev = store.get(key, 0)
             store[key] = None if prev is None else prev + mult
-        object.__setattr__(self, "variety", variety)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "support_only", support_only)
-        object.__setattr__(self, "_lines", lines)
-        object.__setattr__(self, "_spinors", spinors)
+        _set_variety(self, variety)
+        _set_basis(self, basis)
+        _set_support_only(self, support_only)
+        _set_lines(self, lines)
+        _set_spinors(self, spinors)
 
     def __reduce__(self):
         items = [*self._lines.items(), *((Spinor(j), m) for j, m in self._spinors.items())]
@@ -511,6 +516,12 @@ class Decomposition(Value):
             lines[trivial] = mult - 1
         items = [*lines.items(), *((Spinor(j), m) for j, m in self._spinors.items())]
         return Decomposition(self.variety, items, self.basis, self.support_only)
+
+
+# The slot descriptors the constructor stores its fields through, bound once.
+_set_variety, _set_basis, _set_support_only, _set_lines, _set_spinors = (
+    Decomposition.__dict__[name].__set__ for name in Decomposition.__slots__
+)
 
 
 def change_basis(decomp: Decomposition, target: Basis) -> Decomposition:

@@ -20,8 +20,8 @@ quadric p=2 window for d >= 4) are reported as WARN with both values
 printed; they never fail a run.
 
 ``sum-identity``, ``support`` and ``shifted-sum`` sweep every residue
-through one ``composition_table`` each, and ``mult-oracle`` checks both
-routes to a count, the table and ``composition_count``, against convolution.
+through one ``composition_table`` each, and ``mult-oracle`` checks the three
+routes to a count (entry, row and table) against convolution.
 
 The closed forms and identities that only check the library's answers live
 here too, as regression data: the per-eps ruled-surface multiplicities and
@@ -47,6 +47,7 @@ from .combinat import (
     binom,
     bounded_power_coefficients,
     composition_count,
+    composition_row,
     composition_table,
     eulerian,
     polynomial_range_sum,
@@ -181,7 +182,7 @@ def segre_shifted_sums(r: int, s: int, fp: PrimePower) -> dict[tuple[int, ...], 
 
 
 def _coords(decomp) -> dict[tuple[int, ...], int]:
-    return dict(decomp.lines)
+    return decomp.lines.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +358,8 @@ def check_eulerian_sum(d: int) -> tuple[str, str]:
 
 
 def check_mult_oracle(p: int, e: int, d: int) -> tuple[str, str]:
-    """Both routes to the counts, entry by entry and by the table, vs the
-    convolution coefficients."""
+    """The three routes to the counts, entry by entry, by the row and by the
+    table, vs the convolution coefficients."""
     fp = PrimePower(p, e)
     q = fp.q
     table = _coefficients(q, d + 1)
@@ -367,6 +368,10 @@ def check_mult_oracle(p: int, e: int, d: int) -> tuple[str, str]:
             n = m + i * q
             if composition_count(i, m, d, fp) != (table[n] if n >= 0 else 0):
                 return "FAIL", f"mismatch at (i={i}, m={m})"
+    for m in range(q):
+        for i, count in enumerate(composition_row(m, d, fp)):
+            if count != table[m + i * q]:
+                return "FAIL", f"row mismatch at (i={i}, m={m})"
     # The residues ascending, then descending, as the linear blowup reads them.
     for ms in (range(q), range(q - 1, -1, -1)):
         for i, row in enumerate(composition_table(ms, d, fp)):

@@ -318,7 +318,7 @@ class TestLinearBlowup:
     def test_tables_are_built_once_per_call(self, monkeypatch):
         calls = []
         table = catalog.composition_table
-        monkeypatch.setattr(catalog, "composition_count", lambda *args: calls.append(args))
+        monkeypatch.setattr(catalog, "composition_row", lambda *args: calls.append(args))
         monkeypatch.setattr(
             catalog, "composition_table", lambda *args: calls.append(args) or table(*args)
         )

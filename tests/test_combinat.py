@@ -22,6 +22,7 @@ from frobpush.combinat import (
     binom,
     bounded_power_coefficients,
     composition_count,
+    composition_row,
     composition_table,
     eulerian,
     floor_pieces,
@@ -317,6 +318,53 @@ class TestCompositionCount:
                                 term *= (x - xk) / (xj - xk)
                         value += term
                     assert value == composition_count(i, m, d, probe)
+
+
+class TestCompositionRow:
+    @given(st.sampled_from(PRIME_POWERS_TO_64), st.integers(0, 6), st.data())
+    def test_matches_the_convolution(self, pe, d, data):
+        fp = PrimePower(*pe)
+        q = fp.q
+        m = data.draw(st.integers(0, q - 1), label="m")
+        coeffs = bounded_power_coefficients(q, d + 1)
+        coeffs += [0] * ((d + 1) * q - len(coeffs))
+        assert composition_row(m, d, fp) == [coeffs[i * q + m] for i in range(d + 1)]
+
+    @given(st.sampled_from(PRIME_POWERS_TO_64), st.integers(0, 6), st.data())
+    def test_matches_the_closed_form(self, pe, d, data):
+        fp = PrimePower(*pe)
+        m = data.draw(st.integers(0, fp.q - 1), label="m")
+        assert composition_row(m, d, fp) == [composition_count(i, m, d, fp) for i in range(d + 1)]
+
+    @given(st.sampled_from([(2, 64), (3, 40)]), st.integers(0, 30), st.data())
+    def test_spot_rows_at_huge_q(self, pe, d, data):
+        # No convolution table fits at these q; the alternating sum term by
+        # term, entry by entry.
+        fp = PrimePower(*pe)
+        m = data.draw(st.integers(0, fp.q - 1), label="m")
+        row = composition_row(m, d, fp)
+        assert row == [composition_count(i, m, d, fp) for i in range(d + 1)]
+        assert row == [alternating_sum(i, m, d, fp.q) for i in range(d + 1)]
+
+    def test_every_residue_of_small_q(self):
+        for fp in SMALL_FIELDS:
+            for d in range(5):
+                rows = [composition_row(m, d, fp) for m in range(fp.q)]
+                assert [list(col) for col in zip(*rows)] == composition_table(range(fp.q), d, fp)
+
+    @pytest.mark.parametrize("m", [-1, 9, 10])
+    def test_rejects_residues_outside_the_window(self, m):
+        with pytest.raises(InvalidParameterError) as err:
+            composition_row(m, 2, PrimePower(3, 2))
+        assert str(err.value) == f"m must satisfy 0 <= m <= q-1; got m={m}, q=9"
+
+    def test_rejects_negative_dimension(self):
+        with pytest.raises(InvalidParameterError) as err:
+            composition_row(0, -1, PrimePower(3, 2))
+        assert str(err.value) == "d must satisfy d >= 0; got d=-1"
+        # The residue is checked first, as in composition_count.
+        with pytest.raises(InvalidParameterError, match="m must satisfy"):
+            composition_row(9, -1, PrimePower(3, 2))
 
 
 STEPS = st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])

@@ -18,6 +18,7 @@ from frobpush.catalog import pushforward_hirzebruch, pushforward_projective_spac
 from frobpush.combinat import PrimePower
 from frobpush.errors import (
     DeterminantUnsupportedError,
+    FrobpushError,
     InvalidParameterError,
     LatticeMismatchError,
     NotFSplitError,
@@ -146,6 +147,60 @@ def ref_apply_rule(rule, decomp):
     return Decomposition(target, items, support_only=decomp.support_only)
 
 
+def ref_construct(variety, items, basis, support_only):
+    """The constructor's contract with every summand taking every check, in
+    order: the line and spinor stores, or the refusal it raises."""
+    size = len(basis)
+    lines, spinors = {}, {}
+    for summand, mult in items:
+        if type(summand) is tuple:
+            if len(summand) != size:
+                raise LatticeMismatchError(f"{len(summand)} coordinates against basis {basis}")
+            store, key = lines, summand
+        elif isinstance(summand, Line):
+            if summand.cls.basis != basis:
+                raise LatticeMismatchError(
+                    f"summand basis {summand.cls.basis} vs decomposition basis {basis}"
+                )
+            store, key = lines, summand.cls.coords
+        elif variety.spinor_rank is None:
+            raise InvalidParameterError("spinor summands only live on quadrics")
+        else:
+            store, key = spinors, summand.j
+        if mult is None:
+            if not support_only:
+                raise InvalidParameterError("unknown multiplicities require support_only=True")
+            store[key] = None
+        elif mult < 0:
+            raise InvalidParameterError(f"multiplicity must be >= 0; got {mult}")
+        elif mult:
+            prev = store.get(key, 0)
+            store[key] = None if prev is None else prev + mult
+    return lines, spinors
+
+
+@st.composite
+def mixed_items(draw, variety, basis, support_only):
+    """Tuples, ``Line``s and (on quadrics) ``Spinor``s on few keys, so that
+    keys repeat, with multiplicities that include 0 and ``True``, and
+    ``None`` where ``support_only``; in half the draws one more item at any
+    place that a constructor may refuse: a tuple of the wrong length, a
+    negative multiplicity, ``None``, or a spinor."""
+    small = st.integers(-1, 1)
+    coords = st.tuples(*[small] * len(basis))
+    summands = [coords, coords.map(lambda c: Line(PicClass(c, basis)))]
+    if variety.spinor_rank is not None:
+        summands.append(small.map(Spinor))
+    mults = [st.integers(0, 4), st.just(True)] + [st.none()] * support_only
+    items = draw(st.lists(st.tuples(st.one_of(summands), st.one_of(mults)), max_size=10))
+    if draw(st.booleans()):
+        zero = (0,) * len(basis)
+        faults = [(zero + (0,), 1), (zero, -1), (Line(PicClass(zero, basis)), -2),
+                  (zero, None), (Spinor(0), 1)]
+        items.insert(draw(st.integers(0, len(items))), draw(st.sampled_from(faults)))
+    return items
+
+
 # -- construction ----------------------------------------------------------------
 
 
@@ -209,6 +264,52 @@ class TestConstruction:
         )
         with pytest.raises(RankUndefinedError):
             supported.trivial_multiplicity()
+
+    @given(st.data(), st.booleans())
+    def test_mixed_items_match_the_reference(self, data, support_only):
+        variety = data.draw(st.sampled_from(VARIETIES))
+        basis = data.draw(st.sampled_from(variety.bases))
+        items = data.draw(mixed_items(variety, basis, support_only))
+        try:
+            lines, spinors = ref_construct(variety, items, basis, support_only)
+        except FrobpushError as refusal:
+            with pytest.raises(type(refusal)) as err:
+                Decomposition(variety, items, basis, support_only)
+            assert type(err.value) is type(refusal) and str(err.value) == str(refusal)
+            return
+        decomp = Decomposition(variety, items, basis, support_only)
+        assert list(decomp.lines.items()) == list(lines.items())
+        assert list(decomp.spinors.items()) == list(spinors.items())
+        assert decomp == Decomposition(variety, list(reversed(items)), basis, support_only)
+
+    def test_unknown_stays_unknown_when_merged(self):
+        line = Line(PicClass((0,), ("H",)))
+        for first, second in (((0,), (0,)), ((0,), line), (line, (0,))):
+            for items in ([(first, None), (second, 2)], [(first, 2), (second, None)]):
+                decomp = Decomposition(ProjSpace(1), items, support_only=True)
+                assert dict(decomp.lines) == {(0,): None}
+
+    def test_each_refusal_keeps_its_type_and_message(self):
+        plane, quadric = ProjSpace(2), Quadric(3)
+        cases = [
+            (plane, [((0,), 1), ((0, 0), 1)], LatticeMismatchError,
+             "2 coordinates against basis ('H',)"),
+            (plane, [((0, 0), -1)], LatticeMismatchError, "2 coordinates against basis ('H',)"),
+            (plane, [((0,), 2), ((0,), -1)], InvalidParameterError,
+             "multiplicity must be >= 0; got -1"),
+            (plane, [(Line(PicClass((0,), ("H",))), -3)], InvalidParameterError,
+             "multiplicity must be >= 0; got -3"),
+            (plane, [((0,), 1), ((1,), None)], InvalidParameterError,
+             "unknown multiplicities require support_only=True"),
+            (quadric, [(Spinor(0), None)], InvalidParameterError,
+             "unknown multiplicities require support_only=True"),
+            (plane, [((0,), 1), (Spinor(0), 1)], InvalidParameterError,
+             "spinor summands only live on quadrics"),
+        ]
+        for variety, items, error, message in cases:
+            with pytest.raises(error) as err:
+                Decomposition(variety, items)
+            assert type(err.value) is error and str(err.value) == message
 
     def test_other_summands_refused(self):
         with pytest.raises(InvalidParameterError, match="only live on quadrics"):

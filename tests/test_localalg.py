@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from frobpush import catalog, localalg
 from frobpush.catalog import pushforward_hirzebruch, pushforward_veronese_cone
-from frobpush.combinat import PrimePower, eulerian
+from frobpush.combinat import PrimePower, composition_count, eulerian, polynomial_range_sum
 from frobpush.localalg import (
     cone_pushforward,
     f_signature,
@@ -310,3 +310,32 @@ def test_veronese_type_cones_need_no_blowup(monkeypatch):
                      VeroneseCone(2, 3), VeroneseCone(3, 7)):
             number = splitting_number(kind, fp)
             assert number == cone_pushforward(kind, fp).trivial_multiplicity() >= 1
+
+
+def segre_sample_sums(r, s, fp):
+    """The Segre counts as the sum over k of sum_j count(k, j; r) *
+    count(k + i, j; s), each a polynomial of degree r + s in j summed from
+    r + s + 1 samples: the chart's count, before its reflection to one row."""
+    samples = range(min(fp.q, r + s + 1))
+    return {
+        (i,): sum(
+            polynomial_range_sum(
+                [composition_count(k, j, r, fp) * composition_count(k + i, j, s, fp)
+                 for j in samples],
+                fp.q,
+            )
+            for k in range(r + 1)
+        )
+        for i in range(-r, s + 1)
+    }
+
+
+@given(st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (2, 64), (3, 40)]),
+       st.integers(1, 4), st.integers(1, 4))
+def test_segre_one_row_matches_the_sample_sums(pe, r, s):
+    fp = PrimePower(*pe)
+    want = {c: m for c, m in segre_sample_sums(r, s, fp).items() if m}
+    decomp = cone_pushforward(SegreCone(r, s), fp)
+    assert dict(decomp.lines) == want
+    assert decomp.rank() == fp.q ** (r + s + 1)
+    assert splitting_number(SegreCone(r, s), fp) == want[(0,)]

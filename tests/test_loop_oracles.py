@@ -25,6 +25,7 @@ from frobpush.combinat import (
     PrimePower,
     bounded_power_coefficients,
     composition_count,
+    composition_row,
     composition_table,
 )
 from frobpush.errors import OutOfRegimeError
@@ -301,6 +302,21 @@ def off_by_one_at_zero(i, m, d, fp):
     return composition_count(i, m, d, fp) + (i == 0 and m == 0)
 
 
+def row_off_by_one_at_zero(m, d, fp):
+    """``off_by_one_at_zero`` on the row route."""
+    row = composition_row(m, d, fp)
+    row[0] += m == 0
+    return row
+
+
+def row_off_by_one_at_top(m, d, fp):
+    """A row fault alone: one more at (i=d, m=q-1), a count that is 0 for
+    d >= 1 and that P^d reads at every twist of residue q-1."""
+    row = composition_row(m, d, fp)
+    row[d] += m == fp.q - 1
+    return row
+
+
 def table_off_by_one_at_zero(ms, d, fp):
     """``off_by_one_at_zero`` on the table route."""
     rows = composition_table(ms, d, fp)
@@ -331,8 +347,8 @@ def failing_kinds(cases):
 class TestOracleIndependence:
     def test_oracles_never_reach_the_closed_forms(self):
         # Follow every call from the loop oracles through verify and combinat.
-        closed_forms = {"composition_count", "composition_table", "floor_pieces",
-                        "polynomial_range_sum", "floor_residue"}
+        closed_forms = {"composition_count", "composition_row", "composition_table",
+                        "floor_pieces", "polynomial_range_sum", "floor_residue"}
         defs = {
             node.name: node
             for module in (verify, combinat)
@@ -354,10 +370,11 @@ class TestOracleIndependence:
         assert {"_progression_sums", "_coefficients", "bounded_power_coefficients"} <= seen
 
     def test_loops_catch_a_closed_form_fault(self, monkeypatch):
-        # The same fault in every caller's closed form, on the one-entry
-        # route and on the table route: the builders go wrong, and the loops,
-        # which read their own convolution table, must notice.
+        # The same fault in every caller's closed form, on the one-entry,
+        # row and table routes: the builders go wrong, and the loops, which
+        # read their own convolution table, must notice.
         patch_every_caller(monkeypatch, "composition_count", off_by_one_at_zero)
+        patch_every_caller(monkeypatch, "composition_row", row_off_by_one_at_zero)
         patch_every_caller(monkeypatch, "composition_table", table_off_by_one_at_zero)
         loops = {"segre-loop", "veronese-direct", "blowup-loop"}
         assert loops <= failing_kinds(TINY_ORACLES)
@@ -374,6 +391,19 @@ class TestOracleIndependence:
                 p, e, d = case[1]
                 result = verify.run_case(case)
                 assert result.detail == f"table mismatch at (i={d}, m={p**e - 1})", result
+
+    def test_a_row_fault_alone_is_caught(self, monkeypatch):
+        fixtures = verify.build_cases("fixtures", max_d=3, max_e=1, primes=(2, 3))
+        cases = fixtures + TINY_ORACLES
+        kinds = {"fix-projspace", "segre-loop", "veronese-direct", "mult-oracle"}
+        assert not failing_kinds(case for case in cases if case[0] in kinds)
+        patch_every_caller(monkeypatch, "composition_row", row_off_by_one_at_top)
+        assert kinds <= failing_kinds(cases)
+        for case in cases:
+            if case[0] == "mult-oracle":
+                p, e, d = case[1]
+                result = verify.run_case(case)
+                assert result.detail == f"row mismatch at (i={d}, m={p**e - 1})", result
 
     def test_mult_oracle_catches_a_closed_form_fault(self, monkeypatch):
         cases = [case for case in TINY_ORACLES if case[0] == "mult-oracle"]
