@@ -17,6 +17,7 @@ from .combinat import (
     floor_pieces,
     floor_residue,
     polynomial_range_sum,
+    range_sum_weights,
 )
 from .picard import (
     ConeP,

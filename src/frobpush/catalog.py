@@ -8,17 +8,18 @@ entries are always dropped so support comparisons are canonical.
 Most formulas are sums over the q residues j = 0..q-1 of one coordinate.  On
 each run of j where the floor parts of the twists stay constant
 (``combinat.floor_pieces``), a term is a polynomial in j of degree at most
-the dimension, so each run is summed exactly from a few samples
-(``combinat.polynomial_range_sum``).  Multiplicities are added up per
-coordinate tuple, and the decomposition keeps those tuples, so the cost
-depends on the dimension, eps and the bit length of q, not on q.
+the dimension, so each class of a run is summed exactly as one dot product
+of a few samples with the run's weights (``combinat.range_sum_weights``).
+Multiplicities are added up per coordinate tuple, and the decomposition
+keeps those tuples, so the cost depends on the dimension, eps and the bit
+length of q, not on q.
 ``verify`` checks each sum against a j-by-j loop at small q.
 """
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
+from operator import mul
 from typing import Mapping, Optional
 
 from .combinat import (
@@ -27,7 +28,7 @@ from .combinat import (
     composition_table,
     floor_pieces,
     floor_residue,
-    polynomial_range_sum,
+    range_sum_weights,
 )
 from .errors import InvalidParameterError, OutOfRegimeError
 from .picard import (
@@ -47,8 +48,10 @@ def _from_counts(variety, counts: Mapping, spinors: Optional[list[int]] = None) 
     """The decomposition with multiplicity ``counts[coords]`` at each class, in
     the variety's default basis.  Quadrics also pass their spinor twists,
     whose multiplicities are unknown, and get a support-only result."""
-    items = [*counts.items(), *((Spinor(j), None) for j in spinors or ())]
-    return Decomposition(variety, items, support_only=spinors is not None)
+    if spinors is None:
+        return Decomposition(variety, counts.items())
+    return Decomposition(variety, [*counts.items(), *((Spinor(j), None) for j in spinors)],
+                         support_only=True)
 
 
 def pushforward_projective_space(d: int, n: int, fp: PrimePower) -> Decomposition:
@@ -56,7 +59,7 @@ def pushforward_projective_space(d: int, n: int, fp: PrimePower) -> Decompositio
     where n = k*q + m."""
     variety = ProjSpace(d)
     k, m = floor_residue(n, fp.q)
-    return _from_counts(variety, {(k - i,): c for i, c in enumerate(composition_row(m, d, fp))})
+    return Decomposition(variety, zip(zip(range(k, k - d - 1, -1)), composition_row(m, d, fp)))
 
 
 def pushforward_product(r: int, s: int, u: int, v: int, fp: PrimePower) -> Decomposition:
@@ -90,7 +93,8 @@ def pushforward_hirzebruch(eps: int, u: int, v: int, fp: PrimePower) -> Decompos
         for fl, jlo, jhi in floor_pieces(-eps, v, q, lo, hi):
             res = v - jlo * eps - fl * q
             count = jhi - jlo + 1
-            res_sum = polynomial_range_sum([res, res - eps], count)
+            # The residue falls by eps per step of j: an arithmetic progression.
+            res_sum = count * res - eps * (count * (count - 1) // 2)
             counts[(c0, fl)] += res_sum + count
             counts[(c0, fl - 1)] += (q - 1) * count - res_sum
     return _from_counts(variety, counts)
@@ -106,7 +110,7 @@ def pushforward_linear_blowup(d: int, r: int, fp: PrimePower) -> Decomposition:
     because the counts vanish outside 0 <= i <= r-1.  The mixed term is a
     polynomial of degree d - 1 in j, so d samples fix it.  The counts at
     m = 0 and at the sampled j = 1..min(q, d+1)-1 are built once, as three
-    composition tables, and every (i, k) reads them.
+    composition tables, and every (i, k) is one dot product with them.
     """
     variety = LinearBlowup(d, r)
     q = fp.q
@@ -116,10 +120,14 @@ def pushforward_linear_blowup(d: int, r: int, fp: PrimePower) -> Decomposition:
     outer = composition_table(range(js.stop), d - r, fp)
     inner_zero = [row[0] for row in composition_table(range(1), r - 1, fp)] + [0]
     inner = composition_table(range(q - 1, q - js.stop, -1), r - 1, fp)
+    weights = range_sum_weights(len(js), q - 1)
+    # factors[i] pairs with outer[k]: count(i, 0; r - 1) at m = 0, then the
+    # weighted count(i - 1, q - j; r - 1) at each j in js (none for i = 0).
+    factors = [inner_zero[:1]]
+    factors += [[zero, *map(mul, weights, row)] for zero, row in zip(inner_zero[1:], inner)]
     counts = {
-        (-i, -k): outer[k][0] * inner_zero[i]
-        + (i and polynomial_range_sum(list(map(operator.mul, outer[k][1:], inner[i - 1])), q - 1))
-        for i in range(r + 1)
+        (-i, -k): sum(map(mul, outer[k], factor))
+        for i, factor in enumerate(factors)
         for k in range(d - r + 1)
     }
     return _from_counts(variety, counts)
@@ -153,11 +161,11 @@ def pushforward_veronese_cone(
     # (slope in j, first and last j, H-coordinate, H'-offset of the class)
     for a, lo, hi, h, offset in ((eps, 0, n, 0, 0), (-eps, 1, q - 1 - n, -1, eps)):
         for fl, jlo, jhi in floor_pieces(a, nprime, q, lo, hi):
-            count = jhi - jlo + 1
-            samples = range(jlo, jlo + min(count, d + 1))
+            weights = range_sum_weights(d + 1, jhi - jlo + 1)
+            samples = range(jlo, jlo + len(weights))
             rows = [composition_row(a * j + nprime - fl * q, d, fp) for j in samples]
             for l, column in enumerate(zip(*rows)):
-                counts[(h, fl - l + offset)] += polynomial_range_sum(column, count)
+                counts[(h, fl - l + offset)] += sum(map(mul, weights, column))
     return _from_counts(variety, counts)
 
 
@@ -176,20 +184,23 @@ def pushforward_segre_cone(
     # Residue j contributes O(h*H + (f1-k)*G1 + (f2-l)*G2) with multiplicity
     # count(k, m1; r) * count(l, m2; s), where j + n_i = f_i*q + m_i and h
     # drops to -1 past n.  Between consecutive cuts h, f1 and f2 are constant
-    # and the product is a polynomial of degree r + s in j.
+    # and the product is a polynomial of degree r + s in j; the run's weights
+    # are folded into the left factor.
     cuts = sorted({0, n + 1, q - n1, q - n2, q})
     counts: Counter = Counter()
     for lo, hi in zip(cuts, cuts[1:]):
         h = 0 if lo <= n else -1
         f1, f2 = (lo + n1) // q, (lo + n2) // q
-        points = range(lo, lo + min(hi - lo, r + s + 1))
-        left = list(zip(*[composition_row(j + n1 - f1 * q, r, fp) for j in points]))
+        weights = range_sum_weights(r + s + 1, hi - lo)
+        points = range(lo, lo + len(weights))
+        left = [
+            list(map(mul, weights, column))
+            for column in zip(*[composition_row(j + n1 - f1 * q, r, fp) for j in points])
+        ]
         right = list(zip(*[composition_row(j + n2 - f2 * q, s, fp) for j in points]))
         for k, lk in enumerate(left):
             for l, rl in enumerate(right):
-                counts[(h, f1 - k, f2 - l)] += polynomial_range_sum(
-                    [x * y for x, y in zip(lk, rl)], hi - lo
-                )
+                counts[(h, f1 - k, f2 - l)] += sum(map(mul, lk, rl))
     return _from_counts(variety, counts)
 
 

@@ -74,17 +74,25 @@ def descriptor_from_json(data: dict) -> VarietyDescriptor:
 
 
 def _summand_to_json(summand) -> dict:
-    """The ``kind`` and ``class`` of a summand, shared by decompositions and
-    verdict witnesses."""
+    """The ``kind`` and ``class`` of a verdict witness, as
+    ``decomposition_to_json`` writes them for each summand."""
     if isinstance(summand, Line):
         return {"kind": "line", "class": list(summand.cls.coords)}
     return {"kind": "spinor", "class": {"j": summand.j}}
 
 
+def _mult_text(mult: Optional[int]) -> str:
+    return "unknown" if mult is None else str(mult)
+
+
 def decomposition_to_json(decomp: Decomposition) -> dict:
     summands = [
-        {**_summand_to_json(summand), "mult": "unknown" if mult is None else str(mult)}
-        for summand, mult in decomp.sorted_items()
+        {"kind": "line", "class": list(coords), "mult": _mult_text(mult)}
+        for coords, mult in sorted(decomp.lines.items(), reverse=True)
+    ]
+    summands += [
+        {"kind": "spinor", "class": {"j": j}, "mult": _mult_text(mult)}
+        for j, mult in sorted(decomp.spinors.items(), reverse=True)
     ]
     rank = None if decomp.support_only else str(decomp.rank())
     return {
@@ -205,13 +213,16 @@ def verdict_to_json(verdict: Verdict) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _line_label(coords: tuple[int, ...]) -> str:
+    if not any(coords):
+        return "O"
+    return "O(" + ",".join(map(str, coords)) + ")"
+
+
 def class_label(summand) -> str:
     if isinstance(summand, Spinor):
         return f"S({summand.j})"
-    coords = summand.cls.coords
-    if all(c == 0 for c in coords):
-        return "O"
-    return "O(" + ",".join(str(c) for c in coords) + ")"
+    return _line_label(summand.cls.coords)
 
 
 def render_decomposition(decomp: Decomposition) -> str:
@@ -220,8 +231,10 @@ def render_decomposition(decomp: Decomposition) -> str:
         + json.dumps(descriptor_to_json(decomp.variety)["params"], sort_keys=True),
         "basis: " + ", ".join(decomp.basis),
     ]
-    for summand, mult in decomp.sorted_items():
-        lines.append(f"  {class_label(summand)}: {'unknown' if mult is None else mult}")
+    for coords, mult in sorted(decomp.lines.items(), reverse=True):
+        lines.append(f"  {_line_label(coords)}: {_mult_text(mult)}")
+    for j, mult in sorted(decomp.spinors.items(), reverse=True):
+        lines.append(f"  S({j}): {_mult_text(mult)}")
     rank = "unknown" if decomp.support_only else str(decomp.rank())
     lines.append(f"rank: {rank}")
     return "\n".join(lines)

@@ -17,9 +17,10 @@ counts grow like q^d and overflow fixed-width integers almost immediately.
 For a fixed index i the count is a polynomial of degree d in m on [0, q-1],
 so every sum of counts over a range of residues is a sum of a polynomial.
 ``floor_pieces`` cuts a range of j into the runs on which
-floor((a*j + b)/q) is constant, and ``polynomial_range_sum`` sums a
-polynomial over a run from a few samples; together they let the catalog sum
-over all q residues at a cost that does not grow with q.  Every function here
+floor((a*j + b)/q) is constant, and ``range_sum_weights`` gives the integer
+weights that sum a polynomial over a run as one dot product with a few
+samples; together they let the catalog sum over all q residues at a cost
+that does not grow with q.  Every function here
 is a leaf: it calls only the standard library and other functions of this
 module, never a function handed to it.
 """
@@ -126,25 +127,34 @@ def floor_pieces(a: int, b: int, q: int, lo: int, hi: int) -> Iterator[tuple[int
         j = end + 1
 
 
-def polynomial_range_sum(samples: Sequence[int], count: int) -> int:
-    """Exact sum f(0) + f(1) + ... + f(count - 1) of an integer-valued
-    polynomial f of degree < len(samples), given samples[t] = f(t).
+def range_sum_weights(n: int, count: int) -> list[int]:
+    """Integer weights w with f(0) + f(1) + ... + f(count - 1) equal to
+    sum_j w[j] * f(j) for every polynomial f of degree < n.
 
-    Uses Newton's forward differences: f(t) = sum_k D^k f(0) C(t, k), and
-    sum_{t < count} C(t, k) = C(count, k + 1).  When count <= len(samples)
-    the samples are summed directly, so the caller need only evaluate f at
-    the first min(count, degree + 1) points of its range.
+    By Newton's forward differences f(t) = sum_k D^k f(0) C(t, k), and
+    sum_{t < count} C(t, k) = C(count, k + 1), so w[j] is the coefficient of
+    x^j in sum_{k < n} C(count, k + 1) (x - 1)^k, taken by Horner's rule.
+    There are min(count, n) weights, all ones when count <= n.
     """
     if count < 0:
         raise InvalidParameterError(f"count must satisfy count >= 0; got {count}")
-    if count <= len(samples):
-        return sum(samples[:count])
-    total = 0
-    diffs = list(samples)
-    for k in range(len(samples)):
-        total += diffs[0] * math.comb(count, k + 1)
-        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
-    return total
+    if count <= n:
+        return [1] * count
+    weights: list[int] = []
+    for k in range(n, 0, -1):
+        # weights <- weights * (x - 1) + C(count, k), in place.
+        weights.append(0)
+        for j in range(len(weights) - 1, 0, -1):
+            weights[j] = weights[j - 1] - weights[j]
+        weights[0] = math.comb(count, k) - weights[0]
+    return weights
+
+
+def polynomial_range_sum(samples: Sequence[int], count: int) -> int:
+    """Exact sum f(0) + f(1) + ... + f(count - 1) of an integer-valued
+    polynomial f of degree < len(samples), given samples[t] = f(t): the dot
+    product of the samples with ``range_sum_weights``."""
+    return sum(map(operator.mul, range_sum_weights(len(samples), count), samples))
 
 
 def binom(n: int, k: int) -> int:

@@ -72,22 +72,31 @@ def trace_kernel(
     return pushforward.remove_trivial().dual()
 
 
-def classify_class(variety: VarietyDescriptor, cls: PicClass) -> VerdictStatus:
-    """Coordinate-wise ample/nef classification on the split families that
-    the registry gives no restriction rule: P^d and P^r x P^s."""
+def _check_coordinatewise(variety: VarietyDescriptor, basis: tuple[str, ...]) -> None:
+    """Refuse a variety or basis whose ample cone is not coordinate-wise."""
     family = family_of(variety)
     if not (family.split and family.rule is None):
         raise UnsupportedConeError(
             f"no ample/nef cone implemented for {variety}; only projective "
             f"spaces and their products are classified"
         )
-    if cls.basis != variety.bases[0]:
-        raise UnsupportedConeError(f"class basis {cls.basis} does not match {variety}")
-    if all(c > 0 for c in cls.coords):
+    if basis != variety.bases[0]:
+        raise UnsupportedConeError(f"class basis {basis} does not match {variety}")
+
+
+def _coords_status(coords: tuple[int, ...]) -> VerdictStatus:
+    if all(c > 0 for c in coords):
         return VerdictStatus.AMPLE
-    if all(c >= 0 for c in cls.coords):
+    if all(c >= 0 for c in coords):
         return VerdictStatus.NEF_NOT_AMPLE
     return VerdictStatus.NOT_NEF
+
+
+def classify_class(variety: VarietyDescriptor, cls: PicClass) -> VerdictStatus:
+    """Coordinate-wise ample/nef classification on the split families that
+    the registry gives no restriction rule: P^d and P^r x P^s."""
+    _check_coordinatewise(variety, cls.basis)
+    return _coords_status(cls.coords)
 
 
 def ample_verdict(decomp: Decomposition) -> Verdict:
@@ -95,23 +104,22 @@ def ample_verdict(decomp: Decomposition) -> Verdict:
 
     Ample iff every summand is; nef-not-ample if all summands are nef with
     some non-ample one; otherwise not nef.  The witness records the first
-    offending summand in sorted order.
+    offending summand in sorted order; it is the only ``Line`` built.
     """
-    variety = decomp.variety
-    worst: Optional[tuple[VerdictStatus, Summand]] = None
+    lines = sorted(decomp.lines, reverse=True)
+    if lines:
+        _check_coordinatewise(decomp.variety, decomp.basis)
+    worst, offender = VerdictStatus.AMPLE, None
     order = {VerdictStatus.AMPLE: 0, VerdictStatus.NEF_NOT_AMPLE: 1, VerdictStatus.NOT_NEF: 2}
-    for summand, _ in decomp.sorted_items():
-        if not isinstance(summand, Line):
-            raise UnsupportedConeError("spinor summands are not classified here")
-        status = classify_class(variety, summand.cls)
-        if worst is None or order[status] > order[worst[0]]:
-            worst = (status, summand)
-    if worst is None:
+    for coords in lines:
+        status = _coords_status(coords)
+        if order[status] > order[worst]:
+            worst, offender = status, coords
+    if decomp.spinors:
+        raise UnsupportedConeError("spinor summands are not classified here")
+    if offender is None:
         return Verdict(VerdictStatus.AMPLE)
-    status, offender = worst
-    if status is VerdictStatus.AMPLE:
-        return Verdict(VerdictStatus.AMPLE)
-    return Verdict(status, Witness(offender))
+    return Verdict(worst, Witness(Line(PicClass(offender, decomp.basis))))
 
 
 def kernel_restriction_verdict(
@@ -140,15 +148,15 @@ def kernel_restriction_verdict(
             VerdictStatus.NOT_AMPLE_WITH_WITNESS,
             Witness(Line(restricted.trivial_class()), divisor=divisor, multiplicity=mult),
         )
-    for summand, smult in restricted.sorted_items():
-        assert isinstance(summand, Line)
-        if summand.cls.is_zero or max(summand.cls.coords) < 0:
+    for coords, smult in sorted(restricted.lines.items(), reverse=True):
+        if max(coords) < 0 or not any(coords):
             continue
         # O(c) with some coordinate >= 0 restricts the kernel dual, so the
         # kernel itself picks up the non-ample O(-c).
         return Verdict(
             VerdictStatus.NOT_AMPLE_WITH_WITNESS,
-            Witness(Line(-summand.cls), divisor=divisor, multiplicity=smult),
+            Witness(Line(-PicClass(coords, restricted.basis)), divisor=divisor,
+                    multiplicity=smult),
             notes=("restricted kernel contains the dual of a non-negative summand",),
         )
     return Verdict(VerdictStatus.UNKNOWN, notes=("no certificate found",))
@@ -176,16 +184,13 @@ def quadric_kernel_verdict(d: int, fp: PrimePower) -> QuadricKernelReport:
     support = quadric_pushforward_support(d, fp)
     kernel_support = support.remove_trivial()
     notes: list[str] = []
-    offending: Optional[Summand] = None
-    for summand, _ in kernel_support.sorted_items():
-        if isinstance(summand, Spinor) and summand.j <= 1:
-            offending = summand
-            break
+    # The first spinor twist S(j) with j <= 1, by descending j.
+    offending = max((j for j in kernel_support.spinors if j <= 1), default=None)
     if offending is None:
         support_verdict = Verdict(VerdictStatus.AMPLE)
     else:
         support_verdict = Verdict(
-            VerdictStatus.NOT_AMPLE_WITH_WITNESS, Witness(offending)
+            VerdictStatus.NOT_AMPLE_WITH_WITNESS, Witness(Spinor(offending))
         )
     if fp.p != 2:
         stated_verdict = Verdict(VerdictStatus.AMPLE)

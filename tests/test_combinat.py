@@ -28,6 +28,7 @@ from frobpush.combinat import (
     floor_pieces,
     floor_residue,
     polynomial_range_sum,
+    range_sum_weights,
 )
 from frobpush.errors import InvalidParameterError
 from frobpush.verify import _coefficients
@@ -178,6 +179,53 @@ class TestPolynomialRangeSum:
     def test_rejects_negative_count(self):
         with pytest.raises(InvalidParameterError):
             polynomial_range_sum([1], -1)
+
+
+class TestRangeSumWeights:
+    @given(
+        st.lists(st.integers(-10**6, 10**6), min_size=0, max_size=8),
+        st.integers(-50, 50),
+        st.integers(0, 200),
+    )
+    def test_weights_and_range_sum_match_direct_sums(self, coeffs, start, count):
+        # A random integer polynomial of degree < n = len(coeffs) <= 8,
+        # sampled at start, start + 1, ...
+        def f(x):
+            return sum(c * x**k for k, c in enumerate(coeffs))
+
+        n = len(coeffs)
+        direct = sum(f(start + t) for t in range(count))
+        weights = range_sum_weights(n, count)
+        assert len(weights) == min(n, count)
+        assert sum(w * f(start + j) for j, w in enumerate(weights)) == direct
+        assert polynomial_range_sum([f(start + t) for t in range(n)], count) == direct
+
+    def test_short_ranges_are_ones(self):
+        assert range_sum_weights(3, 0) == []
+        assert range_sum_weights(3, 2) == [1, 1]
+        assert range_sum_weights(3, 3) == [1, 1, 1]
+        assert range_sum_weights(0, 5) == []
+
+    def test_small_weights(self):
+        # n = 2: count f(0) + C(count, 2) (f(1) - f(0)).
+        assert range_sum_weights(1, 7) == [7]
+        assert range_sum_weights(2, 7) == [7 - 21, 21]
+
+    @pytest.mark.parametrize("big", [2**64, 3**40])
+    def test_hockey_stick_at_large_count(self, big):
+        # sum_{t < N} C(t, k) = C(N, k + 1), read from the weights of n = 8.
+        weights = range_sum_weights(8, big)
+        for k in range(8):
+            samples = [math.comb(j, k) for j in range(8)]
+            assert sum(w * c for w, c in zip(weights, samples)) == math.comb(big, k + 1)
+            assert polynomial_range_sum(samples, big) == math.comb(big, k + 1)
+
+    def test_rejects_negative_count_with_its_message(self):
+        message = "count must satisfy count >= 0; got -1"
+        with pytest.raises(InvalidParameterError, match=message):
+            range_sum_weights(2, -1)
+        with pytest.raises(InvalidParameterError, match=message):
+            polynomial_range_sum([1, 2], -1)
 
 
 class TestBinom:

@@ -348,7 +348,8 @@ class TestOracleIndependence:
     def test_oracles_never_reach_the_closed_forms(self):
         # Follow every call from the loop oracles through verify and combinat.
         closed_forms = {"composition_count", "composition_row", "composition_table",
-                        "floor_pieces", "polynomial_range_sum", "floor_residue"}
+                        "floor_pieces", "polynomial_range_sum", "range_sum_weights",
+                        "floor_residue"}
         defs = {
             node.name: node
             for module in (verify, combinat)
@@ -404,6 +405,21 @@ class TestOracleIndependence:
                 p, e, d = case[1]
                 result = verify.run_case(case)
                 assert result.detail == f"row mismatch at (i={d}, m={p**e - 1})", result
+
+    def test_a_weight_fault_alone_is_caught(self, monkeypatch):
+        # One more on the last range sum weight of every run: the piecewise
+        # builders go wrong, and the loops, which sum j by j, must notice.
+        loops = {"segre-loop", "veronese-direct", "blowup-loop"}
+        assert not failing_kinds(case for case in TINY_ORACLES if case[0] in loops)
+        weights_of = catalog.range_sum_weights
+
+        def last_weight_off_by_one(n, count):
+            weights = weights_of(n, count)
+            weights[-1] += 1
+            return weights
+
+        monkeypatch.setattr(catalog, "range_sum_weights", last_weight_off_by_one)
+        assert loops <= failing_kinds(TINY_ORACLES)
 
     def test_mult_oracle_catches_a_closed_form_fault(self, monkeypatch):
         cases = [case for case in TINY_ORACLES if case[0] == "mult-oracle"]

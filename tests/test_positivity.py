@@ -7,6 +7,7 @@ import pytest
 from frobpush.combinat import PrimePower, composition_count
 from frobpush.errors import InvalidParameterError, UnsupportedConeError
 from frobpush.picard import (
+    Decomposition,
     Hirzebruch,
     Line,
     LinearBlowup,
@@ -126,7 +127,7 @@ class TestRestrictionVerdicts:
                 assert verdict.witness.divisor == "C0"
                 if fp.q >= eps:
                     sigma = hirzebruch_closed_multiplicities(eps, fp)
-                    assert verdict.witness.summand.cls.is_zero
+                    assert not any(verdict.witness.summand.cls.coords)
                     assert verdict.witness.multiplicity == 1 + sigma[eps - 1]
 
     def test_out_of_regime_fallback(self):
@@ -135,6 +136,15 @@ class TestRestrictionVerdicts:
         verdict = kernel_restriction_verdict(Hirzebruch(3), PrimePower(2, 1))
         assert verdict.status is VerdictStatus.NOT_AMPLE_WITH_WITNESS
         assert max(verdict.witness.summand.cls.coords) < 0
+
+    def test_one_trivial_copy_is_no_witness(self):
+        # The restriction has one trivial copy (the split one) and only
+        # negative summands besides: no certificate.
+        pushforward = Decomposition(Hirzebruch(1), [((0, 0), 1), ((0, -1), 3)])
+        verdict = kernel_restriction_verdict(Hirzebruch(1), PrimePower(2, 1), pushforward)
+        assert verdict.status is VerdictStatus.UNKNOWN
+        assert verdict.witness is None
+        assert verdict.notes == ("no certificate found",)
 
     def test_blowup_witness(self):
         from frobpush.combinat import binom
