@@ -73,12 +73,20 @@ def descriptor_from_json(data: dict) -> VarietyDescriptor:
     return families.build_descriptor(families.FAMILIES[tag].descriptor, value)
 
 
+def _line_json(coords: tuple[int, ...]) -> dict:
+    return {"kind": "line", "class": list(coords)}
+
+
+def _spinor_json(j: int) -> dict:
+    return {"kind": "spinor", "class": {"j": j}}
+
+
 def _summand_to_json(summand) -> dict:
     """The ``kind`` and ``class`` of a verdict witness, as
     ``decomposition_to_json`` writes them for each summand."""
     if isinstance(summand, Line):
-        return {"kind": "line", "class": list(summand.cls.coords)}
-    return {"kind": "spinor", "class": {"j": summand.j}}
+        return _line_json(summand.cls.coords)
+    return _spinor_json(summand.j)
 
 
 def _mult_text(mult: Optional[int]) -> str:
@@ -87,11 +95,11 @@ def _mult_text(mult: Optional[int]) -> str:
 
 def decomposition_to_json(decomp: Decomposition) -> dict:
     summands = [
-        {"kind": "line", "class": list(coords), "mult": _mult_text(mult)}
+        {**_line_json(coords), "mult": _mult_text(mult)}
         for coords, mult in sorted(decomp.lines.items(), reverse=True)
     ]
     summands += [
-        {"kind": "spinor", "class": {"j": j}, "mult": _mult_text(mult)}
+        {**_spinor_json(j), "mult": _mult_text(mult)}
         for j, mult in sorted(decomp.spinors.items(), reverse=True)
     ]
     rank = None if decomp.support_only else str(decomp.rank())
@@ -219,9 +227,13 @@ def _line_label(coords: tuple[int, ...]) -> str:
     return "O(" + ",".join(map(str, coords)) + ")"
 
 
+def _spinor_label(j: int) -> str:
+    return f"S({j})"
+
+
 def class_label(summand) -> str:
     if isinstance(summand, Spinor):
-        return f"S({summand.j})"
+        return _spinor_label(summand.j)
     return _line_label(summand.cls.coords)
 
 
@@ -234,7 +246,7 @@ def render_decomposition(decomp: Decomposition) -> str:
     for coords, mult in sorted(decomp.lines.items(), reverse=True):
         lines.append(f"  {_line_label(coords)}: {_mult_text(mult)}")
     for j, mult in sorted(decomp.spinors.items(), reverse=True):
-        lines.append(f"  S({j}): {_mult_text(mult)}")
+        lines.append(f"  {_spinor_label(j)}: {_mult_text(mult)}")
     rank = "unknown" if decomp.support_only else str(decomp.rank())
     lines.append(f"rank: {rank}")
     return "\n".join(lines)

@@ -70,6 +70,10 @@ class PicClass(Value):
     def zero(cls, basis: Basis) -> "PicClass":
         return cls((0,) * len(basis), tuple(basis))
 
+    @property
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coords)
+
     def __neg__(self) -> "PicClass":
         return PicClass(tuple(-a for a in self.coords), self.basis)
 

@@ -503,7 +503,7 @@ class TestAntiEffectivity:
         for decomp in decomps:
             pairing = self.PAIRINGS[(type(decomp.variety), decomp.basis)]
             for summand, _ in decomp.items():
-                if not any(summand.cls.coords):
+                if summand.cls.is_zero:
                     continue
                 value = sum(c * w for c, w in zip(summand.cls.coords, pairing))
                 assert value <= 0, (decomp.variety, summand)

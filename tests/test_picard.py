@@ -65,6 +65,7 @@ class TestPicClass:
     def test_zero(self):
         z = PicClass.zero(("H1", "H2"))
         assert z.coords == (0, 0)
+        assert z.is_zero
 
     def test_length_mismatch(self):
         with pytest.raises(LatticeMismatchError):

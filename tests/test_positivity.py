@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from frobpush import positivity
 from frobpush.combinat import PrimePower, composition_count
 from frobpush.errors import InvalidParameterError, UnsupportedConeError
 from frobpush.picard import (
@@ -14,6 +15,7 @@ from frobpush.picard import (
     PicClass,
     Product,
     ProjSpace,
+    Quadric,
     SegreConeBlowup,
     Spinor,
     VeroneseConeBlowup,
@@ -127,7 +129,7 @@ class TestRestrictionVerdicts:
                 assert verdict.witness.divisor == "C0"
                 if fp.q >= eps:
                     sigma = hirzebruch_closed_multiplicities(eps, fp)
-                    assert not any(verdict.witness.summand.cls.coords)
+                    assert verdict.witness.summand.cls.is_zero
                     assert verdict.witness.multiplicity == 1 + sigma[eps - 1]
 
     def test_out_of_regime_fallback(self):
@@ -205,6 +207,17 @@ class TestQuadricVerdict:
         report = quadric_kernel_verdict(3, PrimePower(3, 1))
         assert any("S(2)" in note for note in report.notes)
         assert report.support_verdict.status is VerdictStatus.AMPLE
+
+    def test_witness_is_the_largest_spinor_twist_at_most_one(self, monkeypatch):
+        def support(d, fp):
+            items = [((0,), 1), ((1,), None), (Spinor(0), None), (Spinor(1), None),
+                     (Spinor(2), None)]
+            return Decomposition(Quadric(d), items, support_only=True)
+
+        monkeypatch.setattr(positivity, "quadric_pushforward_support", support)
+        report = quadric_kernel_verdict(3, PrimePower(2, 1))
+        assert report.support_verdict.status is VerdictStatus.NOT_AMPLE_WITH_WITNESS
+        assert report.support_verdict.witness.summand == Spinor(1)
 
     def test_p2_high_dimension_tension(self):
         for e in (1, 2):
