@@ -50,7 +50,6 @@ from .restriction import RestrictionRule
 from .families import (
     CONE_KINDS,
     FAMILIES,
-    Family,
     family_of,
     restrict,
     structure_pushforward,
@@ -61,7 +60,6 @@ from .positivity import (
     VerdictStatus,
     Witness,
     ample_verdict,
-    classify_class,
     kernel_restriction_verdict,
     quadric_kernel_verdict,
     trace_kernel,

@@ -70,7 +70,7 @@ def descriptor_from_json(data: dict) -> VarietyDescriptor:
             )
         return arg
 
-    return families.build_descriptor(families.FAMILIES[tag].descriptor, value)
+    return families.build_descriptor(families.FAMILIES[tag], value)
 
 
 def _line_json(coords: tuple[int, ...]) -> dict:
@@ -155,12 +155,12 @@ def _summand_from_json(entry: dict) -> tuple[object, Optional[int]]:
 
 
 def decomposition_from_json(data: dict) -> Decomposition:
-    """Read back ``decomposition_to_json``.  A null ``rank`` marks a
-    support-only decomposition; any other must be the decimal rank of the
-    summands read back."""
-    _check_object(data, "decomposition", ("variety", "basis", "summands"))
+    """Read back ``decomposition_to_json``.  ``rank`` is required: null
+    marks a support-only decomposition, and any other value must be the
+    decimal rank of the summands read back."""
+    _check_object(data, "decomposition", ("variety", "basis", "summands", "rank"))
     variety = descriptor_from_json(data["variety"])
-    basis, summands, rank = data["basis"], data["summands"], data.get("rank")
+    basis, summands, rank = data["basis"], data["summands"], data["rank"]
     if not (isinstance(basis, list) and all(isinstance(name, str) for name in basis)):
         raise InvalidParameterError(f"basis must be a list of generator names; got {basis!r}")
     if not isinstance(summands, list):
@@ -307,12 +307,12 @@ def _require_zero(parser: argparse.ArgumentParser, bundle: list[int], what: str)
 def _build_decomposition(
     parser: argparse.ArgumentParser, args: argparse.Namespace, fp: PrimePower
 ) -> Decomposition:
-    family = families.FAMILIES[args.variety]
-    bundle = _parse_bundle(parser, args.bundle, family.arity)
-    if family.structure_only:
+    cls = families.FAMILIES[args.variety]
+    bundle = _parse_bundle(parser, args.bundle, len(cls.bases[0]))
+    if cls.structure_only:
         _require_zero(parser, bundle, f"--variety {args.variety}")
-    variety = _descriptor(parser, args, family.descriptor, f"--variety {args.variety}")
-    return family.build(variety, tuple(bundle), fp)
+    variety = _descriptor(parser, args, cls, f"--variety {args.variety}")
+    return families.build(variety, tuple(bundle), fp)
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +332,12 @@ def cmd_decompose(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 def cmd_kernel(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     fp = PrimePower(args.p, args.e)
-    family = families.FAMILIES[args.variety]
+    cls = families.FAMILIES[args.variety]
     label = f"--variety {args.variety}"
     # The trace kernel is always that of O (the canonical twist on quadrics).
-    _require_zero(parser, _parse_bundle(parser, args.bundle, family.arity), "kernel")
+    _require_zero(parser, _parse_bundle(parser, args.bundle, len(cls.bases[0])), "kernel")
     if args.variety == "quadric":
-        quadric = _descriptor(parser, args, family.descriptor, label)
+        quadric = _descriptor(parser, args, cls, label)
         report = positivity.quadric_kernel_verdict(quadric.d, fp)
         kernel = report.support.remove_trivial()
         if args.format == "json":
@@ -358,12 +358,12 @@ def cmd_kernel(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             if report.disagreement:
                 print("WARNING: the two verdicts disagree")
         return EXIT_OK
-    if not family.split:
+    if not cls.split:
         parser.error(f"{label} has no kernel verdict")
-    variety = _descriptor(parser, args, family.descriptor, label)
+    variety = _descriptor(parser, args, cls, label)
     pushforward = families.structure_pushforward(variety, fp)
     kernel = positivity.trace_kernel(variety, fp, pushforward)
-    if family.rule is None:
+    if cls.rule is None:
         verdict = positivity.ample_verdict(kernel)
     else:
         verdict = positivity.kernel_restriction_verdict(variety, fp, pushforward)

@@ -70,10 +70,6 @@ class PicClass(Value):
     def zero(cls, basis: Basis) -> "PicClass":
         return cls((0,) * len(basis), tuple(basis))
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
     def __neg__(self) -> "PicClass":
         return PicClass(tuple(-a for a in self.coords), self.basis)
 
@@ -107,14 +103,30 @@ Summand = Union[Line, Spinor]
 
 # ---------------------------------------------------------------------------
 # Variety descriptors.  Each family and each cone kind is one ``_declare``
-# call, the only place it is written down; ``families`` derives ``FAMILIES``
-# and ``CONE_KINDS`` from ``DESCRIPTORS``.  ``bases``, the admissible ordered
-# bases of a family's class lattice (the first is the default), is the one
-# declaration of its lattice, which every other layer reads; as class data it
-# is no field (no entry of ``__slots__``), so never a CLI flag.
+# call, the only place it is written down; ``families`` keys the declared
+# classes by tag as ``FAMILIES`` and ``CONE_KINDS``.  ``bases``, the
+# admissible ordered bases of a family's class lattice (the first is the
+# default), is the one declaration of its lattice, which every other layer
+# reads; as class data it is no field (no entry of ``__slots__``), so never a
+# CLI flag.
 # ---------------------------------------------------------------------------
 
 DESCRIPTORS: list[type] = []
+
+
+class RestrictionRule(Value):
+    """How classes of one family restrict to its distinguished divisor.
+
+    ``matrix`` maps source coordinates, in the default basis of the source
+    variety, to coordinates in the default basis of ``target``: one row per
+    source generator.
+    """
+
+    __slots__ = ("divisor", "target", "matrix")
+
+    def __init__(self, divisor: str, target: Callable[[Value], Value],
+                 matrix: Callable[[Value], tuple[tuple[int, ...], ...]]) -> None:
+        self._set(divisor, target, matrix)
 
 
 def _declare(name: str, tag: str, fields: tuple[str, ...], doc: Optional[str] = None, *,
@@ -133,12 +145,16 @@ def _declare(name: str, tag: str, fields: tuple[str, ...], doc: Optional[str] = 
     pass builds about 14,000 of them.  ``dim`` and ``spinor_rank`` become
     properties; a family with a ``spinor_rank`` may hold spinor summands.
 
-    A registry family names its ``builder`` as "module.function", called
-    with the fields, then the bundle coordinates unless ``structure_only``
-    (the family accepts only the zero bundle), then the prime power.
-    ``split`` and ``rule``, the (divisor, target, matrix) of its
-    ``RestrictionRule``, are as in ``families.Family``.  A declaration with
-    no builder is a cone kind, built inside ``ConeP``.
+    A declaration with a ``builder`` is a registry family, and its class is
+    its record in ``families.FAMILIES``.  The builder, "module.function", is
+    called with the fields, then the bundle coordinates unless
+    ``structure_only`` (the family accepts only the zero bundle), then the
+    prime power.  ``split`` marks the families whose F^e_* O is a complete
+    direct sum of line bundles, so that it has a trace kernel.  ``rule``,
+    the (divisor, target, matrix) of a ``RestrictionRule``, restricts to
+    the divisor that certifies the kernel is not ample; it is None where the
+    ample cone is coordinate-wise.  A declaration with no builder is a cone
+    kind, built inside ``ConeP``.
     """
     source = f"def __init__(self, {', '.join(fields)}):\n"
     if refuse:
@@ -152,7 +168,8 @@ def _declare(name: str, tag: str, fields: tuple[str, ...], doc: Optional[str] = 
         "__slots__": fields, "__doc__": doc, "__module__": __name__, "__init__": init,
         "tag": tag, "bases": bases, "dim": property(dim),
         "spinor_rank": spinor_rank and property(spinor_rank), "builder": builder,
-        "structure_only": structure_only, "split": split, "rule": rule,
+        "structure_only": structure_only, "split": split,
+        "rule": rule and RestrictionRule(*rule),
     })
     DESCRIPTORS.append(cls)
     return cls

@@ -72,31 +72,12 @@ def trace_kernel(
     return pushforward.remove_trivial().dual()
 
 
-def _check_coordinatewise(variety: VarietyDescriptor, basis: tuple[str, ...]) -> None:
-    """Refuse a variety or basis whose ample cone is not coordinate-wise."""
-    family = family_of(variety)
-    if not (family.split and family.rule is None):
-        raise UnsupportedConeError(
-            f"no ample/nef cone implemented for {variety}; only projective "
-            f"spaces and their products are classified"
-        )
-    if basis != variety.bases[0]:
-        raise UnsupportedConeError(f"class basis {basis} does not match {variety}")
-
-
 def _coords_status(coords: tuple[int, ...]) -> VerdictStatus:
     if all(c > 0 for c in coords):
         return VerdictStatus.AMPLE
     if all(c >= 0 for c in coords):
         return VerdictStatus.NEF_NOT_AMPLE
     return VerdictStatus.NOT_NEF
-
-
-def classify_class(variety: VarietyDescriptor, cls: PicClass) -> VerdictStatus:
-    """Coordinate-wise ample/nef classification on the split families that
-    the registry gives no restriction rule: P^d and P^r x P^s."""
-    _check_coordinatewise(variety, cls.basis)
-    return _coords_status(cls.coords)
 
 
 def ample_verdict(decomp: Decomposition) -> Verdict:
@@ -107,8 +88,12 @@ def ample_verdict(decomp: Decomposition) -> Verdict:
     offending summand in sorted order; it is the only ``Line`` built.
     """
     lines = sorted(decomp.lines, reverse=True)
-    if lines:
-        _check_coordinatewise(decomp.variety, decomp.basis)
+    family = family_of(decomp.variety)
+    if lines and not (family.split and family.rule is None):
+        raise UnsupportedConeError(
+            f"no ample/nef cone implemented for {decomp.variety}; only projective "
+            f"spaces and their products are classified"
+        )
     worst, offender = VerdictStatus.AMPLE, None
     order = {VerdictStatus.AMPLE: 0, VerdictStatus.NEF_NOT_AMPLE: 1, VerdictStatus.NOT_NEF: 2}
     for coords in lines:

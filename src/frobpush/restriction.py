@@ -1,35 +1,18 @@
 """Restriction of decompositions to the distinguished divisors of each family.
 
 Each restriction is a lattice homomorphism declared as data in a
-``RestrictionRule``; each rule is declared with its family in ``picard``
-and held by its record in ``families.FAMILIES``.  A rule's source is the
-default basis of its family's descriptor, so the rule states only its
-divisor, its target and its matrix.
+``RestrictionRule``, which ``picard`` defines and this module re-exports;
+each rule is declared with its family, as the ``rule`` of its descriptor
+class.  A rule's source is the default basis of its family's descriptor, so
+the rule states only its divisor, its target and its matrix.
 """
 
 from __future__ import annotations
 
 from operator import mul
-from typing import Callable
 
 from .errors import InvalidParameterError
-from .picard import Decomposition, VarietyDescriptor, change_basis
-from .value import Value
-
-
-class RestrictionRule(Value):
-    """How classes of one family restrict to its distinguished divisor.
-
-    ``matrix`` maps source coordinates, in the default basis of the source
-    variety, to coordinates in the default basis of ``target``: one row per
-    source generator.
-    """
-
-    __slots__ = ("divisor", "target", "matrix")
-
-    def __init__(self, divisor: str, target: Callable[[VarietyDescriptor], VarietyDescriptor],
-                 matrix: Callable[[VarietyDescriptor], tuple[tuple[int, ...], ...]]) -> None:
-        self._set(divisor, target, matrix)
+from .picard import Decomposition, RestrictionRule, change_basis
 
 
 def apply_rule(rule: RestrictionRule, decomp: Decomposition) -> Decomposition:

@@ -383,7 +383,7 @@ def check_mult_oracle(p: int, e: int, d: int) -> tuple[str, str]:
 
 def check_rank_law(p: int, e: int, tag: str, *params: int) -> tuple[str, str]:
     fp = PrimePower(p, e)
-    decomp = structure_pushforward(FAMILIES[tag].descriptor(*params), fp)
+    decomp = structure_pushforward(FAMILIES[tag](*params), fp)
     expected = fp.q**decomp.variety.dim
     got = decomp.rank()
     return _ok(got == expected, f"rank {got} vs q^dim {expected}")

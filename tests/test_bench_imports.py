@@ -1,7 +1,8 @@
 """The benchmark in ``bench/`` uses frobpush's public names; these tests fail
 when a change to the package removes or renames one of them, or breaks an
 assumption its tracer makes about the package, or lets a closed form or an
-oracle into the paths it times.
+oracle into the paths it times, or keeps a public function that neither the
+package nor the benchmark calls.
 
 The benchmark files are parsed with ``ast``, never imported or edited.
 """
@@ -143,3 +144,35 @@ def test_oracles_stay_out_of_hot_paths():
             for name in referenced_names(node) & ORACLES:
                 offenders.append(f"{path.name}:{node.lineno} references {name}")
     assert not offenders, offenders
+
+
+def test_public_functions_have_a_caller():
+    """Every public module-level function of the package is referenced from
+    the package or the benchmark, so none is kept for the tests alone.  A
+    re-export in ``__init__`` is no reference, nor is a function's reference
+    to itself; a declaration's builder string "module.function" is one."""
+    defined = {
+        node.name: path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in parse(path).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    referenced = set()
+    for path in [*sorted(PACKAGE.glob("*.py")), *BENCH_FILES]:
+        if path == PACKAGE / "__init__.py":
+            continue
+        tree = parse(path)
+        enclosing = {
+            id(inner): node.name
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            names = referenced_names(node)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                module, _, name = node.value.rpartition(".")
+                if defined.get(name) == module:
+                    names = {name}
+            referenced |= names - {enclosing.get(id(node))}
+    assert not sorted(set(defined) - referenced)

@@ -1,7 +1,9 @@
 """Tests for the family registry: coverage, JSON round-trips, the rank law,
 and the CLI surface generated from it."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from frobpush.families import (
     structure_pushforward,
 )
 from frobpush.picard import (
+    DESCRIPTORS,
     ConeP,
     Hirzebruch,
     LinearBlowup,
@@ -62,9 +65,16 @@ def test_descriptor_json_round_trip(variety):
     assert cli.descriptor_from_json(payload) == variety
 
 
+def test_registry_records_are_the_declared_classes():
+    # A declaration with a builder is a family, one without a cone kind.
+    for cls in DESCRIPTORS:
+        assert (FAMILIES if cls.builder else CONE_KINDS)[cls.tag] is cls
+    assert len(FAMILIES) + len(CONE_KINDS) == len(DESCRIPTORS)
+
+
 def test_lattice_data_is_no_descriptor_field():
     # A field would become a constructor argument, a CLI flag and a JSON param.
-    for cls in [family.descriptor for family in FAMILIES.values()] + list(CONE_KINDS.values()):
+    for cls in [*FAMILIES.values(), *CONE_KINDS.values()]:
         class_data = {"tag", "bases", "dim", "spinor_rank", "builder", "structure_only",
                       "split", "rule"}
         assert not class_data & set(cls.__slots__), cls
@@ -99,6 +109,30 @@ def test_builder_rank_law(variety):
             assert decomp.rank() == fp.q**variety.dim
 
 
+def load_tracer():
+    """The benchmark's tracer module, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_sees_one_builder_call_per_family():
+    """The builders are looked up on their modules at each call, so the
+    benchmark's tracer, which rebinds module attributes, counts each one."""
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        for tag, variety in FIRST_SAMPLE.items():
+            before = tracer.calls["catalog"] + tracer.calls["localalg"]
+            structure_pushforward(variety, PrimePower(2, 1))
+            after = tracer.calls["catalog"] + tracer.calls["localalg"]
+            assert after - before == 1, tag
+    finally:
+        tracer.uninstall()
+
+
 def test_cli_choices_are_registry_tags():
     assert cli.VARIETIES == tuple(FAMILIES)
     parser = cli.build_parser()
@@ -119,9 +153,13 @@ def has_kernel(tag: str) -> bool:
     return FAMILIES[tag].split or tag == "quadric"
 
 
+def arity(tag: str) -> int:
+    return len(FAMILIES[tag].bases[0])
+
+
 @pytest.mark.parametrize("tag", list(FAMILIES))
 def test_zero_bundle_accepted(tag, capsys):
-    zeros = ",".join("0" * FAMILIES[tag].arity)
+    zeros = ",".join("0" * arity(tag))
     assert cli.main(argv("decompose", tag, f"--bundle={zeros}")) == 0
     if has_kernel(tag):
         assert cli.main(argv("kernel", tag, f"--bundle={zeros}")) == 0
@@ -139,7 +177,7 @@ def test_malformed_bundle_is_usage_error(tag, capsys):
 
 @pytest.mark.parametrize("tag", list(FAMILIES))
 def test_wrong_bundle_arity_is_usage_error(tag, capsys):
-    too_many = ",".join("0" * (FAMILIES[tag].arity + 1))
+    too_many = ",".join("0" * (arity(tag) + 1))
     for command in ("decompose", "kernel"):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv(command, tag, f"--bundle={too_many}"))
@@ -150,7 +188,7 @@ def test_wrong_bundle_arity_is_usage_error(tag, capsys):
 @pytest.mark.parametrize("tag", list(FAMILIES))
 def test_kernel_rejects_nonzero_bundle(tag, capsys):
     # The trace kernel is always that of O, whatever the family.
-    one = ",".join(["1"] + ["0"] * (FAMILIES[tag].arity - 1))
+    one = ",".join(["1"] + ["0"] * (arity(tag) - 1))
     with pytest.raises(SystemExit) as exc:
         cli.main(argv("kernel", tag, f"--bundle={one}"))
     assert exc.value.code == 2

@@ -17,7 +17,6 @@ from frobpush.catalog import (
     pushforward_projective_space,
 )
 from frobpush.combinat import PrimePower, composition_count
-from frobpush.families import Family
 from frobpush.errors import (
     DeterminantUnsupportedError,
     InvalidParameterError,
@@ -65,7 +64,6 @@ class TestPicClass:
     def test_zero(self):
         z = PicClass.zero(("H1", "H2"))
         assert z.coords == (0, 0)
-        assert z.is_zero
 
     def test_length_mismatch(self):
         with pytest.raises(LatticeMismatchError):
@@ -182,8 +180,8 @@ VALUES = {
 }
 
 # The descriptors and records, built positionally and then by keyword with
-# every default left out.  Builtins stand in for the callables of a family
-# and a rule: they pickle by name and have a repr that names no address.
+# every default left out.  Builtins stand in for the callables of a rule:
+# they pickle by name and have a repr that names no address.
 for cls, args, fields, text in [
     (PrimePower, (3, 2), ("p", "e"), "PrimePower(p=3, e=2, q=9)"),
     (ProjSpace, (2,), ("d",), "ProjSpace(d=2)"),
@@ -218,13 +216,6 @@ _REPORT = (
     ("a note",),
 )
 VALUES.update({
-    "Family": (
-        lambda: Family(ProjSpace, max, False, True, None),
-        lambda: Family(descriptor=ProjSpace, build=max),
-        ("descriptor", "build", "structure_only", "split", "rule"),
-        "Family(descriptor=<class 'frobpush.picard.ProjSpace'>, "
-        "build=<built-in function max>, structure_only=False, split=True, rule=None)",
-    ),
     "Witness": (
         lambda: Witness(Spinor(1), None, None),
         lambda: Witness(summand=Spinor(1)),

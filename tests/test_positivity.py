@@ -23,7 +23,6 @@ from frobpush.picard import (
 from frobpush.positivity import (
     VerdictStatus,
     ample_verdict,
-    classify_class,
     kernel_restriction_verdict,
     quadric_kernel_verdict,
     trace_kernel,
@@ -69,22 +68,27 @@ class TestTraceKernel:
             trace_kernel(Quadric(3), PrimePower(5, 1))
 
 
+def one_summand(variety, coords) -> Decomposition:
+    return Decomposition(variety, [(coords, 1)])
+
+
 class TestClassify:
+    # ``ample_verdict`` on one summand classifies that summand's class.
     def test_examples(self):
-        assert classify_class(ProjSpace(2), PicClass((1,), ("H",))) is VerdictStatus.AMPLE
-        assert (
-            classify_class(Product(1, 1), PicClass((1, 0), ("H1", "H2")))
-            is VerdictStatus.NEF_NOT_AMPLE
-        )
-        assert classify_class(ProjSpace(2), PicClass((-1,), ("H",))) is VerdictStatus.NOT_NEF
+        verdict = ample_verdict(one_summand(ProjSpace(2), (1,)))
+        assert verdict.status is VerdictStatus.AMPLE and verdict.witness is None
+        verdict = ample_verdict(one_summand(Product(1, 1), (1, 0)))
+        assert verdict.status is VerdictStatus.NEF_NOT_AMPLE
+        assert verdict.witness.summand == Line(PicClass((1, 0), ("H1", "H2")))
+        verdict = ample_verdict(one_summand(ProjSpace(2), (-1,)))
+        assert verdict.status is VerdictStatus.NOT_NEF
+        assert verdict.witness.summand == Line(PicClass((-1,), ("H",)))
 
     def test_unsupported_variety(self):
         # Only the split families with no restriction rule are classified.
-        from frobpush.picard import Quadric
-
         for variety in (Hirzebruch(1), LinearBlowup(2, 1), Quadric(3)):
             with pytest.raises(UnsupportedConeError):
-                classify_class(variety, PicClass.zero(variety.bases[0]))
+                ample_verdict(one_summand(variety, (0,) * len(variety.bases[0])))
 
 
 class TestAmpleVerdict:
@@ -129,7 +133,7 @@ class TestRestrictionVerdicts:
                 assert verdict.witness.divisor == "C0"
                 if fp.q >= eps:
                     sigma = hirzebruch_closed_multiplicities(eps, fp)
-                    assert verdict.witness.summand.cls.is_zero
+                    assert verdict.witness.summand.cls.coords == (0,)
                     assert verdict.witness.multiplicity == 1 + sigma[eps - 1]
 
     def test_out_of_regime_fallback(self):
