@@ -12,6 +12,7 @@ from .combinat import (
     bounded_power_coefficients,
     composition_count,
     composition_row,
+    composition_sums,
     composition_table,
     eulerian,
     floor_pieces,

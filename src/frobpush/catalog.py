@@ -10,21 +10,24 @@ each run of j where the floor parts of the twists stay constant
 (``combinat.floor_pieces``), a term is a polynomial in j of degree at most
 the dimension, so each class of a run is summed exactly as one dot product
 of a few samples with the run's weights (``combinat.range_sum_weights``).
-Multiplicities are added up per coordinate tuple, and the decomposition
-keeps those tuples, so the cost depends on the dimension, eps and the bit
-length of q, not on q.
+On the Veronese cone blowup the samples of a run are residues in arithmetic
+progression, and ``combinat.composition_sums`` gives every class of the run
+at once, as the weighted sum of their composition rows.  Multiplicities are
+added up per coordinate tuple in a plain dict, and the decomposition keeps
+those tuples, so the cost depends on the dimension, eps and the bit length
+of q, not on q.
 ``verify`` checks each sum against a j-by-j loop at small q.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from operator import mul
 from typing import Mapping, Optional
 
 from .combinat import (
     PrimePower,
     composition_row,
+    composition_sums,
     composition_table,
     floor_pieces,
     floor_residue,
@@ -88,15 +91,17 @@ def pushforward_hirzebruch(eps: int, u: int, v: int, fp: PrimePower) -> Decompos
     variety = Hirzebruch(eps)
     q = fp.q
     k, m = floor_residue(u, q)
-    counts: Counter = Counter()
+    counts: dict = {}
+    get = counts.get
     for c0, lo, hi in ((k, 0, m), (k - 1, m + 1, q - 1)):
         for fl, jlo, jhi in floor_pieces(-eps, v, q, lo, hi):
             res = v - jlo * eps - fl * q
             count = jhi - jlo + 1
             # The residue falls by eps per step of j: an arithmetic progression.
             res_sum = count * res - eps * (count * (count - 1) // 2)
-            counts[(c0, fl)] += res_sum + count
-            counts[(c0, fl - 1)] += (q - 1) * count - res_sum
+            top, below = (c0, fl), (c0, fl - 1)
+            counts[top] = get(top, 0) + res_sum + count
+            counts[below] = get(below, 0) + (q - 1) * count - res_sum
     return _from_counts(variety, counts)
 
 
@@ -157,15 +162,18 @@ def pushforward_veronese_cone(
         raise OutOfRegimeError(
             f"needs q >= eps - n' >= 1; got q={q}, eps={eps}, n'={nprime}"
         )
-    counts: Counter = Counter()
+    counts: dict = {}
+    get = counts.get
     # (slope in j, first and last j, H-coordinate, H'-offset of the class)
     for a, lo, hi, h, offset in ((eps, 0, n, 0, 0), (-eps, 1, q - 1 - n, -1, eps)):
         for fl, jlo, jhi in floor_pieces(a, nprime, q, lo, hi):
             weights = range_sum_weights(d + 1, jhi - jlo + 1)
-            samples = range(jlo, jlo + len(weights))
-            rows = [composition_row(a * j + nprime - fl * q, d, fp) for j in samples]
-            for l, column in enumerate(zip(*rows)):
-                counts[(h, fl - l + offset)] += sum(map(mul, weights, column))
+            # The residues a*j + n' - fl*q at the run's first len(weights) j.
+            first = a * jlo + nprime - fl * q
+            sums = composition_sums(range(first, first + a * len(weights), a), weights, d, fp)
+            for l, total in enumerate(sums):
+                key = (h, fl - l + offset)
+                counts[key] = get(key, 0) + total
     return _from_counts(variety, counts)
 
 
@@ -187,7 +195,8 @@ def pushforward_segre_cone(
     # and the product is a polynomial of degree r + s in j; the run's weights
     # are folded into the left factor.
     cuts = sorted({0, n + 1, q - n1, q - n2, q})
-    counts: Counter = Counter()
+    counts: dict = {}
+    get = counts.get
     for lo, hi in zip(cuts, cuts[1:]):
         h = 0 if lo <= n else -1
         f1, f2 = (lo + n1) // q, (lo + n2) // q
@@ -200,7 +209,8 @@ def pushforward_segre_cone(
         right = list(zip(*[composition_row(j + n2 - f2 * q, s, fp) for j in points]))
         for k, lk in enumerate(left):
             for l, rl in enumerate(right):
-                counts[(h, f1 - k, f2 - l)] += sum(map(mul, lk, rl))
+                key = (h, f1 - k, f2 - l)
+                counts[key] = get(key, 0) + sum(map(mul, lk, rl))
     return _from_counts(variety, counts)
 
 

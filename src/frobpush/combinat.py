@@ -7,7 +7,10 @@ inside it is an alternating binomial sum of i + 1 terms, each costing one
 ``math.comb``.  ``composition_row(m, d, q)`` gives the row i = 0..d at one
 residue from d + 1 binomials, cheaper than its entries at every d, for the
 builders that read a few residues; ``composition_table(ms, d, q)`` gives the
-rows over a range of residues, with the work per residue in C, for sweeps.
+rows over a range of residues, with the work per residue in C, for sweeps;
+``composition_sums(ms, weights, d, q)`` gives the weighted sum of those rows
+over a range of residues, at the cost of one row, for the builders that sum
+a polynomial in the residue over a run.
 ``bounded_power_coefficients`` gives the same counts as the
 coefficient list of (1 + t + ... + t^{q-1})^{d+1}, by direct convolution;
 the oracles in ``verify`` build that list once per (q, d) in a run and read
@@ -235,6 +238,35 @@ def composition_table(ms: range, d: int, fp: PrimePower) -> list[list[int]]:
         for k in range(d, 0, -1):
             rows[k] = list(map(operator.sub, rows[k], rows[k - 1]))
     return rows
+
+
+def composition_sums(ms: range, weights: Sequence[int], d: int, fp: PrimePower) -> list[int]:
+    """sum_t weights[t] * composition_count(i, ms[t], d, fp) for i = 0..d.
+
+    ``ms`` is a range of residues in [0, q-1] as in ``composition_table``,
+    with one weight per residue.  Differencing is linear, so the weighted
+    sums of the d + 1 binomial columns, each one dot product in C, are
+    differenced d + 1 times as in ``composition_row``.
+    """
+    q = fp.q
+    if ms and not (0 <= ms[0] <= q - 1 and 0 <= ms[-1] <= q - 1):
+        raise InvalidParameterError(f"m must satisfy 0 <= m <= q-1; got m in {ms}, q={q}")
+    if d < 0:
+        raise InvalidParameterError(f"d must satisfy d >= 0; got d={d}")
+    if len(weights) != len(ms):
+        raise InvalidParameterError(
+            f"need one weight per residue; got {len(weights)} weights for {len(ms)} residues"
+        )
+    start, stop, step = ms.start + d, ms.stop + d, ms.step
+    sums = []
+    for k in range(d + 1):
+        column = map(math.comb, range(start + k * q, stop + k * q, step), repeat(d))
+        sums.append(sum(map(operator.mul, weights, column)))
+    tops = range(d, 0, -1)
+    for _ in range(d + 1):
+        for k in tops:
+            sums[k] -= sums[k - 1]
+    return sums
 
 
 def bounded_power_coefficients(q: int, parts: int) -> list[int]:

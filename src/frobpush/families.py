@@ -42,11 +42,20 @@ def family_of(variety: VarietyDescriptor) -> type:
 
 def build(variety: VarietyDescriptor, bundle: tuple[int, ...], fp: PrimePower) -> Decomposition:
     """F^e_* of the line bundle whose coordinates in the variety's default
-    basis are ``bundle``, by its family's builder; a ``structure_only``
-    builder takes no bundle."""
+    basis are ``bundle``, by its family's builder.  The bundle must have one
+    coordinate per basis element; a ``structure_only`` builder takes no
+    bundle, so its family admits only zeros."""
     cls = family_of(variety)
     module, name = cls.builder.split(".")
+    if len(bundle) != len(cls.bases[0]):
+        raise InvalidParameterError(
+            f"{variety} needs {len(cls.bases[0])} bundle coordinates; got {bundle}"
+        )
     if cls.structure_only:
+        if any(bundle):
+            raise InvalidParameterError(
+                f"{variety} supports only the structure sheaf; got bundle {bundle}"
+            )
         bundle = ()
     return getattr(_BUILDER_MODULES[module], name)(*variety._fields(), *bundle, fp)
 

@@ -19,18 +19,20 @@ def apply_rule(rule: RestrictionRule, decomp: Decomposition) -> Decomposition:
     """Restrict a line-bundle decomposition along ``rule``.
 
     A decomposition in another basis is first rewritten into its variety's
-    default basis (only linear blowups have a second basis).
+    default basis (only linear blowups have a second basis).  The images are
+    taken one target coordinate at a time: each column of the rule's matrix
+    is dotted with every class, and the columns of images are zipped back
+    into coordinate tuples.
     """
     if decomp.basis != decomp.variety.bases[0]:
         decomp = change_basis(decomp, decomp.variety.bases[0])
     if decomp.spinors:
         raise InvalidParameterError("spinor summands cannot be restricted")
-    target = rule.target(decomp.variety)
-    rows = rule.matrix(decomp.variety)
-    columns = [tuple(row[t] for row in rows) for t in range(len(target.bases[0]))]
-    items = [
-        (tuple(sum(map(mul, coords, column)) for column in columns), mult)
-        for coords, mult in decomp.lines.items()
-    ]
-    return Decomposition(target, items, support_only=decomp.support_only)
+    variety, lines = decomp.variety, decomp.lines
+    images = zip(*[
+        [sum(map(mul, coords, column)) for coords in lines]
+        for column in zip(*rule.matrix(variety))
+    ])
+    return Decomposition(rule.target(variety), zip(images, lines.values()),
+                         support_only=decomp.support_only)
 

@@ -20,8 +20,8 @@ quadric p=2 window for d >= 4) are reported as WARN with both values
 printed; they never fail a run.
 
 ``sum-identity``, ``support`` and ``shifted-sum`` sweep every residue
-through one ``composition_table`` each, and ``mult-oracle`` checks the three
-routes to a count (entry, row and table) against convolution.
+through one ``composition_table`` each, and ``mult-oracle`` checks the four
+routes to a count (entry, row, table and weighted sums) against convolution.
 
 The closed forms and identities that only check the library's answers live
 here too, as regression data: the per-eps ruled-surface multiplicities and
@@ -48,6 +48,7 @@ from .combinat import (
     bounded_power_coefficients,
     composition_count,
     composition_row,
+    composition_sums,
     composition_table,
     eulerian,
     polynomial_range_sum,
@@ -358,8 +359,8 @@ def check_eulerian_sum(d: int) -> tuple[str, str]:
 
 
 def check_mult_oracle(p: int, e: int, d: int) -> tuple[str, str]:
-    """The three routes to the counts, entry by entry, by the row and by the
-    table, vs the convolution coefficients."""
+    """The four routes to the counts, entry by entry, by the row, by the
+    table and by weighted sums, vs the convolution coefficients."""
     fp = PrimePower(p, e)
     q = fp.q
     table = _coefficients(q, d + 1)
@@ -378,6 +379,13 @@ def check_mult_oracle(p: int, e: int, d: int) -> tuple[str, str]:
             for m, count in zip(ms, row):
                 if count != table[m + i * q]:
                     return "FAIL", f"table mismatch at (i={i}, m={m})"
+        # Weights 2, 3, ..., q + 1 in the order of ms, as the Veronese cone
+        # blowup reads its runs in either direction.
+        weights = range(2, q + 2)
+        for i, total in enumerate(composition_sums(ms, weights, d, fp)):
+            row = table[i * q:(i + 1) * q]
+            if total != sum(map(operator.mul, weights, map(row.__getitem__, ms))):
+                return "FAIL", f"sums mismatch at (i={i}, m={ms[0]}..{ms[-1]})"
     return "PASS", f"closed form == convolution, q={q}"
 
 

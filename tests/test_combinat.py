@@ -4,7 +4,8 @@ The composition counts are checked three ways: the alternating closed form,
 the convolution table, and (for tiny budgets) naive tuple enumeration.  The
 composition table, which gives whole rows of counts over a progression of
 residues, is checked entry by entry against the convolution coefficients and
-against the one-entry closed form.
+against the one-entry closed form; the weighted sums of those rows, against
+the literal weighted sum of one-entry counts.
 """
 
 import math
@@ -23,6 +24,7 @@ from frobpush.combinat import (
     bounded_power_coefficients,
     composition_count,
     composition_row,
+    composition_sums,
     composition_table,
     eulerian,
     floor_pieces,
@@ -484,6 +486,66 @@ class TestCompositionTable:
             composition_table(range(3), -1, PrimePower(3, 2))
         with pytest.raises(InvalidParameterError, match="d >= 0"):
             composition_table(range(0), -1, PrimePower(3, 2))
+
+
+def weighted_progression(data, q, max_count=None):
+    """A range of residues in [0, q-1] of any nonzero step, possibly empty,
+    and one weight of any sign per residue."""
+    start = data.draw(st.integers(0, q - 1), label="start")
+    step = data.draw(st.integers(-q, q).filter(bool), label="step")
+    room = (q - 1 - start) // step + 1 if step > 0 else start // -step + 1
+    if max_count is not None:
+        room = min(room, max_count)
+    count = data.draw(st.integers(0, room), label="count")
+    weights = data.draw(st.lists(st.integers(-(10**20), 10**20), min_size=count,
+                                 max_size=count), label="weights")
+    return range(start, start + count * step, step), weights
+
+
+def weighted_counts(ms, weights, d, fp):
+    return [sum(w * composition_count(i, m, d, fp) for w, m in zip(weights, ms))
+            for i in range(d + 1)]
+
+
+class TestCompositionSums:
+    @given(st.sampled_from(PRIME_POWERS_TO_64), st.integers(0, 8), st.data())
+    def test_matches_the_weighted_closed_form(self, pe, d, data):
+        fp = PrimePower(*pe)
+        ms, weights = weighted_progression(data, fp.q)
+        assert composition_sums(ms, weights, d, fp) == weighted_counts(ms, weights, d, fp)
+
+    @given(st.sampled_from([(2, 64), (3, 40)]), st.integers(0, 8), st.data())
+    def test_spot_progressions_at_huge_q(self, pe, d, data):
+        fp = PrimePower(*pe)
+        ms, weights = weighted_progression(data, fp.q, max_count=6)
+        assert composition_sums(ms, weights, d, fp) == weighted_counts(ms, weights, d, fp)
+
+    def test_every_residue_of_small_q_matches_the_table(self):
+        for fp in SMALL_FIELDS:
+            for d in range(5):
+                for ms in (range(fp.q), range(fp.q - 1, -1, -1)):
+                    weights = [3 * t - 5 for t in range(fp.q)]
+                    table = composition_table(ms, d, fp)
+                    assert composition_sums(ms, weights, d, fp) == [
+                        sum(w * count for w, count in zip(weights, row)) for row in table
+                    ]
+
+    @pytest.mark.parametrize("ms", [range(-1, 3), range(0, 10), range(8, -2, -1)])
+    def test_rejects_residues_outside_the_window(self, ms):
+        with pytest.raises(InvalidParameterError) as err:
+            composition_sums(ms, [1] * len(ms), 2, PrimePower(3, 2))
+        assert str(err.value) == f"m must satisfy 0 <= m <= q-1; got m in {ms}, q=9"
+
+    def test_rejects_negative_dimension(self):
+        with pytest.raises(InvalidParameterError) as err:
+            composition_sums(range(3), [1, 1, 1], -1, PrimePower(3, 2))
+        assert str(err.value) == "d must satisfy d >= 0; got d=-1"
+
+    @pytest.mark.parametrize("count", [0, 2, 4])
+    def test_rejects_one_weight_too_many_or_few(self, count):
+        with pytest.raises(InvalidParameterError) as err:
+            composition_sums(range(3), [1] * count, 2, PrimePower(3, 2))
+        assert str(err.value) == f"need one weight per residue; got {count} weights for 3 residues"
 
 
 class TestEulerian:

@@ -13,6 +13,7 @@ from frobpush.errors import InvalidParameterError
 from frobpush.families import (
     CONE_KINDS,
     FAMILIES,
+    build,
     build_descriptor,
     descriptor_params,
     family_of,
@@ -107,6 +108,47 @@ def test_builder_rank_law(variety):
             assert decomp.trivial_multiplicity() == 1
         else:
             assert decomp.rank() == fp.q**variety.dim
+
+
+@pytest.mark.parametrize("variety, bundle", [
+    (ProjSpace(2), (0, 0)),
+    (Hirzebruch(1), (0,)),
+    (LinearBlowup(3, 1), (0, 0, 0)),
+])
+def test_build_refuses_a_bundle_of_the_wrong_length(variety, bundle):
+    with pytest.raises(InvalidParameterError) as err:
+        build(variety, bundle, PrimePower(2, 1))
+    want = len(FAMILIES[variety.tag].bases[0])
+    assert str(err.value) == f"{variety} needs {want} bundle coordinates; got {bundle}"
+
+
+@pytest.mark.parametrize("variety, bundle", [
+    (LinearBlowup(3, 1), (5, 7)),
+    (Quadric(3), (1,)),
+    (ConeP(SegreCone(1, 1)), (-1,)),
+])
+def test_build_refuses_a_twist_on_a_structure_only_family(variety, bundle):
+    with pytest.raises(InvalidParameterError) as err:
+        build(variety, bundle, PrimePower(2, 1))
+    assert str(err.value) == f"{variety} supports only the structure sheaf; got bundle {bundle}"
+
+
+def test_bundle_checks_leave_the_structure_sheaf_and_the_cli_as_they_were(capsys):
+    fp = PrimePower(2, 1)
+    for variety in SAMPLES:
+        if variety.tag in FAMILIES:
+            zeros = (0,) * len(FAMILIES[variety.tag].bases[0])
+            assert structure_pushforward(variety, fp) == build(variety, zeros, fp)
+    # The CLI checks the bundle before it builds, with its own usage errors.
+    for args, message in (
+        (["--variety=projspace", "--d=2", "--bundle=0,0"], "--bundle needs 1 coordinate(s); got 2"),
+        (["--variety=blowup-linear", "--d=3", "--r=1", "--bundle=5,7"],
+         "--variety blowup-linear supports only --bundle 0,0"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["decompose", *args, "--p=2", "--e=1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"frobpush decompose: error: {message}"
 
 
 def load_tracer():

@@ -26,6 +26,7 @@ from frobpush.combinat import (
     bounded_power_coefficients,
     composition_count,
     composition_row,
+    composition_sums,
     composition_table,
 )
 from frobpush.errors import OutOfRegimeError
@@ -334,6 +335,23 @@ def table_off_by_one_at_top(ms, d, fp):
     return rows
 
 
+def sums_off_by_one_at_zero(ms, weights, d, fp):
+    """``off_by_one_at_zero`` on the weighted-sum route."""
+    sums = composition_sums(ms, weights, d, fp)
+    if 0 in ms:
+        sums[0] += weights[ms.index(0)]
+    return sums
+
+
+def sums_off_by_one_at_top(ms, weights, d, fp):
+    """A weighted-sum fault alone: one more at (i=d, m=q-1), a count that is
+    0 for d >= 1 and that the Veronese cone blowup's runs read."""
+    sums = composition_sums(ms, weights, d, fp)
+    if fp.q - 1 in ms:
+        sums[d] += weights[ms.index(fp.q - 1)]
+    return sums
+
+
 def patch_every_caller(monkeypatch, name, fault):
     for module in (catalog, localalg, verify):
         if hasattr(module, name):
@@ -348,7 +366,7 @@ class TestOracleIndependence:
     def test_oracles_never_reach_the_closed_forms(self):
         # Follow every call from the loop oracles through verify and combinat.
         closed_forms = {"composition_count", "composition_row", "composition_table",
-                        "floor_pieces", "polynomial_range_sum", "range_sum_weights",
+                        "composition_sums", "floor_pieces", "polynomial_range_sum", "range_sum_weights",
                         "floor_residue"}
         defs = {
             node.name: node
@@ -372,11 +390,12 @@ class TestOracleIndependence:
 
     def test_loops_catch_a_closed_form_fault(self, monkeypatch):
         # The same fault in every caller's closed form, on the one-entry,
-        # row and table routes: the builders go wrong, and the loops, which
-        # read their own convolution table, must notice.
+        # row, table and weighted-sum routes: the builders go wrong, and the
+        # loops, which read their own convolution table, must notice.
         patch_every_caller(monkeypatch, "composition_count", off_by_one_at_zero)
         patch_every_caller(monkeypatch, "composition_row", row_off_by_one_at_zero)
         patch_every_caller(monkeypatch, "composition_table", table_off_by_one_at_zero)
+        patch_every_caller(monkeypatch, "composition_sums", sums_off_by_one_at_zero)
         loops = {"segre-loop", "veronese-direct", "blowup-loop"}
         assert loops <= failing_kinds(TINY_ORACLES)
 
@@ -396,7 +415,7 @@ class TestOracleIndependence:
     def test_a_row_fault_alone_is_caught(self, monkeypatch):
         fixtures = verify.build_cases("fixtures", max_d=3, max_e=1, primes=(2, 3))
         cases = fixtures + TINY_ORACLES
-        kinds = {"fix-projspace", "segre-loop", "veronese-direct", "mult-oracle"}
+        kinds = {"fix-projspace", "segre-loop", "mult-oracle"}
         assert not failing_kinds(case for case in cases if case[0] in kinds)
         patch_every_caller(monkeypatch, "composition_row", row_off_by_one_at_top)
         assert kinds <= failing_kinds(cases)
@@ -405,6 +424,17 @@ class TestOracleIndependence:
                 p, e, d = case[1]
                 result = verify.run_case(case)
                 assert result.detail == f"row mismatch at (i={d}, m={p**e - 1})", result
+
+    def test_a_sums_fault_alone_is_caught(self, monkeypatch):
+        kinds = {"veronese-direct", "mult-oracle"}
+        assert not failing_kinds(case for case in TINY_ORACLES if case[0] in kinds)
+        patch_every_caller(monkeypatch, "composition_sums", sums_off_by_one_at_top)
+        assert kinds <= failing_kinds(TINY_ORACLES)
+        for case in TINY_ORACLES:
+            if case[0] == "mult-oracle":
+                p, e, d = case[1]
+                result = verify.run_case(case)
+                assert result.detail == f"sums mismatch at (i={d}, m=0..{p**e - 1})", result
 
     def test_a_weight_fault_alone_is_caught(self, monkeypatch):
         # One more on the last range sum weight of every run: the piecewise
