@@ -3,7 +3,11 @@
 Exit codes are a stable contract: 0 success, 1 computation-domain error
 (or stdout closed early), 2 usage error, 3 out-of-regime input.  All numeric
 JSON output uses decimal strings (multiplicities, ranks) or num/den string
-pairs (rationals) so that arbitrary precision survives any consumer.
+pairs (rationals) so that arbitrary precision survives any consumer.  Every
+``--format json`` document is exactly the bytes of ``json.dumps(doc,
+indent=2)`` and a newline: ASCII escapes, two-space indent, keys in the order
+they were built.  ``_json_text`` writes them in one pass, since the stdlib
+runs its indenting encoder in pure Python.
 
 ``main`` builds its parser once per process and reuses it on every later
 call; ``verify`` is imported only when the ``verify`` subcommand runs.
@@ -16,6 +20,7 @@ import json
 import os
 import sys
 from collections import Counter
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from . import families, localalg, positivity
@@ -94,14 +99,15 @@ def _mult_text(mult: Optional[int]) -> str:
 
 
 def decomposition_to_json(decomp: Decomposition) -> dict:
-    summands = [
-        {**_line_json(coords), "mult": _mult_text(mult)}
-        for coords, mult in sorted(decomp.lines.items(), reverse=True)
-    ]
-    summands += [
-        {**_spinor_json(j), "mult": _mult_text(mult)}
-        for j, mult in sorted(decomp.spinors.items(), reverse=True)
-    ]
+    summands = []
+    for coords, mult in sorted(decomp.lines.items(), reverse=True):
+        summand = _line_json(coords)
+        summand["mult"] = _mult_text(mult)
+        summands.append(summand)
+    for j, mult in sorted(decomp.spinors.items(), reverse=True):
+        summand = _spinor_json(j)
+        summand["mult"] = _mult_text(mult)
+        summands.append(summand)
     rank = None if decomp.support_only else str(decomp.rank())
     return {
         "variety": descriptor_to_json(decomp.variety),
@@ -166,6 +172,15 @@ def decomposition_from_json(data: dict) -> Decomposition:
     if not isinstance(summands, list):
         raise InvalidParameterError(f"summands must be a list; got {summands!r}")
     items = [_summand_from_json(entry) for entry in summands]
+    seen = set()
+    for summand, _ in items:
+        if summand in seen:  # the writer lists each class once
+            if isinstance(summand, Spinor):
+                label = _spinor_label(summand.j)
+            else:
+                label = _line_label(summand)
+            raise InvalidParameterError(f"summands repeat the class {label}")
+        seen.add(summand)
     if rank is None:
         return Decomposition(variety, items, basis=tuple(basis), support_only=True)
     if any(mult is None for _, mult in items):
@@ -180,6 +195,77 @@ def decomposition_from_json(data: dict) -> Decomposition:
     if decomp.rank() != stated:
         raise InvalidParameterError("rank differs from the rank of the summands read back")
     return decomp
+
+
+_INF = float("inf")
+
+
+def _float_text(value: float) -> str:
+    """A float as the stdlib writes it, non-finite values included."""
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_text(doc) -> str:
+    """Exactly ``json.dumps(doc, indent=2)``, in one recursive pass.
+
+    ``doc`` holds only the exact types ``str``, ``int``, ``float``, ``bool``,
+    ``None``, ``list``, ``tuple`` and ``dict`` with ``str`` keys; anything
+    else raises ``TypeError``.  Strings go through the stdlib's C escaper,
+    ints through ``int.__repr__`` (so the int/str digit cap applies as it
+    does in the stdlib), and floats as the stdlib writes them.
+    """
+    parts: list[str] = []
+    append = parts.append
+
+    def write(value, newline: str) -> None:
+        kind = type(value)
+        if kind is str:
+            append(_quote(value))
+        elif kind is dict:
+            if not value:
+                append("{}")
+                return
+            inner = newline + "  "
+            sep = "{" + inner
+            for key, item in value.items():
+                if type(key) is not str:
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                append(sep + _quote(key) + ": ")
+                write(item, inner)
+                sep = "," + inner
+            append(newline + "}")
+        elif kind is list or kind is tuple:
+            if not value:
+                append("[]")
+                return
+            inner = newline + "  "
+            sep = "[" + inner
+            for item in value:
+                append(sep)
+                write(item, inner)
+                sep = "," + inner
+            append(newline + "]")
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif kind is int:
+            append(int.__repr__(value))
+        elif kind is float:
+            append(_float_text(value))
+        else:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+    write(doc, "\n")
+    return "".join(parts)
 
 
 def verify_suite_to_json(suite: str, results: list) -> dict:
@@ -324,7 +410,7 @@ def cmd_decompose(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     fp = PrimePower(args.p, args.e)
     decomp = _build_decomposition(parser, args, fp)
     if args.format == "json":
-        print(json.dumps(decomposition_to_json(decomp), indent=2))
+        print(_json_text(decomposition_to_json(decomp)))
     else:
         print(render_decomposition(decomp))
     return EXIT_OK
@@ -348,7 +434,7 @@ def cmd_kernel(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
                 "disagreement": report.disagreement,
                 "notes": list(report.notes),
             }
-            print(json.dumps(payload, indent=2))
+            print(_json_text(payload))
         else:
             print(render_decomposition(kernel))
             print("support " + render_verdict(report.support_verdict))
@@ -372,7 +458,7 @@ def cmd_kernel(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             "kernel": decomposition_to_json(kernel),
             "verdict": verdict_to_json(verdict),
         }
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     else:
         print(render_decomposition(kernel))
         print(render_verdict(verdict))
@@ -391,7 +477,7 @@ def cmd_local(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             "convergent": _fraction_json(convergent),
             "f_signature": _fraction_json(signature),
         }
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     else:
         print(f"splitting number: {number}")
         print(f"convergent: {convergent}")
@@ -418,7 +504,7 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     failed = sum(res.status == "FAIL" for _, results in report for res in results)
     if args.format == "json":
         payload = {"suites": [verify_suite_to_json(suite, results) for suite, results in report]}
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     else:
         for suite, results in report:
             counts = Counter(res.status for res in results)

@@ -11,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from frobpush import cli, families, verify
 from frobpush.catalog import (
@@ -887,6 +889,30 @@ class TestJsonRoundTrip:
         with pytest.raises(InvalidParameterError, match=repr(missing)):
             cli.decomposition_from_json(decomp)
 
+    @pytest.mark.parametrize(
+        "make, summands, rank, label",
+        [
+            (
+                lambda: pushforward_projective_space(1, 0, PrimePower(2, 1)),
+                [{"kind": "line", "class": [0], "mult": "1"}] * 2,
+                "2",
+                "O",
+            ),
+            (
+                lambda: quadric_pushforward_support(3, PrimePower(2, 1)),
+                [{"kind": "spinor", "class": {"j": 0}, "mult": "unknown"},
+                 {"kind": "spinor", "class": {"j": 0}, "mult": "3"}],
+                None,
+                r"S\(0\)",
+            ),
+        ],
+    )
+    def test_repeated_class(self, make, summands, rank, label):
+        # The writer lists each class once; a repeat is refused, not merged.
+        decomp = cli.decomposition_to_json(make())
+        with pytest.raises(InvalidParameterError, match=f"repeat the class {label}$"):
+            cli.decomposition_from_json({**decomp, "summands": summands, "rank": rank})
+
     def test_schema_shape(self):
         fp = PrimePower(2, 1)
         payload = cli.decomposition_to_json(quadric_pushforward_support(3, fp))
@@ -897,3 +923,97 @@ class TestJsonRoundTrip:
         spinor = next(s for s in payload["summands"] if s["kind"] == "spinor")
         assert spinor["class"] == {"j": 1}
         assert spinor["mult"] == "unknown"
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def assert_two_space_layout(out):
+    """Stdout is exactly ``json.dumps(doc, indent=2)`` and a newline."""
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+class TestJsonLayout:
+    """The raw bytes of every ``--format json`` document, whitespace
+    included, against the stdlib's two-space layout; the digest tests hash
+    a re-serialized document and so never see the layout."""
+
+    def test_interactive_pool(self, capsys, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH))
+        import workloads
+
+        argvs = [
+            case.argv
+            for stratum in workloads.interactive_pool(tiny=False)
+            for case in stratum
+            if case.fmt == "json"
+        ]
+        assert len(argvs) == 658
+        for argv in argvs:
+            code, out, _ = outcome(capsys, argv)
+            assert code == 0, argv
+            assert_two_space_layout(out)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--suite", "identities", "--max-d", "2", "--max-e", "1",
+             "--primes", "2,3"),
+            ("decompose", "--variety", "hirzebruch", "--eps", "2000", "--p", "2", "--e", "12"),
+        ],
+    )
+    def test_large_documents(self, capsys, argv):
+        code, out, _ = outcome(capsys, [*argv, "--format", "json"])
+        assert code == 0
+        assert_two_space_layout(out)
+
+
+# Text with quotes, backslashes, control characters, non-ASCII and a lone
+# surrogate, as well as arbitrary characters.
+_TEXT = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t e\xe9\u20ac\U0001f600\ud800') | st.characters(),
+    max_size=12,
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324])
+    | _TEXT
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_TEXT, inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    """``cli._json_text`` against ``json.dumps(value, indent=2)``."""
+
+    @given(_VALUES)
+    def test_matches_the_stdlib(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    def test_empty_and_nested_containers(self):
+        for value in ([], (), {}, [[]], {"a": {}}, [(), [[], {}], {"b": [1, [2]]}]):
+            assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [Fraction(1, 2), {1}, [{"a": 1, 2: "b"}], {("a",): 1}])
+    def test_refuses_what_is_not_json(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+
+    def test_digit_cap_refusal_matches_the_stdlib(self):
+        big = [10**4300]
+        with digit_cap(4300):
+            with pytest.raises(ValueError) as ours:
+                cli._json_text(big)
+            with pytest.raises(ValueError) as theirs:
+                json.dumps(big, indent=2)
+        assert str(ours.value) == str(theirs.value)
