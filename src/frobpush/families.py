@@ -4,8 +4,8 @@ Each family and each cone kind is declared once, by a ``picard._declare``
 call, and its declared class is its registry record: ``FAMILIES`` and
 ``CONE_KINDS`` key those classes by tag.  A family's class holds its lattice
 ``bases`` (the number of bundle coordinates is ``len(cls.bases[0])``), its
-builder, whether only the structure sheaf is supported, whether it is split,
-and the restriction rule to its distinguished divisor.  The descriptor's
+builder, whether only the structure sheaf is supported, and the ``split``
+flag and ``rule`` its declared projective bundle derives.  The descriptor's
 fields, the names in its ``__slots__``, are at once its constructor
 arguments, its CLI flags and its JSON ``params``; a ``ConeP`` field ``kind``
 holds a cone named by a tag in ``CONE_KINDS``.  Adding a family means one

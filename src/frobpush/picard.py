@@ -9,9 +9,9 @@ classes whose fields are their ``__slots__``, with an ``__init__`` that runs
 the checks, and no ``dataclasses`` import.  Each variety family and each
 cone kind is declared once, by one ``_declare`` call that generates its
 descriptor class: fields, refusal, ``tag``, ``bases``, ``dim`` and, for a
-registry family, its builder and restriction rule.  ``Decomposition`` and
-``change_basis`` read the declarations (``spinor_rank``, ``bases``), not the
-descriptor's type.
+registry family, its builder and, if split, the bundle its ``dim`` and rule
+derive from.  ``Decomposition`` and ``change_basis`` read the declarations
+(``spinor_rank``, ``bases``), not the descriptor's type.
 
 A ``Decomposition`` keeps its line summands as coordinate tuples and its
 spinor twists as integers, so the builders and the algebra (dual, twist,
@@ -130,10 +130,10 @@ class RestrictionRule(Value):
 
 
 def _declare(name: str, tag: str, fields: tuple[str, ...], doc: Optional[str] = None, *,
-             refuse: str = "", refusal: str = "", dim: Callable[[Value], int],
+             refuse: str = "", refusal: str = "", dim: Optional[Callable[[Value], int]] = None,
              bases: tuple[Basis, ...] = (), spinor_rank: Optional[Callable] = None,
              builder: Optional[str] = None, structure_only: bool = False,
-             split: bool = True, rule: Optional[tuple] = None) -> type:
+             bundle: Optional[Callable] = None, divisor: Optional[str] = None) -> type:
     """The descriptor class ``name`` of one family or cone kind.
 
     ``fields`` are its ``__slots__`` in constructor order: at once its
@@ -149,12 +149,19 @@ def _declare(name: str, tag: str, fields: tuple[str, ...], doc: Optional[str] = 
     its record in ``families.FAMILIES``.  The builder, "module.function", is
     called with the fields, then the bundle coordinates unless
     ``structure_only`` (the family accepts only the zero bundle), then the
-    prime power.  ``split`` marks the families whose F^e_* O is a complete
-    direct sum of line bundles, so that it has a trace kernel.  ``rule``,
-    the (divisor, target, matrix) of a ``RestrictionRule``, restricts to
-    the divisor that certifies the kernel is not ample; it is None where the
-    ample cone is coordinate-wise.  A declaration with no builder is a cone
-    kind, built inside ``ConeP``.
+    prime power.  A declaration with no builder is a cone kind, built inside
+    ``ConeP``.
+
+    A family declared with a ``bundle`` is ``split``: F^e_* O is a direct sum
+    of line bundles, with a trace kernel.  It is a projective bundle P(E) over
+    a base B, and ``bundle`` gives B (a descriptor, None for a point) and the
+    twists of E in B's default basis; its own default basis is xi = O(1), then
+    the pullbacks of B's.  ``dim`` is dim B + rank E - 1.  A family that names
+    a ``divisor`` gets a ``rule``: the ``RestrictionRule`` to the section over
+    B of a quotient E -> O(a_min), with target B, taking xi to a_min and each
+    pullback to itself.  a_min is at most every twist coordinate by
+    coordinate, so it is also their least in tuple order.  The divisor is
+    declared, not derived: Hirzebruch(0) has equal twists, yet restricts.
     """
     source = f"def __init__(self, {', '.join(fields)}):\n"
     if refuse:
@@ -164,12 +171,19 @@ def _declare(name: str, tag: str, fields: tuple[str, ...], doc: Optional[str] = 
     exec(source, namespace)
     init = namespace["__init__"]
     init.__qualname__ = f"{name}.__init__"
+    if bundle:
+        pullbacks = tuple(tuple(int(a == b) for b in bases[0][1:]) for a in bases[0][1:])
+
+        def dim(v):
+            base, twists = bundle(v)
+            return (base.dim if base else 0) + len(twists) - 1
     cls = type(name, (Value,), {
         "__slots__": fields, "__doc__": doc, "__module__": __name__, "__init__": init,
         "tag": tag, "bases": bases, "dim": property(dim),
         "spinor_rank": spinor_rank and property(spinor_rank), "builder": builder,
-        "structure_only": structure_only, "split": split,
-        "rule": rule and RestrictionRule(*rule),
+        "structure_only": structure_only, "split": bundle is not None,
+        "rule": divisor and RestrictionRule(divisor, lambda v: bundle(v)[0],
+                                            lambda v: (min(bundle(v)[1]),) + pullbacks),
     })
     DESCRIPTORS.append(cls)
     return cls
@@ -178,7 +192,7 @@ def _declare(name: str, tag: str, fields: tuple[str, ...], doc: Optional[str] = 
 ProjSpace = _declare(
     "ProjSpace", "projspace", ("d",),
     refuse="d < 1", refusal="projective space needs d >= 1; got d={d}",
-    dim=lambda v: v.d, bases=(("H",),),
+    bases=(("H",),), bundle=lambda v: (None, ((),) * (v.d + 1)),
     builder="catalog.pushforward_projective_space",
 )
 
@@ -186,7 +200,7 @@ Product = _declare(
     "Product", "product", ("r", "s"),
     "A product of two projective spaces P^r x P^s.",
     refuse="r < 1 or s < 1", refusal="product needs r, s >= 1; got ({r}, {s})",
-    dim=lambda v: v.r + v.s, bases=(("H1", "H2"),),
+    bases=(("H1", "H2"),), bundle=lambda v: (ProjSpace(v.s), ((0,),) * (v.r + 1)),
     builder="catalog.pushforward_product",
 )
 
@@ -194,10 +208,8 @@ Hirzebruch = _declare(
     "Hirzebruch", "hirzebruch", ("eps",),
     "The ruled surface P(O + O(-eps)) over P^1; C0 is the negative section.",
     refuse="eps < 0", refusal="hirzebruch needs eps >= 0; got eps={eps}",
-    dim=lambda v: 2, bases=(("C0", "f"),),
+    bases=(("C0", "f"),), bundle=lambda v: (ProjSpace(1), ((0,), (-v.eps,))), divisor="C0",
     builder="catalog.pushforward_hirzebruch",
-    # f and C0 restrict to the negative section as degrees 1 and -eps.
-    rule=("C0", lambda v: ProjSpace(1), lambda v: ((-v.eps,), (1,))),
 )
 
 LinearBlowup = _declare(
@@ -210,11 +222,9 @@ LinearBlowup = _declare(
     """,
     refuse="d < 2 or not 1 <= r <= d - 1",
     refusal="linear blowup needs d >= 2 and 1 <= r <= d-1; got (d={d}, r={r})",
-    dim=lambda v: v.d, bases=(("H", "H'"), ("H", "E")),
+    bases=(("H", "H'"), ("H", "E")), divisor="E",
+    bundle=lambda v: (ProjSpace(v.d - v.r), ((0,),) * v.r + ((1,),)),
     builder="catalog.pushforward_linear_blowup", structure_only=True,
-    # Classes restrict to a fiber of the exceptional bundle through their H'
-    # coordinate; H dies.
-    rule=("E", lambda v: ProjSpace(v.d - v.r), lambda v: ((0,), (1,))),
 )
 
 VeroneseConeBlowup = _declare(
@@ -226,9 +236,8 @@ VeroneseConeBlowup = _declare(
     """,
     refuse="d < 1 or eps < 1",
     refusal="veronese cone blowup needs d >= 1, eps >= 1; got (d={d}, eps={eps})",
-    dim=lambda v: v.d + 1, bases=(("H", "H'"),),
+    bases=(("H", "H'"),), bundle=lambda v: (ProjSpace(v.d), ((0,), (v.eps,))), divisor="E",
     builder="catalog.pushforward_veronese_cone",
-    rule=("E", lambda v: ProjSpace(v.d), lambda v: ((0,), (1,))),
 )
 
 SegreConeBlowup = _declare(
@@ -238,9 +247,9 @@ SegreConeBlowup = _declare(
     Basis ("H", "G1", "G2") with E = H - G1 - G2.
     """,
     refuse="r < 1 or s < 1", refusal="segre cone blowup needs r, s >= 1; got ({r}, {s})",
-    dim=lambda v: v.r + v.s + 1, bases=(("H", "G1", "G2"),),
+    bases=(("H", "G1", "G2"),), divisor="E",
+    bundle=lambda v: (Product(v.r, v.s), ((0, 0), (1, 1))),
     builder="catalog.pushforward_segre_cone",
-    rule=("E", lambda v: Product(v.r, v.s), lambda v: ((0, 0), (1, 0), (0, 1))),
 )
 
 # Its builder gives the support of the canonical-twist pushforward
@@ -252,7 +261,7 @@ Quadric = _declare(
     refusal="quadric decompositions need d >= 3 (lower d is covered by "
     "projspace/product); got d={d}",
     dim=lambda v: v.d, bases=(("O(1)",),), spinor_rank=lambda v: 2 ** (v.d // 2),
-    builder="catalog.quadric_pushforward_support", structure_only=True, split=False,
+    builder="catalog.quadric_pushforward_support", structure_only=True,
 )
 
 RationalNormalCone = _declare(
@@ -290,7 +299,7 @@ ConeP = _declare(
     representatives -k*L with 0 <= k <= eps-1.
     """,
     dim=lambda v: v.kind.dim, bases=(("L",),),
-    builder="localalg.cone_pushforward", structure_only=True, split=False,
+    builder="localalg.cone_pushforward", structure_only=True,
 )
 
 # Any declared descriptor; a cone kind is one declared with no builder.

@@ -2,11 +2,11 @@
 
 The trace kernel is the rank q^dim - 1 complement of the trivial summand in
 the dual pushforward of the structure sheaf.  On projective spaces and their
-products, the split families the registry gives no restriction rule, the
-ample and nef cones are coordinate-wise, so a direct sum of line bundles is
-classified summand by summand.  On the bundle-type families non-ampleness is
-certified by restricting to a distinguished divisor and exhibiting a trivial
-(or negative) summand in the restricted kernel.  The determinant and
+products, the split families that declare no divisor, the ample and nef
+cones are coordinate-wise, so a direct sum of line bundles is classified
+summand by summand.  On the others non-ampleness is certified by restricting
+to the declared divisor and exhibiting a trivial (or negative) summand in
+the restricted kernel.  The determinant and
 section-count identities on P^d are regression data, kept in ``verify``.
 """
 
@@ -72,14 +72,6 @@ def trace_kernel(
     return pushforward.remove_trivial().dual()
 
 
-def _coords_status(coords: tuple[int, ...]) -> VerdictStatus:
-    if all(c > 0 for c in coords):
-        return VerdictStatus.AMPLE
-    if all(c >= 0 for c in coords):
-        return VerdictStatus.NEF_NOT_AMPLE
-    return VerdictStatus.NOT_NEF
-
-
 def ample_verdict(decomp: Decomposition) -> Verdict:
     """Classify a direct sum of line bundles on P^d or P^r x P^s.
 
@@ -87,24 +79,22 @@ def ample_verdict(decomp: Decomposition) -> Verdict:
     some non-ample one; otherwise not nef.  The witness records the first
     offending summand in sorted order; it is the only ``Line`` built.
     """
-    lines = sorted(decomp.lines, reverse=True)
     family = family_of(decomp.variety)
-    if lines and not (family.split and family.rule is None):
+    if not family.split or family.rule is not None:
         raise UnsupportedConeError(
             f"no ample/nef cone implemented for {decomp.variety}; only projective "
             f"spaces and their products are classified"
         )
-    worst, offender = VerdictStatus.AMPLE, None
-    order = {VerdictStatus.AMPLE: 0, VerdictStatus.NEF_NOT_AMPLE: 1, VerdictStatus.NOT_NEF: 2}
-    for coords in lines:
-        status = _coords_status(coords)
-        if order[status] > order[worst]:
-            worst, offender = status, coords
-    if decomp.spinors:
-        raise UnsupportedConeError("spinor summands are not classified here")
+    # The sign of a summand's least coordinate: 1 ample, 0 nef not ample, -1 not nef.
+    worst, offender = 1, None
+    for coords in sorted(decomp.lines, reverse=True):
+        sign = (min(coords) > 0) - (min(coords) < 0)
+        if sign < worst:
+            worst, offender = sign, coords
     if offender is None:
         return Verdict(VerdictStatus.AMPLE)
-    return Verdict(worst, Witness(Line(PicClass(offender, decomp.basis))))
+    status = VerdictStatus.NEF_NOT_AMPLE if worst == 0 else VerdictStatus.NOT_NEF
+    return Verdict(status, Witness(Line(PicClass(offender, decomp.basis))))
 
 
 def kernel_restriction_verdict(

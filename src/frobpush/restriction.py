@@ -1,10 +1,10 @@
 """Restriction of decompositions to the distinguished divisors of each family.
 
-Each restriction is a lattice homomorphism declared as data in a
-``RestrictionRule``, which ``picard`` defines and this module re-exports;
-each rule is declared with its family, as the ``rule`` of its descriptor
-class.  A rule's source is the default basis of its family's descriptor, so
-the rule states only its divisor, its target and its matrix.
+Each restriction is a lattice homomorphism held as data in a
+``RestrictionRule``, which ``picard`` defines and this module re-exports.
+Each family's rule is derived from its declared projective bundle and
+divisor.  A rule's source is the default basis of its family's descriptor,
+so the rule states only its divisor, its target and its matrix.
 """
 
 from __future__ import annotations

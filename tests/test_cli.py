@@ -151,6 +151,18 @@ class TestKernel:
         assert "NotAmpleWithWitness" in out
         assert "witness on C0: O x5" in out
 
+    def test_hirzebruch_eps0_restricts(self, capsys):
+        # Hirzebruch(0) is P^1 x P^1, whose twists are equal, yet it keeps
+        # the restriction route to C0 rather than the coordinate-wise verdict.
+        argv = ["kernel", "--variety", "hirzebruch", "--eps", "0", "--p", "3", "--e", "1"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert "verdict: NotAmpleWithWitness" in out
+        assert "witness on C0: O x3" in out
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["verdict"]["witness"]["divisor"] == "C0"
+
     def test_quadric_p3_note(self, capsys):
         code, out, _ = run_cli(
             capsys, "kernel", "--variety", "quadric", "--d", "3", "--p", "3", "--e", "1",

@@ -2,6 +2,7 @@
 and the CLI surface generated from it."""
 
 import importlib.util
+import itertools
 import json
 from pathlib import Path
 
@@ -90,6 +91,51 @@ def test_rule_matrix_matches_bases(variety):
     assert len(rows) == len(variety.bases[0])
     width = len(rule.target(variety).bases[0])
     assert all(len(row) == width for row in rows)
+
+
+# Each split family as a projective bundle P(E) -> B: the base B (None for a
+# point) and the twists of E in B's Picard coordinates.  Written out here, not
+# read from the declarations, so the two can be compared.
+BUNDLES = {
+    "projspace": lambda v: (None, ((),) * (v.d + 1)),
+    "product": lambda v: (ProjSpace(v.s), ((0,),) * (v.r + 1)),
+    "hirzebruch": lambda v: (ProjSpace(1), ((0,), (-v.eps,))),
+    "blowup-linear": lambda v: (ProjSpace(v.d - v.r), ((0,),) * v.r + ((1,),)),
+    "veronese-cone": lambda v: (ProjSpace(v.d), ((0,), (v.eps,))),
+    "segre-cone": lambda v: (Product(v.r, v.s), ((0, 0), (1, 1))),
+}
+DIVISORS = {"hirzebruch": "C0", "blowup-linear": "E", "veronese-cone": "E", "segre-cone": "E"}
+
+
+def accepted(cls, top=8):
+    """Every descriptor of ``cls`` whose fields are integers in 0..top."""
+    for args in itertools.product(range(top + 1), repeat=len(cls.__slots__)):
+        try:
+            yield cls(*args)
+        except InvalidParameterError:
+            pass
+
+
+@pytest.mark.parametrize("tag", list(BUNDLES))
+def test_declarations_match_the_projective_bundle(tag):
+    cls = FAMILIES[tag]
+    assert cls.split
+    for variety in accepted(cls):
+        base, twists = BUNDLES[tag](variety)
+        # dim P^d = d and dim P^r x P^s = r + s: the sum of the base's fields.
+        assert variety.dim == sum(base._fields() if base else ()) + len(twists) - 1
+        rule = cls.rule
+        if tag not in DIVISORS:
+            assert rule is None
+            continue
+        # Restriction to the section of E -> O(a_min): xi goes to a_min, each
+        # pullback to itself.
+        width = len(base.bases[0])
+        least = tuple(min(twist[i] for twist in twists) for i in range(width))
+        unit = tuple(tuple(int(i == j) for j in range(width)) for i in range(width))
+        assert rule.divisor == DIVISORS[tag]
+        assert rule.target(variety) == base
+        assert rule.matrix(variety) == (least, *unit)
 
 
 def test_unknown_tags_rejected():

@@ -8,6 +8,7 @@ from frobpush import positivity
 from frobpush.combinat import PrimePower, composition_count
 from frobpush.errors import InvalidParameterError, UnsupportedConeError
 from frobpush.picard import (
+    ConeP,
     Decomposition,
     Hirzebruch,
     Line,
@@ -16,6 +17,7 @@ from frobpush.picard import (
     Product,
     ProjSpace,
     Quadric,
+    SegreCone,
     SegreConeBlowup,
     Spinor,
     VeroneseConeBlowup,
@@ -89,6 +91,16 @@ class TestClassify:
         for variety in (Hirzebruch(1), LinearBlowup(2, 1), Quadric(3)):
             with pytest.raises(UnsupportedConeError):
                 ample_verdict(one_summand(variety, (0,) * len(variety.bases[0])))
+
+    def test_empty_decomposition_is_judged_by_its_family(self):
+        # The family is checked before the summands, so an empty sum on an
+        # unclassified variety is refused, not called ample.
+        for variety in (Hirzebruch(1), LinearBlowup(2, 1), Quadric(3), ConeP(SegreCone(1, 1))):
+            with pytest.raises(UnsupportedConeError):
+                ample_verdict(Decomposition(variety, []))
+        for variety in (ProjSpace(2), Product(1, 1)):
+            verdict = ample_verdict(Decomposition(variety, []))
+            assert verdict.status is VerdictStatus.AMPLE and verdict.witness is None
 
 
 class TestAmpleVerdict:
