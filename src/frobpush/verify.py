@@ -1,5 +1,11 @@
 """Batch verification suites: identities, differential oracles, and fixtures.
 
+Each kind of case is one row of ``CASES``, keyed by its name: its suite, its
+check, and its grid, the check's argument tuples at one prime power.
+``build_cases`` reads a suite's rows at each (p, e) in turn, so its cases
+come grouped by q.  Two kinds ignore the grid: ``eulerian-sum`` runs d = 1..8,
+and ``warn-quadric-p2`` runs at p = 2 for e = 1..max_e, whatever the primes.
+
 Every case is an independent pure computation keyed by its parameters, so the
 runner may fan cases out across worker processes; results are merged in key
 order and are reproducible regardless of scheduling.  The oracles suite
@@ -37,7 +43,6 @@ import math
 import operator
 import os
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 
@@ -56,15 +61,22 @@ from .combinat import (
 from .errors import InvalidParameterError, OutOfRegimeError
 from .families import FAMILIES, restrict, structure_pushforward
 from .picard import PicClass, ProjSpace, RationalNormalCone, SegreCone, VeroneseCone
+from .value import Value
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    key: str
-    status: str  # PASS, FAIL or WARN
-    detail: str
-    # Wall time of the check; not part of the result's identity.
-    seconds: float = field(default=0.0, compare=False)
+class CheckResult(Value):
+    """One case's outcome; the check's wall time is no part of its identity."""
+
+    __slots__ = ("key", "status", "detail", "seconds")  # status: PASS, FAIL or WARN
+
+    def __init__(self, key: str, status: str, detail: str, seconds: float = 0.0) -> None:
+        self._set(key, status, detail, seconds)
+
+    def _fields(self) -> tuple:
+        return self.key, self.status, self.detail
+
+    def __reduce__(self):
+        return CheckResult, (self.key, self.status, self.detail, self.seconds)
 
 
 SUITES = ("identities", "oracles", "fixtures")
@@ -540,18 +552,16 @@ def check_fix_projspace(p: int, e: int) -> tuple[str, str]:
     q = fp.q
     for n in range(-q, q + 1):
         k, m = divmod(n, q)
-        expected = {(k,): m + 1, (k - 1,): q - 1 - m}
+        expected = _nonzero({(k,): m + 1, (k - 1,): q - 1 - m})
         got = _coords(catalog.pushforward_projective_space(1, n, fp))
-        expected = {c: v for c, v in expected.items() if v}
         if got != expected:
             return "FAIL", f"line fixture at n={n}: {got} vs {expected}"
     for m in range(q):
-        rows = {
+        rows = _nonzero({
             (0,): (m + 1) * (m + 2) // 2,
             (-1,): (q * q + (2 * m + 3) * q - 2 * (m + 1) * (m + 2)) // 2,
             (-2,): (q - m - 1) * (q - m - 2) // 2,
-        }
-        rows = {c: v for c, v in rows.items() if v}
+        })
         got = _coords(catalog.pushforward_projective_space(2, m, fp))
         if got != rows:
             return "FAIL", f"plane fixture at m={m}: {got} vs {rows}"
@@ -624,14 +634,13 @@ def check_fix_hz_eps1_general(p: int, e: int, u: int, v: int) -> tuple[str, str]
     l, n = divmod(v, q)
     if m > n:
         return "PASS", "skipped (needs m <= n)"
-    expected = {
+    expected = _nonzero({
         (k, l): (m + 1) * (m + 2 + 2 * (n - m)) // 2,
         (k, l - 1): (m + 1) * (2 * q - (m + 2) - 2 * (n - m)) // 2,
         (k - 1, l): (n - m) * (n - m + 1) // 2,
         (k - 1, l - 1): (q * (q + 1) - (n + 1) * (n + 2) + (n - m) * (2 * q - 1 - n + m)) // 2,
         (k - 1, l - 2): (q - n - 1) * (q - n - 2) // 2,
-    }
-    expected = {c: val for c, val in expected.items() if val}
+    })
     if sum(expected.values()) != q * q:
         return "FAIL", "table does not sum to q^2"
     got = _coords(catalog.pushforward_hirzebruch(1, u, v, fp))
@@ -642,11 +651,7 @@ def check_fix_product_small(p: int, e: int) -> tuple[str, str]:
     fp = PrimePower(p, e)
     got = _coords(catalog.pushforward_product(1, 1, 0, 0, fp))
     a0 = [composition_count(i, 0, 1, fp) for i in (0, 1)]
-    expected = {}
-    for i in (0, 1):
-        for j in (0, 1):
-            if a0[i] * a0[j]:
-                expected[(-i, -j)] = a0[i] * a0[j]
+    expected = _nonzero({(-i, -j): a0[i] * a0[j] for i in (0, 1) for j in (0, 1)})
     return _ok(got == expected, f"{got}")
 
 
@@ -662,8 +667,7 @@ def check_fix_rnc_closed(p: int, e: int, eps: int) -> tuple[str, str]:
     ruling = decomp.multiplicity((-1,))
     k = q % eps
     if k == 0:
-        expected_trivial = q * q // eps
-        expected_ruling = q * q // eps
+        expected_trivial = expected_ruling = q * q // eps
     else:
         rho1 = k % eps
         rho2 = (2 * k) % eps if eps > 2 else eps
@@ -743,35 +747,79 @@ def warn_quadric_p2_high_d(e: int, d: int) -> tuple[str, str]:
     )
 
 
-_CASE_FUNCS = {
-    "sum-identity": check_sum_identity,
-    "shifted-sum": check_shifted_sum,
-    "support": check_support,
-    "eulerian-sum": check_eulerian_sum,
-    "rank-law": check_rank_law,
-    "alpha-det": check_alpha_det,
-    "volume": check_volume,
-    "mult-oracle": check_mult_oracle,
-    "sigma-closed": check_sigma_closed,
-    "chart-oracle": check_chart_oracle,
-    "blowup-restrict": check_blowup_restrict,
-    "segre-split": check_segre_split_routes,
-    "veronese-direct": check_veronese_direct,
-    "veronese-box": check_veronese_box,
-    "hz-loop": check_hirzebruch_loop,
-    "segre-loop": check_segre_cone_loop,
-    "blowup-loop": check_blowup_loop,
-    "fix-projspace": check_fix_projspace,
-    "fix-hirzebruch-eps1": check_fix_hirzebruch_eps1,
-    "fix-hirzebruch-eps2": check_fix_hirzebruch_eps2,
-    "fix-hirzebruch-eps3": check_fix_hirzebruch_eps3,
-    "fix-hz-general": check_fix_hz_eps1_general,
-    "fix-product": check_fix_product_small,
-    "fix-rnc": check_fix_rnc_closed,
-    "fix-quadric-d3": check_fix_quadric_d3,
-    "warn-hz-small-q": warn_hz_small_q_row,
-    "warn-blowup-k0": warn_blowup_k0_claim,
-    "warn-quadric-p2": warn_quadric_p2_high_d,
+# ---------------------------------------------------------------------------
+# The case table: grids map (p, e, q, max_d) to argument tuples at q = p^e.
+# ---------------------------------------------------------------------------
+
+
+def _field(p: int, e: int, q: int, max_d: int) -> list[tuple]:
+    return [(p, e)]
+
+
+def _dims(p: int, e: int, q: int, max_d: int) -> list[tuple]:
+    return [(p, e, d) for d in range(1, max_d + 1)]
+
+
+def _blowups(p: int, e: int, q: int, max_d: int) -> list[tuple]:
+    return [(p, e, d, r) for d in range(2, max_d + 1) for r in range(1, d)]
+
+
+def _rank_law_grid(p: int, e: int, q: int, max_d: int) -> list[tuple]:
+    families = [("projspace", d) for d in range(1, max_d + 1)]
+    families += [(tag, r, s) for r in (1, 2) for s in (1, 2) for tag in ("product", "segre-cone")]
+    families += [("hirzebruch", eps) for eps in range(5)]
+    families += [("blowup-linear", d, r) for _, _, d, r in _blowups(p, e, q, max_d)]
+    families += [("veronese-cone", d, eps) for d in range(1, min(max_d, 3) + 1)
+                 for eps in range(1, 5) if q >= eps]
+    return [(p, e, *family) for family in families]
+
+
+CASES: dict[str, tuple] = {
+    "sum-identity": ("identities", check_sum_identity, _dims),
+    "shifted-sum": ("identities", check_shifted_sum, _dims),
+    "support": ("identities", check_support, _dims),
+    "eulerian-sum": ("identities", check_eulerian_sum,
+                     lambda p, e, q, max_d: [(d,) for d in range(1, 9)]),
+    "rank-law": ("identities", check_rank_law, _rank_law_grid),
+    "alpha-det": ("identities", check_alpha_det,
+                  lambda p, e, q, max_d: _dims(p, e, q, min(max_d, 3))),
+    "volume": ("identities", check_volume, lambda p, e, q, max_d: [
+        (p, e, d, a) for d in range(1, min(max_d, 3) + 1) for a in (1, 2, 3)]),
+    "mult-oracle": ("oracles", check_mult_oracle, lambda p, e, q, max_d: [
+        (p, e, d) for d in range(1, max_d + 1) if q ** (d + 1) <= 2**20]),
+    "sigma-closed": ("oracles", check_sigma_closed,
+                     lambda p, e, q, max_d: [(p, e, eps) for eps in range(1, 7) if q >= eps]),
+    "chart-oracle": ("oracles", check_chart_oracle, _field),
+    "blowup-restrict": ("oracles", check_blowup_restrict, _blowups),
+    "segre-split": ("oracles", check_segre_split_routes,
+                    lambda p, e, q, max_d: [(p, e, r, s) for r in (1, 2) for s in (1, 2)]),
+    "veronese-direct": ("oracles", check_veronese_direct, lambda p, e, q, max_d: [
+        (p, e, d, eps, n % q, nprime % q)
+        for d in (1, 2) for eps in (1, 2, 3) for n in (0, 1, q - 1) for nprime in (0, eps - 1)]),
+    "veronese-box": ("oracles", check_veronese_box, lambda p, e, q, max_d: [(p, e, min(max_d, 3))]),
+    "hz-loop": ("oracles", check_hirzebruch_loop, lambda p, e, q, max_d: [
+        (p, e, eps, u, v) for eps in range(0, 5)
+        for u, v in ((0, 0), (-1, q + 2), (q + 1, -3), (2 * q + 1, -q - 3))]),
+    "segre-loop": ("oracles", check_segre_cone_loop, lambda p, e, q, max_d: [
+        (p, e, r, s, n, n1, n2) for r, s in ((1, 1), (1, 2), (2, 2))
+        for n, n1, n2 in ((0, 0, 0), (1, 0, q - 1), (q - 1, q // 2, 1))]),
+    "blowup-loop": ("oracles", check_blowup_loop,
+                    lambda p, e, q, max_d: _blowups(p, e, q, min(max_d, 3))),
+    "fix-projspace": ("fixtures", check_fix_projspace, _field),
+    "fix-hirzebruch-eps1": ("fixtures", check_fix_hirzebruch_eps1, _field),
+    "fix-hirzebruch-eps2": ("fixtures", check_fix_hirzebruch_eps2, _field),
+    "fix-hirzebruch-eps3": ("fixtures", check_fix_hirzebruch_eps3, _field),
+    "fix-hz-general": ("fixtures", check_fix_hz_eps1_general, lambda p, e, q, max_d: [
+        (p, e, u, v) for u in (0, 1, q, q + 1) for v in (0, 1, 2, q + 2)]),
+    "fix-product": ("fixtures", check_fix_product_small, _field),
+    "fix-rnc": ("fixtures", check_fix_rnc_closed,
+                lambda p, e, q, max_d: [(p, e, eps) for eps in (2, 3, 4, 5)]),
+    "fix-quadric-d3": ("fixtures", check_fix_quadric_d3, _field),
+    "warn-hz-small-q": ("fixtures", warn_hz_small_q_row, _field),
+    "warn-blowup-k0": ("fixtures", warn_blowup_k0_claim,
+                       lambda p, e, q, max_d: [(p, e, 2, 1), (p, e, 3, 1)]),
+    "warn-quadric-p2": ("fixtures", warn_quadric_p2_high_d,
+                        lambda p, e, q, max_d: [(e, 4), (e, 5)]),
 }
 
 CaseSpec = tuple[str, tuple]
@@ -780,99 +828,15 @@ CaseSpec = tuple[str, tuple]
 def build_cases(
     suite: str, max_d: int = 3, max_e: int = 2, primes: tuple[int, ...] = (2, 3, 5)
 ) -> list[CaseSpec]:
-    fps = [(p, e) for p in primes for e in range(1, max_e + 1)]
-    cases: list[CaseSpec] = []
-    if suite == "identities":
-        for p, e in fps:
-            for d in range(1, max_d + 1):
-                cases.append(("sum-identity", (p, e, d)))
-                cases.append(("shifted-sum", (p, e, d)))
-                cases.append(("support", (p, e, d)))
-            for d in range(1, max_d + 1):
-                cases.append(("rank-law", (p, e, "projspace", d)))
-            for r in (1, 2):
-                for s in (1, 2):
-                    cases.append(("rank-law", (p, e, "product", r, s)))
-                    cases.append(("rank-law", (p, e, "segre-cone", r, s)))
-            for eps in range(0, 5):
-                cases.append(("rank-law", (p, e, "hirzebruch", eps)))
-            for d in range(2, max_d + 1):
-                for r in range(1, d):
-                    cases.append(("rank-law", (p, e, "blowup-linear", d, r)))
-            q = p**e
-            for d in range(1, min(max_d, 3) + 1):
-                for eps in range(1, 5):
-                    if q >= eps:
-                        cases.append(("rank-law", (p, e, "veronese-cone", d, eps)))
-            for d in range(1, min(max_d, 3) + 1):
-                cases.append(("alpha-det", (p, e, d)))
-                for a in (1, 2, 3):
-                    cases.append(("volume", (p, e, d, a)))
-        for d in range(1, 9):
-            cases.append(("eulerian-sum", (d,)))
-    elif suite == "oracles":
-        for p, e in fps:
-            q = p**e
-            for d in range(1, max_d + 1):
-                if q ** (d + 1) <= 2**20:
-                    cases.append(("mult-oracle", (p, e, d)))
-            for eps in range(1, 7):
-                if q >= eps:
-                    cases.append(("sigma-closed", (p, e, eps)))
-            cases.append(("chart-oracle", (p, e)))
-            for d in range(2, max_d + 1):
-                for r in range(1, d):
-                    cases.append(("blowup-restrict", (p, e, d, r)))
-            for r in (1, 2):
-                for s in (1, 2):
-                    cases.append(("segre-split", (p, e, r, s)))
-            for d in (1, 2):
-                for eps in (1, 2, 3):
-                    for n in (0, 1, q - 1):
-                        for nprime in (0, max(0, eps - 1)):
-                            cases.append(
-                                ("veronese-direct", (p, e, d, eps, n % q, nprime % q))
-                            )
-            cases.append(("veronese-box", (p, e, min(max_d, 3))))
-            for eps in range(0, 5):
-                for u, v in ((0, 0), (-1, q + 2), (q + 1, -3), (2 * q + 1, -q - 3)):
-                    cases.append(("hz-loop", (p, e, eps, u, v)))
-            for r, s in ((1, 1), (1, 2), (2, 2)):
-                for n, n1, n2 in ((0, 0, 0), (1, 0, q - 1), (q - 1, q // 2, 1)):
-                    cases.append(("segre-loop", (p, e, r, s, n, n1, n2)))
-            for d in range(2, min(max_d, 3) + 1):
-                for r in range(1, d):
-                    cases.append(("blowup-loop", (p, e, d, r)))
-    elif suite == "fixtures":
-        for p, e in fps:
-            q = p**e
-            cases.append(("fix-projspace", (p, e)))
-            cases.append(("fix-hirzebruch-eps1", (p, e)))
-            cases.append(("fix-hirzebruch-eps2", (p, e)))
-            cases.append(("fix-hirzebruch-eps3", (p, e)))
-            for u in (0, 1, q, q + 1):
-                for v in (0, 1, 2, q + 2):
-                    cases.append(("fix-hz-general", (p, e, u, v)))
-            cases.append(("fix-product", (p, e)))
-            for eps in (2, 3, 4, 5):
-                cases.append(("fix-rnc", (p, e, eps)))
-            cases.append(("fix-quadric-d3", (p, e)))
-            cases.append(("warn-hz-small-q", (p, e)))
-            cases.append(("warn-blowup-k0", (p, e, 2, 1)))
-            cases.append(("warn-blowup-k0", (p, e, 3, 1)))
-        for e in range(1, max_e + 1):
-            for d in (4, 5):
-                cases.append(("warn-quadric-p2", (e, d)))
-    else:
+    """The suite's cases, grouped by q: at each (p, e), the grids of the
+    suite's rows in table order, each case once."""
+    rows = [(name, grid) for name, (home, _, grid) in CASES.items() if home == suite]
+    if not rows:
         raise ValueError(f"unknown suite {suite!r}")
-    # Deduplicate while preserving deterministic order.
-    seen = set()
-    unique = []
-    for case in cases:
-        if case not in seen:
-            seen.add(case)
-            unique.append(case)
-    return unique
+    return list(dict.fromkeys(
+        (name, args) for p in primes for e in range(1, max_e + 1)
+        for name, grid in rows for args in grid(p, e, p**e, max_d)
+    ))
 
 
 def run_case(case: CaseSpec) -> CheckResult:
@@ -881,7 +845,7 @@ def run_case(case: CaseSpec) -> CheckResult:
     name, args = case
     start = time.perf_counter()
     try:
-        status, detail = _CASE_FUNCS[name](*args)
+        status, detail = CASES[name][1](*args)
     except Exception as exc:
         status, detail = "FAIL", f"raised {type(exc).__name__}: {exc}"
     seconds = time.perf_counter() - start

@@ -429,7 +429,8 @@ class TestParserReuse:
 
 def test_cli_import_is_lazy():
     """Building the parser loads no suites and no process pool; a serial
-    ``verify`` loads the suites but no pool; neither moves the digit cap."""
+    ``verify`` loads the suites but no pool, nor ``dataclasses`` and the
+    ``inspect`` it imports; neither moves the digit cap."""
     script = (
         "import json, sys\n"
         "cap = getattr(sys, 'get_int_max_str_digits', lambda: None)\n"
@@ -441,16 +442,17 @@ def test_cli_import_is_lazy():
         "code = cli.main(['verify', '--suite', 'identities', '--max-d', '1',\n"
         "                 '--max-e', '1', '--primes', '2'])\n"
         "ran = [m for m in watched if m in sys.modules]\n"
-        "print(json.dumps([built, code, ran, before == cap()]))\n"
+        "heavy = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "print(json.dumps([built, code, ran, heavy, before == cap()]))\n"
     )
     src = str(Path(cli.__file__).resolve().parent.parent)
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
-    built, code, ran, cap_kept = json.loads(done.stdout.splitlines()[-1])
+    built, code, ran, heavy, cap_kept = json.loads(done.stdout.splitlines()[-1])
     assert built == []
-    assert (code, ran) == (0, ["frobpush.verify"])
+    assert (code, ran, heavy) == (0, ["frobpush.verify"], [])
     assert cap_kept
 
 
@@ -676,7 +678,8 @@ class TestVerifyCommand:
         def boom(d):
             raise ZeroDivisionError(f"boom at d={d}")
 
-        monkeypatch.setitem(verify._CASE_FUNCS, "eulerian-sum", boom)
+        suite, _, grid = verify.CASES["eulerian-sum"]
+        monkeypatch.setitem(verify.CASES, "eulerian-sum", (suite, boom, grid))
         args = ["verify", "--suite", "identities", "--max-d", "1", "--max-e", "1",
                 "--primes", "2", "--jobs", jobs]
         code, out, _ = run_cli(capsys, *args)

@@ -45,6 +45,7 @@ from frobpush.picard import (
 from frobpush.positivity import QuadricKernelReport, Verdict, VerdictStatus, Witness
 from frobpush.restriction import RestrictionRule
 from frobpush.value import Value
+from frobpush.verify import CheckResult
 
 H = ("H",)
 
@@ -241,6 +242,13 @@ VALUES.update({
         "multiplicity=None), notes=()), stated_verdict=Verdict(status=<VerdictStatus.AMPLE: "
         "'Ample'>, witness=None, notes=()), disagreement=True, notes=('a note',))",
     ),
+    # Equal whatever the check's wall time.
+    "CheckResult": (
+        lambda: CheckResult("volume(2,1,1,1)", "PASS", "deficit 1", 0.25),
+        lambda: CheckResult(key="volume(2,1,1,1)", status="PASS", detail="deficit 1", seconds=9.0),
+        ("key", "status", "detail", "seconds"),
+        "CheckResult(key='volume(2,1,1,1)', status='PASS', detail='deficit 1', seconds=0.25)",
+    ),
 })
 # A decomposition's entries are a dict, so neither it nor a record holding
 # one is a dict key.
@@ -274,6 +282,8 @@ class TestValueTypes:
         value = make()
         if name == "Line":  # a line hashes as its class
             names, value = ("coords", "basis"), value.cls
+        if name == "CheckResult":  # the wall time is no part of the identity
+            names = names[:-1]
         fields = tuple(getattr(value, field) for field in names if field != "_hash")
         assert hash(value) == hash(fields)
 
