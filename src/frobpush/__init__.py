@@ -47,14 +47,13 @@ from .catalog import (
     pushforward_veronese_cone,
     quadric_pushforward_support,
 )
-from .restriction import RestrictionRule
 from .families import (
     CONE_KINDS,
     FAMILIES,
     family_of,
-    restrict,
     structure_pushforward,
 )
+from .restriction import restrict
 from .positivity import (
     QuadricKernelReport,
     Verdict,

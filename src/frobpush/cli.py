@@ -449,7 +449,7 @@ def cmd_kernel(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     variety = _descriptor(parser, args, cls, label)
     pushforward = families.structure_pushforward(variety, fp)
     kernel = positivity.trace_kernel(variety, fp, pushforward)
-    if cls.rule is None:
+    if cls.divisor is None:
         verdict = positivity.ample_verdict(kernel)
     else:
         verdict = positivity.kernel_restriction_verdict(variety, fp, pushforward)
@@ -530,7 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
         if with_variety:
             p.add_argument("--variety", choices=VARIETIES, required=True)
             p.add_argument("--kind", choices=tuple(families.CONE_KINDS))
-            p.add_argument("--bundle", help="bundle coordinates, e.g. '0' or '0,1'")
+            p.add_argument("--bundle", help="bundle coordinates, e.g. '0' or '0,1'; write a "
+                           "negative first coordinate as --bundle=-1,0")
         p.add_argument("--d", type=int)
         p.add_argument("--r", type=int)
         p.add_argument("--s", type=int)

@@ -4,12 +4,13 @@ Each family and each cone kind is declared once, by a ``picard._declare``
 call, and its declared class is its registry record: ``FAMILIES`` and
 ``CONE_KINDS`` key those classes by tag.  A family's class holds its lattice
 ``bases`` (the number of bundle coordinates is ``len(cls.bases[0])``), its
-builder, whether only the structure sheaf is supported, and the ``split``
-flag and ``rule`` its declared projective bundle derives.  The descriptor's
-fields, the names in its ``__slots__``, are at once its constructor
-arguments, its CLI flags and its JSON ``params``; a ``ConeP`` field ``kind``
-holds a cone named by a tag in ``CONE_KINDS``.  Adding a family means one
-``picard._declare`` call and its builder.
+builder, whether only the structure sheaf is supported, and, for a split
+family, its declared projective ``bundle`` and the ``divisor`` it restricts
+to (both None elsewhere).  The descriptor's fields, the names in its
+``__slots__``, are at once its constructor arguments, its CLI flags and its
+JSON ``params``; a ``ConeP`` field ``kind`` holds a cone named by a tag in
+``CONE_KINDS``.  Adding a family means one ``picard._declare`` call and its
+builder.
 
 ``build`` looks each builder up on ``catalog`` or ``localalg`` at call time,
 so whatever rebinds those attributes (a tracer, a test double) sees every
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from . import catalog, localalg, restriction
+from . import catalog, localalg
 from .combinat import PrimePower
 from .errors import InvalidParameterError
 from .picard import DESCRIPTORS, Decomposition, VarietyDescriptor
@@ -95,13 +96,3 @@ def descriptor_params(descriptor) -> dict:
 def structure_pushforward(variety: VarietyDescriptor, fp: PrimePower) -> Decomposition:
     """F^e_* O for any registered variety (the canonical twist on quadrics)."""
     return build(variety, (0,) * len(family_of(variety).bases[0]), fp)
-
-
-def restrict(decomp: Decomposition, divisor: str) -> Decomposition:
-    """Restrict a line-bundle decomposition to its family's distinguished divisor."""
-    rule = family_of(decomp.variety).rule
-    if rule is None or rule.divisor != divisor:
-        raise InvalidParameterError(
-            f"no restriction rule for divisor {divisor!r} on {decomp.variety}"
-        )
-    return restriction.apply_rule(rule, decomp)

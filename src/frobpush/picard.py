@@ -9,9 +9,10 @@ classes whose fields are their ``__slots__``, with an ``__init__`` that runs
 the checks, and no ``dataclasses`` import.  Each variety family and each
 cone kind is declared once, by one ``_declare`` call that generates its
 descriptor class: fields, refusal, ``tag``, ``bases``, ``dim`` and, for a
-registry family, its builder and, if split, the bundle its ``dim`` and rule
-derive from.  ``Decomposition`` and ``change_basis`` read the declarations
-(``spinor_rank``, ``bases``), not the descriptor's type.
+registry family, its builder and, if split, the bundle its ``dim`` derives
+from and the divisor it restricts to.  ``Decomposition`` and
+``change_basis`` read the declarations (``spinor_rank``, ``bases``), not
+the descriptor's type.
 
 A ``Decomposition`` keeps its line summands as coordinate tuples and its
 spinor twists as integers, so the builders and the algebra (dual, twist,
@@ -114,21 +115,6 @@ Summand = Union[Line, Spinor]
 DESCRIPTORS: list[type] = []
 
 
-class RestrictionRule(Value):
-    """How classes of one family restrict to its distinguished divisor.
-
-    ``matrix`` maps source coordinates, in the default basis of the source
-    variety, to coordinates in the default basis of ``target``: one row per
-    source generator.
-    """
-
-    __slots__ = ("divisor", "target", "matrix")
-
-    def __init__(self, divisor: str, target: Callable[[Value], Value],
-                 matrix: Callable[[Value], tuple[tuple[int, ...], ...]]) -> None:
-        self._set(divisor, target, matrix)
-
-
 def _declare(name: str, tag: str, fields: tuple[str, ...], doc: Optional[str] = None, *,
              refuse: str = "", refusal: str = "", dim: Optional[Callable[[Value], int]] = None,
              bases: tuple[Basis, ...] = (), spinor_rank: Optional[Callable] = None,
@@ -154,14 +140,13 @@ def _declare(name: str, tag: str, fields: tuple[str, ...], doc: Optional[str] = 
 
     A family declared with a ``bundle`` is ``split``: F^e_* O is a direct sum
     of line bundles, with a trace kernel.  It is a projective bundle P(E) over
-    a base B, and ``bundle`` gives B (a descriptor, None for a point) and the
-    twists of E in B's default basis; its own default basis is xi = O(1), then
-    the pullbacks of B's.  ``dim`` is dim B + rank E - 1.  A family that names
-    a ``divisor`` gets a ``rule``: the ``RestrictionRule`` to the section over
-    B of a quotient E -> O(a_min), with target B, taking xi to a_min and each
-    pullback to itself.  a_min is at most every twist coordinate by
-    coordinate, so it is also their least in tuple order.  The divisor is
-    declared, not derived: Hirzebruch(0) has equal twists, yet restricts.
+    a base B, and ``variety.bundle()`` gives B (a descriptor, None for a
+    point) and the twists of E in B's default basis; its own default basis is
+    xi = O(1), then the pullbacks of B's.  ``dim`` is dim B + rank E - 1.
+    ``divisor`` names the section over B of a quotient E -> O(a_min), which
+    ``restriction.restrict`` restricts to.  The divisor is declared, not
+    derived: Hirzebruch(0) has equal twists, yet restricts.  Both ``bundle``
+    and ``divisor`` are None where nothing is declared.
     """
     source = f"def __init__(self, {', '.join(fields)}):\n"
     if refuse:
@@ -172,8 +157,6 @@ def _declare(name: str, tag: str, fields: tuple[str, ...], doc: Optional[str] = 
     init = namespace["__init__"]
     init.__qualname__ = f"{name}.__init__"
     if bundle:
-        pullbacks = tuple(tuple(int(a == b) for b in bases[0][1:]) for a in bases[0][1:])
-
         def dim(v):
             base, twists = bundle(v)
             return (base.dim if base else 0) + len(twists) - 1
@@ -182,8 +165,7 @@ def _declare(name: str, tag: str, fields: tuple[str, ...], doc: Optional[str] = 
         "tag": tag, "bases": bases, "dim": property(dim),
         "spinor_rank": spinor_rank and property(spinor_rank), "builder": builder,
         "structure_only": structure_only, "split": bundle is not None,
-        "rule": divisor and RestrictionRule(divisor, lambda v: bundle(v)[0],
-                                            lambda v: (min(bundle(v)[1]),) + pullbacks),
+        "bundle": bundle, "divisor": divisor,
     })
     DESCRIPTORS.append(cls)
     return cls

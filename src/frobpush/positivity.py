@@ -67,9 +67,22 @@ def trace_kernel(
     """
     if not family_of(variety).split:
         raise InvalidParameterError(f"{variety} is not in the split catalog")
+    return _structure_pushforward(variety, fp, pushforward).remove_trivial().dual()
+
+
+def _structure_pushforward(
+    variety: VarietyDescriptor, fp: PrimePower, pushforward: Optional[Decomposition]
+) -> Decomposition:
+    """F^e_* O on a split ``variety`` at ``fp``: built when ``pushforward`` is
+    None, else ``pushforward``, refused unless it lives on ``variety`` with
+    rank q^dim."""
     if pushforward is None:
-        pushforward = structure_pushforward(variety, fp)
-    return pushforward.remove_trivial().dual()
+        return structure_pushforward(variety, fp)
+    if pushforward.variety != variety or pushforward.rank() != fp.q**variety.dim:
+        raise InvalidParameterError(
+            f"the pushforward given is not F^e_* O of {variety} at q={fp.q}"
+        )
+    return pushforward
 
 
 def ample_verdict(decomp: Decomposition) -> Verdict:
@@ -80,7 +93,7 @@ def ample_verdict(decomp: Decomposition) -> Verdict:
     offending summand in sorted order; it is the only ``Line`` built.
     """
     family = family_of(decomp.variety)
-    if not family.split or family.rule is not None:
+    if not family.split or family.divisor is not None:
         raise UnsupportedConeError(
             f"no ample/nef cone implemented for {decomp.variety}; only projective "
             f"spaces and their products are classified"
@@ -110,13 +123,10 @@ def kernel_restriction_verdict(
     q >= eps), a positive-degree summand of the restriction serves instead:
     its dual is a negative summand of the restricted kernel.
     """
-    rule = family_of(variety).rule
-    if rule is None:
+    divisor = family_of(variety).divisor
+    if divisor is None:
         raise InvalidParameterError(f"no distinguished divisor for {variety}")
-    divisor = rule.divisor
-    if pushforward is None:
-        pushforward = structure_pushforward(variety, fp)
-    restricted = restriction.apply_rule(rule, pushforward)
+    restricted = restriction.restrict(_structure_pushforward(variety, fp, pushforward), divisor)
     mult = restricted.lines.get((0,) * len(restricted.basis), 0) or 0
     if mult >= 2:
         return Verdict(

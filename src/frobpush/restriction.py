@@ -1,38 +1,38 @@
-"""Restriction of decompositions to the distinguished divisors of each family.
+"""Restriction of decompositions to the distinguished divisor of each family.
 
-Each restriction is a lattice homomorphism held as data in a
-``RestrictionRule``, which ``picard`` defines and this module re-exports.
-Each family's rule is derived from its declared projective bundle and
-divisor.  A rule's source is the default basis of its family's descriptor,
-so the rule states only its divisor, its target and its matrix.
+A family that declares a ``divisor`` is a projective bundle P(E) -> B, and
+the divisor is the section over B of the quotient E -> O(a_min), where a_min
+is the least twist of E.  Restricting takes xi = O(1) to a_min and each
+pullback from B to itself, so a class (x, y) goes to x*a_min + y on B.
+a_min is at most every twist coordinate by coordinate, so it is also their
+least in tuple order, ``min(twists)``.
 """
 
 from __future__ import annotations
 
-from operator import mul
-
 from .errors import InvalidParameterError
-from .picard import Decomposition, RestrictionRule, change_basis
+from .picard import Decomposition, change_basis
 
 
-def apply_rule(rule: RestrictionRule, decomp: Decomposition) -> Decomposition:
-    """Restrict a line-bundle decomposition along ``rule``.
+def restrict(decomp: Decomposition, divisor: str) -> Decomposition:
+    """Restrict a line-bundle decomposition to its family's distinguished divisor.
 
     A decomposition in another basis is first rewritten into its variety's
     default basis (only linear blowups have a second basis).  The images are
-    taken one target coordinate at a time: each column of the rule's matrix
-    is dotted with every class, and the columns of images are zipped back
-    into coordinate tuples.
+    taken one target coordinate at a time, and the columns of images are
+    zipped back into coordinate tuples.
     """
-    if decomp.basis != decomp.variety.bases[0]:
-        decomp = change_basis(decomp, decomp.variety.bases[0])
-    if decomp.spinors:
-        raise InvalidParameterError("spinor summands cannot be restricted")
-    variety, lines = decomp.variety, decomp.lines
+    variety = decomp.variety
+    if divisor is None or variety.divisor != divisor:
+        raise InvalidParameterError(
+            f"no restriction rule for divisor {divisor!r} on {variety}"
+        )
+    if decomp.basis != variety.bases[0]:
+        decomp = change_basis(decomp, variety.bases[0])
+    base, twists = variety.bundle()
+    lines = decomp.lines
     images = zip(*[
-        [sum(map(mul, coords, column)) for coords in lines]
-        for column in zip(*rule.matrix(variety))
+        [coords[0] * a + coords[t] for coords in lines]
+        for t, a in enumerate(min(twists), 1)
     ])
-    return Decomposition(rule.target(variety), zip(images, lines.values()),
-                         support_only=decomp.support_only)
-
+    return Decomposition(base, zip(images, lines.values()), support_only=decomp.support_only)

@@ -59,8 +59,9 @@ from .combinat import (
     polynomial_range_sum,
 )
 from .errors import InvalidParameterError, OutOfRegimeError
-from .families import FAMILIES, restrict, structure_pushforward
+from .families import FAMILIES, structure_pushforward
 from .picard import PicClass, ProjSpace, RationalNormalCone, SegreCone, VeroneseCone
+from .restriction import restrict
 from .value import Value
 
 

@@ -20,7 +20,7 @@ from frobpush.catalog import (
     pushforward_veronese_cone,
 )
 from frobpush.combinat import PrimePower, binom, composition_count
-from frobpush.families import restrict
+from frobpush.restriction import restrict
 from frobpush.localalg import (
     cone_pushforward,
     f_signature,

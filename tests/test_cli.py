@@ -134,6 +134,18 @@ class TestConePDecompose:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_negative_bundle_needs_equals(self, capsys):
+        # argparse reads a value that starts with "-" as a flag unless the
+        # value is joined to its option by "=".
+        argv = ["decompose", "--variety", "hirzebruch", "--eps", "1", "--p", "2", "--e", "1"]
+        code, out, _ = outcome(capsys, [*argv, "--bundle=-1,0"])
+        assert code == 0
+        assert "  O(-1,0): 1" in out.splitlines()
+        assert "  O(-1,-1): 3" in out.splitlines()
+        code, out, err = outcome(capsys, [*argv, "--bundle", "-1,0"])
+        assert code == 2 and not out
+        assert "expected one argument" in err and "Traceback" not in err
+
 
 class TestKernel:
     def test_projspace_ample(self, capsys):

@@ -23,6 +23,7 @@ from frobpush.families import (
 from frobpush.picard import (
     DESCRIPTORS,
     ConeP,
+    Decomposition,
     Hirzebruch,
     LinearBlowup,
     Product,
@@ -34,6 +35,7 @@ from frobpush.picard import (
     VeroneseCone,
     VeroneseConeBlowup,
 )
+from frobpush.restriction import restrict
 
 # One descriptor per registry tag, plus every cone kind; each builds at q=2.
 SAMPLES = [
@@ -78,19 +80,23 @@ def test_lattice_data_is_no_descriptor_field():
     # A field would become a constructor argument, a CLI flag and a JSON param.
     for cls in [*FAMILIES.values(), *CONE_KINDS.values()]:
         class_data = {"tag", "bases", "dim", "spinor_rank", "builder", "structure_only",
-                      "split", "rule"}
+                      "split", "bundle", "divisor"}
         assert not class_data & set(cls.__slots__), cls
 
 
 @pytest.mark.parametrize("variety", SAMPLES, ids=repr)
 def test_rule_matrix_matches_bases(variety):
-    rule = family_of(variety).rule
-    if rule is None:
+    # Restriction maps a class (x, y) to x*a_min + y on the base: the default
+    # basis is xi then one pullback per base generator, and each twist has
+    # one coordinate per base generator.
+    cls = family_of(variety)
+    if cls.bundle is None:
+        assert cls.divisor is None
         return
-    rows = rule.matrix(variety)
-    assert len(rows) == len(variety.bases[0])
-    width = len(rule.target(variety).bases[0])
-    assert all(len(row) == width for row in rows)
+    base, twists = variety.bundle()
+    width = len(base.bases[0]) if base else 0
+    assert len(variety.bases[0]) == 1 + width
+    assert all(len(twist) == width for twist in twists)
 
 
 # Each split family as a projective bundle P(E) -> B: the base B (None for a
@@ -120,22 +126,27 @@ def accepted(cls, top=8):
 def test_declarations_match_the_projective_bundle(tag):
     cls = FAMILIES[tag]
     assert cls.split
+    assert cls.divisor == DIVISORS.get(tag)
     for variety in accepted(cls):
         base, twists = BUNDLES[tag](variety)
+        assert variety.bundle() == (base, twists)
         # dim P^d = d and dim P^r x P^s = r + s: the sum of the base's fields.
         assert variety.dim == sum(base._fields() if base else ()) + len(twists) - 1
-        rule = cls.rule
         if tag not in DIVISORS:
-            assert rule is None
             continue
         # Restriction to the section of E -> O(a_min): xi goes to a_min, each
         # pullback to itself.
         width = len(base.bases[0])
         least = tuple(min(twist[i] for twist in twists) for i in range(width))
         unit = tuple(tuple(int(i == j) for j in range(width)) for i in range(width))
-        assert rule.divisor == DIVISORS[tag]
-        assert rule.target(variety) == base
-        assert rule.matrix(variety) == (least, *unit)
+        size = len(variety.bases[0])
+        images = []
+        for i in range(size):
+            generator = tuple(int(i == j) for j in range(size))
+            restricted = restrict(Decomposition(variety, [(generator, 1)]), DIVISORS[tag])
+            assert restricted.variety == base
+            images.extend(restricted.lines)
+        assert tuple(images) == (least, *unit)
 
 
 def test_unknown_tags_rejected():

@@ -43,7 +43,6 @@ from frobpush.picard import (
     change_basis,
 )
 from frobpush.positivity import QuadricKernelReport, Verdict, VerdictStatus, Witness
-from frobpush.restriction import RestrictionRule
 from frobpush.value import Value
 from frobpush.verify import CheckResult
 
@@ -181,8 +180,7 @@ VALUES = {
 }
 
 # The descriptors and records, built positionally and then by keyword with
-# every default left out.  Builtins stand in for the callables of a rule:
-# they pickle by name and have a repr that names no address.
+# every default left out.
 for cls, args, fields, text in [
     (PrimePower, (3, 2), ("p", "e"), "PrimePower(p=3, e=2, q=9)"),
     (ProjSpace, (2,), ("d",), "ProjSpace(d=2)"),
@@ -196,11 +194,6 @@ for cls, args, fields, text in [
     (VeroneseCone, (2, 3), ("d", "eps"), "VeroneseCone(d=2, eps=3)"),
     (SegreCone, (1, 2), ("r", "s"), "SegreCone(r=1, s=2)"),
     (ConeP, (SegreCone(1, 2),), ("kind",), "ConeP(kind=SegreCone(r=1, s=2))"),
-    (
-        RestrictionRule, ("E", abs, len), ("divisor", "target", "matrix"),
-        "RestrictionRule(divisor='E', target=<built-in function abs>, "
-        "matrix=<built-in function len>)",
-    ),
 ]:
     VALUES[cls.__name__] = (
         lambda cls=cls, args=args: cls(*args),

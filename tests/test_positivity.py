@@ -7,6 +7,7 @@ import pytest
 from frobpush import positivity
 from frobpush.combinat import PrimePower, composition_count
 from frobpush.errors import InvalidParameterError, UnsupportedConeError
+from frobpush.families import structure_pushforward
 from frobpush.picard import (
     ConeP,
     Decomposition,
@@ -69,6 +70,17 @@ class TestTraceKernel:
         with pytest.raises(InvalidParameterError):
             trace_kernel(Quadric(3), PrimePower(5, 1))
 
+    def test_rejects_a_pushforward_of_another_variety(self):
+        fp = PrimePower(3, 1)
+        pushforward = structure_pushforward(Hirzebruch(2), fp)
+        with pytest.raises(InvalidParameterError):
+            trace_kernel(ProjSpace(2), fp, pushforward)
+
+    def test_rejects_a_pushforward_at_another_q(self):
+        pushforward = structure_pushforward(Hirzebruch(2), PrimePower(2, 1))
+        with pytest.raises(InvalidParameterError):
+            trace_kernel(Hirzebruch(2), PrimePower(3, 1), pushforward)
+
 
 def one_summand(variety, coords) -> Decomposition:
     return Decomposition(variety, [(coords, 1)])
@@ -126,7 +138,7 @@ class TestAmpleVerdict:
 
     def test_not_nef_with_witness(self):
         from frobpush.catalog import pushforward_veronese_cone
-        from frobpush.families import restrict
+        from frobpush.restriction import restrict
 
         fp = PrimePower(3, 1)
         verdict = ample_verdict(restrict(pushforward_veronese_cone(2, 2, 0, 0, fp), "E"))
@@ -164,6 +176,12 @@ class TestRestrictionVerdicts:
         assert verdict.witness is None
         assert verdict.notes == ("no certificate found",)
 
+    def test_rejects_a_pushforward_of_another_variety(self):
+        fp = PrimePower(3, 1)
+        pushforward = structure_pushforward(Hirzebruch(2), fp)
+        with pytest.raises(InvalidParameterError, match="not F"):
+            kernel_restriction_verdict(SegreConeBlowup(1, 1), fp, pushforward)
+
     def test_blowup_witness(self):
         from frobpush.combinat import binom
 
@@ -198,6 +216,40 @@ class TestRestrictionVerdicts:
                         binom(j + r, r) * binom(j + s, s) for j in range(fp.q)
                     )
                     assert verdict.witness.multiplicity == expected
+
+
+class TestDichotomyAtHugeQ:
+    # The paper's dichotomy on the catalog at q = 2^64 and 3^40: the trace
+    # kernel of P^d is ample, that of a product nef and not ample, and that
+    # of each family with a distinguished divisor is certified not ample by
+    # restricting to that divisor, which keeps the rank of F^e_* O.
+    AMPLE = [ProjSpace(1), ProjSpace(3)]
+    NEF = [Product(1, 2)]
+    DIVISORS = {
+        Hirzebruch(0): "C0", Hirzebruch(1): "C0", Hirzebruch(4): "C0",
+        LinearBlowup(3, 1): "E", LinearBlowup(4, 2): "E",
+        VeroneseConeBlowup(1, 2): "E", VeroneseConeBlowup(2, 3): "E",
+        SegreConeBlowup(1, 1): "E", SegreConeBlowup(1, 2): "E",
+    }
+
+    @pytest.mark.parametrize("fp", [PrimePower(2, 64), PrimePower(3, 40)], ids=str)
+    def test_catalog(self, fp):
+        from frobpush import restrict
+
+        for variety in [*self.AMPLE, *self.NEF, *self.DIVISORS]:
+            pushforward = structure_pushforward(variety, fp)
+            kernel = trace_kernel(variety, fp, pushforward)
+            assert kernel.rank() == fp.q**variety.dim - 1
+            divisor = self.DIVISORS.get(variety)
+            if divisor is None:
+                ample = variety in self.AMPLE
+                expected = VerdictStatus.AMPLE if ample else VerdictStatus.NEF_NOT_AMPLE
+                assert ample_verdict(kernel).status is expected, variety
+                continue
+            verdict = kernel_restriction_verdict(variety, fp, pushforward)
+            assert verdict.status is VerdictStatus.NOT_AMPLE_WITH_WITNESS, variety
+            assert verdict.witness.divisor == divisor
+            assert restrict(pushforward, divisor).rank() == pushforward.rank()
 
 
 class TestQuadricVerdict:
