@@ -10,7 +10,8 @@ they were built.  ``_json_text`` writes them in one pass, since the stdlib
 runs its indenting encoder in pure Python.
 
 ``main`` builds its parser once per process and reuses it on every later
-call; ``verify`` is imported only when the ``verify`` subcommand runs.
+call, and the parser reads each argv once, with the named subcommand's
+parser; ``verify`` is imported only when the ``verify`` subcommand runs.
 """
 
 from __future__ import annotations
@@ -518,13 +519,44 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return EXIT_OK if failed == 0 else EXIT_DOMAIN
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """The top-level parser, which parses each argv once.
+
+    When ``argv[0]`` names a subcommand, the rest of argv goes straight to
+    that subcommand's parser, as argparse's nested parse would hand it on,
+    and ``command`` is set to the name.  Everything else takes argparse's
+    nested parse: an empty argv, ``-h``, an unknown or misplaced subcommand,
+    a given namespace, and any argv that leaves arguments over, so every
+    usage error is printed by the parser that prints it in the nested parse
+    (``unrecognized arguments`` by this one).
+    """
+
+    commands: dict  # subcommand name -> its parser, set by build_parser
+
+    def parse_known_args(self, args=None, namespace=None):
+        argv = sys.argv[1:] if args is None else list(args)
+        command = self.commands.get(argv[0]) if argv and namespace is None else None
+        if command is not None:
+            parsed, extras = command.parse_known_args(argv[1:])
+            if not extras:
+                parsed.command = argv[0]
+                return parsed, extras
+        return super().parse_known_args(argv, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The ``frobpush`` parser: four subcommands, each a plain
+    ``argparse.ArgumentParser``.  Its ``parse_args`` parses argv once, with
+    the named subcommand's parser (see ``_CommandParser``), so a caller that
+    wraps ``parse_args`` still sees every parse."""
+    parser = _CommandParser(
         prog="frobpush",
         description="Exact Frobenius pushforward decompositions, trace-kernel "
         "positivity verdicts, and F-signature arithmetic.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=argparse.ArgumentParser)
+    parser.commands = sub.choices
 
     def add_common(p: argparse.ArgumentParser, with_variety: bool = True) -> None:
         if with_variety:
@@ -595,7 +627,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return code
     except BrokenPipeError:
         # Point stdout at devnull, so the interpreter's flush at exit is quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         return EXIT_DOMAIN
     except OutOfRegimeError as exc:
         print(f"out of regime: {exc}", file=sys.stderr)

@@ -1,6 +1,8 @@
 """Tests for the command line: output fixtures, JSON round-trips, exit codes."""
 
+import argparse
 import contextlib
+import functools
 import importlib
 import json
 import multiprocessing
@@ -439,6 +441,90 @@ class TestParserReuse:
         assert tuple(suite.choices) == verify.SUITES + ("all",)
 
 
+_PROJSPACE = ["--variety", "projspace", "--d", "2", "--p", "2", "--e", "1"]
+
+
+def take_nested_parse(parser):
+    """Give ``parser`` argparse's own ``parse_known_args``, so that its
+    ``parse_args`` takes the nested parse: the top-level parser selects the
+    subcommand, whose parser then reads the rest of argv."""
+    parser.parse_known_args = functools.partial(argparse.ArgumentParser.parse_known_args,
+                                                parser)
+
+
+class TestOnePassParse:
+    """``parse_args`` hands argv straight to the named subcommand's parser;
+    its results must equal those of argparse's nested parse."""
+
+    EDGE = [
+        [],
+        ["-h"],
+        ["--help"],
+        ["decompose", "-h"],
+        ["verify", "--help"],
+        ["decompose", *_PROJSPACE, "-h"],
+        ["nope", *_PROJSPACE],
+        ["decomp", *_PROJSPACE],
+        ["--format", "json", "decompose", *_PROJSPACE],
+        ["decompose", *_PROJSPACE, "extra"],
+        ["decompose", *_PROJSPACE, "decompose"],
+        ["decompose", *_PROJSPACE, "--unknown", "1"],
+        ["decompose", *_PROJSPACE, "--"],
+        ["decompose", *_PROJSPACE, "--", "extra"],
+        ["decompose", "--", *_PROJSPACE],
+        ["decompose", "--var=projspace", "--d", "2", "--p", "2", "--e", "1"],
+        ["decompose", "--variety=projspace", "--d=2", "--p=2", "--e=1"],
+        ["decompose", *_PROJSPACE, "--format", "json", "--format", "text"],
+        ["decompose", "--variety", "projspace", "--d", "1", "--bundle=-1", "--p", "2",
+         "--e", "1"],
+        ["decompose", "--variety", "projspace", "--d", "1", "--bundle", "-1", "--p", "2",
+         "--e", "1"],
+        ["decompose", "--variety", "projspace", "--d", "-1", "--p", "2", "--e", "1"],
+        ["kernel", "--variety", "nope", "--p", "2", "--e", "1"],
+        ["local", "--kind", "segre", "--r", "x", "--s", "1", "--p", "2", "--e", "1"],
+        ["decompose", "--variety", "projspace", "--d", "2", "--e", "1"],
+        ["verify", "--suite", "all", "--jobs", "-1"],
+        ["verify"],
+    ]
+
+    @staticmethod
+    def parse_outcome(capsys, parse, argv):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    def test_interactive_pool_parses_alike(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH))
+        import workloads
+
+        argvs = [case.argv for stratum in workloads.interactive_pool(tiny=False)
+                 for case in stratum]
+        assert len(argvs) == 1316
+        parser = cli.build_parser()
+        one_pass = [parser.parse_args(argv) for argv in argvs]
+        take_nested_parse(parser)
+        for argv, args in zip(argvs, one_pass):
+            assert parser.parse_args(argv) == args, argv
+
+    @pytest.mark.parametrize("argv", EDGE, ids=lambda argv: " ".join(argv) or "(empty)")
+    def test_edge_argv_parses_alike(self, capsys, argv):
+        """Exit code, stdout and stderr of ``parse_args``, and the namespace
+        and leftovers of ``parse_known_args``, at help, usage errors and
+        leftovers."""
+        parser = cli.build_parser()
+
+        def outcomes():
+            return [self.parse_outcome(capsys, getattr(parser, method), argv)
+                    for method in ("parse_args", "parse_known_args")]
+
+        one_pass = outcomes()
+        take_nested_parse(parser)
+        assert outcomes() == one_pass
+
+
 def test_cli_import_is_lazy():
     """Building the parser loads no suites and no process pool; a serial
     ``verify`` loads the suites but no pool, nor ``dataclasses`` and the
@@ -573,6 +659,21 @@ class TestExitCodes:
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (1, b"")
+
+    def test_closed_pipe_leaves_no_descriptor_open(self, monkeypatch):
+        """An in-process caller whose stdout pipe was closed gets exit 1, and
+        the devnull descriptor that quiets the final flush is closed again."""
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd to count descriptors in")
+        argv = ["decompose", "--variety", "projspace", "--d", "2", "--p", "2", "--e", "1"]
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            with open(write_end, "w") as stdout, monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", stdout)
+                assert cli.main(argv) == 1
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_semiprime_p_is_1(self, capsys):
         p = str(1000000007 * 1000000009)
