@@ -3,7 +3,8 @@
 Every function here returns a ``Decomposition`` of F^e_* of a line bundle
 (usually the structure sheaf) as an exact multiset of lattice classes.  The
 multiplicities are polynomials or piecewise polynomials in q = p^e; zero
-entries are always dropped so support comparisons are canonical.
+entries are always dropped so support comparisons are canonical.  Every
+builder answers at every q.
 
 Most formulas are sums over the q residues j = 0..q-1 of one coordinate.  On
 each run of j where the floor parts of the twists stay constant
@@ -22,7 +23,6 @@ of q, not on q.
 from __future__ import annotations
 
 from operator import mul
-from typing import Mapping, Optional
 
 from .combinat import (
     PrimePower,
@@ -33,7 +33,7 @@ from .combinat import (
     floor_residue,
     range_sum_weights,
 )
-from .errors import InvalidParameterError, OutOfRegimeError
+from .errors import InvalidParameterError
 from .picard import (
     Decomposition,
     Hirzebruch,
@@ -45,16 +45,6 @@ from .picard import (
     Spinor,
     VeroneseConeBlowup,
 )
-
-
-def _from_counts(variety, counts: Mapping, spinors: Optional[list[int]] = None) -> Decomposition:
-    """The decomposition with multiplicity ``counts[coords]`` at each class, in
-    the variety's default basis.  Quadrics also pass their spinor twists,
-    whose multiplicities are unknown, and get a support-only result."""
-    if spinors is None:
-        return Decomposition(variety, counts.items())
-    return Decomposition(variety, [*counts.items(), *((Spinor(j), None) for j in spinors)],
-                         support_only=True)
 
 
 def pushforward_projective_space(d: int, n: int, fp: PrimePower) -> Decomposition:
@@ -73,7 +63,7 @@ def pushforward_product(r: int, s: int, u: int, v: int, fp: PrimePower) -> Decom
     l, n = floor_residue(v, fp.q)
     left, right = composition_row(m, r, fp), composition_row(n, s, fp)
     counts = {(k - i, l - j): a * b for i, a in enumerate(left) for j, b in enumerate(right)}
-    return _from_counts(variety, counts)
+    return Decomposition(variety, counts.items())
 
 
 def pushforward_hirzebruch(eps: int, u: int, v: int, fp: PrimePower) -> Decomposition:
@@ -102,7 +92,7 @@ def pushforward_hirzebruch(eps: int, u: int, v: int, fp: PrimePower) -> Decompos
             top, below = (c0, fl), (c0, fl - 1)
             counts[top] = get(top, 0) + res_sum + count
             counts[below] = get(below, 0) + (q - 1) * count - res_sum
-    return _from_counts(variety, counts)
+    return Decomposition(variety, counts.items())
 
 
 def pushforward_linear_blowup(d: int, r: int, fp: PrimePower) -> Decomposition:
@@ -135,7 +125,7 @@ def pushforward_linear_blowup(d: int, r: int, fp: PrimePower) -> Decomposition:
         for i, factor in enumerate(factors)
         for k in range(d - r + 1)
     }
-    return _from_counts(variety, counts)
+    return Decomposition(variety, counts.items())
 
 
 def pushforward_veronese_cone(
@@ -144,7 +134,7 @@ def pushforward_veronese_cone(
     """F^e_* O(n*H + n'*H') on the blowup of the Veronese cone, in the
     ("H", "H'") basis with E = H - eps*H'.
 
-    Valid in the regime q >= eps - n' >= 1, for residues n, n' in [0, q-1].
+    For residues n, n' in [0, q-1], at every q (q < eps included).
     Residues j = 0..n contribute O((floor - l)*H') and residues
     j = 1..q-1-n contribute O(-E + (floor - l)*H') = O(-H + (floor - l + eps)*H'),
     where eps*j + n' (respectively -eps*j + n') splits as floor/residue m in
@@ -158,10 +148,6 @@ def pushforward_veronese_cone(
         raise InvalidParameterError(
             f"bundle residues must lie in [0, q-1]; got (n={n}, n'={nprime}, q={q})"
         )
-    if not q >= eps - nprime >= 1:
-        raise OutOfRegimeError(
-            f"needs q >= eps - n' >= 1; got q={q}, eps={eps}, n'={nprime}"
-        )
     counts: dict = {}
     get = counts.get
     # (slope in j, first and last j, H-coordinate, H'-offset of the class)
@@ -174,7 +160,7 @@ def pushforward_veronese_cone(
             for l, total in enumerate(sums):
                 key = (h, fl - l + offset)
                 counts[key] = get(key, 0) + total
-    return _from_counts(variety, counts)
+    return Decomposition(variety, counts.items())
 
 
 def pushforward_segre_cone(
@@ -211,7 +197,7 @@ def pushforward_segre_cone(
             for l, rl in enumerate(right):
                 key = (h, f1 - k, f2 - l)
                 counts[key] = get(key, 0) + sum(map(mul, lk, rl))
-    return _from_counts(variety, counts)
+    return Decomposition(variety, counts.items())
 
 
 def quadric_pushforward_support(d: int, fp: PrimePower) -> Decomposition:
@@ -245,5 +231,6 @@ def quadric_pushforward_support(d: int, fp: PrimePower) -> Decomposition:
             present = lo <= mid <= hi
         if present:
             spinors.append(j)
-    return _from_counts(variety, lines, spinors)
+    return Decomposition(variety, [*lines.items(), *((Spinor(j), None) for j in spinors)],
+                         support_only=True)
 

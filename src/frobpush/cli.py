@@ -1,7 +1,7 @@
 """Command-line surface: decompose, kernel, local, and verify subcommands.
 
 Exit codes are a stable contract: 0 success, 1 computation-domain error
-(or stdout closed early), 2 usage error, 3 out-of-regime input.  All numeric
+(or stdout closed early), 2 usage error.  All numeric
 JSON output uses decimal strings (multiplicities, ranks) or num/den string
 pairs (rationals) so that arbitrary precision survives any consumer.  Every
 ``--format json`` document is exactly the bytes of ``json.dumps(doc,
@@ -26,14 +26,13 @@ from typing import Optional
 
 from . import families, localalg, positivity
 from .combinat import PrimePower
-from .errors import FrobpushError, InvalidParameterError, OutOfRegimeError
-from .picard import Decomposition, Line, Spinor, VarietyDescriptor
+from .errors import FrobpushError, InvalidParameterError
+from .picard import DESCRIPTORS, Decomposition, Line, Spinor, VarietyDescriptor
 from .positivity import Verdict
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
-EXIT_REGIME = 3
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +356,12 @@ def render_verdict(verdict: Verdict) -> str:
 
 VARIETIES = tuple(families.FAMILIES)
 
+# The integer descriptor flags: every declared field but ``kind``, in the
+# order of the declarations.
+FIELDS = tuple(dict.fromkeys(
+    name for cls in DESCRIPTORS for name in cls.__slots__ if name != "kind"
+))
+
 
 def _parse_bundle(parser: argparse.ArgumentParser, raw: Optional[str], arity: int) -> list[int]:
     if raw is None:
@@ -564,10 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--kind", choices=tuple(families.CONE_KINDS))
             p.add_argument("--bundle", help="bundle coordinates, e.g. '0' or '0,1'; write a "
                            "negative first coordinate as --bundle=-1,0")
-        p.add_argument("--d", type=int)
-        p.add_argument("--r", type=int)
-        p.add_argument("--s", type=int)
-        p.add_argument("--eps", type=int)
+        for name in FIELDS:
+            p.add_argument(f"--{name}", type=int)
         p.add_argument("--p", type=int, required=True, help="characteristic (prime)")
         p.add_argument("--e", type=int, required=True, help="Frobenius exponent")
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -633,9 +636,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         finally:
             os.close(devnull)
         return EXIT_DOMAIN
-    except OutOfRegimeError as exc:
-        print(f"out of regime: {exc}", file=sys.stderr)
-        return EXIT_REGIME
     except FrobpushError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

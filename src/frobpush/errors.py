@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all frobpush modules.
 
-Domain errors (bad mathematical input) and regime errors (input outside
-the range where a closed form is valid) are kept distinct because the
-command line maps them to different exit codes.
+Every error here is a computation-domain error, bad mathematical input or a
+question the data cannot answer, and the command line maps each to exit
+code 1.  Every builder answers at every q: no error marks an input outside
+a formula's range.
 """
 
 
@@ -12,10 +13,6 @@ class FrobpushError(Exception):
 
 class InvalidParameterError(FrobpushError):
     """A precondition on a numeric parameter was violated."""
-
-
-class OutOfRegimeError(FrobpushError):
-    """Input is valid but outside the regime where this formula applies."""
 
 
 class LatticeMismatchError(FrobpushError):

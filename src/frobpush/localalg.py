@@ -19,8 +19,7 @@ the counts as a decomposition.  The count of the trivial class is the e-th
 F-splitting number; divided by q^dim it is the e-th convergent of the
 F-signature.  Closed forms for these counts are regression data, checked in
 ``verify`` with the box count itself; the tests also check the
-Veronese-type counts against the blowup at the vertex, wherever its regime
-holds.
+Veronese-type counts against the blowup at the vertex, at every q.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Optional
 
-from .catalog import _from_counts
 from .combinat import PrimePower, composition_row, eulerian
 from .picard import ConeKind, ConeP, Decomposition, SegreCone
 
@@ -93,8 +91,8 @@ def cone_pushforward(kind: ConeKind, fp: PrimePower) -> Decomposition:
     the ruling; the Segre cone uses the affine-chart generator L, the class
     of L1 with L1 + L2 ~ 0 imposed, and classes -r <= i <= s.
     """
-    counts = {(i,): mult for i, mult in _class_counts(kind, fp).items()}
-    return _from_counts(ConeP(kind), counts)
+    counts = _class_counts(kind, fp)
+    return Decomposition(ConeP(kind), [((i,), mult) for i, mult in counts.items()])
 
 
 def splitting_number(kind: ConeKind, fp: PrimePower) -> int:

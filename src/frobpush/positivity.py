@@ -13,6 +13,7 @@ section-count identities on P^d are regression data, kept in ``verify``.
 from __future__ import annotations
 
 import enum
+from operator import add
 from typing import Optional
 
 from . import restriction
@@ -27,6 +28,7 @@ from .picard import (
     Spinor,
     Summand,
     VarietyDescriptor,
+    change_basis,
 )
 from .value import Value
 
@@ -70,19 +72,33 @@ def trace_kernel(
     return _structure_pushforward(variety, fp, pushforward).remove_trivial().dual()
 
 
+def _canonical(variety: VarietyDescriptor) -> tuple[int, ...]:
+    """K of a split ``variety`` in its default basis, read from its declared
+    bundle P(E) -> B: (-rank E, K_B + det E), minus the sum of the Cox
+    degrees."""
+    base, twists = variety.bundle()
+    return (-len(twists), *map(add, _canonical(base) if base else (), map(sum, zip(*twists))))
+
+
 def _structure_pushforward(
     variety: VarietyDescriptor, fp: PrimePower, pushforward: Optional[Decomposition]
 ) -> Decomposition:
     """F^e_* O on a split ``variety`` at ``fp``: built when ``pushforward`` is
     None, else ``pushforward``, refused unless it lives on ``variety`` with
-    rank q^dim."""
+    rank q^n and determinant q^(n-1)(q-1)/2 * K, n = dim.  By
+    Grothendieck-Riemann-Roch det F^e_* L = q^(n-1) L + q^(n-1)(q-1)/2 * K,
+    so the determinant fixes L = O."""
     if pushforward is None:
         return structure_pushforward(variety, fp)
-    if pushforward.variety != variety or pushforward.rank() != fp.q**variety.dim:
-        raise InvalidParameterError(
-            f"the pushforward given is not F^e_* O of {variety} at q={fp.q}"
-        )
-    return pushforward
+    q, n = fp.q, variety.dim
+    if pushforward.variety == variety and pushforward.rank() == q**n:
+        default = pushforward
+        if default.basis != variety.bases[0]:
+            default = change_basis(default, variety.bases[0])
+        det = tuple(q ** (n - 1) * (q - 1) * k // 2 for k in _canonical(variety))
+        if default.det().coords == det:
+            return pushforward
+    raise InvalidParameterError(f"the pushforward given is not F^e_* O of {variety} at q={q}")
 
 
 def ample_verdict(decomp: Decomposition) -> Verdict:
@@ -119,9 +135,9 @@ def kernel_restriction_verdict(
     when given, is F^e_* O already built, as for ``trace_kernel``.  A trivial
     summand of multiplicity >= 2 there (one copy beyond the canonical split
     copy) puts a trivial summand in the restricted dual kernel.  When the
-    extra trivial copy is absent (ruled surfaces far below the regime
-    q >= eps), a positive-degree summand of the restriction serves instead:
-    its dual is a negative summand of the restricted kernel.
+    extra trivial copy is absent (ruled surfaces at q < eps, say), a
+    positive-degree summand of the restriction serves instead: its dual is a
+    negative summand of the restricted kernel.
     """
     divisor = family_of(variety).divisor
     if divisor is None:

@@ -525,6 +525,46 @@ class TestOnePassParse:
         assert outcomes() == one_pass
 
 
+# The usage lines at 80 columns, as the parser printed them when each
+# descriptor flag was written out by hand.
+USAGE = {
+    "decompose": (
+        "usage: frobpush decompose [-h] --variety\n"
+        "                          {projspace,product,hirzebruch,blowup-linear,veronese-cone,"
+        "segre-cone,quadric,cone-p}\n"
+        "                          [--kind {rnc,veronese,segre}] [--bundle BUNDLE]\n"
+        "                          [--d D] [--r R] [--s S] [--eps EPS] --p P --e E\n"
+        "                          [--format {text,json}]\n"
+    ),
+    "kernel": (
+        "usage: frobpush kernel [-h] --variety\n"
+        "                       {projspace,product,hirzebruch,blowup-linear,veronese-cone,"
+        "segre-cone,quadric,cone-p}\n"
+        "                       [--kind {rnc,veronese,segre}] [--bundle BUNDLE] [--d D]\n"
+        "                       [--r R] [--s S] [--eps EPS] --p P --e E\n"
+        "                       [--format {text,json}]\n"
+    ),
+    "local": (
+        "usage: frobpush local [-h] --kind {rnc,veronese,segre} [--d D] [--r R] [--s S]\n"
+        "                      [--eps EPS] --p P --e E [--format {text,json}]\n"
+    ),
+    "verify": (
+        "usage: frobpush verify [-h] --suite {identities,oracles,fixtures,all}\n"
+        "                       [--max-d MAX_D] [--max-e MAX_E] [--primes PRIMES]\n"
+        "                       [--jobs JOBS] [--verbose] [--format {text,json}]\n"
+    ),
+}
+
+
+def test_usage_lines_are_pinned(monkeypatch):
+    # The descriptor flags are the declared fields, minus ``kind``, in the
+    # order of the declarations.
+    assert cli.FIELDS == ("d", "r", "s", "eps")
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = cli.build_parser()
+    assert {name: sub.format_usage() for name, sub in parser.commands.items()} == USAGE
+
+
 def test_cli_import_is_lazy():
     """Building the parser loads no suites and no process pool; a serial
     ``verify`` loads the suites but no pool, nor ``dataclasses`` and the
@@ -611,13 +651,19 @@ class TestExitCodes:
         assert code == 1
         assert "prime" in err
 
-    def test_out_of_regime_is_3(self, capsys):
-        code, _, err = run_cli(
-            capsys, "decompose", "--variety", "veronese-cone", "--d", "2",
-            "--eps", "3", "--p", "2", "--e", "1",
-        )
-        assert code == 3
-        assert "q >= eps" in err
+    def test_veronese_cone_below_eps_is_0(self, capsys):
+        # q = 2 < eps = 3: the Veronese cone blowup answers at every q, and
+        # a Picard-rank-2 P^1-bundle has no ample trace kernel.
+        fields = ("--variety", "veronese-cone", "--eps", "3", "--p", "2", "--e", "1",
+                  "--format", "json")
+        code, out, err = run_cli(capsys, "decompose", "--d", "2", *fields)
+        assert (code, err) == (0, "")
+        assert cli.decomposition_from_json(json.loads(out)).rank() == 2**3
+        code, out, err = run_cli(capsys, "kernel", "--d", "1", *fields)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["verdict"]["status"] == "NotAmpleWithWitness"
+        assert cli.decomposition_from_json(doc["kernel"]).rank() == 2**2 - 1
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -29,9 +29,14 @@ from frobpush.combinat import (
     composition_sums,
     composition_table,
 )
-from frobpush.errors import OutOfRegimeError
 from frobpush.localalg import cone_pushforward, splitting_number
-from frobpush.picard import PicClass, RationalNormalCone, SegreCone, VeroneseCone
+from frobpush.picard import (
+    PicClass,
+    RationalNormalCone,
+    SegreCone,
+    VeroneseCone,
+    VeroneseConeBlowup,
+)
 from frobpush.verify import determinant_twist_sum
 
 FIELDS = [
@@ -132,6 +137,51 @@ def segre_shifted_t_loop(r, s, fp):
     }
 
 
+# ---------------------------------------------------------------------------
+# Thomsen's count in Cox coordinates (J. F. Thomsen, J. Algebra 226, 2000;
+# P. Achinger, IMRN 2015): on a smooth projective toric variety whose Cox
+# variables have degrees deg_1..deg_N, F^e_* O(D) is the sum, over the rho in
+# [0, q-1]^N with D - sum rho_i deg_i in q Pic, of O((D - sum rho_i deg_i)/q).
+# ---------------------------------------------------------------------------
+
+
+def cox_degrees(variety):
+    """The Cox degrees of a declared projective bundle P(E) -> B, in its
+    default basis: (1, -b) for each twist b of E, then (0, c) for each Cox
+    degree c of B."""
+    base, twists = variety.bundle()
+    below = cox_degrees(base) if base else []
+    return [(1, *(-t for t in twist)) for twist in twists] + [(0, *c) for c in below]
+
+
+def test_veronese_cone_matches_thomsen_count_at_every_residue_pair():
+    # 648 residue pairs at q <= 5, d <= 2 and eps <= 6; 268 of them have
+    # eps - n' > q or eps - n' < 1.
+    pairs = outside = 0
+    for fp in (PrimePower(2, 1), PrimePower(3, 1), PrimePower(2, 2), PrimePower(5, 1)):
+        q = fp.q
+        for d in (1, 2):
+            for eps in range(1, 7):
+                degrees = cox_degrees(VeroneseConeBlowup(d, eps))
+                assert len(degrees) == d + 3
+                # sum rho_i deg_i for every rho in [0, q-1]^(d+3), by value.
+                sums = Counter(
+                    tuple(map(sum, zip(*[[r * c for c in deg] for r, deg in zip(rho, degrees)])))
+                    for rho in itertools.product(range(q), repeat=len(degrees))
+                )
+                for n, nprime in itertools.product(range(q), repeat=2):
+                    want = {
+                        ((n - a) // q, (nprime - b) // q): mult
+                        for (a, b), mult in sums.items()
+                        if (n - a) % q == (nprime - b) % q == 0
+                    }
+                    got = as_map(pushforward_veronese_cone(d, eps, n, nprime, fp))
+                    assert got == want, (q, d, eps, n, nprime)
+                    pairs += 1
+                    outside += not q >= eps - nprime >= 1
+    assert (pairs, outside) == (648, 268)
+
+
 @given(fields, st.integers(1, 3), st.integers(1, 6), st.data())
 def test_veronese_oracle_matches_j_loop(fp, d, eps, data):
     # Any residue pair, the out-of-regime ones too.
@@ -201,10 +251,6 @@ def test_linear_blowup_matches_loop(fp, d, data):
 @given(fields, st.integers(1, 3), st.integers(1, 6), st.data())
 def test_veronese_cone_matches_loop(fp, d, eps, data):
     n, nprime = residue(data, fp), residue(data, fp)
-    if not fp.q >= eps - nprime >= 1:
-        with pytest.raises(OutOfRegimeError):
-            pushforward_veronese_cone(d, eps, n, nprime, fp)
-        return
     got = as_map(pushforward_veronese_cone(d, eps, n, nprime, fp))
     assert got == verify.veronese_loop(d, eps, n, nprime, fp)
 
@@ -262,20 +308,6 @@ class TestLoopOracleSuite:
                 result = verify.run_case(case)
                 assert result.status == "PASS", result
                 assert "classes" in result.detail
-
-    def test_veronese_direct_skips_what_the_builder_refuses(self, monkeypatch):
-        # The regime gate is the builder's alone: every case it refuses is
-        # reported as skipped, whatever its parameters.
-        def refuse(*args):
-            raise OutOfRegimeError("refused")
-
-        monkeypatch.setattr(catalog, "pushforward_veronese_cone", refuse)
-        cases = verify.build_cases("oracles", max_d=3, max_e=1, primes=(2, 3))
-        cases = [case for case in cases if case[0] == "veronese-direct"]
-        assert len(cases) == 46
-        for case in cases:
-            result = verify.run_case(case)
-            assert (result.status, result.detail) == ("PASS", "skipped (out of regime)"), result
 
     def test_general_twists_skipped_above_cap(self):
         assert 7**3 <= verify.LOOP_Q_CAP < 5**4

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from frobpush import positivity
+from frobpush.catalog import pushforward_hirzebruch
 from frobpush.combinat import PrimePower, composition_count
 from frobpush.errors import InvalidParameterError, UnsupportedConeError
 from frobpush.families import structure_pushforward
@@ -22,6 +23,7 @@ from frobpush.picard import (
     SegreConeBlowup,
     Spinor,
     VeroneseConeBlowup,
+    change_basis,
 )
 from frobpush.positivity import (
     VerdictStatus,
@@ -80,6 +82,23 @@ class TestTraceKernel:
         pushforward = structure_pushforward(Hirzebruch(2), PrimePower(2, 1))
         with pytest.raises(InvalidParameterError):
             trace_kernel(Hirzebruch(2), PrimePower(3, 1), pushforward)
+
+    def test_rejects_the_pushforward_of_a_nontrivial_bundle(self):
+        # F^e_* O(f) on F_2 at q = 3 has rank q^2 and two trivial summands,
+        # but its determinant is q*f + q(q-1)/2 * K, not q(q-1)/2 * K.
+        fp = PrimePower(3, 1)
+        pushforward = pushforward_hirzebruch(2, 0, 1, fp)
+        assert pushforward.rank() == 9 and pushforward.trivial_multiplicity() == 2
+        with pytest.raises(InvalidParameterError):
+            trace_kernel(Hirzebruch(2), fp, pushforward)
+        with pytest.raises(InvalidParameterError):
+            kernel_restriction_verdict(Hirzebruch(2), fp, pushforward)
+
+    def test_accepts_a_blowup_pushforward_in_either_basis(self):
+        fp, variety = PrimePower(3, 1), LinearBlowup(3, 1)
+        pushforward = structure_pushforward(variety, fp)
+        kernel = trace_kernel(variety, fp, change_basis(pushforward, ("H", "E")))
+        assert kernel == change_basis(trace_kernel(variety, fp, pushforward), ("H", "E"))
 
 
 def one_summand(variety, coords) -> Decomposition:
@@ -167,11 +186,23 @@ class TestRestrictionVerdicts:
         assert verdict.status is VerdictStatus.NOT_AMPLE_WITH_WITNESS
         assert max(verdict.witness.summand.cls.coords) < 0
 
+    def test_veronese_cone_below_eps(self):
+        # A Picard-rank-2 P^1-bundle never has an ample trace kernel: at
+        # q < eps too.
+        for fp in (PrimePower(2, 1), PrimePower(3, 1), PrimePower(2, 2), PrimePower(5, 1)):
+            for d in (1, 2, 3):
+                for eps in range(fp.q + 1, 9):
+                    verdict = kernel_restriction_verdict(VeroneseConeBlowup(d, eps), fp)
+                    assert verdict.status is VerdictStatus.NOT_AMPLE_WITH_WITNESS, (fp, d, eps)
+                    assert verdict.witness.divisor == "E"
+
     def test_one_trivial_copy_is_no_witness(self):
-        # The restriction has one trivial copy (the split one) and only
-        # negative summands besides: no certificate.
-        pushforward = Decomposition(Hirzebruch(1), [((0, 0), 1), ((0, -1), 3)])
-        verdict = kernel_restriction_verdict(Hirzebruch(1), PrimePower(2, 1), pushforward)
+        # Rank 2^5 and determinant 8*K = (-16, -32), as F^e_* O has at q = 2,
+        # but the restriction to E, (x, y) -> y, has one trivial copy (the
+        # split one) and only negative summands besides: no certificate.
+        variety = VeroneseConeBlowup(4, 1)
+        pushforward = Decomposition(variety, [((0, 0), 1), ((0, -1), 30), ((-16, -2), 1)])
+        verdict = kernel_restriction_verdict(variety, PrimePower(2, 1), pushforward)
         assert verdict.status is VerdictStatus.UNKNOWN
         assert verdict.witness is None
         assert verdict.notes == ("no certificate found",)
