@@ -1,7 +1,8 @@
 """Command-line surface: decompose, kernel, local, and verify subcommands.
 
 Exit codes are a stable contract: 0 success, 1 computation-domain error
-(or stdout closed early), 2 usage error.  All numeric
+(or stdout closed early), 2 usage error (a descriptor flag the chosen family
+does not declare among them).  All numeric
 JSON output uses decimal strings (multiplicities, ranks) or num/den string
 pairs (rationals) so that arbitrary precision survives any consumer.  Every
 ``--format json`` document is exactly the bytes of ``json.dumps(doc,
@@ -10,8 +11,10 @@ they were built.  ``_json_text`` writes them in one pass, since the stdlib
 runs its indenting encoder in pure Python.
 
 ``main`` builds its parser once per process and reuses it on every later
-call, and the parser reads each argv once, with the named subcommand's
-parser; ``verify`` is imported only when the ``verify`` subcommand runs.
+call, and the parser reads each argv once: a regular argv (exact store flags
+only, see ``_Flags.read``) from the subcommand's flag table, without
+argparse, and any other with argparse, so every usage error is argparse's.
+``verify`` is imported only when the ``verify`` subcommand runs.
 """
 
 from __future__ import annotations
@@ -376,10 +379,12 @@ def _parse_bundle(parser: argparse.ArgumentParser, raw: Optional[str], arity: in
 
 
 def _descriptor(
-    parser: argparse.ArgumentParser, args: argparse.Namespace, cls: type, label: str
+    parser: argparse.ArgumentParser, args: argparse.Namespace, cls: type, flag: str
 ):
-    """Build ``cls`` from the flags named after its fields; ``label`` names
-    the selecting flag in usage errors."""
+    """Build ``cls`` from the flags named after its fields; ``flag`` is the
+    flag that selected ``cls``.  A descriptor flag that is neither ``flag``
+    nor a field of ``cls`` (or of a cone-p's kind) is a usage error."""
+    label = f"--{flag} {getattr(args, flag)}"
 
     def value(name: str):
         got = getattr(args, name)
@@ -387,6 +392,13 @@ def _descriptor(
             parser.error(f"--{name} is required for {label}")
         return got
 
+    declared, where = {flag, *cls.__slots__}, label
+    if "kind" in cls.__slots__:
+        where += f" --kind {value('kind')}"
+        declared.update(families.CONE_KINDS[args.kind].__slots__)
+    for name in ("kind", *FIELDS):
+        if name not in declared and getattr(args, name) is not None:
+            parser.error(f"--{name} is not a parameter of {where}")
     return families.build_descriptor(cls, value)
 
 
@@ -403,7 +415,7 @@ def _build_decomposition(
     bundle = _parse_bundle(parser, args.bundle, len(cls.bases[0]))
     if cls.structure_only:
         _require_zero(parser, bundle, f"--variety {args.variety}")
-    variety = _descriptor(parser, args, cls, f"--variety {args.variety}")
+    variety = _descriptor(parser, args, cls, "variety")
     return families.build(variety, tuple(bundle), fp)
 
 
@@ -429,7 +441,7 @@ def cmd_kernel(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     # The trace kernel is always that of O (the canonical twist on quadrics).
     _require_zero(parser, _parse_bundle(parser, args.bundle, len(cls.bases[0])), "kernel")
     if args.variety == "quadric":
-        quadric = _descriptor(parser, args, cls, label)
+        quadric = _descriptor(parser, args, cls, "variety")
         report = positivity.quadric_kernel_verdict(quadric.d, fp)
         kernel = report.support.remove_trivial()
         if args.format == "json":
@@ -452,7 +464,7 @@ def cmd_kernel(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         return EXIT_OK
     if not cls.split:
         parser.error(f"{label} has no kernel verdict")
-    variety = _descriptor(parser, args, cls, label)
+    variety = _descriptor(parser, args, cls, "variety")
     pushforward = families.structure_pushforward(variety, fp)
     kernel = positivity.trace_kernel(variety, fp, pushforward)
     if cls.divisor is None:
@@ -473,7 +485,7 @@ def cmd_kernel(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 def cmd_local(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     fp = PrimePower(args.p, args.e)
-    kind = _descriptor(parser, args, families.CONE_KINDS[args.kind], f"--kind {args.kind}")
+    kind = _descriptor(parser, args, families.CONE_KINDS[args.kind], "kind")
     number = localalg.splitting_number(kind, fp)
     convergent = localalg.f_signature_convergent(kind, fp, number)
     signature = localalg.f_signature(kind)
@@ -524,25 +536,75 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return EXIT_OK if failed == 0 else EXIT_DOMAIN
 
 
+class _Flags:
+    """One subcommand's flag table, read from the actions its
+    ``add_argument`` calls return: each store flag by option string, the
+    required ones, and every destination's value before any flag is read,
+    the ``set_defaults`` values among them."""
+
+    def __init__(self, parser: argparse.ArgumentParser, handler) -> None:
+        self.defaults = {"handler": handler, "parser": parser}
+        parser.set_defaults(**self.defaults)
+        self.parser = parser
+        self.options: dict[str, argparse.Action] = {}
+        self.required: list[argparse.Action] = []
+
+    def add(self, *names: str, **kwargs) -> None:
+        action = self.parser.add_argument(*names, **kwargs)
+        self.defaults[action.dest] = action.default
+        if "action" not in kwargs:  # a store flag: one value, nargs None
+            self.options.update(dict.fromkeys(action.option_strings, action))
+            if action.required:
+                self.required.append(action)
+
+    def read(self, argv: list[str]) -> Optional[argparse.Namespace]:
+        """The namespace argparse gives a regular argv, else None.  Regular:
+        exact store flags only, each ``--flag=value`` or ``--flag value`` with
+        a value not starting with ``-``, no value ``--``, each value passing its ``type`` and
+        ``choices``, and every required flag given; the last of a repeated
+        flag wins, as in argparse."""
+        values, seen, tokens = dict(self.defaults), set(), iter(argv)
+        for token in tokens:
+            flag, eq, value = token.partition("=")
+            if not eq:
+                value = next(tokens, "-")  # no value left reads as a flag
+            action = self.options.get(flag)
+            # argparse 3.11 and older read a value "--" as no value at all.
+            if action is None or value == "--" or not eq and value.startswith("-"):
+                return None
+            try:
+                value = value if action.type is None else action.type(value)
+            except ValueError:
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+            seen.add(action)
+        return argparse.Namespace(**values) if seen.issuperset(self.required) else None
+
+
 class _CommandParser(argparse.ArgumentParser):
     """The top-level parser, which parses each argv once.
 
-    When ``argv[0]`` names a subcommand, the rest of argv goes straight to
-    that subcommand's parser, as argparse's nested parse would hand it on,
-    and ``command`` is set to the name.  Everything else takes argparse's
-    nested parse: an empty argv, ``-h``, an unknown or misplaced subcommand,
-    a given namespace, and any argv that leaves arguments over, so every
-    usage error is printed by the parser that prints it in the nested parse
-    (``unrecognized arguments`` by this one).
+    When ``argv[0]`` names a subcommand, ``command`` is set to the name and
+    the rest of argv is read by that subcommand's flag table when it is
+    regular (``_Flags.read``), else by its parser, as argparse's nested
+    parse would hand it on.  Everything else takes argparse's nested parse:
+    an empty argv, ``-h``, an unknown or misplaced subcommand, a given
+    namespace, and any argv that leaves arguments over.  So every usage
+    error is argparse's, printed by the parser that prints it in the nested
+    parse (``unrecognized arguments`` by this one).
     """
 
-    commands: dict  # subcommand name -> its parser, set by build_parser
+    commands: dict  # subcommand name -> its _Flags, set by build_parser
 
     def parse_known_args(self, args=None, namespace=None):
         argv = sys.argv[1:] if args is None else list(args)
         command = self.commands.get(argv[0]) if argv and namespace is None else None
         if command is not None:
-            parsed, extras = command.parse_known_args(argv[1:])
+            parsed, extras = command.read(argv[1:]), []
+            if parsed is None:
+                parsed, extras = command.parser.parse_known_args(argv[1:])
             if not extras:
                 parsed.command = argv[0]
                 return parsed, extras
@@ -551,9 +613,9 @@ class _CommandParser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``frobpush`` parser: four subcommands, each a plain
-    ``argparse.ArgumentParser``.  Its ``parse_args`` parses argv once, with
-    the named subcommand's parser (see ``_CommandParser``), so a caller that
-    wraps ``parse_args`` still sees every parse."""
+    ``argparse.ArgumentParser`` with a flag table.  Its ``parse_args``
+    parses argv once (see ``_CommandParser``), so a caller that wraps
+    ``parse_args`` still sees every parse."""
     parser = _CommandParser(
         prog="frobpush",
         description="Exact Frobenius pushforward decompositions, trace-kernel "
@@ -561,46 +623,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=argparse.ArgumentParser)
-    parser.commands = sub.choices
+    parser.commands = {}
 
-    def add_common(p: argparse.ArgumentParser, with_variety: bool = True) -> None:
+    def add_command(name: str, handler, help: str) -> _Flags:
+        parser.commands[name] = _Flags(sub.add_parser(name, help=help), handler)
+        return parser.commands[name]
+
+    def add_common(flags: _Flags, with_variety: bool = True) -> None:
         if with_variety:
-            p.add_argument("--variety", choices=VARIETIES, required=True)
-            p.add_argument("--kind", choices=tuple(families.CONE_KINDS))
-            p.add_argument("--bundle", help="bundle coordinates, e.g. '0' or '0,1'; write a "
-                           "negative first coordinate as --bundle=-1,0")
+            flags.add("--variety", choices=VARIETIES, required=True)
+            flags.add("--kind", choices=tuple(families.CONE_KINDS))
+            flags.add("--bundle", help="bundle coordinates, e.g. '0' or '0,1'; write a "
+                      "negative first coordinate as --bundle=-1,0")
         for name in FIELDS:
-            p.add_argument(f"--{name}", type=int)
-        p.add_argument("--p", type=int, required=True, help="characteristic (prime)")
-        p.add_argument("--e", type=int, required=True, help="Frobenius exponent")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+            flags.add(f"--{name}", type=int)
+        flags.add("--p", type=int, required=True, help="characteristic (prime)")
+        flags.add("--e", type=int, required=True, help="Frobenius exponent")
+        flags.add("--format", choices=("text", "json"), default="text")
 
-    decompose = sub.add_parser("decompose", help="print a pushforward decomposition")
-    decompose.set_defaults(handler=cmd_decompose, parser=decompose)
-    add_common(decompose)
+    add_common(add_command("decompose", cmd_decompose, "print a pushforward decomposition"))
+    add_common(add_command("kernel", cmd_kernel, "print the trace kernel and its verdict"))
 
-    kernel = sub.add_parser("kernel", help="print the trace kernel and its verdict")
-    kernel.set_defaults(handler=cmd_kernel, parser=kernel)
-    add_common(kernel)
-
-    local = sub.add_parser("local", help="splitting number, convergent, F-signature")
-    local.set_defaults(handler=cmd_local, parser=local)
-    local.add_argument("--kind", choices=tuple(families.CONE_KINDS), required=True)
+    local = add_command("local", cmd_local, "splitting number, convergent, F-signature")
+    local.add("--kind", choices=tuple(families.CONE_KINDS), required=True)
     add_common(local, with_variety=False)
 
-    ver = sub.add_parser("verify", help="run the batch verification suites")
-    ver.set_defaults(handler=cmd_verify, parser=ver)
+    ver = add_command("verify", cmd_verify, "run the batch verification suites")
     # verify.SUITES + ("all",), spelled out so that building the parser
     # does not import verify.
-    ver.add_argument("--suite", choices=("identities", "oracles", "fixtures", "all"),
-                     required=True)
-    ver.add_argument("--max-d", type=int, default=3, dest="max_d")
-    ver.add_argument("--max-e", type=int, default=2, dest="max_e")
-    ver.add_argument("--primes", default="2,3,5")
-    ver.add_argument("--jobs", type=int, default=1)
-    ver.add_argument("--verbose", action="store_true", help="print passing cases too")
-    ver.add_argument("--format", choices=("text", "json"), default="text",
-                     help="json: every case with its time, and per-suite totals")
+    ver.add("--suite", choices=("identities", "oracles", "fixtures", "all"), required=True)
+    ver.add("--max-d", type=int, default=3, dest="max_d")
+    ver.add("--max-e", type=int, default=2, dest="max_e")
+    ver.add("--primes", default="2,3,5")
+    ver.add("--jobs", type=int, default=1)
+    ver.add("--verbose", action="store_true", help="print passing cases too")
+    ver.add("--format", choices=("text", "json"), default="text",
+            help="json: every case with its time, and per-suite totals")
 
     return parser
 

@@ -4,6 +4,8 @@ import argparse
 import contextlib
 import functools
 import importlib
+import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -13,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobpush import cli, families, verify
@@ -452,9 +454,61 @@ def take_nested_parse(parser):
                                                 parser)
 
 
+# Each subcommand's required store flags, then its other store flags.
+FUZZ_COMMANDS = {
+    "decompose": (("--variety", "--p", "--e"),
+                  ("--kind", "--bundle", "--d", "--r", "--s", "--eps", "--format")),
+    "local": (("--kind", "--p", "--e"), ("--d", "--r", "--s", "--eps", "--format")),
+    "verify": (("--suite",), ("--max-d", "--max-e", "--primes", "--jobs", "--format")),
+}
+FUZZ_COMMANDS["kernel"] = FUZZ_COMMANDS["decompose"]
+FUZZ_GOOD = {
+    "--variety": ("projspace", "cone-p"), "--kind": ("rnc", "segre"), "--bundle": ("0", "0,1"),
+    "--d": ("1", "2"), "--r": ("1",), "--s": ("2",), "--eps": ("3",), "--p": ("2", "3"),
+    "--e": ("1",), "--format": ("text", "json"), "--suite": ("identities", "all"),
+    "--max-d": ("1",), "--max-e": ("2",), "--primes": ("2,3",), "--jobs": ("1", "2"),
+}
+# Negative, non-integer, empty and bad-choice values, and flags in value place.
+FUZZ_BAD = ("-1", "-1,0", "x", "", "1.5", "yaml", "--d", "--")
+# Abbreviations, help, the separator, a flag argparse stores no value for,
+# and leftover words.
+FUZZ_ODD = ("--var=projspace", "--var", "--form", "-h", "--", "--verbose", "extra",
+            "decompose")
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    required, optional = FUZZ_COMMANDS[command]
+    # Each required flag is dropped, each value bad and each odd word added
+    # 1 time in 4, so that about one argv in five is regular.
+    rarely = st.sampled_from((False, False, False, True))
+    flags = [flag for flag in required if not draw(rarely)]
+    flags += draw(st.lists(st.sampled_from(required + optional), max_size=4))
+    pieces = []
+    for flag in flags:
+        value = draw(st.sampled_from(FUZZ_BAD if draw(rarely) else FUZZ_GOOD[flag]))
+        pieces.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+    pieces += [[draw(st.sampled_from(FUZZ_ODD))] for _ in range(2) if draw(rarely)]
+    return [command, *itertools.chain.from_iterable(draw(st.permutations(pieces)))]
+
+
+def captured_parse(parse, argv):
+    """The result (or exit code), stdout and stderr of ``parse(argv)``,
+    captured without ``capsys``, which holds across hypothesis examples."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
 class TestOnePassParse:
-    """``parse_args`` hands argv straight to the named subcommand's parser;
-    its results must equal those of argparse's nested parse."""
+    """``parse_args`` hands argv straight to the named subcommand's flag
+    table or parser; its results must equal those of argparse's nested
+    parse."""
 
     EDGE = [
         [],
@@ -524,6 +578,51 @@ class TestOnePassParse:
         take_nested_parse(parser)
         assert outcomes() == one_pass
 
+    def test_pool_takes_the_plain_parse(self, monkeypatch):
+        """Every argv of the interactive pool is regular, so the flag table
+        reads it and no subcommand parser runs."""
+        monkeypatch.syspath_prepend(str(BENCH))
+        import workloads
+
+        argvs = [case.argv for stratum in workloads.interactive_pool(tiny=False)
+                 for case in stratum]
+        parser = cli.build_parser()
+        calls = []
+        for command in parser.commands.values():
+            def counted(*args, _parse=command.parser.parse_known_args, **kwargs):
+                calls.append(args)
+                return _parse(*args, **kwargs)
+
+            command.parser.parse_known_args = counted
+        for argv in argvs:
+            parser.parse_args(argv)
+        assert (len(argvs), len(calls)) == (1316, 0)
+        # An abbreviated flag is not regular: argparse reads it.
+        parser.parse_args(["decompose", "--var=projspace", "--d=2", "--p=2", "--e=1"])
+        assert len(calls) == 1
+
+    @given(argv=fuzz_argv())
+    # Python 3.11 and older read a value "--" as no value: [], not "--".
+    @example(argv=["decompose", "--variety=projspace", "--p=2", "--e=1", "--bundle=--"])
+    # A separate value that starts with "-" and is no negative number is a flag.
+    @example(argv=["decompose", "--variety", "projspace", "--p", "2", "--e", "1",
+                   "--bundle", "-1,0"])
+    @settings(max_examples=300)
+    def test_plain_parse_matches_argparse(self, argv):
+        """Differential fuzz: on argvs drawn from exact flags in both
+        spellings, abbreviations, help, ``--``, bad values, repeated and
+        missing flags and leftover words, the plain parse and argparse's
+        nested parse give the same results, output and exit codes."""
+        parser = cli.build_parser()
+
+        def outcomes():
+            return [captured_parse(getattr(parser, method), argv)
+                    for method in ("parse_args", "parse_known_args")]
+
+        one_pass = outcomes()
+        take_nested_parse(parser)
+        assert outcomes() == one_pass
+
 
 # The usage lines at 80 columns, as the parser printed them when each
 # descriptor flag was written out by hand.
@@ -562,7 +661,8 @@ def test_usage_lines_are_pinned(monkeypatch):
     assert cli.FIELDS == ("d", "r", "s", "eps")
     monkeypatch.setenv("COLUMNS", "80")
     parser = cli.build_parser()
-    assert {name: sub.format_usage() for name, sub in parser.commands.items()} == USAGE
+    usage = {name: command.parser.format_usage() for name, command in parser.commands.items()}
+    assert usage == USAGE
 
 
 def test_cli_import_is_lazy():
@@ -773,6 +873,43 @@ class TestExitCodes:
     def test_descriptor_refusal_is_1(self, capsys, argv, message):
         code, out, err = outcome(capsys, [*argv, "--p", "2", "--e", "1"])
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    # A descriptor flag the chosen family does not declare, last in each
+    # argv: every registry tag (cone-p names its kind) and every cone kind.
+    UNDECLARED = [
+        ["decompose", "--variety", "projspace", "--d", "1", "--eps", "3"],
+        ["kernel", "--variety", "product", "--r", "1", "--s", "2", "--d", "2"],
+        ["kernel", "--variety", "hirzebruch", "--eps", "1", "--kind", "rnc"],
+        ["decompose", "--variety", "blowup-linear", "--d", "3", "--r", "1", "--s", "1"],
+        ["kernel", "--variety", "veronese-cone", "--d", "1", "--eps", "2", "--r", "1"],
+        ["decompose", "--variety", "segre-cone", "--r", "1", "--s", "1", "--eps", "2"],
+        ["kernel", "--variety", "quadric", "--d", "3", "--eps", "1"],
+        ["decompose", "--variety", "cone-p", "--kind", "rnc", "--eps", "2", "--d", "3"],
+        ["local", "--kind", "rnc", "--eps", "2", "--d", "3"],
+        ["local", "--kind", "veronese", "--d", "1", "--eps", "2", "--s", "1"],
+        ["local", "--kind", "segre", "--r", "1", "--s", "1", "--eps", "2"],
+    ]
+
+    def test_undeclared_flags_cover_every_descriptor(self):
+        assert {a[2] for a in self.UNDECLARED if a[0] != "local"} == set(families.FAMILIES)
+        assert {a[2] for a in self.UNDECLARED if a[0] == "local"} == set(families.CONE_KINDS)
+
+    @pytest.mark.parametrize("argv", UNDECLARED, ids=lambda argv: argv[2])
+    def test_undeclared_descriptor_flag_is_2(self, capsys, monkeypatch, argv):
+        """The flag is refused, by the plain parse and by argparse's alike;
+        without it the argv answers."""
+        selector = " ".join(argv[1:3])
+        if argv[2] == "cone-p":
+            selector += " --kind rnc"
+        message = f"frobpush {argv[0]}: error: {argv[-2]} is not a parameter of {selector}"
+        full = [*argv, "--p", "3", "--e", "1"]
+        code, out, err = outcome(capsys, full)
+        assert (code, out, err.splitlines()[-1:]) == (2, "", [message])
+        nested = cli.build_parser()
+        take_nested_parse(nested)
+        monkeypatch.setattr(cli, "_PARSERS", {cli.build_parser: nested})
+        assert outcome(capsys, full) == (code, out, err)
+        assert outcome(capsys, [*argv[:-2], "--p", "3", "--e", "1"])[::2] == (0, "")
 
 
 class TestVerifyCommand:
