@@ -61,6 +61,7 @@ from .positivity import (
     Witness,
     ample_verdict,
     kernel_restriction_verdict,
+    kernel_verdict,
     quadric_kernel_verdict,
     trace_kernel,
 )

@@ -13,8 +13,10 @@ runs its indenting encoder in pure Python.
 ``main`` builds its parser once per process and reuses it on every later
 call, and the parser reads each argv once: a regular argv (exact store flags
 only, see ``_Flags.read``) from the subcommand's flag table, without
-argparse, and any other with argparse, so every usage error is argparse's.
-``verify`` is imported only when the ``verify`` subcommand runs.
+argparse, and any other by argparse's nested parse, so every usage error is
+argparse's.  ``main`` refuses the one value the nested parse can store
+wrongly: an explicit ``--``, read as an empty list by Python 3.12.1 and
+older.  ``verify`` is imported only when the ``verify`` subcommand runs.
 """
 
 from __future__ import annotations
@@ -464,13 +466,7 @@ def cmd_kernel(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         return EXIT_OK
     if not cls.split:
         parser.error(f"{label} has no kernel verdict")
-    variety = _descriptor(parser, args, cls, "variety")
-    pushforward = families.structure_pushforward(variety, fp)
-    kernel = positivity.trace_kernel(variety, fp, pushforward)
-    if cls.divisor is None:
-        verdict = positivity.ample_verdict(kernel)
-    else:
-        verdict = positivity.kernel_restriction_verdict(variety, fp, pushforward)
+    kernel, verdict = positivity.kernel_verdict(_descriptor(parser, args, cls, "variety"), fp)
     if args.format == "json":
         payload = {
             "kernel": decomposition_to_json(kernel),
@@ -569,7 +565,7 @@ class _Flags:
             if not eq:
                 value = next(tokens, "-")  # no value left reads as a flag
             action = self.options.get(flag)
-            # argparse 3.11 and older read a value "--" as no value at all.
+            # argparse 3.12.1 and older read a value "--" as no value at all.
             if action is None or value == "--" or not eq and value.startswith("-"):
                 return None
             try:
@@ -586,14 +582,12 @@ class _Flags:
 class _CommandParser(argparse.ArgumentParser):
     """The top-level parser, which parses each argv once.
 
-    When ``argv[0]`` names a subcommand, ``command`` is set to the name and
-    the rest of argv is read by that subcommand's flag table when it is
-    regular (``_Flags.read``), else by its parser, as argparse's nested
-    parse would hand it on.  Everything else takes argparse's nested parse:
-    an empty argv, ``-h``, an unknown or misplaced subcommand, a given
-    namespace, and any argv that leaves arguments over.  So every usage
-    error is argparse's, printed by the parser that prints it in the nested
-    parse (``unrecognized arguments`` by this one).
+    When ``argv[0]`` names a subcommand and the rest of argv is regular
+    (``_Flags.read``), that subcommand's flag table reads it and ``command``
+    is set to the name.  Every other argv takes argparse's nested parse: an
+    empty argv, ``-h``, an unknown or misplaced subcommand, a given
+    namespace, and any irregular rest.  So every usage error is argparse's,
+    printed by the parser that prints it in the nested parse.
     """
 
     commands: dict  # subcommand name -> its _Flags, set by build_parser
@@ -601,21 +595,18 @@ class _CommandParser(argparse.ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
         argv = sys.argv[1:] if args is None else list(args)
         command = self.commands.get(argv[0]) if argv and namespace is None else None
-        if command is not None:
-            parsed, extras = command.read(argv[1:]), []
-            if parsed is None:
-                parsed, extras = command.parser.parse_known_args(argv[1:])
-            if not extras:
-                parsed.command = argv[0]
-                return parsed, extras
-        return super().parse_known_args(argv, namespace)
+        parsed = None if command is None else command.read(argv[1:])
+        if parsed is None:
+            return super().parse_known_args(argv, namespace)
+        parsed.command = argv[0]
+        return parsed, []
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``frobpush`` parser: four subcommands, each a plain
     ``argparse.ArgumentParser`` with a flag table.  Its ``parse_args``
-    parses argv once (see ``_CommandParser``), so a caller that wraps
-    ``parse_args`` still sees every parse."""
+    parses argv once, by one of two routes (see ``_CommandParser``), so a
+    caller that wraps ``parse_args`` still sees every parse."""
     parser = _CommandParser(
         prog="frobpush",
         description="Exact Frobenius pushforward decompositions, trace-kernel "
@@ -675,6 +666,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     if parser is None:
         parser = _PARSERS[builder] = builder()
     args = parser.parse_args(argv)
+    # argparse 3.12.1 and older store an explicit value "--" (``--bundle=--``)
+    # as an empty list: refuse it, as a store flag takes one argument.
+    for option, action in parser.commands[args.command].options.items():
+        if isinstance(getattr(args, action.dest), list):
+            args.parser.error(f"argument {option}: expected one argument")
     # Multiplicities may exceed the interpreter's int/str digit cap (4300
     # digits by default from Python 3.11; 0 means none): lift it while the
     # command runs.  Flags are parsed under the cap, so an integer flag of

@@ -6,14 +6,16 @@ products, the split families that declare no divisor, the ample and nef
 cones are coordinate-wise, so a direct sum of line bundles is classified
 summand by summand.  On the others non-ampleness is certified by restricting
 to the declared divisor and exhibiting a trivial (or negative) summand in
-the restricted kernel.  The determinant and
-section-count identities on P^d are regression data, kept in ``verify``.
+the restricted kernel.  ``kernel_verdict`` builds F^e_* O once and returns
+the kernel with the verdict of its family's route.  The determinant and
+section-count identities on P^d are regression data, kept in ``verify``;
+the Grothendieck-Riemann-Roch determinant of F^e_* O on every split family
+is a test oracle.
 """
 
 from __future__ import annotations
 
 import enum
-from operator import add
 from typing import Optional
 
 from . import restriction
@@ -21,15 +23,7 @@ from .catalog import quadric_pushforward_support
 from .combinat import PrimePower
 from .errors import InvalidParameterError, UnsupportedConeError
 from .families import family_of, structure_pushforward
-from .picard import (
-    Decomposition,
-    Line,
-    PicClass,
-    Spinor,
-    Summand,
-    VarietyDescriptor,
-    change_basis,
-)
+from .picard import Decomposition, Line, PicClass, Spinor, Summand, VarietyDescriptor
 from .value import Value
 
 
@@ -59,46 +53,28 @@ class Verdict(Value):
         self._set(status, witness, notes)
 
 
-def trace_kernel(
-    variety: VarietyDescriptor, fp: PrimePower, pushforward: Optional[Decomposition] = None
-) -> Decomposition:
+def trace_kernel(variety: VarietyDescriptor, fp: PrimePower) -> Decomposition:
     """The trace kernel: dual of F^e_* O with one trivial summand removed.
 
-    Rank q^dim - 1 on every catalog family.  ``pushforward``, when given,
-    is F^e_* O on ``variety`` at ``fp`` already built, and is not built again.
+    Rank q^dim - 1 on every catalog family.
     """
     if not family_of(variety).split:
         raise InvalidParameterError(f"{variety} is not in the split catalog")
-    return _structure_pushforward(variety, fp, pushforward).remove_trivial().dual()
+    return structure_pushforward(variety, fp).remove_trivial().dual()
 
 
-def _canonical(variety: VarietyDescriptor) -> tuple[int, ...]:
-    """K of a split ``variety`` in its default basis, read from its declared
-    bundle P(E) -> B: (-rank E, K_B + det E), minus the sum of the Cox
-    degrees."""
-    base, twists = variety.bundle()
-    return (-len(twists), *map(add, _canonical(base) if base else (), map(sum, zip(*twists))))
-
-
-def _structure_pushforward(
-    variety: VarietyDescriptor, fp: PrimePower, pushforward: Optional[Decomposition]
-) -> Decomposition:
-    """F^e_* O on a split ``variety`` at ``fp``: built when ``pushforward`` is
-    None, else ``pushforward``, refused unless it lives on ``variety`` with
-    rank q^n and determinant q^(n-1)(q-1)/2 * K, n = dim.  By
-    Grothendieck-Riemann-Roch det F^e_* L = q^(n-1) L + q^(n-1)(q-1)/2 * K,
-    so the determinant fixes L = O."""
-    if pushforward is None:
-        return structure_pushforward(variety, fp)
-    q, n = fp.q, variety.dim
-    if pushforward.variety == variety and pushforward.rank() == q**n:
-        default = pushforward
-        if default.basis != variety.bases[0]:
-            default = change_basis(default, variety.bases[0])
-        det = tuple(q ** (n - 1) * (q - 1) * k // 2 for k in _canonical(variety))
-        if default.det().coords == det:
-            return pushforward
-    raise InvalidParameterError(f"the pushforward given is not F^e_* O of {variety} at q={q}")
+def kernel_verdict(variety: VarietyDescriptor, fp: PrimePower) -> tuple[Decomposition, Verdict]:
+    """The trace kernel of a split ``variety`` at ``fp`` and its verdict,
+    both from one F^e_* O: ``ample_verdict`` of the kernel where the family
+    declares no divisor, else the restriction certificate on that divisor."""
+    family = family_of(variety)
+    if not family.split:
+        raise InvalidParameterError(f"{variety} is not in the split catalog")
+    pushforward = structure_pushforward(variety, fp)
+    kernel = pushforward.remove_trivial().dual()
+    if family.divisor is None:
+        return kernel, ample_verdict(kernel)
+    return kernel, _restriction_certificate(pushforward, family.divisor)
 
 
 def ample_verdict(decomp: Decomposition) -> Verdict:
@@ -126,23 +102,26 @@ def ample_verdict(decomp: Decomposition) -> Verdict:
     return Verdict(status, Witness(Line(PicClass(offender, decomp.basis))))
 
 
-def kernel_restriction_verdict(
-    variety: VarietyDescriptor, fp: PrimePower, pushforward: Optional[Decomposition] = None
-) -> Verdict:
-    """Certify that the trace kernel is not ample by restriction.
-
-    Restricts F^e_* O to the family's distinguished divisor; ``pushforward``,
-    when given, is F^e_* O already built, as for ``trace_kernel``.  A trivial
-    summand of multiplicity >= 2 there (one copy beyond the canonical split
-    copy) puts a trivial summand in the restricted dual kernel.  When the
-    extra trivial copy is absent (ruled surfaces at q < eps, say), a
-    positive-degree summand of the restriction serves instead: its dual is a
-    negative summand of the restricted kernel.
-    """
+def kernel_restriction_verdict(variety: VarietyDescriptor, fp: PrimePower) -> Verdict:
+    """Certify that the trace kernel is not ample by restricting F^e_* O to
+    the family's distinguished divisor (see ``_restriction_certificate``)."""
     divisor = family_of(variety).divisor
     if divisor is None:
         raise InvalidParameterError(f"no distinguished divisor for {variety}")
-    restricted = restriction.restrict(_structure_pushforward(variety, fp, pushforward), divisor)
+    return _restriction_certificate(structure_pushforward(variety, fp), divisor)
+
+
+def _restriction_certificate(pushforward: Decomposition, divisor: str) -> Verdict:
+    """The verdict on the trace kernel read from F^e_* O restricted to
+    ``divisor``.
+
+    A trivial summand of multiplicity >= 2 there (one copy beyond the
+    canonical split copy) puts a trivial summand in the restricted dual
+    kernel.  When the extra trivial copy is absent (ruled surfaces at
+    q < eps, say), a positive-degree summand of the restriction serves
+    instead: its dual is a negative summand of the restricted kernel.
+    """
+    restricted = restriction.restrict(pushforward, divisor)
     mult = restricted.lines.get((0,) * len(restricted.basis), 0) or 0
     if mult >= 2:
         return Verdict(

@@ -602,7 +602,7 @@ class TestOnePassParse:
         assert len(calls) == 1
 
     @given(argv=fuzz_argv())
-    # Python 3.11 and older read a value "--" as no value: [], not "--".
+    # Python 3.12.1 and older read a value "--" as no value: [], not "--".
     @example(argv=["decompose", "--variety=projspace", "--p=2", "--e=1", "--bundle=--"])
     # A separate value that starts with "-" and is no negative number is a flag.
     @example(argv=["decompose", "--variety", "projspace", "--p", "2", "--e", "1",
@@ -742,6 +742,27 @@ class TestExitCodes:
         lines = err.splitlines()
         assert lines[0].startswith(f"usage: frobpush {argv[0]} ")
         assert lines[-1].startswith(f"frobpush {argv[0]}: error: ")
+
+    # A regular argv of each subcommand, to which one "--flag=--" is added.
+    REGULAR = {
+        "decompose": ["--variety", "projspace", "--d", "1", "--p", "2", "--e", "1"],
+        "local": ["--kind", "segre", "--r", "1", "--s", "1", "--p", "2", "--e", "1"],
+        "verify": ["--suite", "identities", "--max-d", "1", "--max-e", "1", "--primes", "2"],
+    }
+    REGULAR["kernel"] = REGULAR["decompose"]
+    DASH_VALUES = [(name, f"{option}=--") for name, command in cli.build_parser().commands.items()
+                   for option in command.options]
+
+    @pytest.mark.parametrize("command,flag", DASH_VALUES,
+                             ids=[" ".join(pair) for pair in DASH_VALUES])
+    def test_dash_dash_value_is_2(self, capsys, command, flag):
+        """Python 3.12.1 and older store the value of ``--flag=--`` as an
+        empty list; later ones keep "--".  Every store flag refuses it as a
+        usage error of its subcommand."""
+        code, out, err = outcome(capsys, [command, *self.REGULAR[command], flag])
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(f"frobpush {command}: error: ")
 
     def test_domain_error_is_1(self, capsys):
         code, _, err = run_cli(

@@ -1,10 +1,11 @@
 """Tests for trace-kernel extraction, verdicts, and section-count identities."""
 
 from fractions import Fraction
+from operator import add
 
 import pytest
 
-from frobpush import positivity
+from frobpush import families, positivity
 from frobpush.catalog import pushforward_hirzebruch
 from frobpush.combinat import PrimePower, composition_count
 from frobpush.errors import InvalidParameterError, UnsupportedConeError
@@ -29,6 +30,7 @@ from frobpush.positivity import (
     VerdictStatus,
     ample_verdict,
     kernel_restriction_verdict,
+    kernel_verdict,
     quadric_kernel_verdict,
     trace_kernel,
 )
@@ -71,34 +73,9 @@ class TestTraceKernel:
 
         with pytest.raises(InvalidParameterError):
             trace_kernel(Quadric(3), PrimePower(5, 1))
-
-    def test_rejects_a_pushforward_of_another_variety(self):
-        fp = PrimePower(3, 1)
-        pushforward = structure_pushforward(Hirzebruch(2), fp)
         with pytest.raises(InvalidParameterError):
-            trace_kernel(ProjSpace(2), fp, pushforward)
+            kernel_verdict(Quadric(3), PrimePower(5, 1))
 
-    def test_rejects_a_pushforward_at_another_q(self):
-        pushforward = structure_pushforward(Hirzebruch(2), PrimePower(2, 1))
-        with pytest.raises(InvalidParameterError):
-            trace_kernel(Hirzebruch(2), PrimePower(3, 1), pushforward)
-
-    def test_rejects_the_pushforward_of_a_nontrivial_bundle(self):
-        # F^e_* O(f) on F_2 at q = 3 has rank q^2 and two trivial summands,
-        # but its determinant is q*f + q(q-1)/2 * K, not q(q-1)/2 * K.
-        fp = PrimePower(3, 1)
-        pushforward = pushforward_hirzebruch(2, 0, 1, fp)
-        assert pushforward.rank() == 9 and pushforward.trivial_multiplicity() == 2
-        with pytest.raises(InvalidParameterError):
-            trace_kernel(Hirzebruch(2), fp, pushforward)
-        with pytest.raises(InvalidParameterError):
-            kernel_restriction_verdict(Hirzebruch(2), fp, pushforward)
-
-    def test_accepts_a_blowup_pushforward_in_either_basis(self):
-        fp, variety = PrimePower(3, 1), LinearBlowup(3, 1)
-        pushforward = structure_pushforward(variety, fp)
-        kernel = trace_kernel(variety, fp, change_basis(pushforward, ("H", "E")))
-        assert kernel == change_basis(trace_kernel(variety, fp, pushforward), ("H", "E"))
 
 
 def one_summand(variety, coords) -> Decomposition:
@@ -196,22 +173,18 @@ class TestRestrictionVerdicts:
                     assert verdict.status is VerdictStatus.NOT_AMPLE_WITH_WITNESS, (fp, d, eps)
                     assert verdict.witness.divisor == "E"
 
-    def test_one_trivial_copy_is_no_witness(self):
-        # Rank 2^5 and determinant 8*K = (-16, -32), as F^e_* O has at q = 2,
-        # but the restriction to E, (x, y) -> y, has one trivial copy (the
-        # split one) and only negative summands besides: no certificate.
-        variety = VeroneseConeBlowup(4, 1)
+    def test_one_trivial_copy_is_no_witness(self, monkeypatch):
+        # A test double for F^e_* O: the restriction to E, (x, y) -> y, has
+        # one trivial copy (the split one) and only negative summands
+        # besides, so neither route finds a certificate.
+        variety, fp = VeroneseConeBlowup(4, 1), PrimePower(2, 1)
         pushforward = Decomposition(variety, [((0, 0), 1), ((0, -1), 30), ((-16, -2), 1)])
-        verdict = kernel_restriction_verdict(variety, PrimePower(2, 1), pushforward)
+        monkeypatch.setattr(positivity, "structure_pushforward", lambda *args: pushforward)
+        verdict = kernel_restriction_verdict(variety, fp)
         assert verdict.status is VerdictStatus.UNKNOWN
         assert verdict.witness is None
         assert verdict.notes == ("no certificate found",)
-
-    def test_rejects_a_pushforward_of_another_variety(self):
-        fp = PrimePower(3, 1)
-        pushforward = structure_pushforward(Hirzebruch(2), fp)
-        with pytest.raises(InvalidParameterError, match="not F"):
-            kernel_restriction_verdict(SegreConeBlowup(1, 1), fp, pushforward)
+        assert kernel_verdict(variety, fp) == (pushforward.remove_trivial().dual(), verdict)
 
     def test_blowup_witness(self):
         from frobpush.combinat import binom
@@ -249,38 +222,108 @@ class TestRestrictionVerdicts:
                     assert verdict.witness.multiplicity == expected
 
 
-class TestDichotomyAtHugeQ:
-    # The paper's dichotomy on the catalog at q = 2^64 and 3^40: the trace
-    # kernel of P^d is ample, that of a product nef and not ample, and that
-    # of each family with a distinguished divisor is certified not ample by
-    # restricting to that divisor, which keeps the rank of F^e_* O.
-    AMPLE = [ProjSpace(1), ProjSpace(3)]
-    NEF = [Product(1, 2)]
-    DIVISORS = {
-        Hirzebruch(0): "C0", Hirzebruch(1): "C0", Hirzebruch(4): "C0",
-        LinearBlowup(3, 1): "E", LinearBlowup(4, 2): "E",
-        VeroneseConeBlowup(1, 2): "E", VeroneseConeBlowup(2, 3): "E",
-        SegreConeBlowup(1, 1): "E", SegreConeBlowup(1, 2): "E",
-    }
+# Varieties of each split family, keyed by tag; ``split_tags`` reads the
+# tags from the registry, so a split family missing here fails by name.
+SPLIT = {
+    "projspace": [ProjSpace(1), ProjSpace(3)],
+    "product": [Product(1, 2)],
+    "hirzebruch": [Hirzebruch(0), Hirzebruch(1), Hirzebruch(4)],
+    "blowup-linear": [LinearBlowup(3, 1), LinearBlowup(4, 2)],
+    "veronese-cone": [VeroneseConeBlowup(1, 2), VeroneseConeBlowup(2, 3)],
+    "segre-cone": [SegreConeBlowup(1, 1), SegreConeBlowup(1, 2)],
+}
+HUGE = [PrimePower(2, 64), PrimePower(3, 40)]
 
-    @pytest.mark.parametrize("fp", [PrimePower(2, 64), PrimePower(3, 40)], ids=str)
+
+def split_tags():
+    return [tag for tag, cls in families.FAMILIES.items() if cls.split]
+
+
+def routes(variety, fp):
+    """The kernel and verdict, each from its own route."""
+    kernel = trace_kernel(variety, fp)
+    if families.family_of(variety).divisor is None:
+        return kernel, ample_verdict(kernel)
+    return kernel, kernel_restriction_verdict(variety, fp)
+
+
+class TestKernelVerdict:
+    @pytest.mark.parametrize("tag", split_tags())
+    def test_matches_the_separate_routes(self, tag):
+        for fp in FIELDS:
+            for variety in SPLIT[tag]:
+                assert kernel_verdict(variety, fp) == routes(variety, fp), (variety, fp)
+
+
+class TestDichotomyAtHugeQ:
+    # The paper's dichotomy on every split family of the registry at
+    # q = 2^64 and 3^40: the trace kernel of P^d is ample, that of a product
+    # nef and not ample, and that of each family with a distinguished
+    # divisor is certified not ample by restricting to that divisor, which
+    # keeps the rank of F^e_* O.
+    EXPECTED = {"projspace": VerdictStatus.AMPLE, "product": VerdictStatus.NEF_NOT_AMPLE}
+
+    @pytest.mark.parametrize("fp", HUGE, ids=str)
     def test_catalog(self, fp):
         from frobpush import restrict
 
-        for variety in [*self.AMPLE, *self.NEF, *self.DIVISORS]:
-            pushforward = structure_pushforward(variety, fp)
-            kernel = trace_kernel(variety, fp, pushforward)
-            assert kernel.rank() == fp.q**variety.dim - 1
-            divisor = self.DIVISORS.get(variety)
-            if divisor is None:
-                ample = variety in self.AMPLE
-                expected = VerdictStatus.AMPLE if ample else VerdictStatus.NEF_NOT_AMPLE
-                assert ample_verdict(kernel).status is expected, variety
-                continue
-            verdict = kernel_restriction_verdict(variety, fp, pushforward)
-            assert verdict.status is VerdictStatus.NOT_AMPLE_WITH_WITNESS, variety
-            assert verdict.witness.divisor == divisor
-            assert restrict(pushforward, divisor).rank() == pushforward.rank()
+        for tag in split_tags():
+            divisor = families.FAMILIES[tag].divisor
+            expected = self.EXPECTED.get(tag, VerdictStatus.NOT_AMPLE_WITH_WITNESS)
+            for variety in SPLIT[tag]:
+                kernel, verdict = kernel_verdict(variety, fp)
+                assert (kernel, verdict) == routes(variety, fp), variety
+                assert kernel.rank() == fp.q**variety.dim - 1
+                assert verdict.status is expected, variety
+                if divisor is not None:
+                    assert verdict.witness.divisor == divisor
+                    pushforward = structure_pushforward(variety, fp)
+                    assert restrict(pushforward, divisor).rank() == pushforward.rank()
+
+
+def canonical(variety) -> tuple[int, ...]:
+    """K of a split ``variety`` in its default basis, from its declared
+    bundle P(E) -> B: (-rank E, K_B + det E)."""
+    base, twists = variety.bundle()
+    det = [sum(column) for column in zip(*twists)]
+    return (-len(twists), *(map(add, canonical(base), det) if base else ()))
+
+
+def grr_determinant(variety, q: int) -> tuple[int, ...]:
+    """det F^e_* O = q^(n-1)(q-1)/2 * K by Grothendieck-Riemann-Roch, n = dim,
+    multiplied out before halving."""
+    n = variety.dim
+    return tuple(q ** (n - 1) * (q - 1) * k // 2 for k in canonical(variety))
+
+
+def default_det(decomp: Decomposition) -> tuple[int, ...]:
+    basis = decomp.variety.bases[0]
+    return (decomp if decomp.basis == basis else change_basis(decomp, basis)).det().coords
+
+
+class TestDeterminantOracle:
+    @pytest.mark.parametrize("tag", split_tags())
+    def test_structure_pushforward(self, tag):
+        for fp in [*FIELDS, *HUGE]:
+            for variety in SPLIT[tag]:
+                pushforward = structure_pushforward(variety, fp)
+                assert pushforward.rank() == fp.q**variety.dim
+                assert default_det(pushforward) == grr_determinant(variety, fp.q), (variety, fp)
+
+    def test_canonical_classes(self):
+        assert canonical(ProjSpace(3)) == (-4,)
+        assert canonical(Product(1, 2)) == (-2, -3)
+        assert canonical(Hirzebruch(2)) == (-2, -4)
+
+    def test_a_nontrivial_bundle_fails(self):
+        # F^e_* O(f) on F_2 at q = 3 has the rank and the two trivial
+        # summands of F^e_* O there, but its determinant is q*f + q(q-1)/2 * K.
+        fp = PrimePower(3, 1)
+        pushforward = pushforward_hirzebruch(2, 0, 1, fp)
+        assert pushforward.rank() == 9 and pushforward.trivial_multiplicity() == 2
+        assert default_det(pushforward) != grr_determinant(Hirzebruch(2), fp.q)
+        assert default_det(structure_pushforward(Hirzebruch(2), fp)) == grr_determinant(
+            Hirzebruch(2), fp.q)
 
 
 class TestQuadricVerdict:
