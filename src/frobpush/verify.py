@@ -16,18 +16,19 @@ convolution table per (q, d), the coefficient list of (1 + t + ... +
 t^{q-1})^{d+1}, so a fault in the closed form that the builders use cannot
 reach both sides of a comparison; each class's sum over j is one strided
 slice sum, or dot product of slices, of the tables; so is each box count
-the Veronese-type cones are checked against.  Each table is built
-once per (q, d) per ``run_suites`` call: cases are built grouped by q, and a
-small memo, emptied when the call starts and when it returns, holds the
-current q's tables.  A case that raises is reported as FAIL with the
-exception, and the run goes on.  Known tensions between recorded values and
-the computed ones (the small-q ruled-surface row, the blowup k=0 claim, the
-quadric p=2 window for d >= 4) are reported as WARN with both values
-printed; they never fail a run.
+the Veronese-type cones are checked against.  Each table is built once
+per (q, d) per ``run_suites`` call, one convolution step from the (q, d-1)
+table, into a memo of up to 8 tables emptied when the call starts and when
+it returns.  A case that raises is reported as FAIL with the exception, and
+the run goes on.  Known tensions between recorded values and the computed
+ones (the small-q ruled-surface row, the blowup k=0 claim, the quadric p=2
+window for d >= 4) are reported as WARN with both values printed; they
+never fail a run.
 
-``sum-identity``, ``support`` and ``shifted-sum`` sweep every residue
-through one ``composition_table`` each, and ``mult-oracle`` checks the four
-routes to a count (entry, row, table and weighted sums) against convolution.
+``sum-identity``, ``support`` and ``shifted-sum`` read one residue sweep
+``composition_table(range(q), d, fp)`` per (q, d) from a second such memo,
+and never write to it; ``mult-oracle`` checks the four routes to a count
+(entry, row, table and weighted sums) against convolution.
 
 The closed forms and identities that only check the library's answers live
 here too, as regression data: the per-eps ruled-surface multiplicities and
@@ -44,7 +45,7 @@ import operator
 import os
 import time
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from . import catalog, localalg, positivity
 from .combinat import (
@@ -103,11 +104,18 @@ def _coefficients(q: int, parts: int) -> tuple[int, ...]:
     (parts + 1) * q entries: the number of parts-tuples in [0, q-1] summing
     to m + i*q is table[m + i*q] for 0 <= i <= parts and 0 <= m < q.
 
-    Built by convolution, so it shares nothing with ``composition_count``.
-    The memo holds a few tables and is emptied by ``run_suites``.
+    Built by convolution, so it shares nothing with ``composition_count``:
+    parts <= 1 by ``bounded_power_coefficients``, the rest as the memoized
+    (q, parts - 1) table times (1 - t^q) / (1 - t).  The memo holds up to 8
+    tables and is emptied by ``run_suites``.
     """
-    table = bounded_power_coefficients(q, parts)
-    return tuple(table) + (0,) * ((parts + 1) * q - len(table))
+    if parts <= 1:
+        table = bounded_power_coefficients(q, parts)
+        return tuple(table) + (0,) * ((parts + 1) * q - len(table))
+    lower = _coefficients(q, parts - 1)
+    diff = [*lower, *repeat(0, q)]
+    diff[q:] = map(operator.sub, diff[q:], lower)
+    return tuple(accumulate(diff))
 
 
 def _progression_sums(table: tuple[int, ...], q: int, lo: int, step: int, count: int) -> dict:
@@ -193,10 +201,6 @@ def segre_shifted_sums(r: int, s: int, fp: PrimePower) -> dict[tuple[int, ...], 
     q = fp.q
     left, right = _coefficients(q, r + 1), _coefficients(q, s + 1)
     return {(i,): _dot(left[max(0, -i * q) :], right[max(0, i * q) :]) for i in range(-r, s + 1)}
-
-
-def _coords(decomp) -> dict[tuple[int, ...], int]:
-    return decomp.lines.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +327,22 @@ def _ok(cond: bool, detail: str = "") -> tuple[str, str]:
     return ("PASS" if cond else "FAIL", detail)
 
 
+def _sweep(fp: PrimePower, d: int) -> tuple[tuple[int, ...], ...]:
+    """``composition_table(range(q), d, fp)`` as tuples, memoized on the
+    table function too, so a table patched in later is not served a stale one."""
+    return _sweeps(composition_table, fp, d)
+
+
+@functools.lru_cache(maxsize=8)
+def _sweeps(table, fp: PrimePower, d: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, table(range(fp.q), d, fp)))
+
+
 def check_sum_identity(p: int, e: int, d: int) -> tuple[str, str]:
     """At each residue m the counts over i = 0..d add up to q^d."""
     fp = PrimePower(p, e)
     q = fp.q
-    sums = list(map(sum, zip(*composition_table(range(q), d, fp))))
+    sums = list(map(sum, zip(*_sweep(fp, d))))
     if sums.count(q**d) == q:
         return "PASS", f"all m, q={q}"
     return "FAIL", f"failing residues {[m for m, total in enumerate(sums) if total != q**d]}"
@@ -337,7 +352,7 @@ def check_shifted_sum(p: int, e: int, d: int) -> tuple[str, str]:
     """A full residue sweep in dimension d-1 against dimension d: for l = 1..d,
     sum_j count(l-1, j; d-1) == count(l, 0; d) - count(l, 0; d-1) + count(l-1, 0; d-1)."""
     fp = PrimePower(p, e)
-    swept = [sum(row) for row in composition_table(range(fp.q), d - 1, fp)]
+    swept = list(map(sum, _sweep(fp, d - 1)))
     bad = []
     for l in range(1, d + 1):
         lifted = composition_count(l, 0, d, fp) - composition_count(l, 0, d - 1, fp)
@@ -351,7 +366,7 @@ def check_support(p: int, e: int, d: int) -> tuple[str, str]:
     for i = -2..d+2: the rows 0..d from one table, the rest entry by entry."""
     fp = PrimePower(p, e)
     q = fp.q
-    table = composition_table(range(q), d, fp)
+    table = _sweep(fp, d)
     for i in range(-2, d + 3):
         if 0 <= i <= d:
             row = table[i]
@@ -476,8 +491,8 @@ def check_segre_split_routes(p: int, e: int, r: int, s: int) -> tuple[str, str]:
     trivial = cone.trivial_multiplicity()
     shifted = segre_shifted_sums(r, s, fp)
     extracted = shifted[(0,)]
-    if _coords(cone) != _nonzero(shifted):
-        return "FAIL", f"cone classes {_coords(cone)} vs shifted coefficients {shifted}"
+    if cone.lines != _nonzero(shifted):
+        return "FAIL", f"cone classes {dict(cone.lines)} vs shifted coefficients {shifted}"
     return _ok(
         number == trivial == extracted,
         f"splitting {number} vs cone trivial {trivial} vs coefficients {extracted}",
@@ -487,7 +502,7 @@ def check_segre_split_routes(p: int, e: int, r: int, s: int) -> tuple[str, str]:
 def check_veronese_direct(p: int, e: int, d: int, eps: int, n: int, nprime: int) -> tuple[str, str]:
     """Pushforward vs the direct floor/residue loop over j, q < eps included."""
     fp = PrimePower(p, e)
-    computed = _coords(catalog.pushforward_veronese_cone(d, eps, n, nprime, fp))
+    computed = catalog.pushforward_veronese_cone(d, eps, n, nprime, fp).lines
     direct = veronese_loop(d, eps, n, nprime, fp)
     return _ok(computed == direct, f"{len(direct)} classes")
 
@@ -504,15 +519,16 @@ def check_veronese_box(p: int, e: int, max_d: int) -> tuple[str, str]:
     for d in range(1, max_d + 1):
         table = _coefficients(q, d + 1)
         for eps in (2, 3):
-            got = _coords(localalg.cone_pushforward(VeroneseCone(d, eps), fp))
+            got = localalg.cone_pushforward(VeroneseCone(d, eps), fp).lines
             box = _nonzero({(-k,): sum(table[k * q % eps :: eps]) for k in range(eps)})
             if got != box:
-                return "FAIL", f"VeroneseCone({d}, {eps}): {got} vs box {box}"
+                return "FAIL", f"VeroneseCone({d}, {eps}): {dict(got)} vs box {box}"
     return "PASS", f"{2 * max_d} cones"
 
 
-def _loop_check(got: dict, want: dict) -> tuple[str, str]:
-    return _ok(got == want, f"{len(want)} classes" if got == want else f"{got} vs loop {want}")
+def _loop_check(got, want: dict) -> tuple[str, str]:
+    same = got == want
+    return _ok(same, f"{len(want)} classes" if same else f"{dict(got)} vs loop {want}")
 
 
 def _skip_twist(fp: PrimePower, twist: tuple[int, ...]) -> bool:
@@ -523,7 +539,7 @@ def check_hirzebruch_loop(p: int, e: int, eps: int, u: int, v: int) -> tuple[str
     fp = PrimePower(p, e)
     if _skip_twist(fp, (u, v)):
         return "PASS", f"skipped (q > {LOOP_Q_CAP})"
-    got = _coords(catalog.pushforward_hirzebruch(eps, u, v, fp))
+    got = catalog.pushforward_hirzebruch(eps, u, v, fp).lines
     return _loop_check(got, hirzebruch_loop(eps, u, v, fp))
 
 
@@ -533,13 +549,13 @@ def check_segre_cone_loop(
     fp = PrimePower(p, e)
     if _skip_twist(fp, (n, n1, n2)):
         return "PASS", f"skipped (q > {LOOP_Q_CAP})"
-    got = _coords(catalog.pushforward_segre_cone(r, s, n, n1, n2, fp))
+    got = catalog.pushforward_segre_cone(r, s, n, n1, n2, fp).lines
     return _loop_check(got, segre_cone_loop(r, s, n, n1, n2, fp))
 
 
 def check_blowup_loop(p: int, e: int, d: int, r: int) -> tuple[str, str]:
     fp = PrimePower(p, e)
-    got = _coords(catalog.pushforward_linear_blowup(d, r, fp))
+    got = catalog.pushforward_linear_blowup(d, r, fp).lines
     return _loop_check(got, blowup_loop(d, r, fp))
 
 
@@ -548,19 +564,20 @@ def check_fix_projspace(p: int, e: int) -> tuple[str, str]:
     q = fp.q
     for n in range(-q, q + 1):
         k, m = divmod(n, q)
-        expected = _nonzero({(k,): m + 1, (k - 1,): q - 1 - m})
-        got = _coords(catalog.pushforward_projective_space(1, n, fp))
+        expected = {(k,): m + 1, (k - 1,): q - 1 - m} if m < q - 1 else {(k,): m + 1}
+        got = catalog.pushforward_projective_space(1, n, fp).lines
         if got != expected:
-            return "FAIL", f"line fixture at n={n}: {got} vs {expected}"
+            return "FAIL", f"line fixture at n={n}: {dict(got)} vs {expected}"
     for m in range(q):
-        rows = _nonzero({
+        rows = {
             (0,): (m + 1) * (m + 2) // 2,
             (-1,): (q * q + (2 * m + 3) * q - 2 * (m + 1) * (m + 2)) // 2,
-            (-2,): (q - m - 1) * (q - m - 2) // 2,
-        })
-        got = _coords(catalog.pushforward_projective_space(2, m, fp))
+        }
+        if m < q - 2:
+            rows[(-2,)] = (q - m - 1) * (q - m - 2) // 2
+        got = catalog.pushforward_projective_space(2, m, fp).lines
         if got != rows:
-            return "FAIL", f"plane fixture at m={m}: {got} vs {rows}"
+            return "FAIL", f"plane fixture at m={m}: {dict(got)} vs {rows}"
     return "PASS", "P^1 and P^2 exponent tables"
 
 
@@ -639,16 +656,16 @@ def check_fix_hz_eps1_general(p: int, e: int, u: int, v: int) -> tuple[str, str]
     })
     if sum(expected.values()) != q * q:
         return "FAIL", "table does not sum to q^2"
-    got = _coords(catalog.pushforward_hirzebruch(1, u, v, fp))
+    got = catalog.pushforward_hirzebruch(1, u, v, fp).lines
     return _ok(got == expected, f"(u={u}, v={v})")
 
 
 def check_fix_product_small(p: int, e: int) -> tuple[str, str]:
     fp = PrimePower(p, e)
-    got = _coords(catalog.pushforward_product(1, 1, 0, 0, fp))
+    got = catalog.pushforward_product(1, 1, 0, 0, fp).lines
     a0 = [composition_count(i, 0, 1, fp) for i in (0, 1)]
     expected = _nonzero({(-i, -j): a0[i] * a0[j] for i in (0, 1) for j in (0, 1)})
-    return _ok(got == expected, f"{got}")
+    return _ok(got == expected, f"{dict(got)}")
 
 
 def check_fix_rnc_closed(p: int, e: int, eps: int) -> tuple[str, str]:
@@ -859,7 +876,7 @@ def run_suites(
     """Each suite's results, sorted by key.  With ``jobs > 1`` one pool of
     min(jobs, CPU count) worker processes runs the cases of every suite, in
     contiguous chunks, so the same-q cases of a chunk share its worker's
-    table memo; with one worker the cases run in this process.  The memo is
+    memos; with one worker the cases run in this process.  The memos are
     empty when the call starts and when it returns."""
 
     def report(mapper) -> list[tuple[str, list[CheckResult]]]:
@@ -872,6 +889,7 @@ def run_suites(
     # A pool forks all its workers at the first submit: never more than CPUs.
     workers = min(jobs, os.cpu_count() or 1)
     _coefficients.cache_clear()
+    _sweeps.cache_clear()
     try:
         if workers <= 1:
             return report(map)
@@ -886,3 +904,4 @@ def run_suites(
             )
     finally:
         _coefficients.cache_clear()
+        _sweeps.cache_clear()

@@ -434,7 +434,7 @@ class TestOracleIndependence:
     def test_a_table_fault_alone_is_caught(self, monkeypatch):
         identities = verify.build_cases("identities", max_d=3, max_e=1, primes=(2, 3))
         cases = identities + TINY_ORACLES
-        kinds = {"sum-identity", "support", "blowup-loop", "mult-oracle"}
+        kinds = {"sum-identity", "support", "shifted-sum", "blowup-loop", "mult-oracle"}
         assert not failing_kinds(case for case in cases if case[0] in kinds)
         patch_every_caller(monkeypatch, "composition_table", table_off_by_one_at_top)
         assert kinds <= failing_kinds(cases)
@@ -456,6 +456,16 @@ class TestOracleIndependence:
                 p, e, d = case[1]
                 result = verify.run_case(case)
                 assert result.detail == f"row mismatch at (i={d}, m={p**e - 1})", result
+
+    def test_fail_details_name_the_lines(self, monkeypatch):
+        patch_every_caller(monkeypatch, "composition_row", row_off_by_one_at_top)
+        result = verify.run_case(("fix-projspace", (2, 1)))
+        assert result.detail == "line fixture at n=-1: {(-1,): 2, (-2,): 1} vs {(-1,): 2}"
+        result = verify.run_case(("segre-loop", (2, 1, 1, 1, 1, 0, 1)))
+        assert result.detail == (
+            "{(0, 0, 0): 4, (0, 0, -1): 1, (0, -1, 0): 3, (0, -1, -1): 1, (0, 0, 1): 2, "
+            "(0, -1, 1): 1} vs loop {(0, -1, 0): 2, (0, 0, 0): 4, (0, 0, 1): 2}"
+        )
 
     def test_a_sums_fault_alone_is_caught(self, monkeypatch):
         kinds = {"veronese-direct", "mult-oracle"}
@@ -498,6 +508,12 @@ class TestOracleIndependence:
         verify.run_suites(["oracles"], max_d=2, max_e=1, primes=(2, 3))
         assert verify._coefficients.cache_info().currsize == 0
 
+    def test_sweep_memo_is_empty_after_a_run(self):
+        verify.run_case(("support", (2, 1, 2)))
+        assert verify._sweeps.cache_info().currsize
+        verify.run_suites(["identities"], max_d=2, max_e=1, primes=(2, 3))
+        assert verify._sweeps.cache_info().currsize == 0
+
     def test_loops_catch_a_table_fault_after_a_clean_run(self, monkeypatch):
         # Tables memoized by a clean run must not outlive it and hide a fault
         # in the convolution that the next run makes.
@@ -519,3 +535,55 @@ class TestOracleIndependence:
         failed = {res.key.split("(")[0] for res in faulty if res.status == "FAIL"}
         assert {"segre-loop", "veronese-direct", "blowup-loop", "mult-oracle",
                 "veronese-box"} <= failed
+
+
+class TestOneBuildPerRun:
+    """Within one run each residue sweep and each convolution table is built
+    once, and a memo that evicts still gives the results of none."""
+
+    GRID = dict(max_d=3, max_e=4, primes=(2, 3, 5, 7))
+    QS = {p**e for p in (2, 3, 5, 7) for e in range(1, 5)}
+
+    def test_one_sweep_per_q_and_d(self, monkeypatch):
+        table = verify.composition_table
+        sweeps = Counter()
+
+        def counting(ms, d, fp):
+            if ms == range(fp.q):
+                sweeps[fp.q, d] += 1
+            return table(ms, d, fp)
+
+        monkeypatch.setattr(verify, "composition_table", counting)
+        verify.run_suites(["identities"], **self.GRID)
+        assert set(sweeps) == {(q, d) for q in self.QS for d in range(4)}
+        assert set(sweeps.values()) == {1}
+
+    def test_one_convolution_from_scratch_per_q(self, monkeypatch):
+        convolution = verify.bounded_power_coefficients
+        builds = Counter()
+
+        def counting(q, parts):
+            builds[q, parts] += 1
+            return convolution(q, parts)
+
+        monkeypatch.setattr(verify, "bounded_power_coefficients", counting)
+        verify.run_suites(["oracles"], **self.GRID)
+        # Every other table is one step from the memoized table below it.
+        assert builds == Counter({(q, 1): 1 for q in self.QS})
+
+    def test_stacked_tables_match_the_convolution(self):
+        for q in (1, 2, 3, 7, 16):
+            for parts in range(7):
+                table = list(verify._coefficients(q, parts))
+                coeffs = bounded_power_coefficients(q, parts)
+                assert table == coeffs + [0] * ((parts + 1) * q - len(coeffs))
+
+    def test_an_evicting_sweep_memo_changes_no_result(self, monkeypatch):
+        # Ten sweeps per q at max_d = 9 (d = 0..9), more than the memo holds.
+        grid = dict(max_d=9, max_e=2, primes=(2, 3))
+        assert verify._sweeps.cache_info().maxsize < 10
+        memoized = verify.run_suites(["identities"], **grid)
+        monkeypatch.setattr(verify, "_sweep", lambda fp, d: composition_table(range(fp.q), d, fp))
+        bypassed = verify.run_suites(["identities"], **grid)
+        assert memoized == bypassed
+        assert all(res.status == "PASS" for _, results in memoized for res in results)
