@@ -16,7 +16,6 @@ from .combinat import (
     composition_table,
     eulerian,
     floor_pieces,
-    floor_residue,
     polynomial_range_sum,
     range_sum_weights,
 )

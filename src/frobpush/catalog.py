@@ -30,7 +30,6 @@ from .combinat import (
     composition_sums,
     composition_table,
     floor_pieces,
-    floor_residue,
     range_sum_weights,
 )
 from .errors import InvalidParameterError
@@ -51,7 +50,7 @@ def pushforward_projective_space(d: int, n: int, fp: PrimePower) -> Decompositio
     """F^e_* O(n) on P^d: twists O(k - i) with composition-count multiplicities,
     where n = k*q + m."""
     variety = ProjSpace(d)
-    k, m = floor_residue(n, fp.q)
+    k, m = divmod(n, fp.q)
     return Decomposition(variety, zip(zip(range(k, k - d - 1, -1)), composition_row(m, d, fp)))
 
 
@@ -59,8 +58,8 @@ def pushforward_product(r: int, s: int, u: int, v: int, fp: PrimePower) -> Decom
     """F^e_* O(u, v) on P^r x P^s: the external tensor of the two factor
     decompositions."""
     variety = Product(r, s)
-    k, m = floor_residue(u, fp.q)
-    l, n = floor_residue(v, fp.q)
+    k, m = divmod(u, fp.q)
+    l, n = divmod(v, fp.q)
     left, right = composition_row(m, r, fp), composition_row(n, s, fp)
     counts = {(k - i, l - j): a * b for i, a in enumerate(left) for j, b in enumerate(right)}
     return Decomposition(variety, counts.items())
@@ -80,7 +79,7 @@ def pushforward_hirzebruch(eps: int, u: int, v: int, fp: PrimePower) -> Decompos
     """
     variety = Hirzebruch(eps)
     q = fp.q
-    k, m = floor_residue(u, q)
+    k, m = divmod(u, q)
     counts: dict = {}
     get = counts.get
     for c0, lo, hi in ((k, 0, m), (k - 1, m + 1, q - 1)):

@@ -2,13 +2,14 @@
 
 Exit codes are a stable contract: 0 success, 1 computation-domain error
 (or stdout closed early), 2 usage error (a descriptor flag the chosen family
-does not declare among them).  All numeric
-JSON output uses decimal strings (multiplicities, ranks) or num/den string
-pairs (rationals) so that arbitrary precision survives any consumer.  Every
-``--format json`` document is exactly the bytes of ``json.dumps(doc,
-indent=2)`` and a newline: ASCII escapes, two-space indent, keys in the order
-they were built.  ``_json_text`` writes them in one pass, since the stdlib
-runs its indenting encoder in pure Python.
+does not declare among them).  ``kernel`` offers only the families it
+answers for, and no ``--kind``.  All numeric JSON output uses decimal
+strings (multiplicities, ranks) or num/den string pairs (rationals) so that
+arbitrary precision survives any consumer.  Every ``--format json``
+document is exactly the bytes of ``json.dumps(doc, indent=2)`` and a
+newline: ASCII escapes, two-space indent, keys in the order they were built.
+``_json_text`` writes them in one pass, since the stdlib runs its indenting
+encoder in pure Python.
 
 ``main`` builds its parser once per process and reuses it on every later
 call, and the parser reads each argv once: a regular argv (exact store flags
@@ -361,6 +362,10 @@ def render_verdict(verdict: Verdict) -> str:
 
 VARIETIES = tuple(families.FAMILIES)
 
+# The families ``kernel`` answers for: the split ones and the quadric.
+KERNEL_VARIETIES = tuple(tag for tag, cls in families.FAMILIES.items()
+                         if cls.split or tag == "quadric")
+
 # The integer descriptor flags: every declared field but ``kind``, in the
 # order of the declarations.
 FIELDS = tuple(dict.fromkeys(
@@ -398,8 +403,8 @@ def _descriptor(
     if "kind" in cls.__slots__:
         where += f" --kind {value('kind')}"
         declared.update(families.CONE_KINDS[args.kind].__slots__)
-    for name in ("kind", *FIELDS):
-        if name not in declared and getattr(args, name) is not None:
+    for name in ("kind", *FIELDS):  # a kernel namespace has no ``kind``
+        if name not in declared and getattr(args, name, None) is not None:
             parser.error(f"--{name} is not a parameter of {where}")
     return families.build_descriptor(cls, value)
 
@@ -439,7 +444,6 @@ def cmd_decompose(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 def cmd_kernel(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     fp = PrimePower(args.p, args.e)
     cls = families.FAMILIES[args.variety]
-    label = f"--variety {args.variety}"
     # The trace kernel is always that of O (the canonical twist on quadrics).
     _require_zero(parser, _parse_bundle(parser, args.bundle, len(cls.bases[0])), "kernel")
     if args.variety == "quadric":
@@ -464,8 +468,6 @@ def cmd_kernel(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             if report.disagreement:
                 print("WARNING: the two verdicts disagree")
         return EXIT_OK
-    if not cls.split:
-        parser.error(f"{label} has no kernel verdict")
     kernel, verdict = positivity.kernel_verdict(_descriptor(parser, args, cls, "variety"), fp)
     if args.format == "json":
         payload = {
@@ -620,10 +622,11 @@ def build_parser() -> argparse.ArgumentParser:
         parser.commands[name] = _Flags(sub.add_parser(name, help=help), handler)
         return parser.commands[name]
 
-    def add_common(flags: _Flags, with_variety: bool = True) -> None:
-        if with_variety:
-            flags.add("--variety", choices=VARIETIES, required=True)
-            flags.add("--kind", choices=tuple(families.CONE_KINDS))
+    def add_common(flags: _Flags, varieties: tuple[str, ...] = ()) -> None:
+        if varieties:  # with --kind where one of them holds a cone kind
+            flags.add("--variety", choices=varieties, required=True)
+            if any("kind" in families.FAMILIES[tag].__slots__ for tag in varieties):
+                flags.add("--kind", choices=tuple(families.CONE_KINDS))
             flags.add("--bundle", help="bundle coordinates, e.g. '0' or '0,1'; write a "
                       "negative first coordinate as --bundle=-1,0")
         for name in FIELDS:
@@ -632,12 +635,14 @@ def build_parser() -> argparse.ArgumentParser:
         flags.add("--e", type=int, required=True, help="Frobenius exponent")
         flags.add("--format", choices=("text", "json"), default="text")
 
-    add_common(add_command("decompose", cmd_decompose, "print a pushforward decomposition"))
-    add_common(add_command("kernel", cmd_kernel, "print the trace kernel and its verdict"))
+    add_common(add_command("decompose", cmd_decompose, "print a pushforward decomposition"),
+               VARIETIES)
+    add_common(add_command("kernel", cmd_kernel, "print the trace kernel and its verdict"),
+               KERNEL_VARIETIES)
 
     local = add_command("local", cmd_local, "splitting number, convergent, F-signature")
     local.add("--kind", choices=tuple(families.CONE_KINDS), required=True)
-    add_common(local, with_variety=False)
+    add_common(local)
 
     ver = add_command("verify", cmd_verify, "run the batch verification suites")
     # verify.SUITES + ("all",), spelled out so that building the parser

@@ -94,16 +94,6 @@ class PrimePower(Value):
         return PrimePower, (self.p, self.e)
 
 
-def floor_residue(n: int, q: int) -> tuple[int, int]:
-    """Euclidean split n = floor_part*q + residue with 0 <= residue <= q-1.
-
-    Holds for negative n as well: floor_residue(-6, 4) == (-2, 2).
-    """
-    if q <= 0:
-        raise InvalidParameterError(f"modulus must be positive; got q={q}")
-    return divmod(n, q)
-
-
 def floor_pieces(a: int, b: int, q: int, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
     """Runs of j in [lo, hi] on which floor((a*j + b)/q) is constant.
 

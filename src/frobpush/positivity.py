@@ -5,8 +5,9 @@ the dual pushforward of the structure sheaf.  On projective spaces and their
 products, the split families that declare no divisor, the ample and nef
 cones are coordinate-wise, so a direct sum of line bundles is classified
 summand by summand.  On the others non-ampleness is certified by restricting
-to the declared divisor and exhibiting a trivial (or negative) summand in
-the restricted kernel.  ``kernel_verdict`` builds F^e_* O once and returns
+to the divisor the family declares, which ``restrict`` reads and the witness
+names, and exhibiting a trivial (or negative) summand in the restricted
+kernel.  ``kernel_verdict`` builds F^e_* O once and returns
 the kernel with the verdict of its family's route.  The determinant and
 section-count identities on P^d are regression data, kept in ``verify``;
 the Grothendieck-Riemann-Roch determinant of F^e_* O on every split family
@@ -74,7 +75,7 @@ def kernel_verdict(variety: VarietyDescriptor, fp: PrimePower) -> tuple[Decompos
     kernel = pushforward.remove_trivial().dual()
     if family.divisor is None:
         return kernel, ample_verdict(kernel)
-    return kernel, _restriction_certificate(pushforward, family.divisor)
+    return kernel, _restriction_certificate(pushforward)
 
 
 def ample_verdict(decomp: Decomposition) -> Verdict:
@@ -104,16 +105,14 @@ def ample_verdict(decomp: Decomposition) -> Verdict:
 
 def kernel_restriction_verdict(variety: VarietyDescriptor, fp: PrimePower) -> Verdict:
     """Certify that the trace kernel is not ample by restricting F^e_* O to
-    the family's distinguished divisor (see ``_restriction_certificate``)."""
-    divisor = family_of(variety).divisor
-    if divisor is None:
-        raise InvalidParameterError(f"no distinguished divisor for {variety}")
-    return _restriction_certificate(structure_pushforward(variety, fp), divisor)
+    the family's distinguished divisor (see ``_restriction_certificate``);
+    ``restrict`` refuses a family that declares none."""
+    return _restriction_certificate(structure_pushforward(variety, fp))
 
 
-def _restriction_certificate(pushforward: Decomposition, divisor: str) -> Verdict:
-    """The verdict on the trace kernel read from F^e_* O restricted to
-    ``divisor``.
+def _restriction_certificate(pushforward: Decomposition) -> Verdict:
+    """The verdict on the trace kernel read from F^e_* O restricted to the
+    divisor its family declares, which the witness names.
 
     A trivial summand of multiplicity >= 2 there (one copy beyond the
     canonical split copy) puts a trivial summand in the restricted dual
@@ -121,7 +120,8 @@ def _restriction_certificate(pushforward: Decomposition, divisor: str) -> Verdic
     q < eps, say), a positive-degree summand of the restriction serves
     instead: its dual is a negative summand of the restricted kernel.
     """
-    restricted = restriction.restrict(pushforward, divisor)
+    restricted = restriction.restrict(pushforward)
+    divisor = pushforward.variety.divisor
     mult = restricted.lines.get((0,) * len(restricted.basis), 0) or 0
     if mult >= 2:
         return Verdict(

@@ -16,19 +16,19 @@ convolution table per (q, d), the coefficient list of (1 + t + ... +
 t^{q-1})^{d+1}, so a fault in the closed form that the builders use cannot
 reach both sides of a comparison; each class's sum over j is one strided
 slice sum, or dot product of slices, of the tables; so is each box count
-the Veronese-type cones are checked against.  Each table is built once
-per (q, d) per ``run_suites`` call, one convolution step from the (q, d-1)
-table, into a memo of up to 8 tables emptied when the call starts and when
-it returns.  A case that raises is reported as FAIL with the exception, and
-the run goes on.  Known tensions between recorded values and the computed
-ones (the small-q ruled-surface row, the blowup k=0 claim, the quadric p=2
-window for d >= 4) are reported as WARN with both values printed; they
-never fail a run.
+the Veronese-type cones are checked against.  Each table is built one
+convolution step from the (q, d-1) table, into a memo of up to 8 tables
+emptied when a ``run_suites`` call starts and when it returns.  A case that
+raises is reported as FAIL with the exception, and the run goes on.  Known
+tensions between recorded values and the computed ones (the small-q
+ruled-surface row, the blowup k=0 claim, the quadric p=2 window for d >= 4)
+are reported as WARN with both values printed; they never fail a run.
 
 ``sum-identity``, ``support`` and ``shifted-sum`` read one residue sweep
-``composition_table(range(q), d, fp)`` per (q, d) from a second such memo,
-and never write to it; ``mult-oracle`` checks the four routes to a count
-(entry, row, table and weighted sums) against convolution.
+``composition_table(range(q), d, fp)`` per (q, d) from a second memo, of
+one q's sweeps by d, and never write to them; ``mult-oracle`` checks the
+four routes to a count (entry, row, table and weighted sums) against
+convolution.  The restriction checks restrict to the declared divisor.
 
 The closed forms and identities that only check the library's answers live
 here too, as regression data: the per-eps ruled-surface multiplicities and
@@ -328,14 +328,18 @@ def _ok(cond: bool, detail: str = "") -> tuple[str, str]:
 
 
 def _sweep(fp: PrimePower, d: int) -> tuple[tuple[int, ...], ...]:
-    """``composition_table(range(q), d, fp)`` as tuples, memoized on the
-    table function too, so a table patched in later is not served a stale one."""
-    return _sweeps(composition_table, fp, d)
+    """``composition_table(range(q), d, fp)`` as tuples, from the memo of the
+    last q's sweeps by d.  The memo is keyed on the table function too, so a
+    table patched in later is not served a stale one."""
+    sweeps = _sweeps(composition_table, fp)
+    if d not in sweeps:
+        sweeps[d] = tuple(map(tuple, composition_table(range(fp.q), d, fp)))
+    return sweeps[d]
 
 
-@functools.lru_cache(maxsize=8)
-def _sweeps(table, fp: PrimePower, d: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(tuple, table(range(fp.q), d, fp)))
+@functools.lru_cache(maxsize=1)  # cases come grouped by q: one sweep per (q, d)
+def _sweeps(table, fp: PrimePower) -> dict:
+    return {}
 
 
 def check_sum_identity(p: int, e: int, d: int) -> tuple[str, str]:
@@ -453,7 +457,7 @@ def check_chart_oracle(p: int, e: int) -> tuple[str, str]:
     fp = PrimePower(p, e)
     q = fp.q
     counts = (q * (q + 1) // 2, q * (q - 1) // 2)
-    restricted = restrict(catalog.pushforward_linear_blowup(2, 1, fp), "E")
+    restricted = restrict(catalog.pushforward_linear_blowup(2, 1, fp))
     pair = (restricted.multiplicity((0,)), restricted.multiplicity((-1,)))
     return _ok(pair == counts, f"chart {counts} vs restriction {pair}")
 
@@ -464,7 +468,7 @@ def check_blowup_restrict(p: int, e: int, d: int, r: int) -> tuple[str, str]:
     blowup multiplicities and their closed form
     q^{r-1} * (count(k+1,0;d-r+1) - count(k+1,0;d-r) + count(k,0;d-r))."""
     fp = PrimePower(p, e)
-    restricted = restrict(catalog.pushforward_linear_blowup(d, r, fp), "E")
+    restricted = restrict(catalog.pushforward_linear_blowup(d, r, fp))
     for k in range(d - r + 1):
         summed = sum(blowup_multiplicity(i, k, d, r, fp) for i in range(r + 1))
         closed = fp.q ** (r - 1) * (
@@ -739,7 +743,7 @@ def warn_blowup_k0_claim(p: int, e: int, d: int, r: int) -> tuple[str, str]:
     the exceptional divisor vs the computed q^{r-1} * C(q+d-r, d-r+1)."""
     fp = PrimePower(p, e)
     q = fp.q
-    restricted = restrict(catalog.pushforward_linear_blowup(d, r, fp), "E")
+    restricted = restrict(catalog.pushforward_linear_blowup(d, r, fp))
     computed = restricted.trivial_multiplicity()
     recorded = q**r * binom(q + d - r, d - r)
     if computed == recorded:

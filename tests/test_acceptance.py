@@ -235,7 +235,7 @@ def test_c08_chart_oracle():
         trivial = sum(1 for i in range(q) for j in range(q) if j <= i)
         counts = (trivial, q * q - trivial)
         assert counts == (q * (q + 1) // 2, q * (q - 1) // 2)
-        restricted = restrict(pushforward_linear_blowup(2, 1, fp), "E")
+        restricted = restrict(pushforward_linear_blowup(2, 1, fp))
         assert as_map(restricted) == {(0,): counts[0], (-1,): counts[1]}
     print("PASS criterion 8: chart oracle == restriction formulas (q <= 16)")
 

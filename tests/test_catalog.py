@@ -17,7 +17,7 @@ from frobpush.catalog import (
     pushforward_veronese_cone,
     quadric_pushforward_support,
 )
-from frobpush.combinat import PrimePower, _is_prime, composition_count, floor_residue
+from frobpush.combinat import PrimePower, _is_prime, composition_count
 from frobpush.errors import InvalidParameterError
 from frobpush.picard import (
     Hirzebruch,
@@ -51,7 +51,7 @@ class TestProjectiveSpace:
         for fp in FIELDS:
             q = fp.q
             for n in range(-q - 1, 2 * q):
-                k, m = floor_residue(n, q)
+                k, m = divmod(n, q)
                 expected = {(k,): m + 1, (k - 1,): q - 1 - m}
                 expected = {c: v for c, v in expected.items() if v}
                 assert as_map(pushforward_projective_space(1, n, fp)) == expected
@@ -205,8 +205,8 @@ class TestHirzebruch:
             q = fp.q
             for u in (0, 1, q + 1):
                 for v in (u, u + 1, u + q - 1, u + q):
-                    k, m = floor_residue(u, q)
-                    l, n = floor_residue(v, q)
+                    k, m = divmod(u, q)
+                    l, n = divmod(v, q)
                     if m > n:
                         continue
                     expected = {
@@ -377,14 +377,14 @@ class TestVeroneseCone:
                                 continue
                             direct = {}
                             for j in range(n + 1):
-                                fl, m = floor_residue(eps * j + nprime, q)
+                                fl, m = divmod(eps * j + nprime, q)
                                 for l in range(d + 1):
                                     cnt = composition_count(l, m, d, fp)
                                     if cnt:
                                         key = (0, fl - l)
                                         direct[key] = direct.get(key, 0) + cnt
                             for j in range(1, q - n):
-                                fl, m = floor_residue(-eps * j + nprime, q)
+                                fl, m = divmod(-eps * j + nprime, q)
                                 for l in range(d + 1):
                                     cnt = composition_count(l, m, d, fp)
                                     if cnt:

@@ -638,10 +638,9 @@ USAGE = {
     "kernel": (
         "usage: frobpush kernel [-h] --variety\n"
         "                       {projspace,product,hirzebruch,blowup-linear,veronese-cone,"
-        "segre-cone,quadric,cone-p}\n"
-        "                       [--kind {rnc,veronese,segre}] [--bundle BUNDLE] [--d D]\n"
-        "                       [--r R] [--s S] [--eps EPS] --p P --e E\n"
-        "                       [--format {text,json}]\n"
+        "segre-cone,quadric}\n"
+        "                       [--bundle BUNDLE] [--d D] [--r R] [--s S] [--eps EPS]\n"
+        "                       --p P --e E [--format {text,json}]\n"
     ),
     "local": (
         "usage: frobpush local [-h] --kind {rnc,veronese,segre} [--d D] [--r R] [--s S]\n"
@@ -663,6 +662,60 @@ def test_usage_lines_are_pinned(monkeypatch):
     parser = cli.build_parser()
     usage = {name: command.parser.format_usage() for name, command in parser.commands.items()}
     assert usage == USAGE
+
+
+# Descriptor flags of a small member of each family and cone kind.
+PARAMS = {
+    "projspace": ("--d", "2"), "product": ("--r", "1", "--s", "2"), "hirzebruch": ("--eps", "2"),
+    "blowup-linear": ("--d", "3", "--r", "1"), "veronese-cone": ("--d", "1", "--eps", "2"),
+    "segre-cone": ("--r", "1", "--s", "1"), "quadric": ("--d", "3"),
+    "rnc": ("--eps", "3"), "veronese": ("--d", "2", "--eps", "3"),
+    "segre": ("--r", "1", "--s", "2"),
+}
+
+
+def offered_argvs(command, options):
+    """One argv per --variety choice (per cone kind where the family holds
+    one) or --kind choice ``command`` offers, with each of its optional
+    flags; for verify, one small run with every flag."""
+    if command == "verify":
+        yield ["--suite", "identities", "--max-d", "1", "--max-e", "1", "--primes", "2",
+               "--jobs", "1", "--format", "json"]
+        return
+    choices = []
+    if "--variety" in options:
+        for tag in options["--variety"].choices:
+            cls = families.FAMILIES[tag]
+            bundle = "--bundle=" + ",".join("0" * len(cls.bases[0]))
+            if "kind" in cls.__slots__:
+                choices += [["--variety", tag, "--kind", kind, *PARAMS[kind], bundle]
+                            for kind in families.CONE_KINDS]
+            else:
+                choices.append(["--variety", tag, *PARAMS[tag], bundle])
+    else:
+        choices = [["--kind", kind, *PARAMS[kind]] for kind in options["--kind"].choices]
+    for flags in choices:
+        yield [*flags, "--format", "json", "--p", "3", "--e", "1"]
+
+
+def test_every_flag_has_a_use(capsys):
+    """Each store flag of each subcommand, and each --variety and --kind
+    choice it offers, appears in an argv that exits 0."""
+    offered, used = set(), set()
+    for command, flags in cli.build_parser().commands.items():
+        options = flags.options
+        offered.update((command, option) for option in options)
+        for option in ("--variety", "--kind"):
+            if option in options:
+                offered.update((command, option, choice) for choice in options[option].choices)
+        for argv in offered_argvs(command, options):
+            if outcome(capsys, [command, *argv])[0] != 0:
+                continue
+            for flag, value in zip(argv, [*argv[1:], None]):
+                flag = flag.partition("=")[0]
+                if flag.startswith("--"):
+                    used.update({(command, flag), (command, flag, value)})
+    assert offered - used == set()
 
 
 def test_cli_import_is_lazy():
@@ -900,7 +953,7 @@ class TestExitCodes:
     UNDECLARED = [
         ["decompose", "--variety", "projspace", "--d", "1", "--eps", "3"],
         ["kernel", "--variety", "product", "--r", "1", "--s", "2", "--d", "2"],
-        ["kernel", "--variety", "hirzebruch", "--eps", "1", "--kind", "rnc"],
+        ["kernel", "--variety", "hirzebruch", "--eps", "1", "--r", "1"],
         ["decompose", "--variety", "blowup-linear", "--d", "3", "--r", "1", "--s", "1"],
         ["kernel", "--variety", "veronese-cone", "--d", "1", "--eps", "2", "--r", "1"],
         ["decompose", "--variety", "segre-cone", "--r", "1", "--s", "1", "--eps", "2"],

@@ -28,7 +28,6 @@ from frobpush.combinat import (
     composition_table,
     eulerian,
     floor_pieces,
-    floor_residue,
     polynomial_range_sum,
     range_sum_weights,
 )
@@ -95,24 +94,6 @@ class TestPrimePower:
         for p in (PRIME_BOUND, PRIME_BOUND + 2, 2**89 - 1):
             with pytest.raises(InvalidParameterError, match=str(PRIME_BOUND)):
                 PrimePower(p, 1)
-
-
-class TestFloorResidue:
-    def test_examples(self):
-        assert floor_residue(7, 4) == (1, 3)
-        assert floor_residue(-6, 4) == (-2, 2)
-        assert floor_residue(0, 9) == (0, 0)
-
-    @pytest.mark.parametrize("q", [0, -1])
-    def test_rejects_nonpositive_modulus(self, q):
-        with pytest.raises(InvalidParameterError):
-            floor_residue(5, q)
-
-    @given(st.integers(-10**9, 10**9), st.integers(1, 10**6))
-    def test_reconstruction(self, n, q):
-        fl, r = floor_residue(n, q)
-        assert n == fl * q + r
-        assert 0 <= r <= q - 1
 
 
 class TestFloorPieces:

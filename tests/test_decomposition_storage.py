@@ -374,7 +374,8 @@ class TestAlgebra:
     @given(decompositions(RESTRICTED))
     def test_apply_rule(self, decomp):
         rule = RULES[decomp.variety.tag]
-        assert restriction.restrict(decomp, rule[0]) == ref_apply_rule(rule, decomp)
+        assert decomp.variety.divisor == rule[0]
+        assert restriction.restrict(decomp) == ref_apply_rule(rule, decomp)
 
     @given(decompositions())
     def test_rank(self, decomp):
@@ -415,7 +416,7 @@ def test_builders_build_no_classes(built):
         assert len(decomp.entries) == len(decomp.lines) > 0
     hirzebruch = pushforward_hirzebruch(2, 0, 0, fp)
     kernel = hirzebruch.remove_trivial().dual()
-    restricted = restriction.restrict(hirzebruch, "C0")
+    restricted = restriction.restrict(hirzebruch)
     assert kernel.rank() == fp.q**2 - 1 and restricted.rank() == fp.q**2
     assert restricted.trivial_multiplicity() > 0
     assert not built

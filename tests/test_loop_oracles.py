@@ -398,8 +398,7 @@ class TestOracleIndependence:
     def test_oracles_never_reach_the_closed_forms(self):
         # Follow every call from the loop oracles through verify and combinat.
         closed_forms = {"composition_count", "composition_row", "composition_table",
-                        "composition_sums", "floor_pieces", "polynomial_range_sum", "range_sum_weights",
-                        "floor_residue"}
+                        "composition_sums", "floor_pieces", "polynomial_range_sum", "range_sum_weights"}
         defs = {
             node.name: node
             for module in (verify, combinat)
@@ -554,9 +553,14 @@ class TestOneBuildPerRun:
             return table(ms, d, fp)
 
         monkeypatch.setattr(verify, "composition_table", counting)
-        verify.run_suites(["identities"], **self.GRID)
-        assert set(sweeps) == {(q, d) for q in self.QS for d in range(4)}
-        assert set(sweeps.values()) == {1}
+        grids = ((self.GRID, self.QS),
+                 # Ten sweeps per q (d = 0..9), more than a memo of 8 sweeps holds.
+                 (dict(max_d=9, max_e=2, primes=(2, 3)), {2, 4, 3, 9}))
+        for grid, qs in grids:
+            sweeps.clear()
+            verify.run_suites(["identities"], **grid)
+            assert set(sweeps) == {(q, d) for q in qs for d in range(grid["max_d"] + 1)}
+            assert set(sweeps.values()) == {1}
 
     def test_one_convolution_from_scratch_per_q(self, monkeypatch):
         convolution = verify.bounded_power_coefficients

@@ -137,7 +137,7 @@ class TestAmpleVerdict:
         from frobpush.restriction import restrict
 
         fp = PrimePower(3, 1)
-        verdict = ample_verdict(restrict(pushforward_veronese_cone(2, 2, 0, 0, fp), "E"))
+        verdict = ample_verdict(restrict(pushforward_veronese_cone(2, 2, 0, 0, fp)))
         assert verdict.status is VerdictStatus.NOT_NEF
         assert min(verdict.witness.summand.cls.coords) < 0
 
@@ -278,7 +278,7 @@ class TestDichotomyAtHugeQ:
                 if divisor is not None:
                     assert verdict.witness.divisor == divisor
                     pushforward = structure_pushforward(variety, fp)
-                    assert restrict(pushforward, divisor).rank() == pushforward.rank()
+                    assert restrict(pushforward).rank() == pushforward.rank()
 
 
 def canonical(variety) -> tuple[int, ...]:

@@ -35,7 +35,7 @@ class TestHirzebruchSection:
     def test_eps1_fixture(self):
         for fp in FIELDS:
             q = fp.q
-            restricted = restrict(pushforward_hirzebruch(1, 0, 0, fp), "C0")
+            restricted = restrict(pushforward_hirzebruch(1, 0, 0, fp))
             assert as_map(restricted) == {(0,): q * (q + 1) // 2, (-1,): q * (q - 1) // 2}
 
     def test_general_display(self):
@@ -45,7 +45,7 @@ class TestHirzebruchSection:
                 if q < eps:
                     continue
                 sigma = hirzebruch_closed_multiplicities(eps, fp)
-                restricted = restrict(pushforward_hirzebruch(eps, 0, 0, fp), "C0")
+                restricted = restrict(pushforward_hirzebruch(eps, 0, 0, fp))
                 expected = {(0,): 1 + sigma[eps - 1], (-1,): q - 1 + sigma[eps]}
                 for i in range(1, eps):
                     expected[(i,)] = expected.get((i,), 0) + sigma[eps - i - 1]
@@ -55,7 +55,7 @@ class TestHirzebruchSection:
     def test_trivial_decomposition(self):
         basis = ("C0", "f")
         decomp = Decomposition(Hirzebruch(2), [(Line(PicClass.zero(basis)), 1)])
-        restricted = restrict(decomp, "C0")
+        restricted = restrict(decomp)
         assert as_map(restricted) == {(0,): 1}
         assert isinstance(restricted.variety, ProjSpace)
 
@@ -64,7 +64,7 @@ class TestHirzebruchSection:
         from frobpush.catalog import pushforward_projective_space
 
         with pytest.raises(InvalidParameterError):
-            restrict(pushforward_projective_space(1, 0, fp), "C0")
+            restrict(pushforward_projective_space(1, 0, fp))
 
 
 class TestBlowupExceptional:
@@ -76,11 +76,11 @@ class TestBlowupExceptional:
     def test_rank_preserved(self):
         for fp in FIELDS:
             for d, r in ((2, 1), (3, 1), (3, 2), (4, 2)):
-                assert restrict(pushforward_linear_blowup(d, r, fp), "E").rank() == fp.q**d
+                assert restrict(pushforward_linear_blowup(d, r, fp)).rank() == fp.q**d
 
     def test_closed_form_multiplicities(self):
         fp = PrimePower(2, 1)
-        restricted = restrict(pushforward_linear_blowup(3, 1, fp), "E")
+        restricted = restrict(pushforward_linear_blowup(3, 1, fp))
         q = fp.q
         expected = {}
         for k in range(3):
@@ -110,7 +110,7 @@ class TestVeroneseExceptional:
                     def exceptional(k):  # O(-E - k*H') = O(-H + (eps - k)*H')
                         return cone.get((-1, eps - k), 0)
 
-                    restricted = restrict(decomp, "E")
+                    restricted = restrict(decomp)
                     expected = {}
                     for k in range(d + 1):
                         value = section(k) + exceptional(eps + k)
@@ -128,7 +128,7 @@ class TestVeroneseExceptional:
                 if fp.q < eps:
                     continue
                 sigma = hirzebruch_closed_multiplicities(eps, fp)
-                restricted = restrict(pushforward_veronese_cone(1, eps, 0, 0, fp), "E")
+                restricted = restrict(pushforward_veronese_cone(1, eps, 0, 0, fp))
                 assert restricted.trivial_multiplicity() == 1 + sigma[eps - 1]
 
     def test_d1_matches_hirzebruch_section(self):
@@ -136,25 +136,25 @@ class TestVeroneseExceptional:
             for eps in (1, 2, 3, 4):
                 if fp.q < eps:
                     continue
-                via_cone = restrict(pushforward_veronese_cone(1, eps, 0, 0, fp), "E")
-                via_surface = restrict(pushforward_hirzebruch(eps, 0, 0, fp), "C0")
+                via_cone = restrict(pushforward_veronese_cone(1, eps, 0, 0, fp))
+                via_surface = restrict(pushforward_hirzebruch(eps, 0, 0, fp))
                 assert as_map(via_cone) == as_map(via_surface)
 
     def test_rank_preserved(self):
         fp = PrimePower(3, 1)
-        assert restrict(pushforward_veronese_cone(2, 3, 0, 0, fp), "E").rank() == fp.q**3
+        assert restrict(pushforward_veronese_cone(2, 3, 0, 0, fp)).rank() == fp.q**3
 
 
 class TestSegreExceptional:
     def test_q2_trivial_entry(self):
         fp = PrimePower(2, 1)
-        restricted = restrict(pushforward_segre_cone(1, 1, 0, 0, 0, fp), "E")
+        restricted = restrict(pushforward_segre_cone(1, 1, 0, 0, 0, fp))
         assert restricted.trivial_multiplicity() == 5
 
     def test_display(self):
         for fp in FIELDS:
             for r, s in ((1, 1), (1, 2), (2, 2)):
-                restricted = restrict(pushforward_segre_cone(r, s, 0, 0, 0, fp), "E")
+                restricted = restrict(pushforward_segre_cone(r, s, 0, 0, 0, fp))
                 expected = {}
                 for k in range(r + 1):
                     for l in range(s + 1):
@@ -168,7 +168,7 @@ class TestSegreExceptional:
 
     def test_rank_preserved(self):
         for fp in FIELDS:
-            assert restrict(pushforward_segre_cone(1, 2, 0, 0, 0, fp), "E").rank() == fp.q**4
+            assert restrict(pushforward_segre_cone(1, 2, 0, 0, 0, fp)).rank() == fp.q**4
 
 
 def prime_powers_up_to(bound):
@@ -197,7 +197,7 @@ def enumerated_chart_counts(q):
 
 def point_blowup_on_e(fp):
     """{class: multiplicity} of F^e_* O on Bl_pt P^2 restricted to E."""
-    return as_map(restrict(pushforward_linear_blowup(2, 1, fp), "E"))
+    return as_map(restrict(pushforward_linear_blowup(2, 1, fp)))
 
 
 class TestChartOracle:
@@ -225,11 +225,6 @@ class TestChartOracle:
 
 
 class TestRestrictionGenerics:
-    def test_unknown_divisor(self):
-        fp = PrimePower(2, 1)
-        with pytest.raises(InvalidParameterError):
-            restrict(pushforward_hirzebruch(1, 0, 0, fp), "E")
-
     def test_commutes_with_pullback_twists(self):
         # Twisting by a source generator e_i then restricting equals
         # restricting then twisting by the image of e_i: row i of the matrix.
@@ -242,7 +237,7 @@ class TestRestrictionGenerics:
         ]
         for decomp, divisor in sources:
             rule_divisor, target, matrix = RULES[decomp.variety.tag]
-            assert rule_divisor == divisor
+            assert decomp.variety.divisor == rule_divisor == divisor
             target_basis = target(decomp.variety).bases[0]
             rows = matrix(decomp.variety)
             assert len(rows) == len(decomp.basis)
@@ -253,9 +248,7 @@ class TestRestrictionGenerics:
                         decomp.basis,
                     )
                     down = PicClass(tuple(scale * c for c in row), target_basis)
-                    assert restrict(decomp.twist(up), divisor) == restrict(
-                        decomp, divisor
-                    ).twist(down)
+                    assert restrict(decomp.twist(up)) == restrict(decomp).twist(down)
 
     def test_restricts_from_alternate_blowup_basis(self):
         from frobpush.picard import change_basis
@@ -265,7 +258,7 @@ class TestRestrictionGenerics:
                 for r in range(1, d):
                     default = pushforward_linear_blowup(d, r, fp)
                     flipped = change_basis(default, ("H", "E"))
-                    assert restrict(flipped, "E") == restrict(default, "E"), (d, r, fp)
+                    assert restrict(flipped) == restrict(default), (d, r, fp)
 
     def test_restriction_preserves_rank(self):
         fp = PrimePower(2, 2)
@@ -275,4 +268,5 @@ class TestRestrictionGenerics:
             (pushforward_segre_cone(2, 1, 0, 1, 0, fp), "E"),
         ]
         for decomp, divisor in pairs:
-            assert restrict(decomp, divisor).rank() == decomp.rank()
+            assert decomp.variety.divisor == divisor
+            assert restrict(decomp).rank() == decomp.rank()
