@@ -9,15 +9,15 @@ and ``warn-quadric-p2`` runs at p = 2 for e = 1..max_e, whatever the primes.
 Every case is an independent pure computation keyed by its parameters, so the
 runner may fan cases out across worker processes; results are merged in key
 order and are reproducible regardless of scheduling.  The oracles suite
-checks each builder that sums over the q residues by pieces against a sum
-over every residue j, at small q.  These loop oracles, and the check of the
-closed form ``composition_count`` itself, read their counts from one
-convolution table per (q, d), the coefficient list of (1 + t + ... +
-t^{q-1})^{d+1}, so a fault in the closed form that the builders use cannot
-reach both sides of a comparison; each class's sum over j is one strided
-slice sum, or dot product of slices, of the tables; so is each box count
-the Veronese-type cones are checked against.  Each table is built one
-convolution step from the (q, d-1) table, into a memo of up to 8 tables
+checks each builder that sums over the q residues by pieces against
+``thomsen_loop`` at small q: Thomsen's count over the Cox degrees that
+``cox_degrees`` reads off the family's declared ``bundle()``, one product of
+strided slices per class.  It, the box counts of the Veronese-type cones and
+the check of the closed form ``composition_count`` itself read their counts
+from convolution tables, the coefficient lists of (1 + t + ... +
+t^{q-1})^parts, so a fault in the closed form that the builders use cannot
+reach both sides of a comparison.  Each table is built one convolution step
+from the (q, parts - 1) table, into a memo of one q's tables by parts,
 emptied when a ``run_suites`` call starts and when it returns.  A case that
 raises is reported as FAIL with the exception, and the run goes on.  Known
 tensions between recorded values and the computed ones (the small-q
@@ -45,7 +45,7 @@ import operator
 import os
 import time
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, product, repeat
 
 from . import catalog, localalg, positivity
 from .combinat import (
@@ -60,7 +60,7 @@ from .combinat import (
     polynomial_range_sum,
 )
 from .errors import InvalidParameterError
-from .families import FAMILIES, structure_pushforward
+from .families import FAMILIES, build, structure_pushforward
 from .picard import PicClass, ProjSpace, RationalNormalCone, SegreCone, VeroneseCone
 from .restriction import restrict
 from .value import Value
@@ -89,8 +89,7 @@ LOOP_Q_CAP = 343
 
 
 # ---------------------------------------------------------------------------
-# Loop oracles: the catalog's sums over residues j, one slice sum or dot
-# product per class.  Each returns {coordinates: multiplicity}.
+# Loop oracles: one product of strided slices of convolution tables per class.
 # ---------------------------------------------------------------------------
 
 
@@ -98,109 +97,116 @@ def _nonzero(counts: dict) -> dict[tuple[int, ...], int]:
     return {coords: mult for coords, mult in counts.items() if mult}
 
 
-@functools.lru_cache(maxsize=8)
 def _coefficients(q: int, parts: int) -> tuple[int, ...]:
     """The coefficients of (1 + t + ... + t^{q-1})^parts, padded with zeros to
     (parts + 1) * q entries: the number of parts-tuples in [0, q-1] summing
     to m + i*q is table[m + i*q] for 0 <= i <= parts and 0 <= m < q.
 
     Built by convolution, so it shares nothing with ``composition_count``:
-    parts <= 1 by ``bounded_power_coefficients``, the rest as the memoized
-    (q, parts - 1) table times (1 - t^q) / (1 - t).  The memo holds up to 8
-    tables and is emptied by ``run_suites``.
+    parts <= 1 by ``bounded_power_coefficients``, the rest as the (q, parts -
+    1) table times (1 - t^q) / (1 - t), from the memo of the last q's tables
+    by parts.  The memo is keyed on the convolution too, so a convolution
+    patched in later is not served a stale table.
     """
-    if parts <= 1:
-        table = bounded_power_coefficients(q, parts)
-        return tuple(table) + (0,) * ((parts + 1) * q - len(table))
-    lower = _coefficients(q, parts - 1)
-    diff = [*lower, *repeat(0, q)]
-    diff[q:] = map(operator.sub, diff[q:], lower)
-    return tuple(accumulate(diff))
+    tables = _tables(bounded_power_coefficients, q)
+    if parts not in tables:
+        if parts <= 1:
+            table = bounded_power_coefficients(q, parts)
+            table = [*table, *repeat(0, (parts + 1) * q - len(table))]
+        else:
+            lower = _coefficients(q, parts - 1)
+            table = [*lower, *repeat(0, q)]
+            table[q:] = map(operator.sub, table[q:], lower)
+            table = accumulate(table)
+        tables[parts] = tuple(table)
+    return tables[parts]
 
 
-def _progression_sums(table: tuple[int, ...], q: int, lo: int, step: int, count: int) -> dict:
-    """{c: sum of table[x - c*q] over x = lo, lo + step, ... (count terms)
-    with the index in the table}: what a j-loop that adds table[x mod q + l*q]
-    to class floor(x/q) - l, for l = 0..parts-1, adds to class c."""
-    if count <= 0:
-        return {}
-    size = len(table)
-    if not step:
-        return {c: count * table[lo - c * q] for c in range((lo - size) // q + 1, lo // q + 1)}
-    if step < 0:
-        lo, step = lo + step * (count - 1), -step
-    hi = lo + step * (count - 1)
-    return {
-        c: sum(table[max(lo - c * q, (lo - c * q) % step) : min(hi - c * q + 1, size) : step])
-        for c in range((lo - size) // q + 1, hi // q + 1)
-    }
+@functools.lru_cache(maxsize=1)  # cases come grouped by q: one table per (q, parts)
+def _tables(convolution, q: int) -> dict:
+    return {}
 
 
-def _dot(a, b) -> int:
-    return sum(map(operator.mul, a, b))
+def cox_degrees(variety) -> list[tuple[int, ...]]:
+    """The degrees of the Cox variables of a split ``variety`` P(E) -> B, in
+    its default basis: (1, -b) for each twist b of E, then (0, c) for each
+    Cox degree c of B.  B is a product of projective spaces, so those are
+    unit vectors: e_j once for each of the n_j + 1 variables of its j-th
+    factor P^(n_j)."""
+    base, twists = variety.bundle()
+    degrees = [(1, *map(operator.neg, twist)) for twist in twists]
+    return degrees + [(0, *deg) for deg in cox_degrees(base)] if base else degrees
 
 
-def hirzebruch_loop(eps: int, u: int, v: int, fp: PrimePower) -> dict[tuple[int, ...], int]:
-    """F^e_* O(u*C0 + v*f) on the ruled surface by the four-block loop over j:
-    with v - j*eps = fl*q + res it adds res + 1 = table[res] to (c0, fl) and
-    q - 1 - res = table[res + q] to (c0, fl - 1), for the 2-part table."""
-    q = fp.q
-    k, m = divmod(u, q)
-    table = _coefficients(q, 2)
-    counts = {(k, c): t for c, t in _progression_sums(table, q, v, -eps, m + 1).items()}
-    for c, t in _progression_sums(table, q, v - eps * (m + 1), -eps, q - 1 - m).items():
-        counts[(k - 1, c)] = t
-    return _nonzero(counts)
+@functools.lru_cache(maxsize=64)  # one entry per degree list: under 20 on a verify grid
+def _cox_groups(degrees: tuple[tuple[int, ...], ...]) -> tuple:
+    """The Cox variables grouped by degree: the sizes n1, n2 of the fiber
+    groups of degrees (1, f) and (1, w), for E's at most two twists (n2 = 0
+    where it has one), and (size, w_j, w_j - f_j) for base coordinate j."""
+    groups = {deg: degrees.count(deg) for deg in degrees}
+    fiber = [(deg[1:], n) for deg, n in groups.items() if deg[0]]
+    (first, n1), (second, n2) = fiber if fiber[1:] else [*fiber, (fiber[0][0], 0)]
+    sizes = [n for deg, n in groups.items() if not deg[0]]
+    return n1, n2, tuple(zip(sizes, second, map(operator.sub, second, first)))
 
 
-def segre_cone_loop(
-    r: int, s: int, n: int, n1: int, n2: int, fp: PrimePower
-) -> dict[tuple[int, ...], int]:
-    """F^e_* O(n*H + n1*G1 + n2*G2) on the Segre cone blowup by the loop over
-    j, which adds left[j + n1 - c1*q] * right[j + n2 - c2*q] to (h, c1, c2)."""
-    q = fp.q
-    left, right = _coefficients(q, r + 1), _coefficients(q, s + 1)
+_times = functools.partial(map, operator.mul)
+_least = operator.itemgetter(3)
+
+
+def thomsen_loop(variety, bundle: tuple[int, ...], fp: PrimePower) -> dict[tuple[int, ...], int]:
+    """F^e_* O(D), D = ``bundle`` in the default basis of a split ``variety``,
+    by Thomsen's count over its Cox degrees (J. F. Thomsen, J. Algebra 226,
+    2000): the multiplicity of the class c is the number of rho in [0, q-1]^N
+    with sum_i rho_i deg_i = D - q*c.  Classes come in ascending order.
+
+    A group of n variables of one degree reaches the total x in table[x]
+    ways, for the n-part table.  With fiber totals S and R - S, R = D_0 -
+    q*c_0, base coordinate j's total is b - q*c_j + v*S, b = D_j - R*w_j and
+    v = w_j - f_j.  So each class is a sum over S of a product of strided
+    slices, one per group of two or more variables; a group of one only
+    bounds S.  The tables are palindromes, table[x] == table[n(q-1) - x], so
+    a total that falls as S grows is read forward from the other end.
+    """
+    q, top = fp.q, fp.q - 1
+    n1, n2, groups = _cox_groups(tuple(cox_degrees(variety)))
+    base = [(_coefficients(q, n), n * top, d, w, v) for (n, w, v), d in zip(groups, bundle[1:])]
     counts = {}
-    for h, jlo, jhi in ((0, 0, n), (-1, n + 1, q - 1)):
-        for c1 in range((jlo + n1 - len(left)) // q + 1, (jhi + n1) // q + 1):
-            for c2 in range((jlo + n2 - len(right)) // q + 1, (jhi + n2) // q + 1):
-                j, a, b = max(jlo, c1 * q - n1, c2 * q - n2), n1 - c1 * q, n2 - c2 * q
-                counts[(h, c1, c2)] = _dot(left[j + a : jhi + a + 1], right[j + b : jhi + b + 1])
-    return _nonzero(counts)
-
-
-def blowup_loop(d: int, r: int, fp: PrimePower) -> dict[tuple[int, ...], int]:
-    """F^e_* O on the linear blowup, each mixed term summed over j = 1..q-1
-    as a slice of outer against a reversed slice of inner."""
-    q = fp.q
-    outer, inner = _coefficients(q, d - r + 1), _coefficients(q, r)
-    counts = {}
-    for i in range(r + 1):
-        for k in range(d - r + 1):
-            # inner(i - 1, q - j) is inner[i*q - j]; it vanishes at i = 0.
-            mixed = i and _dot(outer[k * q + 1 : (k + 1) * q], inner[i * q - 1 : (i - 1) * q : -1])
-            counts[(-i, -k)] = outer[k * q] * inner[i * q] + mixed
-    return _nonzero(counts)
-
-
-def veronese_loop(
-    d: int, eps: int, n: int, nprime: int, fp: PrimePower
-) -> dict[tuple[int, ...], int]:
-    """F^e_* O(n*H + n'*H') on the Veronese cone blowup by the direct
-    floor/residue loop over x = eps*j + n' (j <= n) and -eps*j + n' (j < q-n)."""
-    q = fp.q
-    table = _coefficients(q, d + 1)
-    counts = {(0, c): t for c, t in _progression_sums(table, q, nprime, eps, n + 1).items()}
-    for c, t in _progression_sums(table, q, nprime - eps, -eps, q - n - 1).items():
-        counts[(-1, c + eps)] = t
-    return _nonzero(counts)
+    for c0 in range(-(((n1 + n2) * top - bundle[0]) // q), bundle[0] // q + 1):
+        total = bundle[0] - q * c0
+        lo, hi = max(0, total - n2 * top), min(n1 * top, total)
+        # Each choice (table, u, step, least S) reads table[u + step*S].
+        heads = ((n1, 0), (n2, n2 * top - total))
+        spans, choices = [], [[(_coefficients(q, n), u, 1, lo)] for n, u in heads if n > 1]
+        for table, size, d, w, v in base:
+            b = d - total * w
+            ends = (b + v * lo, b + v * hi)
+            span = range(-((size - min(ends)) // q), max(ends) // q + 1)
+            b, v, dq = (size - b, -v, q) if v < 0 else (b, v, -q)
+            spans.append(span)
+            choices.append([(table, b + dq * c, v, -((b + dq * c) // v) if v else lo) for c in span])
+        for classes, picks in zip(product(*spans), product(*choices)):
+            least = max(lo, *map(_least, picks))
+            # Where least > hi every slice is empty.
+            if len(picks) == 1:
+                ((table, u, s, _),) = picks
+                mult = sum(table[u + s * least : u + s * hi + 1 : s] if s
+                           else table[u : u + 1] * (hi - least + 1))
+            else:
+                mult = sum(functools.reduce(_times, [
+                    table[u + s * least : u + s * hi + 1 : s] if s else table[u : u + 1] * (hi - least + 1)
+                    for table, u, s, _ in picks
+                ]))
+            if mult:
+                counts[(c0, *classes)] = mult
+    return counts
 
 
 def segre_shifted_sums(r: int, s: int, fp: PrimePower) -> dict[tuple[int, ...], int]:
     """``check_segre_split_routes``'s {(i,): multiplicity of i*L}, zeros kept."""
     q = fp.q
     left, right = _coefficients(q, r + 1), _coefficients(q, s + 1)
-    return {(i,): _dot(left[max(0, -i * q) :], right[max(0, i * q) :]) for i in range(-r, s + 1)}
+    return {(i,): sum(_times(left[max(0, -i * q) :], right[max(0, i * q) :])) for i in range(-r, s + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -503,14 +509,6 @@ def check_segre_split_routes(p: int, e: int, r: int, s: int) -> tuple[str, str]:
     )
 
 
-def check_veronese_direct(p: int, e: int, d: int, eps: int, n: int, nprime: int) -> tuple[str, str]:
-    """Pushforward vs the direct floor/residue loop over j, q < eps included."""
-    fp = PrimePower(p, e)
-    computed = catalog.pushforward_veronese_cone(d, eps, n, nprime, fp).lines
-    direct = veronese_loop(d, eps, n, nprime, fp)
-    return _ok(computed == direct, f"{len(direct)} classes")
-
-
 def check_veronese_box(p: int, e: int, max_d: int) -> tuple[str, str]:
     """Vertex-local classes of the Veronese-type cones, eps = 2, 3 and
     d <= max_d, vs the box count: the class -k*L counts the points of
@@ -530,37 +528,38 @@ def check_veronese_box(p: int, e: int, max_d: int) -> tuple[str, str]:
     return "PASS", f"{2 * max_d} cones"
 
 
-def _loop_check(got, want: dict) -> tuple[str, str]:
+def _loop_check(
+    p: int, e: int, tag: str, params: tuple, bundle: tuple[int, ...], capped: bool = True
+) -> tuple[str, str]:
+    """The builder of the family ``tag`` vs ``thomsen_loop`` at ``bundle``; a
+    twisted bundle above ``LOOP_Q_CAP`` is skipped where ``capped``."""
+    fp = PrimePower(p, e)
+    if capped and any(bundle) and fp.q > LOOP_Q_CAP:
+        return "PASS", f"skipped (q > {LOOP_Q_CAP})"
+    variety = FAMILIES[tag](*params)
+    got = build(variety, bundle, fp).lines
+    want = thomsen_loop(variety, bundle, fp)
     same = got == want
     return _ok(same, f"{len(want)} classes" if same else f"{dict(got)} vs loop {want}")
 
 
-def _skip_twist(fp: PrimePower, twist: tuple[int, ...]) -> bool:
-    return any(twist) and fp.q > LOOP_Q_CAP
-
-
 def check_hirzebruch_loop(p: int, e: int, eps: int, u: int, v: int) -> tuple[str, str]:
-    fp = PrimePower(p, e)
-    if _skip_twist(fp, (u, v)):
-        return "PASS", f"skipped (q > {LOOP_Q_CAP})"
-    got = catalog.pushforward_hirzebruch(eps, u, v, fp).lines
-    return _loop_check(got, hirzebruch_loop(eps, u, v, fp))
+    return _loop_check(p, e, "hirzebruch", (eps,), (u, v))
 
 
 def check_segre_cone_loop(
     p: int, e: int, r: int, s: int, n: int, n1: int, n2: int
 ) -> tuple[str, str]:
-    fp = PrimePower(p, e)
-    if _skip_twist(fp, (n, n1, n2)):
-        return "PASS", f"skipped (q > {LOOP_Q_CAP})"
-    got = catalog.pushforward_segre_cone(r, s, n, n1, n2, fp).lines
-    return _loop_check(got, segre_cone_loop(r, s, n, n1, n2, fp))
+    return _loop_check(p, e, "segre-cone", (r, s), (n, n1, n2))
 
 
 def check_blowup_loop(p: int, e: int, d: int, r: int) -> tuple[str, str]:
-    fp = PrimePower(p, e)
-    got = catalog.pushforward_linear_blowup(d, r, fp).lines
-    return _loop_check(got, blowup_loop(d, r, fp))
+    return _loop_check(p, e, "blowup-linear", (d, r), (0, 0))
+
+
+def check_veronese_direct(p: int, e: int, d: int, eps: int, n: int, nprime: int) -> tuple[str, str]:
+    """At every q, q < eps and q > ``LOOP_Q_CAP`` included."""
+    return _loop_check(p, e, "veronese-cone", (d, eps), (n, nprime), capped=False)
 
 
 def check_fix_projspace(p: int, e: int) -> tuple[str, str]:
@@ -892,7 +891,7 @@ def run_suites(
 
     # A pool forks all its workers at the first submit: never more than CPUs.
     workers = min(jobs, os.cpu_count() or 1)
-    _coefficients.cache_clear()
+    _tables.cache_clear()
     _sweeps.cache_clear()
     try:
         if workers <= 1:
@@ -907,5 +906,5 @@ def run_suites(
                 lambda fn, cases: pool.map(fn, cases, chunksize=max(1, len(cases) // chunks))
             )
     finally:
-        _coefficients.cache_clear()
+        _tables.cache_clear()
         _sweeps.cache_clear()

@@ -110,7 +110,7 @@ def test_combinat_functions_are_leaves():
 # the tests, never a route of the library.
 ORACLES = {"hirzebruch_closed_multiplicities", "hirzebruch_block_multiplicities",
            "determinant_twist_sum", "volume_identity", "bounded_power_coefficients",
-           "blowup_multiplicity"}
+           "blowup_multiplicity", "thomsen_loop", "cox_degrees"}
 
 
 def referenced_names(node: ast.AST) -> set[str]:

@@ -1,8 +1,8 @@
 """Differential tests: every builder that sums over the q residues by pieces
-against the loop oracle in ``verify``, and every loop oracle, which sums
-slices of a convolution table, against the literal j-by-j loop it stands
-for, at q <= 32, with exact equality; and the oracles' independence from the
-closed form the builders use."""
+against ``verify.thomsen_loop``, Thomsen's count over the Cox degrees, which
+sums slices of convolution tables, and that count against the literal j-by-j
+loop of each family, at q <= 32, with exact equality; and the oracles'
+independence from the closed form the builders use."""
 
 import ast
 import inspect
@@ -17,6 +17,7 @@ from frobpush import catalog, combinat, localalg, verify
 from frobpush.catalog import (
     pushforward_hirzebruch,
     pushforward_linear_blowup,
+    pushforward_product,
     pushforward_projective_space,
     pushforward_segre_cone,
     pushforward_veronese_cone,
@@ -31,13 +32,18 @@ from frobpush.combinat import (
 )
 from frobpush.localalg import cone_pushforward, splitting_number
 from frobpush.picard import (
+    Hirzebruch,
+    LinearBlowup,
     PicClass,
+    Product,
+    ProjSpace,
     RationalNormalCone,
     SegreCone,
+    SegreConeBlowup,
     VeroneseCone,
     VeroneseConeBlowup,
 )
-from frobpush.verify import determinant_twist_sum
+from frobpush.verify import cox_degrees, determinant_twist_sum, thomsen_loop
 
 FIELDS = [
     PrimePower(p, e)
@@ -57,8 +63,8 @@ def residue(data, fp):
 
 
 # ---------------------------------------------------------------------------
-# The loops over j that the oracles sum by slices, one term at a time.  Each
-# count(parts, n) is a coefficient of (1 + t + ... + t^{q-1})^parts.
+# The loops over j that the Thomsen count sums by slices, one term at a time.
+# Each count(parts, n) is a coefficient of (1 + t + ... + t^{q-1})^parts.
 # ---------------------------------------------------------------------------
 
 
@@ -145,15 +151,6 @@ def segre_shifted_t_loop(r, s, fp):
 # ---------------------------------------------------------------------------
 
 
-def cox_degrees(variety):
-    """The Cox degrees of a declared projective bundle P(E) -> B, in its
-    default basis: (1, -b) for each twist b of E, then (0, c) for each Cox
-    degree c of B."""
-    base, twists = variety.bundle()
-    below = cox_degrees(base) if base else []
-    return [(1, *(-t for t in twist)) for twist in twists] + [(0, *c) for c in below]
-
-
 def test_veronese_cone_matches_thomsen_count_at_every_residue_pair():
     # 648 residue pairs at q <= 5, d <= 2 and eps <= 6; 268 of them have
     # eps - n' > q or eps - n' < 1.
@@ -187,7 +184,7 @@ def test_veronese_oracle_matches_j_loop(fp, d, eps, data):
     # Any residue pair, the out-of-regime ones too.
     n, nprime = residue(data, fp), residue(data, fp)
     want = veronese_j_loop(d, eps, n, nprime, fp)
-    assert verify.veronese_loop(d, eps, n, nprime, fp) == want
+    assert thomsen_loop(VeroneseConeBlowup(d, eps), (n, nprime), fp) == want
 
 
 @pytest.mark.parametrize("fp", [fp for fp in FIELDS if fp.q <= 9], ids=repr)
@@ -197,7 +194,8 @@ def test_veronese_oracle_matches_j_loop_at_every_pair(fp):
             for n in range(fp.q):
                 for nprime in range(fp.q):
                     want = veronese_j_loop(d, eps, n, nprime, fp)
-                    assert verify.veronese_loop(d, eps, n, nprime, fp) == want, (d, eps, n, nprime)
+                    got = thomsen_loop(VeroneseConeBlowup(d, eps), (n, nprime), fp)
+                    assert got == want, (d, eps, n, nprime)
 
 
 @given(fields, st.integers(0, 6), st.data())
@@ -205,20 +203,20 @@ def test_hirzebruch_oracle_matches_j_loop(fp, eps, data):
     q = fp.q
     twist = st.one_of(st.integers(-3 * q, 3 * q), st.integers(-10**12, 10**12))
     u, v = data.draw(twist), data.draw(twist)
-    assert verify.hirzebruch_loop(eps, u, v, fp) == hirzebruch_j_loop(eps, u, v, fp)
+    assert thomsen_loop(Hirzebruch(eps), (u, v), fp) == hirzebruch_j_loop(eps, u, v, fp)
 
 
 @given(fields, st.integers(1, 3), st.integers(1, 3), st.data())
 def test_segre_cone_oracle_matches_j_loop(fp, r, s, data):
     n, n1, n2 = residue(data, fp), residue(data, fp), residue(data, fp)
     want = segre_cone_j_loop(r, s, n, n1, n2, fp)
-    assert verify.segre_cone_loop(r, s, n, n1, n2, fp) == want
+    assert thomsen_loop(SegreConeBlowup(r, s), (n, n1, n2), fp) == want
 
 
 @given(fields, st.integers(2, 5), st.data())
 def test_blowup_oracle_matches_j_loop(fp, d, data):
     r = data.draw(st.integers(1, d - 1))
-    assert verify.blowup_loop(d, r, fp) == blowup_j_loop(d, r, fp)
+    assert thomsen_loop(LinearBlowup(d, r), (0, 0), fp) == blowup_j_loop(d, r, fp)
 
 
 @given(fields, st.integers(1, 3), st.integers(1, 3))
@@ -232,27 +230,36 @@ def test_hirzebruch_matches_loop(fp, eps, data):
     twist = st.one_of(st.integers(-3 * q, 3 * q), st.integers(-10**12, 10**12))
     u, v = data.draw(twist), data.draw(twist)
     got = as_map(pushforward_hirzebruch(eps, u, v, fp))
-    assert got == verify.hirzebruch_loop(eps, u, v, fp)
+    assert got == thomsen_loop(Hirzebruch(eps), (u, v), fp)
 
 
 @given(fields, st.integers(1, 3), st.integers(1, 3), st.data())
 def test_segre_cone_matches_loop(fp, r, s, data):
     n, n1, n2 = residue(data, fp), residue(data, fp), residue(data, fp)
     got = as_map(pushforward_segre_cone(r, s, n, n1, n2, fp))
-    assert got == verify.segre_cone_loop(r, s, n, n1, n2, fp)
+    assert got == thomsen_loop(SegreConeBlowup(r, s), (n, n1, n2), fp)
 
 
 @given(fields, st.integers(2, 5), st.data())
 def test_linear_blowup_matches_loop(fp, d, data):
     r = data.draw(st.integers(1, d - 1))
-    assert as_map(pushforward_linear_blowup(d, r, fp)) == verify.blowup_loop(d, r, fp)
+    assert as_map(pushforward_linear_blowup(d, r, fp)) == thomsen_loop(LinearBlowup(d, r), (0, 0), fp)
+
+
+@given(fields, st.integers(1, 3), st.integers(1, 3), st.data())
+def test_projective_spaces_match_loop(fp, r, s, data):
+    # E has one twist, so the first fiber group's total is fixed per class.
+    twist = st.integers(-3 * fp.q, 3 * fp.q)
+    a, b = data.draw(twist), data.draw(twist)
+    assert as_map(pushforward_projective_space(r, a, fp)) == thomsen_loop(ProjSpace(r), (a,), fp)
+    assert as_map(pushforward_product(r, s, a, b, fp)) == thomsen_loop(Product(r, s), (a, b), fp)
 
 
 @given(fields, st.integers(1, 3), st.integers(1, 6), st.data())
 def test_veronese_cone_matches_loop(fp, d, eps, data):
     n, nprime = residue(data, fp), residue(data, fp)
     got = as_map(pushforward_veronese_cone(d, eps, n, nprime, fp))
-    assert got == verify.veronese_loop(d, eps, n, nprime, fp)
+    assert got == thomsen_loop(VeroneseConeBlowup(d, eps), (n, nprime), fp)
 
 
 @given(fields, st.integers(1, 3), st.integers(1, 3))
@@ -286,7 +293,7 @@ def test_veronese_splitting_matches_loop(fp, d, eps):
             )
             assert splitting_number(VeroneseCone(d, eps), fp) == box
         return
-    classes = verify.veronese_loop(d, eps, 0, 0, fp)
+    classes = thomsen_loop(VeroneseConeBlowup(d, eps), (0, 0), fp)
     expected = sum(mult for (_, b), mult in classes.items() if b % eps == 0)
     assert splitting_number(VeroneseCone(d, eps), fp) == expected
 
@@ -396,7 +403,7 @@ def failing_kinds(cases):
 
 class TestOracleIndependence:
     def test_oracles_never_reach_the_closed_forms(self):
-        # Follow every call from the loop oracles through verify and combinat.
+        # Follow every call from the oracles through verify and combinat.
         closed_forms = {"composition_count", "composition_row", "composition_table",
                         "composition_sums", "floor_pieces", "polynomial_range_sum", "range_sum_weights"}
         defs = {
@@ -406,8 +413,7 @@ class TestOracleIndependence:
             if isinstance(node, ast.FunctionDef)
         }
         seen = set()
-        todo = ["hirzebruch_loop", "segre_cone_loop", "blowup_loop", "veronese_loop",
-                "segre_shifted_sums", "check_veronese_box"]
+        todo = ["thomsen_loop", "segre_shifted_sums", "check_veronese_box"]
         while todo:
             name = todo.pop()
             if name in seen:
@@ -417,7 +423,7 @@ class TestOracleIndependence:
             names |= {node.attr for node in ast.walk(defs[name]) if isinstance(node, ast.Attribute)}
             assert not names & closed_forms, (name, names & closed_forms)
             todo.extend(names & defs.keys())
-        assert {"_progression_sums", "_coefficients", "bounded_power_coefficients"} <= seen
+        assert {"cox_degrees", "_coefficients", "bounded_power_coefficients"} <= seen
 
     def test_loops_catch_a_closed_form_fault(self, monkeypatch):
         # The same fault in every caller's closed form, on the one-entry,
@@ -492,6 +498,23 @@ class TestOracleIndependence:
         monkeypatch.setattr(catalog, "range_sum_weights", last_weight_off_by_one)
         assert loops <= failing_kinds(TINY_ORACLES)
 
+    def test_loops_read_the_declared_bundle(self, monkeypatch):
+        # The second twist of E with the opposite sign, builders untouched: at
+        # q = 2, 3, 4 and 5 hz-loop fails at every eps >= 1 (eps = 0 has no
+        # sign), and veronese-direct at every (d, eps) of its grid.
+        grid = dict(max_d=3, max_e=2, primes=(2, 3, 5))
+        cases = [(name, args) for name, args in verify.build_cases("oracles", **grid)
+                 if name in ("hz-loop", "veronese-direct") and args[0] ** args[1] <= 5]
+        assert not failing_kinds(cases)
+        monkeypatch.setattr(Hirzebruch, "bundle", lambda v: (ProjSpace(1), ((0,), (v.eps,))))
+        monkeypatch.setattr(VeroneseConeBlowup, "bundle",
+                            lambda v: (ProjSpace(v.d), ((0,), (-v.eps,))))
+        failing = {(name, args[:2], args[2:3] if name == "hz-loop" else args[2:4])
+                   for name, args in cases if verify.run_case((name, args)).status == "FAIL"}
+        fields = ((2, 1), (2, 2), (3, 1), (5, 1))
+        assert failing == {("hz-loop", f, (eps,)) for f in fields for eps in range(1, 5)} | {
+            ("veronese-direct", f, (d, eps)) for f in fields for d in (1, 2) for eps in (1, 2, 3)}
+
     def test_mult_oracle_catches_a_closed_form_fault(self, monkeypatch):
         cases = [case for case in TINY_ORACLES if case[0] == "mult-oracle"]
         assert cases and not failing_kinds(cases)
@@ -503,9 +526,9 @@ class TestOracleIndependence:
 
     def test_memo_is_empty_after_a_run(self):
         verify.run_case(("segre-loop", (2, 1, 1, 1, 0, 0, 0)))
-        assert verify._coefficients.cache_info().currsize
+        assert verify._tables.cache_info().currsize
         verify.run_suites(["oracles"], max_d=2, max_e=1, primes=(2, 3))
-        assert verify._coefficients.cache_info().currsize == 0
+        assert verify._tables.cache_info().currsize == 0
 
     def test_sweep_memo_is_empty_after_a_run(self):
         verify.run_case(("support", (2, 1, 2)))
@@ -521,7 +544,7 @@ class TestOracleIndependence:
         assert not [res for res in clean if res.status == "FAIL"]
         # Cases run on their own, outside any run, leave clean tables behind.
         assert not failing_kinds(verify.build_cases("oracles", **grid))
-        assert verify._coefficients.cache_info().currsize
+        assert verify._tables.cache_info().currsize
         convolution = verify.bounded_power_coefficients
 
         def off_by_one_at_zero(q, parts):
@@ -571,9 +594,14 @@ class TestOneBuildPerRun:
             return convolution(q, parts)
 
         monkeypatch.setattr(verify, "bounded_power_coefficients", counting)
-        verify.run_suites(["oracles"], **self.GRID)
-        # Every other table is one step from the memoized table below it.
-        assert builds == Counter({(q, 1): 1 for q in self.QS})
+        grids = ((self.GRID, self.QS),
+                 # Up to ten tables per q (parts = 1..10), more than a memo of 8 holds.
+                 (dict(max_d=9, max_e=2, primes=(2, 3)), {2, 4, 3, 9}))
+        for grid, qs in grids:
+            builds.clear()
+            verify.run_suites(["oracles"], **grid)
+            # Every other table is one step from the memoized table below it.
+            assert builds == Counter({(q, 1): 1 for q in qs})
 
     def test_stacked_tables_match_the_convolution(self):
         for q in (1, 2, 3, 7, 16):

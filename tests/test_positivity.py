@@ -1,5 +1,7 @@
 """Tests for trace-kernel extraction, verdicts, and section-count identities."""
 
+import itertools
+import math
 from fractions import Fraction
 from operator import add
 
@@ -34,7 +36,7 @@ from frobpush.positivity import (
     quadric_kernel_verdict,
     trace_kernel,
 )
-from frobpush.verify import determinant_twist_sum, volume_identity
+from frobpush.verify import cox_degrees, determinant_twist_sum, volume_identity
 
 FIELDS = [PrimePower(p, e) for p in (2, 3, 5) for e in (1, 2)]
 
@@ -289,6 +291,15 @@ def canonical(variety) -> tuple[int, ...]:
     return (-len(twists), *(map(add, canonical(base), det) if base else ()))
 
 
+def determinant(rows) -> int:
+    """Leibniz's sum over the permutations of the columns."""
+    return sum(
+        (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        * math.prod(row[i] for row, i in zip(rows, perm))
+        for perm in itertools.permutations(range(len(rows)))
+    )
+
+
 def grr_determinant(variety, q: int) -> tuple[int, ...]:
     """det F^e_* O = q^(n-1)(q-1)/2 * K by Grothendieck-Riemann-Roch, n = dim,
     multiplied out before halving."""
@@ -314,6 +325,20 @@ class TestDeterminantOracle:
         assert canonical(ProjSpace(3)) == (-4,)
         assert canonical(Product(1, 2)) == (-2, -3)
         assert canonical(Hirzebruch(2)) == (-2, -4)
+
+    @pytest.mark.parametrize("variety", [
+        ProjSpace(1), ProjSpace(3), Product(1, 2), Hirzebruch(0), Hirzebruch(3),
+        LinearBlowup(2, 1), LinearBlowup(4, 2), VeroneseConeBlowup(1, 3), VeroneseConeBlowup(2, 2),
+        SegreConeBlowup(1, 1), SegreConeBlowup(2, 3),
+    ], ids=repr)
+    def test_cox_degrees(self, variety):
+        # N - rank Pic = dim, some rank Pic of the degrees are a basis of
+        # Pic, and minus their sum is K as ``canonical`` derives it.
+        degrees = cox_degrees(variety)
+        rank = len(variety.bases[0])
+        assert len(degrees) - rank == variety.dim
+        assert any(abs(determinant(rows)) == 1 for rows in itertools.combinations(degrees, rank))
+        assert tuple(-sum(column) for column in zip(*degrees)) == canonical(variety)
 
     def test_a_nontrivial_bundle_fails(self):
         # F^e_* O(f) on F_2 at q = 3 has the rank and the two trivial
