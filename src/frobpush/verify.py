@@ -39,6 +39,7 @@ identities on P^d.  No other command computes them.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import operator
@@ -138,20 +139,7 @@ def cox_degrees(variety) -> list[tuple[int, ...]]:
     return degrees + [(0, *deg) for deg in cox_degrees(base)] if base else degrees
 
 
-@functools.lru_cache(maxsize=64)  # one entry per degree list: under 20 on a verify grid
-def _cox_groups(degrees: tuple[tuple[int, ...], ...]) -> tuple:
-    """The Cox variables grouped by degree: the sizes n1, n2 of the fiber
-    groups of degrees (1, f) and (1, w), for E's at most two twists (n2 = 0
-    where it has one), and (size, w_j, w_j - f_j) for base coordinate j."""
-    groups = {deg: degrees.count(deg) for deg in degrees}
-    fiber = [(deg[1:], n) for deg, n in groups.items() if deg[0]]
-    (first, n1), (second, n2) = fiber if fiber[1:] else [*fiber, (fiber[0][0], 0)]
-    sizes = [n for deg, n in groups.items() if not deg[0]]
-    return n1, n2, tuple(zip(sizes, second, map(operator.sub, second, first)))
-
-
 _times = functools.partial(map, operator.mul)
-_least = operator.itemgetter(3)
 
 
 def thomsen_loop(variety, bundle: tuple[int, ...], fp: PrimePower) -> dict[tuple[int, ...], int]:
@@ -160,46 +148,58 @@ def thomsen_loop(variety, bundle: tuple[int, ...], fp: PrimePower) -> dict[tuple
     2000): the multiplicity of the class c is the number of rho in [0, q-1]^N
     with sum_i rho_i deg_i = D - q*c.  Classes come in ascending order.
 
-    A group of n variables of one degree reaches the total x in table[x]
-    ways, for the n-part table.  With fiber totals S and R - S, R = D_0 -
-    q*c_0, base coordinate j's total is b - q*c_j + v*S, b = D_j - R*w_j and
-    v = w_j - f_j.  So each class is a sum over S of a product of strided
-    slices, one per group of two or more variables; a group of one only
-    bounds S.  The tables are palindromes, table[x] == table[n(q-1) - x], so
-    a total that falls as S grows is read forward from the other end.
+    The variables fall into at most two fiber groups, of degrees (1, f) and
+    (1, w), and one group of degree e_j for each factor of the base, which
+    must be a product of projective spaces; anything else is refused.  A
+    group of n variables reaches the total x in table[x] ways, for the n-part
+    table.  With fiber totals S and R - S, R = D_0 - q*c_0, base coordinate
+    j's total is b - q*c_j + v*S, b = D_j - R*w_j and v = w_j - f_j.  So a
+    group's count at every S, for one of its classes, is one strided slice of
+    its table, its column, and each class sums the product of the columns of
+    its groups of two or more variables; a fiber group of one only bounds S.
+    The tables are palindromes, table[x] == table[n(q-1) - x], so a total
+    that falls as S grows is read forward from the other end.
     """
     q, top = fp.q, fp.q - 1
-    n1, n2, groups = _cox_groups(tuple(cox_degrees(variety)))
-    base = [(_coefficients(q, n), n * top, d, w, v) for (n, w, v), d in zip(groups, bundle[1:])]
+    groups = collections.Counter(cox_degrees(variety))
+    fiber = [(n, deg[1:]) for deg, n in groups.items() if deg[0]]
+    units = [(0,) * j + (1,) + (0,) * (len(bundle) - 1 - j) for j in range(1, len(bundle))]
+    if len(fiber) > 2 or list(groups)[len(fiber) :] != units:
+        raise InvalidParameterError(
+            f"needs E of at most two twists over a product of projective spaces; got {variety}"
+        )
+    (n1, first), (n2, second) = fiber if fiber[1:] else [*fiber, (0, fiber[0][1])]
+    sizes = [groups[unit] for unit in units]
     counts = {}
     for c0 in range(-(((n1 + n2) * top - bundle[0]) // q), bundle[0] // q + 1):
         total = bundle[0] - q * c0
         lo, hi = max(0, total - n2 * top), min(n1 * top, total)
-        # Each choice (table, u, step, least S) reads table[u + step*S].
-        heads = ((n1, 0), (n2, n2 * top - total))
-        spans, choices = [], [[(_coefficients(q, n), u, 1, lo)] for n, u in heads if n > 1]
-        for table, size, d, w, v in base:
-            b = d - total * w
+        # Each group's column for each of its classes: its count at every S.
+        fibers = ((n1, 0), (n2, n2 * top - total))
+        spans, columns = [], [[_coefficients(q, n)[u + lo : u + hi + 1]] for n, u in fibers if n > 1]
+        for n, d, f, w in zip(sizes, bundle[1:], first, second):
+            table, size = _coefficients(q, n), n * top
+            b, v = d - total * w, w - f
             ends = (b + v * lo, b + v * hi)
             span = range(-((size - min(ends)) // q), max(ends) // q + 1)
-            b, v, dq = (size - b, -v, q) if v < 0 else (b, v, -q)
+            if v >= 0:
+                columns.append([_column(table, b - q * c, v, lo, hi) for c in span])
+            else:  # read the palindrome forward from its other end
+                columns.append([_column(table, size - b + q * c, -v, lo, hi) for c in span])
             spans.append(span)
-            choices.append([(table, b + dq * c, v, -((b + dq * c) // v) if v else lo) for c in span])
-        for classes, picks in zip(product(*spans), product(*choices)):
-            least = max(lo, *map(_least, picks))
-            # Where least > hi every slice is empty.
-            if len(picks) == 1:
-                ((table, u, s, _),) = picks
-                mult = sum(table[u + s * least : u + s * hi + 1 : s] if s
-                           else table[u : u + 1] * (hi - least + 1))
-            else:
-                mult = sum(functools.reduce(_times, [
-                    table[u + s * least : u + s * hi + 1 : s] if s else table[u : u + 1] * (hi - least + 1)
-                    for table, u, s, _ in picks
-                ]))
+        for key, column in zip(product([c0], *spans), product(*columns)):
+            mult = sum(functools.reduce(_times, column))
             if mult:
-                counts[(c0, *classes)] = mult
+                counts[key] = mult
     return counts
+
+
+def _column(table: tuple[int, ...], u: int, step: int, lo: int, hi: int) -> tuple[int, ...]:
+    """table[u + step*S] for S = lo..hi: 0 at a negative index, cut off past the end."""
+    if not step:
+        return table[u : u + 1] * (hi - lo + 1)
+    least = max(lo, -(u // step))
+    return (0,) * (least - lo) + table[u + step * least : u + step * hi + 1 : step]
 
 
 def segre_shifted_sums(r: int, s: int, fp: PrimePower) -> dict[tuple[int, ...], int]:

@@ -8,6 +8,7 @@ import ast
 import inspect
 import itertools
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -30,6 +31,7 @@ from frobpush.combinat import (
     composition_sums,
     composition_table,
 )
+from frobpush.errors import InvalidParameterError
 from frobpush.localalg import cone_pushforward, splitting_number
 from frobpush.picard import (
     Hirzebruch,
@@ -253,6 +255,41 @@ def test_projective_spaces_match_loop(fp, r, s, data):
     a, b = data.draw(twist), data.draw(twist)
     assert as_map(pushforward_projective_space(r, a, fp)) == thomsen_loop(ProjSpace(r), (a,), fp)
     assert as_map(pushforward_product(r, s, a, b, fp)) == thomsen_loop(Product(r, s), (a, b), fp)
+
+
+def declared(base, twists):
+    """A split variety by its declaration alone: P(E) over ``base``."""
+    return SimpleNamespace(bundle=lambda: (base, twists))
+
+
+@pytest.mark.parametrize("fp", [PrimePower(2, 1), PrimePower(3, 1)], ids=repr)
+def test_count_over_a_product_of_three_factors(fp):
+    # P(O + O(-1, -2)) over Hirzebruch(0) = P^1 x P^1, whose Cox degrees are
+    # the unit vectors: no family has three coordinates, so the brute count
+    # over [0, q-1]^6 checks that path.
+    q, variety = fp.q, declared(Hirzebruch(0), ((0, 0), (-1, -2)))
+    degrees = cox_degrees(variety)
+    sums = Counter(
+        tuple(map(sum, zip(*[[r * c for c in deg] for r, deg in zip(rho, degrees)])))
+        for rho in itertools.product(range(q), repeat=len(degrees))
+    )
+    for bundle in itertools.product(range(-1, q + 1), repeat=3):
+        want = {
+            tuple((d - x) // q for d, x in zip(bundle, sum_)): mult
+            for sum_, mult in sums.items()
+            if all((d - x) % q == 0 for d, x in zip(bundle, sum_))
+        }
+        got = thomsen_loop(variety, bundle, fp)
+        assert got == want and list(got) == sorted(got), bundle
+
+
+def test_count_refuses_what_it_cannot_group():
+    fp = PrimePower(3, 1)
+    # Hirzebruch(1)'s Cox degrees are no unit vectors.
+    with pytest.raises(InvalidParameterError, match="product of projective spaces"):
+        thomsen_loop(declared(Hirzebruch(1), ((0, 0), (0, 0))), (0, 0, 0), fp)
+    with pytest.raises(InvalidParameterError, match="at most two twists"):
+        thomsen_loop(declared(ProjSpace(1), ((0,), (1,), (2,))), (0, 0), fp)
 
 
 @given(fields, st.integers(1, 3), st.integers(1, 6), st.data())
