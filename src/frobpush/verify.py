@@ -39,7 +39,6 @@ identities on P^d.  No other command computes them.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import operator
@@ -128,18 +127,24 @@ def _tables(convolution, q: int) -> dict:
     return {}
 
 
-def cox_degrees(variety) -> list[tuple[int, ...]]:
-    """The degrees of the Cox variables of a split ``variety`` P(E) -> B, in
-    its default basis: (1, -b) for each twist b of E, then (0, c) for each
-    Cox degree c of B.  B is a product of projective spaces, so those are
-    unit vectors: e_j once for each of the n_j + 1 variables of its j-th
-    factor P^(n_j)."""
+def cox_degrees(variety) -> tuple[list[tuple[int, tuple[int, ...]]], list[int]]:
+    """The Cox variables of a split ``variety`` P(E) -> B grouped as its
+    declaration states them: (n, b) for each distinct twist b of E, in order,
+    whose n variables have degree (1, -b) in the default basis; then n_j + 1
+    for the j-th factor P^(n_j) of B, whose variables have degree e_j.  A base
+    whose own bundle has a nonzero twist is no product of projective spaces."""
     base, twists = variety.bundle()
-    degrees = [(1, *map(operator.neg, twist)) for twist in twists]
-    return degrees + [(0, *deg) for deg in cox_degrees(base)] if base else degrees
+    fiber, sizes = [(twists.count(b), b) for b in dict.fromkeys(twists)], []
+    while base:
+        base, twists = base.bundle()
+        if any(map(any, twists)):
+            raise InvalidParameterError(_UNGROUPED.format(variety))
+        sizes.append(len(twists))
+    return fiber, sizes
 
 
 _times = functools.partial(map, operator.mul)
+_UNGROUPED = "needs E of at most two twists over a product of projective spaces; got {}"
 
 
 def thomsen_loop(variety, bundle: tuple[int, ...], fp: PrimePower) -> dict[tuple[int, ...], int]:
@@ -148,58 +153,52 @@ def thomsen_loop(variety, bundle: tuple[int, ...], fp: PrimePower) -> dict[tuple
     2000): the multiplicity of the class c is the number of rho in [0, q-1]^N
     with sum_i rho_i deg_i = D - q*c.  Classes come in ascending order.
 
-    The variables fall into at most two fiber groups, of degrees (1, f) and
-    (1, w), and one group of degree e_j for each factor of the base, which
-    must be a product of projective spaces; anything else is refused.  A
-    group of n variables reaches the total x in table[x] ways, for the n-part
-    table.  With fiber totals S and R - S, R = D_0 - q*c_0, base coordinate
-    j's total is b - q*c_j + v*S, b = D_j - R*w_j and v = w_j - f_j.  So a
-    group's count at every S, for one of its classes, is one strided slice of
-    its table, its column, and each class sums the product of the columns of
+    The groups of ``cox_degrees`` are at most two fiber groups, of twists a
+    and a', and one group for each factor of the base; anything else is
+    refused.  A group of n variables reaches the total x in table[x] ways,
+    for the n-part table.  With fiber totals S and R - S, R = D_0 - q*c_0,
+    base coordinate j's total is b - q*c_j + v*S, b = D_j + R*a'_j and
+    v = a_j - a'_j.  So a group's count at every S, for one of its classes,
+    is one strided slice of its table, its column, zero-padded where it
+    starts below index 0, and each class sums the product of the columns of
     its groups of two or more variables; a fiber group of one only bounds S.
     The tables are palindromes, table[x] == table[n(q-1) - x], so a total
     that falls as S grows is read forward from the other end.
     """
     q, top = fp.q, fp.q - 1
-    groups = collections.Counter(cox_degrees(variety))
-    fiber = [(n, deg[1:]) for deg, n in groups.items() if deg[0]]
-    units = [(0,) * j + (1,) + (0,) * (len(bundle) - 1 - j) for j in range(1, len(bundle))]
-    if len(fiber) > 2 or list(groups)[len(fiber) :] != units:
-        raise InvalidParameterError(
-            f"needs E of at most two twists over a product of projective spaces; got {variety}"
-        )
+    fiber, sizes = cox_degrees(variety)
+    if fiber[2:] or len(sizes) != len(bundle) - 1:
+        raise InvalidParameterError(_UNGROUPED.format(variety))
     (n1, first), (n2, second) = fiber if fiber[1:] else [*fiber, (0, fiber[0][1])]
-    sizes = [groups[unit] for unit in units]
+    # Each table once a call; fiber group k + 1 of two or more reads table[u - k*total + S].
+    fibers = [(_coefficients(q, n), k * n * top, k) for k, n in ((0, n1), (1, n2)) if n > 1]
+    groups = [(_coefficients(q, n), n * top, d, w, a - w)
+              for n, d, a, w in zip(sizes, bundle[1:], first, second)]
     counts = {}
     for c0 in range(-(((n1 + n2) * top - bundle[0]) // q), bundle[0] // q + 1):
         total = bundle[0] - q * c0
         lo, hi = max(0, total - n2 * top), min(n1 * top, total)
-        # Each group's column for each of its classes: its count at every S.
-        fibers = ((n1, 0), (n2, n2 * top - total))
-        spans, columns = [], [[_coefficients(q, n)[u + lo : u + hi + 1]] for n, u in fibers if n > 1]
-        for n, d, f, w in zip(sizes, bundle[1:], first, second):
-            table, size = _coefficients(q, n), n * top
-            b, v = d - total * w, w - f
-            ends = (b + v * lo, b + v * hi)
-            span = range(-((size - min(ends)) // q), max(ends) // q + 1)
+        spans, columns = [], [[table[u - k * total + lo : u - k * total + hi + 1]] for table, u, k in fibers]
+        for table, size, d, w, v in groups:
+            b = d + total * w  # class c's column starts at x - q*c, or x + q*c where v < 0
             if v >= 0:
-                columns.append([_column(table, b - q * c, v, lo, hi) for c in span])
-            else:  # read the palindrome forward from its other end
-                columns.append([_column(table, size - b + q * c, -v, lo, hi) for c in span])
+                step, x, dq = v, b + v * lo, -q
+                span = range(-((size - x) // q), (b + v * hi) // q + 1)
+            else:
+                step, x, dq = -v, size - b - v * lo, q
+                span = range(-((size - b - v * hi) // q), (b + v * lo) // q + 1)
+            starts, reach = range(x + dq * span.start, x + dq * span.stop, dq), step * (hi - lo) + 1
+            if not step:  # the same entry at every S
+                columns.append([(table[x],) * (hi - lo + 1) for x in starts])
+            else:  # zero-padded only where the window starts below index 0
+                columns.append([table[x : x + reach : step] if x >= 0 else
+                                (0,) * -(x // step) + table[x % step : x + reach : step] for x in starts])
             spans.append(span)
         for key, column in zip(product([c0], *spans), product(*columns)):
             mult = sum(functools.reduce(_times, column))
             if mult:
                 counts[key] = mult
     return counts
-
-
-def _column(table: tuple[int, ...], u: int, step: int, lo: int, hi: int) -> tuple[int, ...]:
-    """table[u + step*S] for S = lo..hi: 0 at a negative index, cut off past the end."""
-    if not step:
-        return table[u : u + 1] * (hi - lo + 1)
-    least = max(lo, -(u // step))
-    return (0,) * (least - lo) + table[u + step * least : u + step * hi + 1 : step]
 
 
 def segre_shifted_sums(r: int, s: int, fp: PrimePower) -> dict[tuple[int, ...], int]:

@@ -8,6 +8,7 @@ import ast
 import inspect
 import itertools
 from collections import Counter
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
@@ -32,6 +33,7 @@ from frobpush.combinat import (
     composition_table,
 )
 from frobpush.errors import InvalidParameterError
+from frobpush.families import FAMILIES
 from frobpush.localalg import cone_pushforward, splitting_number
 from frobpush.picard import (
     Hirzebruch,
@@ -153,6 +155,34 @@ def segre_shifted_t_loop(r, s, fp):
 # ---------------------------------------------------------------------------
 
 
+def cox_variables(variety):
+    """The degree of every Cox variable of a split ``variety``, one per
+    variable, expanded from the groups of ``verify.cox_degrees``."""
+    fiber, sizes = cox_degrees(variety)
+    units = [tuple(int(i == j) for i in range(len(sizes) + 1)) for j in range(1, len(sizes) + 1)]
+    return [(1, *(-x for x in b)) for n, b in fiber for _ in range(n)] + [
+        unit for n, unit in zip(sizes, units) for _ in range(n)
+    ]
+
+
+def box_sums(degrees, q):
+    """sum_i rho_i deg_i for every rho in [0, q-1]^N, by value."""
+    columns = list(zip(*degrees))
+    return Counter(
+        tuple(sum(map(mul, rho, column)) for column in columns)
+        for rho in itertools.product(range(q), repeat=len(degrees))
+    )
+
+
+def literal_count(sums, bundle, q):
+    """Thomsen's count at D = ``bundle`` from the box sums."""
+    return {
+        tuple((d - x) // q for d, x in zip(bundle, sum_)): mult
+        for sum_, mult in sums.items()
+        if all((d - x) % q == 0 for d, x in zip(bundle, sum_))
+    }
+
+
 def test_veronese_cone_matches_thomsen_count_at_every_residue_pair():
     # 648 residue pairs at q <= 5, d <= 2 and eps <= 6; 268 of them have
     # eps - n' > q or eps - n' < 1.
@@ -161,19 +191,11 @@ def test_veronese_cone_matches_thomsen_count_at_every_residue_pair():
         q = fp.q
         for d in (1, 2):
             for eps in range(1, 7):
-                degrees = cox_degrees(VeroneseConeBlowup(d, eps))
+                degrees = cox_variables(VeroneseConeBlowup(d, eps))
                 assert len(degrees) == d + 3
-                # sum rho_i deg_i for every rho in [0, q-1]^(d+3), by value.
-                sums = Counter(
-                    tuple(map(sum, zip(*[[r * c for c in deg] for r, deg in zip(rho, degrees)])))
-                    for rho in itertools.product(range(q), repeat=len(degrees))
-                )
+                sums = box_sums(degrees, q)
                 for n, nprime in itertools.product(range(q), repeat=2):
-                    want = {
-                        ((n - a) // q, (nprime - b) // q): mult
-                        for (a, b), mult in sums.items()
-                        if (n - a) % q == (nprime - b) % q == 0
-                    }
+                    want = literal_count(sums, (n, nprime), q)
                     got = as_map(pushforward_veronese_cone(d, eps, n, nprime, fp))
                     assert got == want, (q, d, eps, n, nprime)
                     pairs += 1
@@ -266,21 +288,49 @@ def declared(base, twists):
 def test_count_over_a_product_of_three_factors(fp):
     # P(O + O(-1, -2)) over Hirzebruch(0) = P^1 x P^1, whose Cox degrees are
     # the unit vectors: no family has three coordinates, so the brute count
-    # over [0, q-1]^6 checks that path.
-    q, variety = fp.q, declared(Hirzebruch(0), ((0, 0), (-1, -2)))
-    degrees = cox_degrees(variety)
-    sums = Counter(
-        tuple(map(sum, zip(*[[r * c for c in deg] for r, deg in zip(rho, degrees)])))
-        for rho in itertools.product(range(q), repeat=len(degrees))
-    )
-    for bundle in itertools.product(range(-1, q + 1), repeat=3):
-        want = {
-            tuple((d - x) // q for d, x in zip(bundle, sum_)): mult
-            for sum_, mult in sums.items()
-            if all((d - x) % q == 0 for d, x in zip(bundle, sum_))
-        }
+    # over [0, q-1]^6 checks that path.  P(O + O(0, -1)) has equal twists in
+    # the first base coordinate, whose total then stays put as S moves, a
+    # column that no family reads either.
+    for twists in (((0, 0), (-1, -2)), ((0, 0), (0, -1))):
+        q, variety = fp.q, declared(Hirzebruch(0), twists)
+        sums = box_sums(cox_variables(variety), q)
+        for bundle in itertools.product(range(-1, q + 1), repeat=3):
+            want = literal_count(sums, bundle, q)
+            got = thomsen_loop(variety, bundle, fp)
+            assert got == want and list(got) == sorted(got), (twists, bundle)
+
+
+def split_varieties(most):
+    """The six split families, at random parameters with at most ``most``
+    Cox variables, keyed by tag."""
+    def pairs(cls, top):  # cls(r, s) with r, s >= 1 and r + s <= top
+        return st.integers(1, top - 1).flatmap(lambda r: st.builds(cls, st.just(r), st.integers(1, top - r)))
+
+    return {
+        "projspace": st.builds(ProjSpace, st.integers(1, most - 1)),
+        "product": pairs(Product, most - 2),
+        "hirzebruch": st.builds(Hirzebruch, st.integers(0, 6)),
+        "blowup-linear": pairs(lambda r, s: LinearBlowup(r + s, r), most - 2),
+        "veronese-cone": st.builds(VeroneseConeBlowup, st.integers(1, most - 3), st.integers(1, 6)),
+        "segre-cone": pairs(SegreConeBlowup, most - 4),
+    }
+
+
+@given(st.sampled_from([PrimePower(2, 1), PrimePower(3, 1), PrimePower(2, 2), PrimePower(5, 1)]), st.data())
+def test_count_matches_a_literal_count(fp, data):
+    # Every split family, at random parameters and bundles in [-q, 2q],
+    # against the literal count over [0, q-1]^N.
+    q = fp.q
+    strategies = split_varieties(max(n for n in range(20) if q**n <= 20_000))
+    assert set(strategies) == {tag for tag, cls in FAMILIES.items() if cls.split}
+    variety = data.draw(st.sampled_from(sorted(strategies)).flatmap(strategies.get))
+    degrees = cox_variables(variety)
+    assert q ** len(degrees) <= 20_000
+    sums = box_sums(degrees, q)
+    twist = st.integers(-q, 2 * q)
+    for bundle in data.draw(st.lists(st.tuples(*[twist] * len(degrees[0])), min_size=1, max_size=4)):
         got = thomsen_loop(variety, bundle, fp)
-        assert got == want and list(got) == sorted(got), bundle
+        assert got == literal_count(sums, bundle, q) and list(got) == sorted(got), (variety, bundle)
 
 
 def test_count_refuses_what_it_cannot_group():
@@ -290,6 +340,13 @@ def test_count_refuses_what_it_cannot_group():
         thomsen_loop(declared(Hirzebruch(1), ((0, 0), (0, 0))), (0, 0, 0), fp)
     with pytest.raises(InvalidParameterError, match="at most two twists"):
         thomsen_loop(declared(ProjSpace(1), ((0,), (1,), (2,))), (0, 0), fp)
+
+
+def test_count_refuses_a_bundle_of_the_wrong_length():
+    # Hirzebruch(1) has two coordinates; the count reads one group per base
+    # coordinate, so a third coordinate has no group to count it.
+    with pytest.raises(InvalidParameterError, match="product of projective spaces"):
+        thomsen_loop(Hirzebruch(1), (0, 0, 0), PrimePower(3, 1))
 
 
 @given(fields, st.integers(1, 3), st.integers(1, 6), st.data())
@@ -648,7 +705,8 @@ class TestOneBuildPerRun:
                 assert table == coeffs + [0] * ((parts + 1) * q - len(coeffs))
 
     def test_an_evicting_sweep_memo_changes_no_result(self, monkeypatch):
-        # Ten sweeps per q at max_d = 9 (d = 0..9), more than the memo holds.
+        # The memo holds one q's sweeps by d, so at max_d = 9 (d = 0..9) it
+        # evicts nothing within a q: memoized and bypassed runs must agree.
         grid = dict(max_d=9, max_e=2, primes=(2, 3))
         assert verify._sweeps.cache_info().maxsize < 10
         memoized = verify.run_suites(["identities"], **grid)
