@@ -17,18 +17,18 @@ the check of the closed form ``composition_count`` itself read their counts
 from convolution tables, the coefficient lists of (1 + t + ... +
 t^{q-1})^parts, so a fault in the closed form that the builders use cannot
 reach both sides of a comparison.  Each table is built one convolution step
-from the (q, parts - 1) table, into a memo of one q's tables by parts,
-emptied when a ``run_suites`` call starts and when it returns.  A case that
-raises is reported as FAIL with the exception, and the run goes on.  Known
-tensions between recorded values and the computed ones (the small-q
-ruled-surface row, the blowup k=0 claim, the quadric p=2 window for d >= 4)
-are reported as WARN with both values printed; they never fail a run.
+from the (q, parts - 1) table.  A case that raises is reported as FAIL with
+the exception, and the run goes on.  Known tensions between recorded values
+and the computed ones (the small-q ruled-surface row, the blowup k=0 claim,
+the quadric p=2 window for d >= 4) are reported as WARN with both values
+printed; they never fail a run.
 
 ``sum-identity``, ``support`` and ``shifted-sum`` read one residue sweep
-``composition_table(range(q), d, fp)`` per (q, d) from a second memo, of
-one q's sweeps by d, and never write to them; ``mult-oracle`` checks the
-four routes to a count (entry, row, table and weighted sums) against
-convolution.  The restriction checks restrict to the declared divisor.
+``composition_table(range(q), d, fp)`` per (q, d) and never write to it;
+``mult-oracle`` checks the four routes to a count (entry, row, table and
+weighted sums) against convolution.  The tables and the sweeps share one
+memo of one q's tables, emptied when a ``run_suites`` call starts and when
+it returns.  The restriction checks restrict to the declared divisor.
 
 The closed forms and identities that only check the library's answers live
 here too, as regression data: the per-eps ruled-surface multiplicities and
@@ -104,12 +104,12 @@ def _coefficients(q: int, parts: int) -> tuple[int, ...]:
 
     Built by convolution, so it shares nothing with ``composition_count``:
     parts <= 1 by ``bounded_power_coefficients``, the rest as the (q, parts -
-    1) table times (1 - t^q) / (1 - t), from the memo of the last q's tables
-    by parts.  The memo is keyed on the convolution too, so a convolution
-    patched in later is not served a stale table.
+    1) table times (1 - t^q) / (1 - t), filed in ``_memo`` under the
+    convolution, so a convolution patched in later is not served a stale
+    table.
     """
-    tables = _tables(bounded_power_coefficients, q)
-    if parts not in tables:
+    tables, key = _memo(q), (bounded_power_coefficients, parts)
+    if key not in tables:
         if parts <= 1:
             table = bounded_power_coefficients(q, parts)
             table = [*table, *repeat(0, (parts + 1) * q - len(table))]
@@ -118,12 +118,13 @@ def _coefficients(q: int, parts: int) -> tuple[int, ...]:
             table = [*lower, *repeat(0, q)]
             table[q:] = map(operator.sub, table[q:], lower)
             table = accumulate(table)
-        tables[parts] = tuple(table)
-    return tables[parts]
+        tables[key] = tuple(table)
+    return tables[key]
 
 
-@functools.lru_cache(maxsize=1)  # cases come grouped by q: one table per (q, parts)
-def _tables(convolution, q: int) -> dict:
+@functools.lru_cache(maxsize=1)  # cases come grouped by q: each table once per q
+def _memo(q: int) -> dict:
+    """The last q's tables, keyed by (the function that builds them, size)."""
     return {}
 
 
@@ -333,18 +334,13 @@ def _ok(cond: bool, detail: str = "") -> tuple[str, str]:
 
 
 def _sweep(fp: PrimePower, d: int) -> tuple[tuple[int, ...], ...]:
-    """``composition_table(range(q), d, fp)`` as tuples, from the memo of the
-    last q's sweeps by d.  The memo is keyed on the table function too, so a
-    table patched in later is not served a stale one."""
-    sweeps = _sweeps(composition_table, fp)
-    if d not in sweeps:
-        sweeps[d] = tuple(map(tuple, composition_table(range(fp.q), d, fp)))
-    return sweeps[d]
-
-
-@functools.lru_cache(maxsize=1)  # cases come grouped by q: one sweep per (q, d)
-def _sweeps(table, fp: PrimePower) -> dict:
-    return {}
+    """``composition_table(range(q), d, fp)`` as tuples, filed in ``_memo``
+    under the table function, so a table patched in later is not served a
+    stale one."""
+    sweeps, key = _memo(fp.q), (composition_table, d)
+    if key not in sweeps:
+        sweeps[key] = tuple(map(tuple, composition_table(range(fp.q), d, fp)))
+    return sweeps[key]
 
 
 def check_sum_identity(p: int, e: int, d: int) -> tuple[str, str]:
@@ -453,20 +449,6 @@ def check_sigma_closed(p: int, e: int, eps: int) -> tuple[str, str]:
     return _ok(closed == blocks, f"closed {closed} vs blocks {blocks}")
 
 
-def check_chart_oracle(p: int, e: int) -> tuple[str, str]:
-    """F^e_* O on the point blowup of the plane, restricted to E, vs a chart
-    count: of the q^2 monomial generators x^i y^j of the pushforward on one
-    chart, those with second exponent <= first glue to a trivial bundle and
-    the rest to a degree -1 bundle.  Row i has min(i + 1, q) trivial points,
-    so the counts are (q(q+1)/2, q(q-1)/2)."""
-    fp = PrimePower(p, e)
-    q = fp.q
-    counts = (q * (q + 1) // 2, q * (q - 1) // 2)
-    restricted = restrict(catalog.pushforward_linear_blowup(2, 1, fp))
-    pair = (restricted.multiplicity((0,)), restricted.multiplicity((-1,)))
-    return _ok(pair == counts, f"chart {counts} vs restriction {pair}")
-
-
 def check_blowup_restrict(p: int, e: int, d: int, r: int) -> tuple[str, str]:
     """Restriction to the exceptional divisor, which the builder computes
     from shared composition tables, vs the column sums of the entry-by-entry
@@ -527,38 +509,19 @@ def check_veronese_box(p: int, e: int, max_d: int) -> tuple[str, str]:
     return "PASS", f"{2 * max_d} cones"
 
 
-def _loop_check(
-    p: int, e: int, tag: str, params: tuple, bundle: tuple[int, ...], capped: bool = True
-) -> tuple[str, str]:
-    """The builder of the family ``tag`` vs ``thomsen_loop`` at ``bundle``; a
-    twisted bundle above ``LOOP_Q_CAP`` is skipped where ``capped``."""
-    fp = PrimePower(p, e)
+def _loop_check(tag: str, p: int, e: int, *args: int, capped: bool = True) -> tuple[str, str]:
+    """The builder of the family ``tag`` vs ``thomsen_loop``: ``args`` are the
+    family's fields, then the bundle (zeros where none is given).  A twisted
+    bundle above ``LOOP_Q_CAP`` is skipped where ``capped``."""
+    fp, cls = PrimePower(p, e), FAMILIES[tag]
+    fields = len(cls.__slots__)
+    variety, bundle = cls(*args[:fields]), args[fields:] or (0,) * len(cls.bases[0])
     if capped and any(bundle) and fp.q > LOOP_Q_CAP:
         return "PASS", f"skipped (q > {LOOP_Q_CAP})"
-    variety = FAMILIES[tag](*params)
     got = build(variety, bundle, fp).lines
     want = thomsen_loop(variety, bundle, fp)
     same = got == want
     return _ok(same, f"{len(want)} classes" if same else f"{dict(got)} vs loop {want}")
-
-
-def check_hirzebruch_loop(p: int, e: int, eps: int, u: int, v: int) -> tuple[str, str]:
-    return _loop_check(p, e, "hirzebruch", (eps,), (u, v))
-
-
-def check_segre_cone_loop(
-    p: int, e: int, r: int, s: int, n: int, n1: int, n2: int
-) -> tuple[str, str]:
-    return _loop_check(p, e, "segre-cone", (r, s), (n, n1, n2))
-
-
-def check_blowup_loop(p: int, e: int, d: int, r: int) -> tuple[str, str]:
-    return _loop_check(p, e, "blowup-linear", (d, r), (0, 0))
-
-
-def check_veronese_direct(p: int, e: int, d: int, eps: int, n: int, nprime: int) -> tuple[str, str]:
-    """At every q, q < eps and q > ``LOOP_Q_CAP`` included."""
-    return _loop_check(p, e, "veronese-cone", (d, eps), (n, nprime), capped=False)
 
 
 def check_fix_projspace(p: int, e: int) -> tuple[str, str]:
@@ -804,21 +767,22 @@ CASES: dict[str, tuple] = {
         (p, e, d) for d in range(1, max_d + 1) if q ** (d + 1) <= 2**20]),
     "sigma-closed": ("oracles", check_sigma_closed,
                      lambda p, e, q, max_d: [(p, e, eps) for eps in range(1, 7) if q >= eps]),
-    "chart-oracle": ("oracles", check_chart_oracle, _field),
     "blowup-restrict": ("oracles", check_blowup_restrict, _blowups),
     "segre-split": ("oracles", check_segre_split_routes,
                     lambda p, e, q, max_d: [(p, e, r, s) for r in (1, 2) for s in (1, 2)]),
-    "veronese-direct": ("oracles", check_veronese_direct, lambda p, e, q, max_d: [
-        (p, e, d, eps, n % q, nprime % q)
-        for d in (1, 2) for eps in (1, 2, 3) for n in (0, 1, q - 1) for nprime in (0, eps - 1)]),
+    # Uncapped, so it runs at every q, q < eps and q > LOOP_Q_CAP included.
+    "veronese-direct": ("oracles", functools.partial(_loop_check, "veronese-cone", capped=False),
+                        lambda p, e, q, max_d: [
+                            (p, e, d, eps, n % q, nprime % q) for d in (1, 2) for eps in (1, 2, 3)
+                            for n in (0, 1, q - 1) for nprime in (0, eps - 1)]),
     "veronese-box": ("oracles", check_veronese_box, lambda p, e, q, max_d: [(p, e, min(max_d, 3))]),
-    "hz-loop": ("oracles", check_hirzebruch_loop, lambda p, e, q, max_d: [
+    "hz-loop": ("oracles", functools.partial(_loop_check, "hirzebruch"), lambda p, e, q, max_d: [
         (p, e, eps, u, v) for eps in range(0, 5)
         for u, v in ((0, 0), (-1, q + 2), (q + 1, -3), (2 * q + 1, -q - 3))]),
-    "segre-loop": ("oracles", check_segre_cone_loop, lambda p, e, q, max_d: [
+    "segre-loop": ("oracles", functools.partial(_loop_check, "segre-cone"), lambda p, e, q, max_d: [
         (p, e, r, s, n, n1, n2) for r, s in ((1, 1), (1, 2), (2, 2))
         for n, n1, n2 in ((0, 0, 0), (1, 0, q - 1), (q - 1, q // 2, 1))]),
-    "blowup-loop": ("oracles", check_blowup_loop,
+    "blowup-loop": ("oracles", functools.partial(_loop_check, "blowup-linear"),
                     lambda p, e, q, max_d: _blowups(p, e, q, min(max_d, 3))),
     "fix-projspace": ("fixtures", check_fix_projspace, _field),
     "fix-hirzebruch-eps1": ("fixtures", check_fix_hirzebruch_eps1, _field),
@@ -878,8 +842,8 @@ def run_suites(
     """Each suite's results, sorted by key.  With ``jobs > 1`` one pool of
     min(jobs, CPU count) worker processes runs the cases of every suite, in
     contiguous chunks, so the same-q cases of a chunk share its worker's
-    memos; with one worker the cases run in this process.  The memos are
-    empty when the call starts and when it returns."""
+    memo; with one worker the cases run in this process.  The memo is empty
+    when the call starts and when it returns."""
 
     def report(mapper) -> list[tuple[str, list[CheckResult]]]:
         out = []
@@ -890,8 +854,7 @@ def run_suites(
 
     # A pool forks all its workers at the first submit: never more than CPUs.
     workers = min(jobs, os.cpu_count() or 1)
-    _tables.cache_clear()
-    _sweeps.cache_clear()
+    _memo.cache_clear()
     try:
         if workers <= 1:
             return report(map)
@@ -905,5 +868,4 @@ def run_suites(
                 lambda fn, cases: pool.map(fn, cases, chunksize=max(1, len(cases) // chunks))
             )
     finally:
-        _tables.cache_clear()
-        _sweeps.cache_clear()
+        _memo.cache_clear()

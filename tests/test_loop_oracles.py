@@ -36,6 +36,7 @@ from frobpush.errors import InvalidParameterError
 from frobpush.families import FAMILIES
 from frobpush.localalg import cone_pushforward, splitting_number
 from frobpush.picard import (
+    Decomposition,
     Hirzebruch,
     LinearBlowup,
     PicClass,
@@ -48,6 +49,7 @@ from frobpush.picard import (
     VeroneseConeBlowup,
 )
 from frobpush.verify import cox_degrees, determinant_twist_sum, thomsen_loop
+from test_restriction import enumerated_chart_counts
 
 FIELDS = [
     PrimePower(p, e)
@@ -412,14 +414,61 @@ class TestLoopOracleSuite:
 
     def test_general_twists_skipped_above_cap(self):
         assert 7**3 <= verify.LOOP_Q_CAP < 5**4
-        status, detail = verify.check_hirzebruch_loop(7, 3, 1, -1, 7**3 + 2)
+
+        def run(*case):
+            result = verify.run_case(case)
+            return result.status, result.detail
+
+        status, detail = run("hz-loop", (7, 3, 1, -1, 7**3 + 2))
         assert status == "PASS" and "classes" in detail
-        status, detail = verify.check_hirzebruch_loop(7, 4, 1, -1, 7**4 + 2)
+        status, detail = run("hz-loop", (7, 4, 1, -1, 7**4 + 2))
         assert (status, detail) == ("PASS", f"skipped (q > {verify.LOOP_Q_CAP})")
-        status, detail = verify.check_segre_cone_loop(5, 4, 1, 1, 1, 0, 624)
+        status, detail = run("segre-loop", (5, 4, 1, 1, 1, 0, 624))
         assert (status, detail) == ("PASS", f"skipped (q > {verify.LOOP_Q_CAP})")
-        status, detail = verify.check_hirzebruch_loop(5, 4, 2, 0, 0)
+        status, detail = run("hz-loop", (5, 4, 2, 0, 0))
         assert status == "PASS" and "classes" in detail
+
+
+def shifted(decomp, shift):
+    """``decomp`` with ``shift``, {class: change}, added to its multiplicities."""
+    counts = Counter(decomp.lines)
+    counts.update(shift)
+    return Decomposition(decomp.variety, counts.items())
+
+
+# Faults and the cases they fail at (d, r) = (2, 1).  A bump adds one O to the
+# builder's output; a move turns one O into O(-H), which keeps the rank and
+# the restriction to E; a restrict fault turns one O_E into O_E(-1).
+CHART_FAULTS = {
+    "bump": ("pushforward_linear_blowup", {(0, 0): 1}, {"blowup-loop", "blowup-restrict"}),
+    "move": ("pushforward_linear_blowup", {(0, 0): -1, (-1, 0): 1}, {"blowup-loop"}),
+    "restrict": ("restrict", {(0,): -1, (-1,): 1}, {"blowup-restrict"}),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CHART_FAULTS))
+def test_blowup_cases_catch_every_chart_fault(monkeypatch, fault):
+    # The point blowup of the plane restricted to E against the chart count
+    # (q(q+1)/2, q(q-1)/2), the check of the retired chart-oracle case: each
+    # fault fails blowup-loop or blowup-restrict at every q, and the chart
+    # count misses the move, which keeps the restriction.
+    powers = [PrimePower(p, e) for p, e in
+              ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 4))]
+
+    def failing(fp):
+        return {kind for kind in ("blowup-loop", "blowup-restrict")
+                if verify.run_case((kind, (fp.p, fp.e, 2, 1))).status == "FAIL"}
+
+    assert not any(map(failing, powers))
+    name, shift, want = CHART_FAULTS[fault]
+    module = verify if name == "restrict" else catalog
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: shifted(original(*args), shift))
+    for fp in powers:
+        assert failing(fp) == want, fp
+        restricted = verify.restrict(catalog.pushforward_linear_blowup(2, 1, fp))
+        pair = (restricted.multiplicity((0,)), restricted.multiplicity((-1,)))
+        assert (pair != enumerated_chart_counts(fp.q)) == (fault != "move"), (fp, pair)
 
 
 @given(fields, st.integers(0, 3))
@@ -620,15 +669,15 @@ class TestOracleIndependence:
 
     def test_memo_is_empty_after_a_run(self):
         verify.run_case(("segre-loop", (2, 1, 1, 1, 0, 0, 0)))
-        assert verify._tables.cache_info().currsize
+        assert verify._memo.cache_info().currsize
         verify.run_suites(["oracles"], max_d=2, max_e=1, primes=(2, 3))
-        assert verify._tables.cache_info().currsize == 0
+        assert verify._memo.cache_info().currsize == 0
 
     def test_sweep_memo_is_empty_after_a_run(self):
         verify.run_case(("support", (2, 1, 2)))
-        assert verify._sweeps.cache_info().currsize
+        assert verify._memo.cache_info().currsize
         verify.run_suites(["identities"], max_d=2, max_e=1, primes=(2, 3))
-        assert verify._sweeps.cache_info().currsize == 0
+        assert verify._memo.cache_info().currsize == 0
 
     def test_loops_catch_a_table_fault_after_a_clean_run(self, monkeypatch):
         # Tables memoized by a clean run must not outlive it and hide a fault
@@ -638,7 +687,7 @@ class TestOracleIndependence:
         assert not [res for res in clean if res.status == "FAIL"]
         # Cases run on their own, outside any run, leave clean tables behind.
         assert not failing_kinds(verify.build_cases("oracles", **grid))
-        assert verify._tables.cache_info().currsize
+        assert verify._memo.cache_info().currsize
         convolution = verify.bounded_power_coefficients
 
         def off_by_one_at_zero(q, parts):
@@ -655,7 +704,7 @@ class TestOracleIndependence:
 
 class TestOneBuildPerRun:
     """Within one run each residue sweep and each convolution table is built
-    once, and a memo that evicts still gives the results of none."""
+    once, and runs that bypass the memo give the same results."""
 
     GRID = dict(max_d=3, max_e=4, primes=(2, 3, 5, 7))
     QS = {p**e for p in (2, 3, 5, 7) for e in range(1, 5)}
@@ -671,7 +720,7 @@ class TestOneBuildPerRun:
 
         monkeypatch.setattr(verify, "composition_table", counting)
         grids = ((self.GRID, self.QS),
-                 # Ten sweeps per q (d = 0..9), more than a memo of 8 sweeps holds.
+                 # Ten sweeps per q (d = 0..9), all in the memo of one q's tables.
                  (dict(max_d=9, max_e=2, primes=(2, 3)), {2, 4, 3, 9}))
         for grid, qs in grids:
             sweeps.clear()
@@ -689,7 +738,7 @@ class TestOneBuildPerRun:
 
         monkeypatch.setattr(verify, "bounded_power_coefficients", counting)
         grids = ((self.GRID, self.QS),
-                 # Up to ten tables per q (parts = 1..10), more than a memo of 8 holds.
+                 # Up to ten tables per q (parts = 1..10), all in the memo of one q's tables.
                  (dict(max_d=9, max_e=2, primes=(2, 3)), {2, 4, 3, 9}))
         for grid, qs in grids:
             builds.clear()
@@ -704,13 +753,32 @@ class TestOneBuildPerRun:
                 coeffs = bounded_power_coefficients(q, parts)
                 assert table == coeffs + [0] * ((parts + 1) * q - len(coeffs))
 
-    def test_an_evicting_sweep_memo_changes_no_result(self, monkeypatch):
-        # The memo holds one q's sweeps by d, so at max_d = 9 (d = 0..9) it
-        # evicts nothing within a q: memoized and bypassed runs must agree.
+    def test_memoized_and_bypassed_runs_agree(self, monkeypatch):
+        # The memo holds one q's tables: after a case at a second q it holds
+        # that q's entries only, the sweeps of identities and the tables of
+        # oracles alike.
+        fp = PrimePower(3, 1)
+        for case in (("support", (2, 1, 2)), ("support", (3, 1, 2))):
+            verify.run_case(case)
+        sweep = tuple(map(tuple, composition_table(range(3), 2, fp)))
+        assert verify._memo(3) == {(composition_table, 2): sweep}
+        for case in (("mult-oracle", (2, 1, 2)), ("mult-oracle", (3, 1, 2))):
+            verify.run_case(case)
+        assert set(verify._memo(3)) == {(bounded_power_coefficients, n) for n in (1, 2, 3)}
+        assert verify._memo.cache_info().currsize == 1
+
+        def unmemoized(q, parts):
+            coeffs = bounded_power_coefficients(q, parts)
+            return tuple(coeffs + [0] * ((parts + 1) * q - len(coeffs)))
+
         grid = dict(max_d=9, max_e=2, primes=(2, 3))
-        assert verify._sweeps.cache_info().maxsize < 10
-        memoized = verify.run_suites(["identities"], **grid)
-        monkeypatch.setattr(verify, "_sweep", lambda fp, d: composition_table(range(fp.q), d, fp))
-        bypassed = verify.run_suites(["identities"], **grid)
-        assert memoized == bypassed
-        assert all(res.status == "PASS" for _, results in memoized for res in results)
+        for suite, name, bypass in (
+            ("identities", "_sweep", lambda fp, d: composition_table(range(fp.q), d, fp)),
+            ("oracles", "_coefficients", unmemoized),
+        ):
+            memoized = verify.run_suites([suite], **grid)
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, name, bypass)
+                bypassed = verify.run_suites([suite], **grid)
+            assert memoized == bypassed
+            assert all(res.status == "PASS" for _, results in memoized for res in results)

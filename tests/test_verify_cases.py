@@ -12,17 +12,17 @@ from frobpush import verify
 # Each grid with, per suite, its number of cases and the digest of its
 # sorted case reprs.
 PINNED = [
-    ({}, {"identities": (320, "4a8e1e7a94d86da8"), "oracles": (456, "5c999dc11ee87deb"),
+    ({}, {"identities": (320, "4a8e1e7a94d86da8"), "oracles": (450, "2c9451e46684bb9d"),
           "fixtures": (178, "8deafb4f1cce369d")}),
     (dict(max_d=3, max_e=4, primes=(2, 3, 5, 7)),
-     {"identities": (840, "70e5a0782dcbff0e"), "oracles": (1245, "7c7e83f326e7814d"),
+     {"identities": (840, "70e5a0782dcbff0e"), "oracles": (1229, "277e371083cecc24"),
       "fixtures": (472, "ad269e14c23efc1e")}),
     # Past the min(max_d, 3) caps and the mult-oracle cap q^(d+1) <= 2^20.
     (dict(max_d=5, max_e=1, primes=(11, 13)),
-     {"identities": (142, "a8708a50d1cd3b5a"), "oracles": (176, "77471b90881c4b4f"),
+     {"identities": (142, "a8708a50d1cd3b5a"), "oracles": (174, "699b6c2f4028d3a0"),
       "fixtures": (60, "606b199f0d6b18aa")}),
     (dict(max_d=1, max_e=1, primes=(3,)),
-     {"identities": (33, "6d49fadb8be8dabe"), "oracles": (69, "4f71ca1e553885bb"),
+     {"identities": (33, "6d49fadb8be8dabe"), "oracles": (68, "f1e57bdba07826c2"),
       "fixtures": (31, "0dd5e1b2ccd37f2f")}),
 ]
 GRIDS = [grid for grid, _ in PINNED]
