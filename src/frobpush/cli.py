@@ -13,22 +13,22 @@ encoder in pure Python.
 
 ``main`` builds its parser once per process and reuses it on every later
 call, and the parser reads each argv once: a regular argv (exact store flags
-only, see ``_Flags.read``) from the subcommand's flag table, without
-argparse, and any other by argparse's nested parse, so every usage error is
-argparse's.  ``main`` refuses the one value the nested parse can store
-wrongly: an explicit ``--``, read as an empty list by Python 3.12.1 and
-older.  ``verify`` is imported only when the ``verify`` subcommand runs.
+only, see ``_Command.read``) from the subcommand's flag table, and any other
+by argparse's nested parse.  Both are built from one spec (``_commands``);
+argparse is imported, and its parser built, only when an argv or a
+handler's usage error first needs it, so every usage error is argparse's.
+``main`` refuses the one value the nested parse can store wrongly: an
+explicit ``--``, read as an empty list by Python 3.12.1 and older.
+``verify`` is imported only when the ``verify`` subcommand runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from collections import Counter
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Optional
 
 from . import families, localalg, positivity
 from .combinat import PrimePower
@@ -100,7 +100,7 @@ def _summand_to_json(summand) -> dict:
     return _spinor_json(summand.j)
 
 
-def _mult_text(mult: Optional[int]) -> str:
+def _mult_text(mult: int | None) -> str:
     return "unknown" if mult is None else str(mult)
 
 
@@ -141,7 +141,7 @@ def _decimal(raw) -> int:
     return value
 
 
-def _summand_from_json(entry: dict) -> tuple[object, Optional[int]]:
+def _summand_from_json(entry: dict) -> tuple[object, int | None]:
     """A summand as the ``Decomposition`` constructor takes it: a coordinate
     tuple for a line, a ``Spinor`` for a spinor twist."""
     _check_object(entry, "summand", ("kind", "class", "mult"))
@@ -297,7 +297,7 @@ def _fraction_json(value) -> dict:
 
 
 def verdict_to_json(verdict: Verdict) -> dict:
-    witness: Optional[dict] = None
+    witness: dict | None = None
     if verdict.witness is not None:
         w = verdict.witness
         witness = {
@@ -373,7 +373,7 @@ FIELDS = tuple(dict.fromkeys(
 ))
 
 
-def _parse_bundle(parser: argparse.ArgumentParser, raw: Optional[str], arity: int) -> list[int]:
+def _parse_bundle(parser: _Command, raw: str | None, arity: int) -> list[int]:
     if raw is None:
         return [0] * arity
     try:
@@ -385,9 +385,7 @@ def _parse_bundle(parser: argparse.ArgumentParser, raw: Optional[str], arity: in
     return values
 
 
-def _descriptor(
-    parser: argparse.ArgumentParser, args: argparse.Namespace, cls: type, flag: str
-):
+def _descriptor(parser: _Command, args, cls: type, flag: str):
     """Build ``cls`` from the flags named after its fields; ``flag`` is the
     flag that selected ``cls``.  A descriptor flag that is neither ``flag``
     nor a field of ``cls`` (or of a cone-p's kind) is a usage error."""
@@ -409,15 +407,13 @@ def _descriptor(
     return families.build_descriptor(cls, value)
 
 
-def _require_zero(parser: argparse.ArgumentParser, bundle: list[int], what: str) -> None:
+def _require_zero(parser: _Command, bundle: list[int], what: str) -> None:
     if any(bundle):
         zeros = ",".join("0" * len(bundle))
         parser.error(f"{what} supports only --bundle {zeros}")
 
 
-def _build_decomposition(
-    parser: argparse.ArgumentParser, args: argparse.Namespace, fp: PrimePower
-) -> Decomposition:
+def _build_decomposition(parser: _Command, args, fp: PrimePower) -> Decomposition:
     cls = families.FAMILIES[args.variety]
     bundle = _parse_bundle(parser, args.bundle, len(cls.bases[0]))
     if cls.structure_only:
@@ -431,7 +427,7 @@ def _build_decomposition(
 # ---------------------------------------------------------------------------
 
 
-def cmd_decompose(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_decompose(parser: _Command, args) -> int:
     fp = PrimePower(args.p, args.e)
     decomp = _build_decomposition(parser, args, fp)
     if args.format == "json":
@@ -441,7 +437,7 @@ def cmd_decompose(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     return EXIT_OK
 
 
-def cmd_kernel(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_kernel(parser: _Command, args) -> int:
     fp = PrimePower(args.p, args.e)
     cls = families.FAMILIES[args.variety]
     # The trace kernel is always that of O (the canonical twist on quadrics).
@@ -481,7 +477,7 @@ def cmd_kernel(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return EXIT_OK
 
 
-def cmd_local(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_local(parser: _Command, args) -> int:
     fp = PrimePower(args.p, args.e)
     kind = _descriptor(parser, args, families.CONE_KINDS[args.kind], "kind")
     number = localalg.splitting_number(kind, fp)
@@ -501,7 +497,7 @@ def cmd_local(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_verify(parser: _Command, args) -> int:
     from . import verify  # only this subcommand needs the suites
 
     suites = list(verify.SUITES) if args.suite == "all" else [args.suite]
@@ -534,129 +530,189 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return EXIT_OK if failed == 0 else EXIT_DOMAIN
 
 
-class _Flags:
-    """One subcommand's flag table, read from the actions its
-    ``add_argument`` calls return: each store flag by option string, the
-    required ones, and every destination's value before any flag is read,
-    the ``set_defaults`` values among them."""
+# ---------------------------------------------------------------------------
+# The flag spec: its tables, and its argparse parser for every other argv
+# ---------------------------------------------------------------------------
 
-    def __init__(self, parser: argparse.ArgumentParser, handler) -> None:
-        self.defaults = {"handler": handler, "parser": parser}
-        parser.set_defaults(**self.defaults)
-        self.parser = parser
-        self.options: dict[str, argparse.Action] = {}
-        self.required: list[argparse.Action] = []
 
-    def add(self, *names: str, **kwargs) -> None:
-        action = self.parser.add_argument(*names, **kwargs)
-        self.defaults[action.dest] = action.default
-        if "action" not in kwargs:  # a store flag: one value, nargs None
-            self.options.update(dict.fromkeys(action.option_strings, action))
-            if action.required:
-                self.required.append(action)
+def _descriptor_flags(varieties: tuple[str, ...] = ()) -> list:
+    """The flags of a subcommand that builds a descriptor: ``--variety``
+    from ``varieties`` and ``--bundle`` where it has them (with ``--kind``
+    where one of them holds a cone kind), each declared field, p, e and
+    the format."""
+    flags = []
+    if varieties:
+        flags.append(("--variety", {"choices": varieties, "required": True}))
+        if any("kind" in families.FAMILIES[tag].__slots__ for tag in varieties):
+            flags.append(("--kind", {"choices": tuple(families.CONE_KINDS)}))
+        flags.append(("--bundle", {"help": "bundle coordinates, e.g. '0' or '0,1'; write a "
+                                           "negative first coordinate as --bundle=-1,0"}))
+    flags += [(f"--{name}", {"type": int}) for name in FIELDS]
+    flags += [("--p", {"type": int, "required": True, "help": "characteristic (prime)"}),
+              ("--e", {"type": int, "required": True, "help": "Frobenius exponent"}),
+              ("--format", {"choices": ("text", "json"), "default": "text"})]
+    return flags
 
-    def read(self, argv: list[str]) -> Optional[argparse.Namespace]:
+
+def _commands() -> dict:
+    """The spec: each subcommand's handler, help line and flags, each flag
+    as ``add_argument`` takes it.  A flag with no ``action`` stores one
+    value.  It is built with each parser, so the parser calls the handlers
+    bound at that time, rebound ones (traced, say) included."""
+    return {
+        "decompose": (cmd_decompose, "print a pushforward decomposition",
+                      _descriptor_flags(VARIETIES)),
+        "kernel": (cmd_kernel, "print the trace kernel and its verdict",
+                   _descriptor_flags(KERNEL_VARIETIES)),
+        "local": (cmd_local, "splitting number, convergent, F-signature",
+                  [("--kind", {"choices": tuple(families.CONE_KINDS), "required": True}),
+                   *_descriptor_flags()]),
+        "verify": (cmd_verify, "run the batch verification suites", [
+            # verify.SUITES + ("all",), spelled out so that building the
+            # parser does not import verify.
+            ("--suite", {"choices": ("identities", "oracles", "fixtures", "all"),
+                         "required": True}),
+            ("--max-d", {"type": int, "default": 3}),
+            ("--max-e", {"type": int, "default": 2}),
+            ("--primes", {"default": "2,3,5"}),
+            ("--jobs", {"type": int, "default": 1}),
+            ("--verbose", {"action": "store_true", "default": False,
+                           "help": "print passing cases too"}),
+            ("--format", {"choices": ("text", "json"), "default": "text",
+                          "help": "json: every case with its time, and per-suite totals"}),
+        ]),
+    }
+
+
+class _Args:
+    """A namespace read from a flag table.  It equals the
+    ``argparse.Namespace`` that holds the same values."""
+
+    def __init__(self, values: dict) -> None:
+        self.__dict__.update(values)
+
+    def __eq__(self, other) -> bool:
+        return vars(self) == getattr(other, "__dict__", None)
+
+
+class _Command:
+    """One subcommand's flag table: its flags by option string, each with
+    its ``dest``, and every destination's value before any flag is read.
+    It is also the handle through which a handler reports a usage error:
+    ``args.parser.error``, printed by the subcommand's argparse parser."""
+
+    def __init__(self, root: _Parser, name: str, handler, help: str, flags: list) -> None:
+        self.root, self.handler, self.help = root, handler, help
+        self.flags = {option: {"dest": option[2:].replace("-", "_"), **kwargs}
+                      for option, kwargs in flags}
+        self.defaults = {"command": name, "handler": handler, "parser": self}
+        self.defaults.update((flag["dest"], flag.get("default"))
+                             for flag in self.flags.values())
+        # The store flags, which take one value each, and the required ones.
+        self.options = {option: flag for option, flag in self.flags.items()
+                        if "action" not in flag}
+        self.required = {option for option, flag in self.options.items()
+                         if flag.get("required")}
+        self._nested = None  # set by the root's ``nested``
+
+    def read(self, argv: list[str]) -> _Args | None:
         """The namespace argparse gives a regular argv, else None.  Regular:
         exact store flags only, each ``--flag=value`` or ``--flag value`` with
-        a value not starting with ``-``, no value ``--``, each value passing its ``type`` and
-        ``choices``, and every required flag given; the last of a repeated
-        flag wins, as in argparse."""
+        a value not starting with ``-``, no value ``--``, each value passing
+        its ``type`` and ``choices``, and every required flag given; the last
+        of a repeated flag wins, as in argparse."""
         values, seen, tokens = dict(self.defaults), set(), iter(argv)
         for token in tokens:
-            flag, eq, value = token.partition("=")
+            option, eq, value = token.partition("=")
             if not eq:
                 value = next(tokens, "-")  # no value left reads as a flag
-            action = self.options.get(flag)
+            flag = self.options.get(option)
             # argparse 3.12.1 and older read a value "--" as no value at all.
-            if action is None or value == "--" or not eq and value.startswith("-"):
+            if flag is None or value == "--" or not eq and value.startswith("-"):
                 return None
+            kind = flag.get("type")
             try:
-                value = value if action.type is None else action.type(value)
+                value = value if kind is None else kind(value)
             except ValueError:
                 return None
-            if action.choices is not None and value not in action.choices:
+            choices = flag.get("choices")
+            if choices is not None and value not in choices:
                 return None
-            values[action.dest] = value
-            seen.add(action)
-        return argparse.Namespace(**values) if seen.issuperset(self.required) else None
+            values[flag["dest"]] = value
+            seen.add(option)
+        return _Args(values) if seen.issuperset(self.required) else None
+
+    def nested(self):
+        """The subcommand's argparse parser, built with the root's."""
+        self.root.nested()
+        return self._nested
+
+    def error(self, message: str):
+        """Print the subcommand's usage and ``message`` and exit 2, by its
+        argparse parser."""
+        self.nested().error(message)
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """The top-level parser, which parses each argv once.
+class _Parser:
+    """The ``frobpush`` parser, which parses each argv once.
 
     When ``argv[0]`` names a subcommand and the rest of argv is regular
-    (``_Flags.read``), that subcommand's flag table reads it and ``command``
-    is set to the name.  Every other argv takes argparse's nested parse: an
-    empty argv, ``-h``, an unknown or misplaced subcommand, a given
+    (``_Command.read``), that subcommand's flag table reads it, without
+    argparse.  Every other argv takes argparse's nested parse (``nested``):
+    an empty argv, ``-h``, an unknown or misplaced subcommand, a given
     namespace, and any irregular rest.  So every usage error is argparse's,
     printed by the parser that prints it in the nested parse.
     """
 
-    commands: dict  # subcommand name -> its _Flags, set by build_parser
+    def __init__(self) -> None:
+        self.commands = {name: _Command(self, name, *entry)
+                         for name, entry in _commands().items()}
+        self._nested = None
 
-    def parse_known_args(self, args=None, namespace=None):
+    def nested(self):
+        """The argparse parser of the same spec, built on first use; each
+        subcommand's ``nested`` is its parser in it."""
+        if self._nested is None:
+            import argparse  # a regular argv never needs it
+
+            nested = argparse.ArgumentParser(
+                prog="frobpush",
+                description="Exact Frobenius pushforward decompositions, trace-kernel "
+                "positivity verdicts, and F-signature arithmetic.",
+            )
+            sub = nested.add_subparsers(dest="command", required=True)
+            for name, command in self.commands.items():
+                parser = sub.add_parser(name, help=command.help)
+                parser.set_defaults(handler=command.handler, parser=command)
+                for option, flag in command.flags.items():
+                    parser.add_argument(option, **flag)
+                command._nested = parser
+            self._nested = nested
+        return self._nested
+
+    def _read(self, args, namespace) -> tuple[list[str], _Args | None]:
         argv = sys.argv[1:] if args is None else list(args)
         command = self.commands.get(argv[0]) if argv and namespace is None else None
-        parsed = None if command is None else command.read(argv[1:])
+        return argv, None if command is None else command.read(argv[1:])
+
+    def parse_args(self, args=None, namespace=None):
+        argv, parsed = self._read(args, namespace)
+        return self.nested().parse_args(argv, namespace) if parsed is None else parsed
+
+    def parse_known_args(self, args=None, namespace=None):
+        argv, parsed = self._read(args, namespace)
         if parsed is None:
-            return super().parse_known_args(argv, namespace)
-        parsed.command = argv[0]
+            return self.nested().parse_known_args(argv, namespace)
         return parsed, []
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The ``frobpush`` parser: four subcommands, each a plain
-    ``argparse.ArgumentParser`` with a flag table.  Its ``parse_args``
-    parses argv once, by one of two routes (see ``_CommandParser``), so a
-    caller that wraps ``parse_args`` still sees every parse."""
-    parser = _CommandParser(
-        prog="frobpush",
-        description="Exact Frobenius pushforward decompositions, trace-kernel "
-        "positivity verdicts, and F-signature arithmetic.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=argparse.ArgumentParser)
-    parser.commands = {}
-
-    def add_command(name: str, handler, help: str) -> _Flags:
-        parser.commands[name] = _Flags(sub.add_parser(name, help=help), handler)
-        return parser.commands[name]
-
-    def add_common(flags: _Flags, varieties: tuple[str, ...] = ()) -> None:
-        if varieties:  # with --kind where one of them holds a cone kind
-            flags.add("--variety", choices=varieties, required=True)
-            if any("kind" in families.FAMILIES[tag].__slots__ for tag in varieties):
-                flags.add("--kind", choices=tuple(families.CONE_KINDS))
-            flags.add("--bundle", help="bundle coordinates, e.g. '0' or '0,1'; write a "
-                      "negative first coordinate as --bundle=-1,0")
-        for name in FIELDS:
-            flags.add(f"--{name}", type=int)
-        flags.add("--p", type=int, required=True, help="characteristic (prime)")
-        flags.add("--e", type=int, required=True, help="Frobenius exponent")
-        flags.add("--format", choices=("text", "json"), default="text")
-
-    add_common(add_command("decompose", cmd_decompose, "print a pushforward decomposition"),
-               VARIETIES)
-    add_common(add_command("kernel", cmd_kernel, "print the trace kernel and its verdict"),
-               KERNEL_VARIETIES)
-
-    local = add_command("local", cmd_local, "splitting number, convergent, F-signature")
-    local.add("--kind", choices=tuple(families.CONE_KINDS), required=True)
-    add_common(local)
-
-    ver = add_command("verify", cmd_verify, "run the batch verification suites")
-    # verify.SUITES + ("all",), spelled out so that building the parser
-    # does not import verify.
-    ver.add("--suite", choices=("identities", "oracles", "fixtures", "all"), required=True)
-    ver.add("--max-d", type=int, default=3, dest="max_d")
-    ver.add("--max-e", type=int, default=2, dest="max_e")
-    ver.add("--primes", default="2,3,5")
-    ver.add("--jobs", type=int, default=1)
-    ver.add("--verbose", action="store_true", help="print passing cases too")
-    ver.add("--format", choices=("text", "json"), default="text",
-            help="json: every case with its time, and per-suite totals")
-
-    return parser
+def build_parser() -> _Parser:
+    """The ``frobpush`` parser: a flag table per subcommand, built from the
+    spec, and argparse's parser of the same spec, built when first needed.
+    Its ``parse_args`` parses argv once, by one of two routes (see
+    ``_Parser``), so a caller that wraps ``parse_args`` still sees every
+    parse."""
+    return _Parser()
 
 
 # One parser per builder.  ``main`` looks ``build_parser`` up when it is
@@ -665,17 +721,19 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSERS: dict = {}
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     builder = build_parser
     parser = _PARSERS.get(builder)
     if parser is None:
         parser = _PARSERS[builder] = builder()
     args = parser.parse_args(argv)
     # argparse 3.12.1 and older store an explicit value "--" (``--bundle=--``)
-    # as an empty list: refuse it, as a store flag takes one argument.
-    for option, action in parser.commands[args.command].options.items():
-        if isinstance(getattr(args, action.dest), list):
-            args.parser.error(f"argument {option}: expected one argument")
+    # as an empty list: refuse it, as a store flag takes one argument.  A flag
+    # table declines that value, so only argparse's namespace can hold one.
+    if not isinstance(args, _Args):
+        for option, flag in args.parser.options.items():
+            if isinstance(getattr(args, flag["dest"]), list):
+                args.parser.error(f"argument {option}: expected one argument")
     # Multiplicities may exceed the interpreter's int/str digit cap (4300
     # digits by default from Python 3.11; 0 means none): lift it while the
     # command runs.  Flags are parsed under the cap, so an integer flag of

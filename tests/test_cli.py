@@ -1,8 +1,6 @@
 """Tests for the command line: output fixtures, JSON round-trips, exit codes."""
 
-import argparse
 import contextlib
-import functools
 import importlib
 import io
 import itertools
@@ -437,7 +435,7 @@ class TestParserReuse:
         capsys.readouterr()
 
     def test_suite_choices_are_verify_suites(self):
-        parser = cli.build_parser()
+        parser = cli.build_parser().nested()
         (commands,) = [a for a in parser._actions if a.dest == "command"]
         (suite,) = [a for a in commands.choices["verify"]._actions if a.dest == "suite"]
         assert tuple(suite.choices) == verify.SUITES + ("all",)
@@ -447,11 +445,12 @@ _PROJSPACE = ["--variety", "projspace", "--d", "2", "--p", "2", "--e", "1"]
 
 
 def take_nested_parse(parser):
-    """Give ``parser`` argparse's own ``parse_known_args``, so that its
-    ``parse_args`` takes the nested parse: the top-level parser selects the
-    subcommand, whose parser then reads the rest of argv."""
-    parser.parse_known_args = functools.partial(argparse.ArgumentParser.parse_known_args,
-                                                parser)
+    """Point ``parser``'s ``parse_args`` and ``parse_known_args`` at its
+    argparse parser, so that both take the nested parse: the top-level
+    parser selects the subcommand, whose parser then reads the rest of
+    argv."""
+    nested = parser.nested()
+    parser.parse_args, parser.parse_known_args = nested.parse_args, nested.parse_known_args
 
 
 # Each subcommand's required store flags, then its other store flags.
@@ -561,7 +560,8 @@ class TestOnePassParse:
         one_pass = [parser.parse_args(argv) for argv in argvs]
         take_nested_parse(parser)
         for argv, args in zip(argvs, one_pass):
-            assert parser.parse_args(argv) == args, argv
+            nested = parser.parse_args(argv)
+            assert nested == args and args == nested, argv
 
     @pytest.mark.parametrize("argv", EDGE, ids=lambda argv: " ".join(argv) or "(empty)")
     def test_edge_argv_parses_alike(self, capsys, argv):
@@ -580,20 +580,24 @@ class TestOnePassParse:
 
     def test_pool_takes_the_plain_parse(self, monkeypatch):
         """Every argv of the interactive pool is regular, so the flag table
-        reads it and no subcommand parser runs."""
+        reads it: argparse's parser is not even built, and once it is, no
+        subcommand parser runs."""
         monkeypatch.syspath_prepend(str(BENCH))
         import workloads
 
         argvs = [case.argv for stratum in workloads.interactive_pool(tiny=False)
                  for case in stratum]
         parser = cli.build_parser()
+        for argv in argvs:
+            parser.parse_args(argv)
+        assert parser._nested is None
         calls = []
         for command in parser.commands.values():
-            def counted(*args, _parse=command.parser.parse_known_args, **kwargs):
+            def counted(*args, _parse=command.nested().parse_known_args, **kwargs):
                 calls.append(args)
                 return _parse(*args, **kwargs)
 
-            command.parser.parse_known_args = counted
+            command.nested().parse_known_args = counted
         for argv in argvs:
             parser.parse_args(argv)
         assert (len(argvs), len(calls)) == (1316, 0)
@@ -660,7 +664,7 @@ def test_usage_lines_are_pinned(monkeypatch):
     assert cli.FIELDS == ("d", "r", "s", "eps")
     monkeypatch.setenv("COLUMNS", "80")
     parser = cli.build_parser()
-    usage = {name: command.parser.format_usage() for name, command in parser.commands.items()}
+    usage = {name: command.nested().format_usage() for name, command in parser.commands.items()}
     assert usage == USAGE
 
 
@@ -684,7 +688,7 @@ def offered_argvs(command, options):
         return
     choices = []
     if "--variety" in options:
-        for tag in options["--variety"].choices:
+        for tag in options["--variety"]["choices"]:
             cls = families.FAMILIES[tag]
             bundle = "--bundle=" + ",".join("0" * len(cls.bases[0]))
             if "kind" in cls.__slots__:
@@ -693,7 +697,7 @@ def offered_argvs(command, options):
             else:
                 choices.append(["--variety", tag, *PARAMS[tag], bundle])
     else:
-        choices = [["--kind", kind, *PARAMS[kind]] for kind in options["--kind"].choices]
+        choices = [["--kind", kind, *PARAMS[kind]] for kind in options["--kind"]["choices"]]
     for flags in choices:
         yield [*flags, "--format", "json", "--p", "3", "--e", "1"]
 
@@ -707,7 +711,7 @@ def test_every_flag_has_a_use(capsys):
         offered.update((command, option) for option in options)
         for option in ("--variety", "--kind"):
             if option in options:
-                offered.update((command, option, choice) for choice in options[option].choices)
+                offered.update((command, option, choice) for choice in options[option]["choices"])
         for argv in offered_argvs(command, options):
             if outcome(capsys, [command, *argv])[0] != 0:
                 continue
@@ -748,19 +752,41 @@ def test_cli_import_is_lazy():
 
 
 def test_fresh_start_loads_no_dataclasses():
-    """A fresh CLI start loads neither ``dataclasses`` (with ``inspect``) nor
-    ``fractions``; pytest itself imports them, so this runs in a subprocess."""
+    """The benchmark's set-up step loads neither ``dataclasses`` (with
+    ``inspect``) nor ``fractions``, and it and a regular text argv load no
+    ``argparse``, ``gettext`` or ``locale``; pytest itself imports them all,
+    so this runs in a subprocess.  An argv the flag table declines then
+    builds argparse's parser, which prints its usage error exactly as a
+    parser built up front does."""
     script = (
-        "import sys, frobpush, frobpush.cli\n"
-        "frobpush.cli.build_parser()\n"
-        "print([m for m in ('dataclasses', 'inspect', 'fractions') if m in sys.modules])\n"
+        "import contextlib, io, json, sys\n"
+        "import frobpush; from frobpush import cli; cli.build_parser()\n"
+        "heavy = [m for m in ('dataclasses', 'inspect', 'fractions') if m in sys.modules]\n"
+        "code = cli.main(['decompose', '--variety', 'projspace', '--d', '2', '--p', '3',\n"
+        "                 '--e', '2'])\n"
+        "parsers = [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]\n"
+        "def refused(parse):\n"
+        "    with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        "        try:\n"
+        "            parse(['decompose', '--variety', 'nope', '--d', '2', '--p', '2',\n"
+        "                   '--e', '1'])\n"
+        "        except SystemExit as exc:\n"
+        "            return exc.code, err.getvalue()\n"
+        "nested = cli.build_parser().nested().parse_args\n"
+        "print(json.dumps([heavy, code, parsers, refused(cli.main), refused(nested)]))\n"
     )
     src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout == "[]\n"
+    *printed, last = done.stdout.splitlines()
+    heavy, code, parsers, refused, nested = json.loads(last)
+    assert (heavy, code, printed[-1], parsers) == ([], 0, "rank: 81", [])
+    assert refused == nested
+    assert refused[0] == 2
+    assert refused[1].startswith(USAGE["decompose"] + "frobpush decompose: error: "
+                                 "argument --variety: invalid choice: 'nope'")
 
 
 class TestExitCodes:

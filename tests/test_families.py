@@ -234,7 +234,7 @@ def test_tracer_sees_one_builder_call_per_family():
 
 def test_cli_choices_are_registry_tags():
     assert cli.VARIETIES == tuple(FAMILIES)
-    parser = cli.build_parser()
+    parser = cli.build_parser().nested()
     (commands,) = [a for a in parser._actions if a.dest == "command"]
     for name in ("decompose", "kernel", "local"):
         choices = {a.dest: a.choices for a in commands.choices[name]._actions}
