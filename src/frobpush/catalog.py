@@ -4,7 +4,10 @@ Every function here returns a ``Decomposition`` of F^e_* of a line bundle
 (usually the structure sheaf) as an exact multiset of lattice classes.  The
 multiplicities are polynomials or piecewise polynomials in q = p^e; zero
 entries are always dropped so support comparisons are canonical.  Every
-builder answers at every q.
+builder answers at every q, and every builder with twists answers every
+integer bundle: by the projection formula, F^e_* O(D + q*M) is F^e_* O(D)
+twisted by M, so each splits the coordinates by q, sums over the residues
+and shifts each class by the quotients.
 
 Most formulas are sums over the q residues j = 0..q-1 of one coordinate.  On
 each run of j where the floor parts of the twists stay constant
@@ -32,7 +35,6 @@ from .combinat import (
     floor_pieces,
     range_sum_weights,
 )
-from .errors import InvalidParameterError
 from .picard import (
     Decomposition,
     Hirzebruch,
@@ -133,24 +135,21 @@ def pushforward_veronese_cone(
     """F^e_* O(n*H + n'*H') on the blowup of the Veronese cone, in the
     ("H", "H'") basis with E = H - eps*H'.
 
-    For residues n, n' in [0, q-1], at every q (q < eps included).
-    Residues j = 0..n contribute O((floor - l)*H') and residues
-    j = 1..q-1-n contribute O(-E + (floor - l)*H') = O(-H + (floor - l + eps)*H'),
-    where eps*j + n' (respectively -eps*j + n') splits as floor/residue m in
-    base q, with multiplicity count(l, m; d) for l = 0..d.  Each range is summed by the
-    runs of constant floor, at most eps + 2 of them, on which the count is a
-    polynomial of degree d in j.
+    For every bundle, at every q (q < eps included).  With n = k*q + m,
+    residues j = 0..m contribute O(k*H + (floor - l)*H') and residues
+    j = 1..q-1-m contribute O((k-1)*H + (floor - l + eps)*H'), that is
+    O(k*H - E + (floor - l)*H'), where eps*j + n' (respectively -eps*j + n')
+    splits as floor/residue in base q, with multiplicity count(l, residue; d)
+    for l = 0..d.  Each range is summed by the runs of constant floor, at most
+    eps + 2 of them, on which the count is a polynomial of degree d in j.
     """
     variety = VeroneseConeBlowup(d, eps)
     q = fp.q
-    if not (0 <= n <= q - 1 and 0 <= nprime <= q - 1):
-        raise InvalidParameterError(
-            f"bundle residues must lie in [0, q-1]; got (n={n}, n'={nprime}, q={q})"
-        )
+    k, n = divmod(n, q)
     counts: dict = {}
     get = counts.get
     # (slope in j, first and last j, H-coordinate, H'-offset of the class)
-    for a, lo, hi, h, offset in ((eps, 0, n, 0, 0), (-eps, 1, q - 1 - n, -1, eps)):
+    for a, lo, hi, h, offset in ((eps, 0, n, k, 0), (-eps, 1, q - 1 - n, k - 1, eps)):
         for fl, jlo, jhi in floor_pieces(a, nprime, q, lo, hi):
             weights = range_sum_weights(d + 1, jhi - jlo + 1)
             # The residues a*j + n' - fl*q at the run's first len(weights) j.
@@ -169,21 +168,18 @@ def pushforward_segre_cone(
     ("H", "G1", "G2") basis with E = H - G1 - G2."""
     variety = SegreConeBlowup(r, s)
     q = fp.q
-    for name, val in (("n", n), ("n1", n1), ("n2", n2)):
-        if not 0 <= val <= q - 1:
-            raise InvalidParameterError(
-                f"bundle residues must lie in [0, q-1]; got {name}={val}, q={q}"
-            )
-    # Residue j contributes O(h*H + (f1-k)*G1 + (f2-l)*G2) with multiplicity
-    # count(k, m1; r) * count(l, m2; s), where j + n_i = f_i*q + m_i and h
-    # drops to -1 past n.  Between consecutive cuts h, f1 and f2 are constant
-    # and the product is a polynomial of degree r + s in j; the run's weights
-    # are folded into the left factor.
-    cuts = sorted({0, n + 1, q - n1, q - n2, q})
+    # With n = c*q + m, residue j contributes O(h*H + (f1-k)*G1 + (f2-l)*G2)
+    # with multiplicity count(k, m1; r) * count(l, m2; s), where
+    # j + n_i = f_i*q + m_i and h is c, dropping to c - 1 past m.  Between
+    # consecutive cuts h, f1 and f2 are constant and the product is a
+    # polynomial of degree r + s in j; the run's weights are folded into the
+    # left factor.
+    c, n = divmod(n, q)
+    cuts = sorted({0, n + 1, q - n1 % q, q - n2 % q, q})
     counts: dict = {}
     get = counts.get
     for lo, hi in zip(cuts, cuts[1:]):
-        h = 0 if lo <= n else -1
+        h = c if lo <= n else c - 1
         f1, f2 = (lo + n1) // q, (lo + n2) // q
         weights = range_sum_weights(r + s + 1, hi - lo)
         points = range(lo, lo + len(weights))

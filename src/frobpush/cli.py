@@ -73,8 +73,6 @@ def descriptor_from_json(data: dict) -> VarietyDescriptor:
         arg = params[name]
         # ``kind`` is a tag of CONE_KINDS, checked by ``build_descriptor``;
         # every other parameter is a JSON integer.
-        if name == "kind" and not isinstance(arg, str):
-            raise InvalidParameterError(f"unknown cone kind {arg!r}")
         if name != "kind" and type(arg) is not int:
             raise InvalidParameterError(
                 f"variety {tag!r} parameter {name!r} must be an integer; got {arg!r}"

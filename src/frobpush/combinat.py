@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterator, Sequence
 from itertools import accumulate, repeat
-from typing import Iterator, Sequence
 
 from .errors import InvalidParameterError
 from .value import Value

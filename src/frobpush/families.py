@@ -19,7 +19,7 @@ call.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from . import catalog, localalg
 from .combinat import PrimePower
@@ -65,14 +65,14 @@ def build_descriptor(cls: type, value: Callable[[str], object]):
     """Construct ``cls`` from its fields, the names in its ``__slots__``,
     reading each with ``value(name)``.
 
-    A field named ``kind`` holds a tag of ``CONE_KINDS``; that cone is built
-    the same way from its own fields.
+    A field named ``kind`` holds a tag of ``CONE_KINDS``, a ``str``; that
+    cone is built the same way from its own fields.
     """
     args = []
     for name in cls.__slots__:
         arg = value(name)
         if name == "kind":
-            if arg not in CONE_KINDS:
+            if type(arg) is not str or arg not in CONE_KINDS:
                 raise InvalidParameterError(f"unknown cone kind {arg!r}")
             arg = build_descriptor(CONE_KINDS[arg], value)
         args.append(arg)

@@ -25,13 +25,9 @@ Veronese-type counts against the blowup at the vertex, at every q.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional
 
 from .combinat import PrimePower, composition_row, eulerian
 from .picard import ConeKind, ConeP, Decomposition, SegreCone
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 def _veronese_counts(d: int, eps: int, fp: PrimePower) -> dict[int, int]:
@@ -115,7 +111,7 @@ def f_signature(kind: ConeKind) -> Fraction:
 
 
 def f_signature_convergent(
-    kind: ConeKind, fp: PrimePower, number: Optional[int] = None
+    kind: ConeKind, fp: PrimePower, number: int | None = None
 ) -> Fraction:
     """The e-th convergent splitting_number / q^dim of the F-signature;
     ``number``, when given, is that splitting number, already computed."""

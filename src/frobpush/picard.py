@@ -18,19 +18,15 @@ A ``Decomposition`` keeps its line summands as coordinate tuples and its
 spinor twists as integers, so the builders and the algebra (dual, twist,
 basis change, restriction) merge summands on keys that hash and compare in
 C.  ``PicClass`` and ``Line`` are the values a caller reads: they are built
-when a decomposition is iterated or sorted, and for verdict witnesses.  A
-``PicClass`` hashes its coordinates and basis once, when it
-is built, and a ``Line`` reuses its class's hash.  Pickling rebuilds a class
-from its coordinates, so the hash is never carried into another process,
-whose string hashes differ.
+when a decomposition is iterated or sorted, and for verdict witnesses.  They
+compare, hash and pickle as ``Value`` records, by their fields.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from operator import add, neg
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import (
     DeterminantUnsupportedError,
@@ -47,7 +43,7 @@ Basis = tuple[str, ...]
 class PicClass(Value):
     """An integer vector of coordinates against a named lattice basis."""
 
-    __slots__ = ("coords", "basis", "_hash")
+    __slots__ = ("coords", "basis")
 
     def __init__(self, coords: tuple[int, ...], basis: Basis) -> None:
         object.__setattr__(self, "coords", tuple(map(int, coords)))
@@ -58,14 +54,6 @@ class PicClass(Value):
         coords, basis = self.coords, self.basis
         if len(coords) != len(basis):
             raise LatticeMismatchError(f"{len(coords)} coordinates against basis {basis}")
-        object.__setattr__(self, "_hash", hash((coords, basis)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # String hashes differ between processes: rebuild, never copy, the hash.
-        return (PicClass, (self.coords, self.basis))
 
     @classmethod
     def zero(cls, basis: Basis) -> "PicClass":
@@ -86,9 +74,6 @@ class Line(Value):
     def __init__(self, cls: PicClass) -> None:
         object.__setattr__(self, "cls", cls)
 
-    def __hash__(self) -> int:
-        return self.cls._hash
-
 
 class Spinor(Value):
     """A spinor-bundle twist S(j); only meaningful on quadrics."""
@@ -99,7 +84,7 @@ class Spinor(Value):
         object.__setattr__(self, "j", j)
 
 
-Summand = Union[Line, Spinor]
+Summand = Line | Spinor
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +100,11 @@ Summand = Union[Line, Spinor]
 DESCRIPTORS: list[type] = []
 
 
-def _declare(name: str, tag: str, fields: tuple[str, ...], doc: Optional[str] = None, *,
-             refuse: str = "", refusal: str = "", dim: Optional[Callable[[Value], int]] = None,
-             bases: tuple[Basis, ...] = (), spinor_rank: Optional[Callable] = None,
-             builder: Optional[str] = None, structure_only: bool = False,
-             bundle: Optional[Callable] = None, divisor: Optional[str] = None) -> type:
+def _declare(name: str, tag: str, fields: tuple[str, ...], doc: str | None = None, *,
+             refuse: str = "", refusal: str = "", dim: Callable[[Value], int] | None = None,
+             bases: tuple[Basis, ...] = (), spinor_rank: Callable | None = None,
+             builder: str | None = None, structure_only: bool = False,
+             bundle: Callable | None = None, divisor: str | None = None) -> type:
     """The descriptor class ``name`` of one family or cone kind.
 
     ``fields`` are its ``__slots__`` in constructor order: at once its
@@ -305,7 +290,7 @@ class _Entries(Mapping):
         for summand, _ in self._decomp.items():
             yield summand
 
-    def __getitem__(self, summand: Summand) -> Optional[int]:
+    def __getitem__(self, summand: Summand) -> int | None:
         store, key = self._decomp._store(summand)
         if key in store:
             return store[key]
@@ -340,16 +325,16 @@ class Decomposition(Value):
     def __init__(
         self,
         variety: VarietyDescriptor,
-        items: Iterable[tuple[Union[Summand, tuple[int, ...]], Optional[int]]],
-        basis: Optional[Basis] = None,
+        items: Iterable[tuple[Summand | tuple[int, ...], int | None]],
+        basis: Basis | None = None,
         support_only: bool = False,
     ) -> None:
         basis = tuple(basis) if basis is not None else variety.bases[0]
         if basis not in variety.bases:
             raise LatticeMismatchError(f"basis {basis} is not a basis of {variety}")
         size = len(basis)
-        lines: dict[tuple[int, ...], Optional[int]] = {}
-        spinors: dict[int, Optional[int]] = {}
+        lines: dict[tuple[int, ...], int | None] = {}
+        spinors: dict[int, int | None] = {}
         for summand, mult in items:
             # The common summand first; anything else takes every check below.
             if type(summand) is tuple and len(summand) == size and type(mult) is int and mult > 0:
@@ -414,32 +399,32 @@ class Decomposition(Value):
     # -- basic views --------------------------------------------------------
 
     @property
-    def lines(self) -> Mapping[tuple[int, ...], Optional[int]]:
+    def lines(self) -> Mapping[tuple[int, ...], int | None]:
         """Line summands as ``{coordinate tuple in basis: multiplicity}``."""
         return MappingProxyType(self._lines)
 
     @property
-    def spinors(self) -> Mapping[int, Optional[int]]:
+    def spinors(self) -> Mapping[int, int | None]:
         """Spinor twists S(j) as ``{j: multiplicity}``."""
         return MappingProxyType(self._spinors)
 
     @property
-    def entries(self) -> Mapping[Summand, Optional[int]]:
+    def entries(self) -> Mapping[Summand, int | None]:
         return _Entries(self)
 
-    def items(self) -> Iterator[tuple[Summand, Optional[int]]]:
+    def items(self) -> Iterator[tuple[Summand, int | None]]:
         basis = self.basis
         for coords, mult in self._lines.items():
             yield Line(PicClass(coords, basis)), mult
         for j, mult in self._spinors.items():
             yield Spinor(j), mult
 
-    def sorted_items(self) -> list[tuple[Summand, Optional[int]]]:
+    def sorted_items(self) -> list[tuple[Summand, int | None]]:
         """Line summands by descending coordinates, then spinors by
         descending twist (keys are distinct, so no multiplicity is
         compared)."""
         basis = self.basis
-        items: list[tuple[Summand, Optional[int]]] = [
+        items: list[tuple[Summand, int | None]] = [
             (Line(PicClass(coords, basis)), mult)
             for coords, mult in sorted(self._lines.items(), reverse=True)
         ]
@@ -449,7 +434,7 @@ class Decomposition(Value):
     def trivial_class(self) -> PicClass:
         return PicClass.zero(self.basis)
 
-    def multiplicity(self, summand: Union[Summand, tuple[int, ...]]) -> int:
+    def multiplicity(self, summand: Summand | tuple[int, ...]) -> int:
         """Multiplicity of a ``Line``, a ``Spinor`` or a coordinate tuple."""
         store, key = self._store(summand)
         mult = store.get(key, 0)

@@ -17,7 +17,6 @@ is a test oracle.
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
 from . import restriction
 from .catalog import quadric_pushforward_support
@@ -41,15 +40,15 @@ class Witness(Value):
 
     __slots__ = ("summand", "divisor", "multiplicity")
 
-    def __init__(self, summand: Summand, divisor: Optional[str] = None,
-                 multiplicity: Optional[int] = None) -> None:
+    def __init__(self, summand: Summand, divisor: str | None = None,
+                 multiplicity: int | None = None) -> None:
         self._set(summand, divisor, multiplicity)
 
 
 class Verdict(Value):
     __slots__ = ("status", "witness", "notes")
 
-    def __init__(self, status: VerdictStatus, witness: Optional[Witness] = None,
+    def __init__(self, status: VerdictStatus, witness: Witness | None = None,
                  notes: tuple[str, ...] = ()) -> None:
         self._set(status, witness, notes)
 

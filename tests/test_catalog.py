@@ -5,7 +5,11 @@ convolution oracle before freezing; see the per-case comments where a
 recorded value failed reconciliation.
 """
 
+from operator import add
+
 import pytest
+from hypothesis import given, reject
+from hypothesis import strategies as st
 
 from frobpush import catalog
 from frobpush.catalog import (
@@ -19,6 +23,7 @@ from frobpush.catalog import (
 )
 from frobpush.combinat import PrimePower, _is_prime, composition_count
 from frobpush.errors import InvalidParameterError
+from frobpush.families import FAMILIES, build
 from frobpush.picard import (
     Hirzebruch,
     Line,
@@ -36,6 +41,7 @@ from frobpush.verify import (
     blowup_multiplicity,
     hirzebruch_block_multiplicities,
     hirzebruch_closed_multiplicities,
+    thomsen_loop,
 )
 
 FIELDS = [PrimePower(p, e) for p in (2, 3, 5) for e in (1, 2)]
@@ -373,8 +379,6 @@ class TestVeroneseCone:
                 for eps in (2, 3):
                     for n in (0, 1, q - 1):
                         for nprime in (0, eps - 1):
-                            if nprime > q - 1:
-                                continue
                             direct = {}
                             for j in range(n + 1):
                                 fl, m = divmod(eps * j + nprime, q)
@@ -394,14 +398,6 @@ class TestVeroneseCone:
                                 pushforward_veronese_cone(d, eps, n, nprime, fp)
                             )
                             assert got == direct
-
-    def test_regime_errors(self):
-        # Only the residues are refused outside [0, q-1]; every q answers.
-        fp = PrimePower(2, 1)
-        with pytest.raises(InvalidParameterError):
-            pushforward_veronese_cone(2, 2, 2, 0, fp)
-        with pytest.raises(InvalidParameterError):
-            pushforward_veronese_cone(2, 2, 0, -1, fp)
 
 
 class TestSegreCone:
@@ -428,9 +424,45 @@ class TestSegreCone:
                         decomp = pushforward_segre_cone(r, s, *bundle, fp)
                         assert decomp.rank() == fp.q ** (r + s + 1)
 
-    def test_residue_validation(self):
-        with pytest.raises(InvalidParameterError):
-            pushforward_segre_cone(1, 1, 2, 0, 0, PrimePower(2, 1))
+
+# The families whose builders take a bundle: projspace, product, hirzebruch,
+# veronese-cone and segre-cone.
+TWISTED = [cls for cls in FAMILIES.values() if not cls.structure_only]
+
+
+def draw_variety(data):
+    cls = data.draw(st.sampled_from(TWISTED))
+    try:
+        return cls(*data.draw(st.tuples(*[st.integers(0, 3)] * len(cls.__slots__))))
+    except InvalidParameterError:
+        reject()
+
+
+class TestEveryBundle:
+    """Every builder with twists answers every integer bundle, by the
+    projection formula: F^e_* O(D + q*M) is F^e_* O(D) twisted by M."""
+
+    @given(st.sampled_from([PrimePower(p, e) for p, e in ((2, 1), (2, 3), (3, 2), (5, 1),
+                                                          (5, 3), (7, 1), (7, 3), (2, 64),
+                                                          (3, 40))]), st.data())
+    def test_projection_formula(self, fp, data):
+        variety = draw_variety(data)
+        size = len(variety.bases[0])
+        residues = data.draw(st.tuples(*[st.integers(0, fp.q - 1)] * size))
+        shift = data.draw(st.tuples(*[st.integers(-3, 3) | st.integers(-10**12, 10**12)] * size))
+        bundle = tuple(r + fp.q * m for r, m in zip(residues, shift))
+        want = {tuple(map(add, coords, shift)): mult
+                for coords, mult in build(variety, residues, fp).lines.items()}
+        assert dict(build(variety, bundle, fp).lines) == want
+
+    @given(st.sampled_from([fp for fp in FIELDS_E3 if fp.q <= 9] + [PrimePower(7, 1)]),
+           st.data())
+    def test_matches_thomsen_count(self, fp, data):
+        # q < eps included: the Veronese cone blowup draws eps up to 3 at q = 2.
+        variety = draw_variety(data)
+        size = len(variety.bases[0])
+        bundle = data.draw(st.tuples(*[st.integers(-3 * fp.q, 3 * fp.q)] * size))
+        assert dict(build(variety, bundle, fp).lines) == thomsen_loop(variety, bundle, fp)
 
 
 class TestQuadricSupport:

@@ -789,6 +789,26 @@ def test_fresh_start_loads_no_dataclasses():
                                  "argument --variety: invalid choice: 'nope'")
 
 
+def test_fresh_start_loads_no_typing():
+    """Under ``python -S``, whose start imports no ``site`` packages, the
+    set-up step and a regular text argv leave ``typing`` unloaded: the library
+    writes its annotations as strings and takes its abstract types from
+    ``collections.abc``."""
+    script = (
+        "import sys\n"
+        "import frobpush; from frobpush import cli; cli.build_parser()\n"
+        "code = cli.main(['decompose', '--variety', 'projspace', '--d', '2', '--p', '3',\n"
+        "                 '--e', '2'])\n"
+        "print(code, 'typing' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -152,8 +152,10 @@ def test_declarations_match_the_projective_bundle(tag):
 def test_unknown_tags_rejected():
     with pytest.raises(InvalidParameterError):
         family_of(SegreCone(1, 1))
-    with pytest.raises(InvalidParameterError):
-        build_descriptor(ConeP, {"kind": "toric"}.__getitem__)
+    # An unknown tag and a kind that is no string, hashable or not, alike.
+    for kind in ("toric", ["rnc"], 2):
+        with pytest.raises(InvalidParameterError, match="unknown cone kind"):
+            build_descriptor(ConeP, {"kind": kind, "eps": 2}.__getitem__)
 
 
 @pytest.mark.parametrize("variety", SAMPLES, ids=repr)

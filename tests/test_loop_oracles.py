@@ -68,6 +68,10 @@ def residue(data, fp):
     return data.draw(st.integers(0, fp.q - 1))
 
 
+def twist(data, fp):
+    return data.draw(st.integers(-3 * fp.q, 3 * fp.q) | st.integers(-10**12, 10**12))
+
+
 # ---------------------------------------------------------------------------
 # The loops over j that the Thomsen count sums by slices, one term at a time.
 # Each count(parts, n) is a coefficient of (1 + t + ... + t^{q-1})^parts.
@@ -226,9 +230,7 @@ def test_veronese_oracle_matches_j_loop_at_every_pair(fp):
 
 @given(fields, st.integers(0, 6), st.data())
 def test_hirzebruch_oracle_matches_j_loop(fp, eps, data):
-    q = fp.q
-    twist = st.one_of(st.integers(-3 * q, 3 * q), st.integers(-10**12, 10**12))
-    u, v = data.draw(twist), data.draw(twist)
+    u, v = twist(data, fp), twist(data, fp)
     assert thomsen_loop(Hirzebruch(eps), (u, v), fp) == hirzebruch_j_loop(eps, u, v, fp)
 
 
@@ -252,16 +254,14 @@ def test_segre_shifted_sums_match_t_loop(fp, r, s):
 
 @given(fields, st.integers(0, 6), st.data())
 def test_hirzebruch_matches_loop(fp, eps, data):
-    q = fp.q
-    twist = st.one_of(st.integers(-3 * q, 3 * q), st.integers(-10**12, 10**12))
-    u, v = data.draw(twist), data.draw(twist)
+    u, v = twist(data, fp), twist(data, fp)
     got = as_map(pushforward_hirzebruch(eps, u, v, fp))
     assert got == thomsen_loop(Hirzebruch(eps), (u, v), fp)
 
 
 @given(fields, st.integers(1, 3), st.integers(1, 3), st.data())
 def test_segre_cone_matches_loop(fp, r, s, data):
-    n, n1, n2 = residue(data, fp), residue(data, fp), residue(data, fp)
+    n, n1, n2 = twist(data, fp), twist(data, fp), twist(data, fp)
     got = as_map(pushforward_segre_cone(r, s, n, n1, n2, fp))
     assert got == thomsen_loop(SegreConeBlowup(r, s), (n, n1, n2), fp)
 
@@ -353,7 +353,7 @@ def test_count_refuses_a_bundle_of_the_wrong_length():
 
 @given(fields, st.integers(1, 3), st.integers(1, 6), st.data())
 def test_veronese_cone_matches_loop(fp, d, eps, data):
-    n, nprime = residue(data, fp), residue(data, fp)
+    n, nprime = twist(data, fp), twist(data, fp)
     got = as_map(pushforward_veronese_cone(d, eps, n, nprime, fp))
     assert got == thomsen_loop(VeroneseConeBlowup(d, eps), (n, nprime), fp)
 
