@@ -29,6 +29,7 @@ import os
 import sys
 from collections import Counter
 from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
 
 from . import families, localalg, positivity
 from .combinat import PrimePower
@@ -360,9 +361,8 @@ def render_verdict(verdict: Verdict) -> str:
 
 VARIETIES = tuple(families.FAMILIES)
 
-# The families ``kernel`` answers for: the split ones and the quadric.
-KERNEL_VARIETIES = tuple(tag for tag, cls in families.FAMILIES.items()
-                         if cls.split or tag == "quadric")
+# The families ``kernel`` answers for, as ``positivity.kernel_verdict`` does.
+KERNEL_VARIETIES = positivity.KERNEL_FAMILIES
 
 # The integer descriptor flags: every declared field but ``kind``, in the
 # order of the declarations.
@@ -440,30 +440,26 @@ def cmd_kernel(parser: _Command, args) -> int:
     cls = families.FAMILIES[args.variety]
     # The trace kernel is always that of O (the canonical twist on quadrics).
     _require_zero(parser, _parse_bundle(parser, args.bundle, len(cls.bases[0])), "kernel")
-    if args.variety == "quadric":
-        quadric = _descriptor(parser, args, cls, "variety")
-        report = positivity.quadric_kernel_verdict(quadric.d, fp)
-        kernel = report.support.remove_trivial()
+    kernel, verdict = positivity.kernel_verdict(_descriptor(parser, args, cls, "variety"), fp)
+    if isinstance(verdict, positivity.QuadricKernelReport):
         if args.format == "json":
             payload = {
                 "kernel": decomposition_to_json(kernel),
-                "support_verdict": verdict_to_json(report.support_verdict),
-                "stated_verdict": verdict_to_json(report.stated_verdict),
-                "disagreement": report.disagreement,
-                "notes": list(report.notes),
+                "support_verdict": verdict_to_json(verdict.support_verdict),
+                "stated_verdict": verdict_to_json(verdict.stated_verdict),
+                "disagreement": verdict.disagreement,
+                "notes": list(verdict.notes),
             }
             print(_json_text(payload))
         else:
             print(render_decomposition(kernel))
-            print("support " + render_verdict(report.support_verdict))
-            print("stated " + render_verdict(report.stated_verdict))
-            for note in report.notes:
+            print("support " + render_verdict(verdict.support_verdict))
+            print("stated " + render_verdict(verdict.stated_verdict))
+            for note in verdict.notes:
                 print(f"note: {note}")
-            if report.disagreement:
+            if verdict.disagreement:
                 print("WARNING: the two verdicts disagree")
-        return EXIT_OK
-    kernel, verdict = positivity.kernel_verdict(_descriptor(parser, args, cls, "variety"), fp)
-    if args.format == "json":
+    elif args.format == "json":
         payload = {
             "kernel": decomposition_to_json(kernel),
             "verdict": verdict_to_json(verdict),
@@ -582,17 +578,6 @@ def _commands() -> dict:
     }
 
 
-class _Args:
-    """A namespace read from a flag table.  It equals the
-    ``argparse.Namespace`` that holds the same values."""
-
-    def __init__(self, values: dict) -> None:
-        self.__dict__.update(values)
-
-    def __eq__(self, other) -> bool:
-        return vars(self) == getattr(other, "__dict__", None)
-
-
 class _Command:
     """One subcommand's flag table: its flags by option string, each with
     its ``dest``, and every destination's value before any flag is read.
@@ -613,7 +598,7 @@ class _Command:
                          if flag.get("required")}
         self._nested = None  # set by the root's ``nested``
 
-    def read(self, argv: list[str]) -> _Args | None:
+    def read(self, argv: list[str]) -> SimpleNamespace | None:
         """The namespace argparse gives a regular argv, else None.  Regular:
         exact store flags only, each ``--flag=value`` or ``--flag value`` with
         a value not starting with ``-``, no value ``--``, each value passing
@@ -638,7 +623,7 @@ class _Command:
                 return None
             values[flag["dest"]] = value
             seen.add(option)
-        return _Args(values) if seen.issuperset(self.required) else None
+        return SimpleNamespace(**values) if seen.issuperset(self.required) else None
 
     def nested(self):
         """The subcommand's argparse parser, built with the root's."""
@@ -657,9 +642,9 @@ class _Parser:
     When ``argv[0]`` names a subcommand and the rest of argv is regular
     (``_Command.read``), that subcommand's flag table reads it, without
     argparse.  Every other argv takes argparse's nested parse (``nested``):
-    an empty argv, ``-h``, an unknown or misplaced subcommand, a given
-    namespace, and any irregular rest.  So every usage error is argparse's,
-    printed by the parser that prints it in the nested parse.
+    an empty argv, ``-h``, an unknown or misplaced subcommand, and any
+    irregular rest.  So every usage error is argparse's, printed by the
+    parser that prints it in the nested parse.
     """
 
     def __init__(self) -> None:
@@ -688,20 +673,11 @@ class _Parser:
             self._nested = nested
         return self._nested
 
-    def _read(self, args, namespace) -> tuple[list[str], _Args | None]:
+    def parse_args(self, args=None):
         argv = sys.argv[1:] if args is None else list(args)
-        command = self.commands.get(argv[0]) if argv and namespace is None else None
-        return argv, None if command is None else command.read(argv[1:])
-
-    def parse_args(self, args=None, namespace=None):
-        argv, parsed = self._read(args, namespace)
-        return self.nested().parse_args(argv, namespace) if parsed is None else parsed
-
-    def parse_known_args(self, args=None, namespace=None):
-        argv, parsed = self._read(args, namespace)
-        if parsed is None:
-            return self.nested().parse_known_args(argv, namespace)
-        return parsed, []
+        command = self.commands.get(argv[0]) if argv else None
+        parsed = None if command is None else command.read(argv[1:])
+        return self.nested().parse_args(argv) if parsed is None else parsed
 
 
 def build_parser() -> _Parser:
@@ -728,7 +704,7 @@ def main(argv: list[str] | None = None) -> int:
     # argparse 3.12.1 and older store an explicit value "--" (``--bundle=--``)
     # as an empty list: refuse it, as a store flag takes one argument.  A flag
     # table declines that value, so only argparse's namespace can hold one.
-    if not isinstance(args, _Args):
+    if not isinstance(args, SimpleNamespace):
         for option, flag in args.parser.options.items():
             if isinstance(getattr(args, flag["dest"]), list):
                 args.parser.error(f"argument {option}: expected one argument")

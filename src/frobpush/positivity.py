@@ -7,11 +7,12 @@ cones are coordinate-wise, so a direct sum of line bundles is classified
 summand by summand.  On the others non-ampleness is certified by restricting
 to the divisor the family declares, which ``restrict`` reads and the witness
 names, and exhibiting a trivial (or negative) summand in the restricted
-kernel.  ``kernel_verdict`` builds F^e_* O once and returns
-the kernel with the verdict of its family's route.  The determinant and
-section-count identities on P^d are regression data, kept in ``verify``;
-the Grothendieck-Riemann-Roch determinant of F^e_* O on every split family
-is a test oracle.
+kernel.  ``kernel_verdict`` builds F^e_* O once and returns the kernel
+with the verdict of its family's route; on the quadric, known by its
+support, the verdict is ``quadric_kernel_verdict``'s report.  The
+determinant and section-count identities on P^d are regression data, kept
+in ``verify``; the Grothendieck-Riemann-Roch determinant of F^e_* O on
+every split family is a test oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import restriction
 from .catalog import quadric_pushforward_support
 from .combinat import PrimePower
 from .errors import InvalidParameterError, UnsupportedConeError
-from .families import family_of, structure_pushforward
+from .families import FAMILIES, family_of, structure_pushforward
 from .picard import Decomposition, Line, PicClass, Spinor, Summand, VarietyDescriptor
 from .value import Value
 
@@ -53,6 +54,12 @@ class Verdict(Value):
         self._set(status, witness, notes)
 
 
+# The families ``kernel_verdict`` answers: the split ones and those that
+# declare a ``spinor_rank`` (the quadric).
+KERNEL_FAMILIES = tuple(tag for tag, cls in FAMILIES.items()
+                        if cls.split or cls.spinor_rank is not None)
+
+
 def trace_kernel(variety: VarietyDescriptor, fp: PrimePower) -> Decomposition:
     """The trace kernel: dual of F^e_* O with one trivial summand removed.
 
@@ -63,11 +70,19 @@ def trace_kernel(variety: VarietyDescriptor, fp: PrimePower) -> Decomposition:
     return structure_pushforward(variety, fp).remove_trivial().dual()
 
 
-def kernel_verdict(variety: VarietyDescriptor, fp: PrimePower) -> tuple[Decomposition, Verdict]:
-    """The trace kernel of a split ``variety`` at ``fp`` and its verdict,
-    both from one F^e_* O: ``ample_verdict`` of the kernel where the family
-    declares no divisor, else the restriction certificate on that divisor."""
+def kernel_verdict(
+    variety: VarietyDescriptor, fp: PrimePower
+) -> tuple[Decomposition, Verdict | QuadricKernelReport]:
+    """The trace kernel of a ``KERNEL_FAMILIES`` member at ``fp`` and its
+    verdict.  On a split family both come from one F^e_* O: ``ample_verdict``
+    of the kernel where the family declares no divisor, else the restriction
+    certificate on that divisor.  On a family with a ``spinor_rank`` they are
+    the support of ``quadric_kernel_verdict``'s report, less its trivial
+    summand, and the report itself."""
     family = family_of(variety)
+    if family.spinor_rank is not None:
+        report = quadric_kernel_verdict(variety.d, fp)
+        return report.support.remove_trivial(), report
     if not family.split:
         raise InvalidParameterError(f"{variety} is not in the split catalog")
     pushforward = structure_pushforward(variety, fp)

@@ -1,6 +1,7 @@
 """Tests for the family registry: coverage, JSON round-trips, the rank law,
 and the CLI surface generated from it."""
 
+import ast
 import importlib.util
 import itertools
 import json
@@ -82,6 +83,20 @@ def test_lattice_data_is_no_descriptor_field():
         class_data = {"tag", "bases", "dim", "spinor_rank", "builder", "structure_only",
                       "split", "bundle", "divisor"}
         assert not class_data & set(cls.__slots__), cls
+
+
+def test_no_module_names_a_registry_tag():
+    # The declarations name each tag once, and verify's case grids name the
+    # families they draw; every other module reads the tags off the registry.
+    tags = set(FAMILIES) | set(CONE_KINDS)
+    package = Path(cli.__file__).resolve().parent
+    named = {
+        (path.name, node.lineno, node.value)
+        for path in sorted(package.glob("*.py")) if path.name not in {"picard.py", "verify.py"}
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and node.value in tags
+    }
+    assert named == set()
 
 
 @pytest.mark.parametrize("variety", SAMPLES, ids=repr)

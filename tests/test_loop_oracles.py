@@ -471,6 +471,34 @@ def test_blowup_cases_catch_every_chart_fault(monkeypatch, fault):
         assert (pair != enumerated_chart_counts(fp.q)) == (fault != "move"), (fp, pair)
 
 
+# Faults in the F_1 builder's output at O: one more copy of its least class,
+# and one copy of that class moved down one fiber class.
+HZ_FAULTS = {"extra": lambda least: {least: 1},
+             "move": lambda least: {least: -1, (least[0], least[1] - 1): 1}}
+
+
+@pytest.mark.parametrize("fault", sorted(HZ_FAULTS))
+def test_hz_general_catches_a_fault_at_the_structure_sheaf(monkeypatch, fault):
+    # fix-hz-general at (u, v) = (0, 0) compares the whole decomposition of
+    # F_1 at O, the two classes the retired fix-hirzebruch-eps1 fixture
+    # checked among them.
+    powers = [PrimePower(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (3, 2), (5, 4))]
+
+    def status(fp):
+        return verify.run_case(("fix-hz-general", (fp.p, fp.e, 0, 0))).status
+
+    assert {status(fp) for fp in powers} == {"PASS"}
+    original = catalog.pushforward_hirzebruch
+
+    def faulty(eps, u, v, fp):
+        decomp = original(eps, u, v, fp)
+        return shifted(decomp, HZ_FAULTS[fault](min(decomp.lines)))
+
+    monkeypatch.setattr(catalog, "pushforward_hirzebruch", faulty)
+    for fp in powers:
+        assert status(fp) == "FAIL", fp
+
+
 @given(fields, st.integers(0, 3))
 def test_count_table_matches_closed_form(fp, d):
     table = verify._coefficients(fp.q, d + 1)

@@ -72,12 +72,12 @@ class TestTraceKernel:
             assert trace_kernel(variety, fp).rank() == fp.q**variety.dim - 1
 
     def test_rejects_noncatalog(self):
-        from frobpush.picard import Quadric
-
         with pytest.raises(InvalidParameterError):
             trace_kernel(Quadric(3), PrimePower(5, 1))
-        with pytest.raises(InvalidParameterError):
-            kernel_verdict(Quadric(3), PrimePower(5, 1))
+        # ``kernel_verdict`` answers the quadric by its support report.
+        kernel, report = kernel_verdict(Quadric(3), PrimePower(5, 1))
+        assert report == quadric_kernel_verdict(3, PrimePower(5, 1))
+        assert kernel == report.support.remove_trivial()
 
 
 
