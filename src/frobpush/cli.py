@@ -9,7 +9,9 @@ arbitrary precision survives any consumer.  Every ``--format json``
 document is exactly the bytes of ``json.dumps(doc, indent=2)`` and a
 newline: ASCII escapes, two-space indent, keys in the order they were built.
 ``_json_text`` writes them in one pass, since the stdlib runs its indenting
-encoder in pure Python.
+encoder in pure Python, and writes a decomposition straight from its stores,
+one string per summand, never building ``decomposition_to_json``'s dict.
+So no command imports ``json``: strings go through its C escaper, ``_json``.
 
 ``main`` builds its parser once per process and reuses it on every later
 call, and the parser reads each argv once: a regular argv (exact store flags
@@ -24,12 +26,15 @@ explicit ``--``, read as an empty list by Python 3.12.1 and older.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from collections import Counter
-from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
+
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter without the stdlib's C accelerator
+    from json.encoder import encode_basestring_ascii as _quote
 
 from . import families, localalg, positivity
 from .combinat import PrimePower
@@ -40,6 +45,16 @@ from .positivity import Verdict
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
+
+
+def __getattr__(name: str):
+    """``cli.json``, imported on first use: no command needs the module, but
+    code outside the package may read or rebind the attribute."""
+    if name == "json":
+        import json
+
+        return json
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -216,23 +231,82 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
-def _json_text(doc) -> str:
-    """Exactly ``json.dumps(doc, indent=2)``, in one recursive pass.
+def _scalar_text(value) -> str:
+    """A JSON scalar as the stdlib writes it: ``True`` and ``False`` before
+    ``int`` (``bool`` is a subclass of it), ints through ``int.__repr__``
+    (so the int/str digit cap applies as it does in the stdlib), strings
+    through the stdlib's C escaper; anything else raises ``TypeError``."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float:
+        return _float_text(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
-    ``doc`` holds only the exact types ``str``, ``int``, ``float``, ``bool``,
-    ``None``, ``list``, ``tuple`` and ``dict`` with ``str`` keys; anything
-    else raises ``TypeError``.  Strings go through the stdlib's C escaper,
-    ints through ``int.__repr__`` (so the int/str digit cap applies as it
-    does in the stdlib), and floats as the stdlib writes them.
+
+def _decomposition_text(decomp: Decomposition, newline: str) -> str:
+    """``decomposition_to_json(decomp)`` as ``_json_text`` writes it where
+    ``newline`` (a line break and the indent) opens its line, written from
+    ``decomp``'s stores in the schema's fixed layout, one string per
+    summand.  Every descriptor declares a field and a basis of at least one
+    name, so only ``summands`` can be empty."""
+    i1 = newline + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    i4 = i3 + "  "
+    params = ",".join(
+        i3 + _quote(name) + ": " + _scalar_text(value)
+        for name, value in families.descriptor_params(decomp.variety).items()
+    )
+    close = '"' + i2 + "}"
+    head = i2 + "{" + i3 + '"kind": "line",' + i3 + '"class": [' + i4
+    comma = "," + i4
+    tail = i3 + "]," + i3 + '"mult": "'
+    summands = [
+        head + comma.join(map(int.__repr__, coords)) + tail + _mult_text(mult) + close
+        for coords, mult in sorted(decomp.lines.items(), reverse=True)
+    ]
+    head = i2 + "{" + i3 + '"kind": "spinor",' + i3 + '"class": {' + i4 + '"j": '
+    tail = i3 + "}," + i3 + '"mult": "'
+    summands += [
+        head + int.__repr__(j) + tail + _mult_text(mult) + close
+        for j, mult in sorted(decomp.spinors.items(), reverse=True)
+    ]
+    summands_text = "[" + ",".join(summands) + i1 + "]" if summands else "[]"
+    rank = "null" if decomp.support_only else '"' + str(decomp.rank()) + '"'
+    return (
+        "{" + i1 + '"variety": {' + i2 + '"tag": ' + _quote(decomp.variety.tag) + ","
+        + i2 + '"params": {' + params + i2 + "}" + i1 + "},"
+        + i1 + '"basis": [' + i2 + ("," + i2).join(map(_quote, decomp.basis)) + i1 + "],"
+        + i1 + '"summands": ' + summands_text + ","
+        + i1 + '"rank": ' + rank + newline + "}"
+    )
+
+
+def _json_text(doc) -> str:
+    """Exactly ``json.dumps(doc, indent=2)``, in one recursive pass, where a
+    ``Decomposition`` at any depth stands for ``decomposition_to_json`` of
+    it (``_decomposition_text``).
+
+    ``doc`` holds only such decompositions and the exact types ``str``,
+    ``int``, ``float``, ``bool``, ``None``, ``list``, ``tuple`` and ``dict``
+    with ``str`` keys; anything else raises ``TypeError``.  Scalars are
+    written by ``_scalar_text``.
     """
     parts: list[str] = []
     append = parts.append
 
     def write(value, newline: str) -> None:
         kind = type(value)
-        if kind is str:
-            append(_quote(value))
-        elif kind is dict:
+        if kind is dict:
             if not value:
                 append("{}")
                 return
@@ -256,18 +330,10 @@ def _json_text(doc) -> str:
                 write(item, inner)
                 sep = "," + inner
             append(newline + "]")
-        elif value is None:
-            append("null")
-        elif value is True:
-            append("true")
-        elif value is False:
-            append("false")
-        elif kind is int:
-            append(int.__repr__(value))
-        elif kind is float:
-            append(_float_text(value))
+        elif kind is Decomposition:
+            append(_decomposition_text(value, newline))
         else:
-            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+            append(_scalar_text(value))
 
     write(doc, "\n")
     return "".join(parts)
@@ -329,9 +395,11 @@ def class_label(summand) -> str:
 
 
 def render_decomposition(decomp: Decomposition) -> str:
+    params = families.descriptor_params(decomp.variety)
     lines = [
-        f"variety: {decomp.variety.tag}"
-        + json.dumps(descriptor_to_json(decomp.variety)["params"], sort_keys=True),
+        f"variety: {decomp.variety.tag}{{"
+        + ", ".join(f"{_quote(name)}: {_scalar_text(params[name])}" for name in sorted(params))
+        + "}",
         "basis: " + ", ".join(decomp.basis),
     ]
     for coords, mult in sorted(decomp.lines.items(), reverse=True):
@@ -429,7 +497,7 @@ def cmd_decompose(parser: _Command, args) -> int:
     fp = PrimePower(args.p, args.e)
     decomp = _build_decomposition(parser, args, fp)
     if args.format == "json":
-        print(_json_text(decomposition_to_json(decomp)))
+        print(_json_text(decomp))
     else:
         print(render_decomposition(decomp))
     return EXIT_OK
@@ -444,7 +512,7 @@ def cmd_kernel(parser: _Command, args) -> int:
     if isinstance(verdict, positivity.QuadricKernelReport):
         if args.format == "json":
             payload = {
-                "kernel": decomposition_to_json(kernel),
+                "kernel": kernel,
                 "support_verdict": verdict_to_json(verdict.support_verdict),
                 "stated_verdict": verdict_to_json(verdict.stated_verdict),
                 "disagreement": verdict.disagreement,
@@ -461,7 +529,7 @@ def cmd_kernel(parser: _Command, args) -> int:
                 print("WARNING: the two verdicts disagree")
     elif args.format == "json":
         payload = {
-            "kernel": decomposition_to_json(kernel),
+            "kernel": kernel,
             "verdict": verdict_to_json(verdict),
         }
         print(_json_text(payload))

@@ -176,10 +176,10 @@ class QuadricKernelReport(Value):
 def quadric_kernel_verdict(d: int, fp: PrimePower) -> QuadricKernelReport:
     """Ampleness report for the trace kernel of the d-dimensional quadric."""
     support = quadric_pushforward_support(d, fp)
-    kernel_support = support.remove_trivial()
     notes: list[str] = []
-    # The first spinor twist S(j) with j <= 1, by descending j.
-    offending = max((j for j in kernel_support.spinors if j <= 1), default=None)
+    # The first spinor twist S(j) with j <= 1, by descending j.  The kernel's
+    # spinors are the support's: removing the trivial summand strips only O.
+    offending = max((j for j in support.spinors if j <= 1), default=None)
     if offending is None:
         support_verdict = Verdict(VerdictStatus.AMPLE)
     else:

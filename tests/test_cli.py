@@ -29,7 +29,20 @@ from frobpush.catalog import (
 from frobpush.combinat import PrimePower
 from frobpush.errors import FrobpushError, InvalidParameterError
 from frobpush.localalg import cone_pushforward
-from frobpush.picard import RationalNormalCone, SegreCone, VeroneseCone, change_basis
+from frobpush.picard import (
+    Decomposition,
+    Hirzebruch,
+    LinearBlowup,
+    Product,
+    ProjSpace,
+    Quadric,
+    RationalNormalCone,
+    SegreCone,
+    SegreConeBlowup,
+    VeroneseCone,
+    VeroneseConeBlowup,
+    change_basis,
+)
 
 
 def run_cli(capsys, *argv):
@@ -794,20 +807,25 @@ def test_fresh_start_loads_no_typing():
     """Under ``python -S``, whose start imports no ``site`` packages, the
     set-up step and a regular text argv leave ``typing`` unloaded: the library
     writes its annotations as strings and takes its abstract types from
-    ``collections.abc``."""
+    ``collections.abc``.  With a JSON ``kernel`` after them, ``json`` stays
+    unloaded too, as the CLI writes JSON itself; ``cli.json`` still resolves
+    to it, on first use."""
     script = (
         "import sys\n"
         "import frobpush; from frobpush import cli; cli.build_parser()\n"
         "code = cli.main(['decompose', '--variety', 'projspace', '--d', '2', '--p', '3',\n"
         "                 '--e', '2'])\n"
-        "print(code, 'typing' in sys.modules)\n"
+        "code += cli.main(['kernel', '--variety', 'hirzebruch', '--eps', '1', '--p', '2',\n"
+        "                  '--e', '1', '--format', 'json'])\n"
+        "loaded = 'typing' in sys.modules, 'json' in sys.modules\n"
+        "print(code, *loaded, cli.json is sys.modules.get('json'))\n"
     )
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "0 False"
+    assert done.stdout.splitlines()[-1] == "0 False False True"
 
 
 class TestExitCodes:
@@ -1449,3 +1467,64 @@ class TestJsonWriter:
             with pytest.raises(ValueError) as theirs:
                 json.dumps(big, indent=2)
         assert str(ours.value) == str(theirs.value)
+
+
+def written_decompositions():
+    """One decomposition per registry family, at a twisted bundle where the
+    family takes one, and per cone kind; the linear blowup in both bases, a
+    support-only quadric with spinors (rank null), and the empty sum."""
+    fp = PrimePower(3, 1)
+    bundles = [(ProjSpace(2), (1,)), (Product(1, 2), (1, -2)), (Hirzebruch(2), (1, -3)),
+               (LinearBlowup(3, 1), (0, 0)), (VeroneseConeBlowup(1, 2), (2, -1)),
+               (SegreConeBlowup(1, 1), (1, -1, 2)), (Quadric(3), (0,))]
+    decomps = [families.build(variety, bundle, fp) for variety, bundle in bundles]
+    decomps.append(change_basis(decomps[3], ("H", "E")))
+    decomps += [cone_pushforward(kind, fp)
+                for kind in (RationalNormalCone(3), VeroneseCone(2, 3), SegreCone(1, 2))]
+    decomps.append(quadric_pushforward_support(5, PrimePower(2, 2)))
+    decomps.append(Decomposition(ProjSpace(1), []))
+    return decomps
+
+
+class TestDecompositionWriter:
+    """``cli._json_text`` writes a ``Decomposition`` from its stores, as
+    ``json.dumps`` writes ``decomposition_to_json`` of it, at any depth; the
+    text form's params line is that of ``json.dumps(params, sort_keys=True)``."""
+
+    DECOMPS = written_decompositions()
+
+    @pytest.mark.parametrize("decomp", DECOMPS, ids=lambda d: f"{d.variety}-{d.basis[-1]}")
+    def test_top_level(self, decomp):
+        assert cli._json_text(decomp) == json.dumps(cli.decomposition_to_json(decomp), indent=2)
+
+    @pytest.mark.parametrize("decomp", DECOMPS, ids=lambda d: f"{d.variety}-{d.basis[-1]}")
+    def test_in_a_kernel_payload(self, decomp):
+        verdict = {"status": "Ample", "witness": None, "notes": []}
+        ours = cli._json_text({"kernel": decomp, "verdict": verdict})
+        theirs = {"kernel": cli.decomposition_to_json(decomp), "verdict": verdict}
+        assert ours == json.dumps(theirs, indent=2)
+
+    @pytest.mark.parametrize("decomp", DECOMPS, ids=lambda d: f"{d.variety}-{d.basis[-1]}")
+    def test_text_params_line(self, decomp):
+        # The text form writes its params line by the same scalar rules.
+        params = json.dumps(cli.descriptor_to_json(decomp.variety)["params"], sort_keys=True)
+        first = cli.render_decomposition(decomp).split("\n")[0]
+        assert first == f"variety: {decomp.variety.tag}{params}"
+
+    def test_covers_every_family_and_cone_kind(self):
+        written = {d.variety.tag for d in self.DECOMPS}
+        kinds = {d.variety.kind.tag for d in self.DECOMPS if d.variety.tag == "cone-p"}
+        assert (written, kinds) == (set(families.FAMILIES), set(families.CONE_KINDS))
+        quadric = self.DECOMPS[-2]
+        assert quadric.support_only and quadric.spinors
+        assert not self.DECOMPS[-1].lines
+
+    def test_multiplicity_beyond_the_digit_cap(self):
+        # q = 2^7200: the rank of F^e_* O on P^2 has 4335 digits.
+        decomp = pushforward_projective_space(2, 0, PrimePower(2, 7200))
+        with digit_cap(0):  # lifted, as ``main`` lifts it
+            assert max(len(str(mult)) for mult in decomp.lines.values()) > 4300
+            reference = cli.decomposition_to_json(decomp)
+            assert cli._json_text(decomp) == json.dumps(reference, indent=2)
+            ours = cli._json_text({"kernel": decomp})
+            assert ours == json.dumps({"kernel": reference}, indent=2)

@@ -393,6 +393,49 @@ class TestQuadricVerdict:
         assert report.support_verdict.status is VerdictStatus.NOT_AMPLE_WITH_WITNESS
         assert report.support_verdict.witness.summand == Spinor(1)
 
+    DISAGREE = ("support-derived verdict disagrees with the blanket p != 2 rule; "
+                "the stated spinor windows exclude S(1) here")
+    # (d, p) at e = 1: the kernel's line twists and spinor twists, then the
+    # support and stated statuses with their witnesses' j, and the notes.
+    PINNED = {
+        (3, 2): ((1,), (1,), "NotAmpleWithWitness", 1, "NotAmpleWithWitness", 1, ()),
+        (4, 2): ((2, 1), (), "Ample", None, "NotAmpleWithWitness", None, (DISAGREE,)),
+        (5, 2): ((2, 1), (2,), "Ample", None, "NotAmpleWithWitness", None, (DISAGREE,)),
+        (6, 2): ((3, 2, 1), (2,), "Ample", None, "NotAmpleWithWitness", None, (DISAGREE,)),
+        (3, 3): ((2, 1), (), "Ample", None, "Ample", None,
+                 ("spinor twist S(2) absent from the support at (e,p)=(1,3)",)),
+        (4, 3): ((2, 1), (2,), "Ample", None, "Ample", None,
+                 ("spinor twist S(3) absent from the support at (e,p)=(1,3)",)),
+        (5, 3): ((3, 2, 1), (2,), "Ample", None, "Ample", None,
+                 ("spinor twist S(4) absent from the support at (e,p)=(1,3)",)),
+        (6, 3): ((4, 3, 2, 1), (), "Ample", None, "Ample", None,
+                 ("spinor twist S(5) absent from the support at (e,p)=(1,3)",)),
+    }
+
+    @pytest.mark.parametrize("d, p", sorted(PINNED))
+    def test_kernel_verdict_strips_the_trivial_summand_once(self, monkeypatch, d, p):
+        calls = []
+        remove_trivial = Decomposition.remove_trivial
+
+        def counted(decomp):
+            calls.append(decomp.variety)
+            return remove_trivial(decomp)
+
+        monkeypatch.setattr(Decomposition, "remove_trivial", counted)
+        kernel, report = kernel_verdict(Quadric(d), PrimePower(p, 1))
+        assert calls == [Quadric(d)]
+        assert kernel == report.support.remove_trivial()
+        lines, spinors, support, support_j, stated, stated_j, notes = self.PINNED[d, p]
+        assert kernel.support_only
+        assert dict(kernel.lines) == {(i,): None for i in lines}
+        assert dict(kernel.spinors) == {j: None for j in spinors}
+        for verdict, status, j in ((report.support_verdict, support, support_j),
+                                   (report.stated_verdict, stated, stated_j)):
+            assert verdict.status.value == status
+            assert verdict.witness == (None if j is None else positivity.Witness(Spinor(j)))
+        assert report.disagreement == (support != stated)
+        assert report.notes == notes
+
     def test_p2_high_dimension_tension(self):
         for e in (1, 2):
             for d in (4, 5):
