@@ -82,8 +82,10 @@ def descriptor_from_json(data: dict) -> VarietyDescriptor:
         raise FrobpushError(f"unknown variety tag {tag!r}")
     if not isinstance(params, dict):
         raise InvalidParameterError(f"variety params must be an object; got {params!r}")
+    read = []
 
     def value(name: str):
+        read.append(name)
         if name not in params:
             raise InvalidParameterError(f"variety {tag!r} lacks parameter {name!r}")
         arg = params[name]
@@ -95,7 +97,13 @@ def descriptor_from_json(data: dict) -> VarietyDescriptor:
             )
         return arg
 
-    return families.build_descriptor(families.FAMILIES[tag], value)
+    # ``build_descriptor`` reads each declared name once, so a longer
+    # ``params`` holds a name the family does not declare.
+    descriptor = families.build_descriptor(families.FAMILIES[tag], value)
+    if len(read) != len(params):
+        name = next(name for name in params if name not in read)
+        raise InvalidParameterError(f"variety {tag!r} has no parameter {name!r}")
+    return descriptor
 
 
 def _line_json(coords: tuple[int, ...]) -> dict:

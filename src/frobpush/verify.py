@@ -31,8 +31,8 @@ memo of one q's tables, emptied when a ``run_suites`` call starts and when
 it returns.  The restriction checks restrict to the declared divisor.
 
 The closed forms and identities that only check the library's answers live
-here too, as regression data: the per-eps ruled-surface multiplicities and
-their block route, the linear blowup's multiplicities entry by entry (the
+here too, as regression data: the ruled-surface residue closed form and its
+block route, the linear blowup's multiplicities entry by entry (the
 builder reads shared tables), and the determinant-sum and section-count
 identities on P^d.  No other command computes them.
 """
@@ -234,14 +234,13 @@ def hirzebruch_block_multiplicities(eps: int, fp: PrimePower) -> tuple[int, ...]
 def hirzebruch_closed_multiplicities(eps: int, fp: PrimePower) -> tuple[int, ...]:
     """Closed forms for the O(-C0 - i*f) multiplicities, i = 1..eps+1.
 
-    Valid for 1 <= eps <= q, and refused elsewhere; driven by the residues
-    rho[l] of q*l modulo eps (with rho[eps] set to eps).  Regression data for
-    the four-block summation, which the ``sigma-closed`` check compares them
-    against.
+    Driven by the residues rho[l] of q*l modulo eps (with rho[eps] set to
+    eps).  Regression data for the four-block summation, which the
+    ``sigma-closed`` check compares them against at every q.
     """
+    if eps < 1:
+        raise InvalidParameterError(f"needs eps >= 1; got eps={eps}")
     q = fp.q
-    if not 1 <= eps <= q:
-        raise InvalidParameterError(f"closed forms need 1 <= eps <= q; got eps={eps}, q={q}")
 
     k = q % eps
     rho = [(k * l) % eps for l in range(eps)] + [eps]
@@ -544,51 +543,6 @@ def check_fix_projspace(p: int, e: int) -> tuple[str, str]:
     return "PASS", "P^1 and P^2 exponent tables"
 
 
-def check_fix_hirzebruch_eps2(p: int, e: int) -> tuple[str, str]:
-    fp = PrimePower(p, e)
-    q = fp.q
-    got = hirzebruch_block_multiplicities(2, fp)
-    if p != 2:
-        expected = (
-            (q - 1) * (q + 1) // 4,
-            (q - 1) * (2 * q + 2) // 4,
-            (q - 1) * (q - 3) // 4,
-        )
-    else:
-        expected = ((q // 2) ** 2, (q * q - 2) // 2, ((q - 2) // 2) ** 2)
-    return _ok(got == expected, f"{got} vs {expected}")
-
-
-def check_fix_hirzebruch_eps3(p: int, e: int) -> tuple[str, str]:
-    fp = PrimePower(p, e)
-    q = fp.q
-    got = hirzebruch_block_multiplicities(3, fp)
-    if q % 3 == 1:
-        expected = (
-            q * (q - 1) // 6,
-            (q + 1) * (q - 1) // 3,
-            (q + 1) * (q - 1) // 3,
-            (q - 4) * (q - 1) // 6,
-        )
-    elif q % 3 == 2:
-        expected = (
-            (q + 1) * (q - 2) // 6,
-            (q * q + 2) // 3,
-            (q + 2) * (q - 2) // 3,
-            (q - 3) * (q - 2) // 6,
-        )
-    elif q == 3:
-        expected = (1, 3, 2, 0)
-    else:
-        expected = (
-            q * (q - 1) // 6,
-            q * q // 3,
-            (q * q - 3) // 3,
-            (q - 3) * (q - 2) // 6,
-        )
-    return _ok(got == expected, f"{got} vs {expected}")
-
-
 def check_fix_hz_eps1_general(p: int, e: int, u: int, v: int) -> tuple[str, str]:
     """The five-term table for F^e_* O(u*C0 + v*f) on the point blowup.
 
@@ -756,7 +710,7 @@ CASES: dict[str, tuple] = {
     "mult-oracle": ("oracles", check_mult_oracle, lambda p, e, q, max_d: [
         (p, e, d) for d in range(1, max_d + 1) if q ** (d + 1) <= 2**20]),
     "sigma-closed": ("oracles", check_sigma_closed,
-                     lambda p, e, q, max_d: [(p, e, eps) for eps in range(1, 7) if q >= eps]),
+                     lambda p, e, q, max_d: [(p, e, eps) for eps in range(1, 7)]),
     "blowup-restrict": ("oracles", check_blowup_restrict, _blowups),
     "segre-split": ("oracles", check_segre_split_routes,
                     lambda p, e, q, max_d: [(p, e, r, s) for r in (1, 2) for s in (1, 2)]),
@@ -775,8 +729,6 @@ CASES: dict[str, tuple] = {
     "blowup-loop": ("oracles", functools.partial(_loop_check, "blowup-linear"),
                     lambda p, e, q, max_d: _blowups(p, e, q, min(max_d, 3))),
     "fix-projspace": ("fixtures", check_fix_projspace, _field),
-    "fix-hirzebruch-eps2": ("fixtures", check_fix_hirzebruch_eps2, _field),
-    "fix-hirzebruch-eps3": ("fixtures", check_fix_hirzebruch_eps3, _field),
     "fix-hz-general": ("fixtures", check_fix_hz_eps1_general, lambda p, e, q, max_d: [
         (p, e, u, v) for u in (0, 1, q, q + 1) for v in (0, 1, 2, q + 2)]),
     "fix-product": ("fixtures", check_fix_product_small, _field),

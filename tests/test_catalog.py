@@ -196,12 +196,12 @@ class TestHirzebruch:
         assert hirzebruch_block_multiplicities(3, PrimePower(3, 1)) == (1, 3, 2, 0)
 
     def test_eps3_q2_row(self):
-        # Reconciled row: the four-block summation and a section count of the
-        # q-th twist both give (0, 2, 0, 0); the recorded small-q row
-        # (1, 1, 0, 0) fails those cross-checks.  The closed form refuses
-        # q < eps by contract, so only the block route applies here.
+        # Reconciled row: the four-block summation, the residue closed form
+        # and a section count of the q-th twist all give (0, 2, 0, 0); the
+        # recorded small-q row (1, 1, 0, 0) fails those cross-checks.
         fp = PrimePower(2, 1)
         assert hirzebruch_block_multiplicities(3, fp) == (0, 2, 0, 0)
+        assert hirzebruch_closed_multiplicities(3, fp) == (0, 2, 0, 0)
 
     def test_general_twist_table_eps1(self):
         # Five-term table for O(u*C0 + v*f) on the point blowup, residues
@@ -240,16 +240,28 @@ class TestHirzebruch:
     def test_closed_matches_blocks(self):
         for fp in FIELDS_E3:
             for eps in range(1, 7):
-                if fp.q < eps:
-                    continue
                 assert hirzebruch_closed_multiplicities(
                     eps, fp
                 ) == hirzebruch_block_multiplicities(eps, fp)
 
     def test_closed_form_regime(self):
-        # The closed forms hold for 1 <= eps <= q; the blocks answer elsewhere.
-        with pytest.raises(InvalidParameterError):
-            hirzebruch_closed_multiplicities(5, PrimePower(2, 1))
+        # The closed form holds for every eps >= 1 at every q, q < eps
+        # included, and refuses only eps < 1.
+        small = [PrimePower(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                                (2, 3), (3, 2))]
+        for fp in small:
+            for eps in [*range(fp.q + 1, 121), 999]:
+                assert hirzebruch_closed_multiplicities(
+                    eps, fp
+                ) == hirzebruch_block_multiplicities(eps, fp), (fp, eps)
+        for fp in (PrimePower(2, 64), PrimePower(3, 40)):
+            for eps in (1, 2, 3, 7, 120, 1000):
+                assert hirzebruch_closed_multiplicities(
+                    eps, fp
+                ) == hirzebruch_block_multiplicities(eps, fp), (fp, eps)
+        for eps in (0, -1):
+            with pytest.raises(InvalidParameterError, match=f"needs eps >= 1; got eps={eps}"):
+                hirzebruch_closed_multiplicities(eps, PrimePower(2, 1))
 
     def test_blocks_sum(self):
         for fp in FIELDS:

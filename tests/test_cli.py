@@ -1177,6 +1177,13 @@ class TestVerifyCommand:
             f"frobpush verify: error: {flag} must be at least 1; got {value}"
         )
 
+    def test_non_integer_prime_is_usage_error(self, capsys):
+        code, out, err = outcome(capsys, ["verify", "--suite", "all", "--primes", "2,x"])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            "frobpush verify: error: --primes must be a comma-separated integer list; got '2,x'"
+        )
+
     def test_non_prime_rejected_once(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "identities", "--primes", "2,4")
         assert (code, out) == (1, "")
@@ -1245,11 +1252,18 @@ class TestJsonRoundTrip:
             ({"tag": "cone-p", "params": {"kind": ["rnc"], "eps": 2}}, r"cone kind \['rnc'\]"),
             ({"tag": "cone-p", "params": {"kind": "cusp", "eps": 2}}, "unknown cone kind 'cusp'"),
             ({"tag": "cone-p", "params": {"kind": "rnc", "eps": "2"}}, "'eps' must be an integer"),
+            ({"tag": "projspace", "params": {"d": 2, "eps": 7}},
+             "variety 'projspace' has no parameter 'eps'"),
+            ({"tag": "cone-p", "params": {"kind": "rnc", "eps": 3, "r": 1}},
+             "variety 'cone-p' has no parameter 'r'"),
+            ({"tag": "hirzebruch", "params": {"d": 1, "eps": 1}},
+             "variety 'hirzebruch' has no parameter 'd'"),
         ],
     )
     def test_malformed_descriptor(self, data, message):
         # JSON read-back accepts only what the schema writes: integer
-        # parameters and a string cone tag.
+        # parameters, a string cone tag, and no parameter the family does not
+        # declare, as the CLI refuses a flag the family does not declare.
         with pytest.raises(InvalidParameterError, match=message):
             cli.descriptor_from_json(data)
         decomp = cli.decomposition_to_json(pushforward_projective_space(1, 0, PrimePower(2, 1)))

@@ -255,6 +255,10 @@ class TestCompositionCount:
         with pytest.raises(InvalidParameterError):
             composition_count(0, -1, 2, fp)
 
+    def test_negative_dimension(self):
+        with pytest.raises(InvalidParameterError, match="^d must satisfy d >= 0; got d=-1$"):
+            composition_count(0, 0, -1, PrimePower(3, 1))
+
     def test_oracle_examples(self):
         # (i, m) = (1, 0) and (0, 2) at d = 2 read entries 3 and 2 of the table.
         assert _coefficients(3, 3)[3] == 7
@@ -327,6 +331,12 @@ class TestCompositionCount:
                 table = bounded_power_coefficients(q, parts)
                 assert table == table[::-1]
                 assert len(table) == parts * (q - 1) + 1
+
+    def test_coefficient_table_refuses_bad_sizes(self):
+        with pytest.raises(InvalidParameterError, match="^q must satisfy q >= 1; got q=0$"):
+            bounded_power_coefficients(0, 1)
+        with pytest.raises(InvalidParameterError, match="^parts must satisfy parts >= 0; got -1$"):
+            bounded_power_coefficients(2, -1)
 
     def test_polynomial_in_q_interpolation(self):
         # For fixed (i, m, d) the count is a degree-d polynomial in q; Lagrange

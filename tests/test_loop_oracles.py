@@ -499,6 +499,29 @@ def test_hz_general_catches_a_fault_at_the_structure_sheaf(monkeypatch, fault):
         assert status(fp) == "FAIL", fp
 
 
+@pytest.mark.parametrize("fault", sorted(HZ_FAULTS))
+def test_sigma_closed_catches_a_fault_at_eps_2_and_3(monkeypatch, fault):
+    # sigma-closed at eps = 2 and 3 compares the builder's blocks with the
+    # residue closed form at every q, q < eps included, as the retired
+    # fix-hirzebruch-eps2 and fix-hirzebruch-eps3 tables did.
+    powers = [PrimePower(p, e) for p, e in
+              ((2, 1), (3, 1), (2, 2), (3, 2), (5, 4), (2, 64), (3, 40))]
+
+    def statuses(fp):
+        return {verify.run_case(("sigma-closed", (fp.p, fp.e, eps))).status for eps in (2, 3)}
+
+    assert all(statuses(fp) == {"PASS"} for fp in powers)
+    original = catalog.pushforward_hirzebruch
+
+    def faulty(eps, u, v, fp):
+        decomp = original(eps, u, v, fp)
+        return shifted(decomp, HZ_FAULTS[fault](min(decomp.lines)))
+
+    monkeypatch.setattr(catalog, "pushforward_hirzebruch", faulty)
+    for fp in powers:
+        assert statuses(fp) == {"FAIL"}, fp
+
+
 @given(fields, st.integers(0, 3))
 def test_count_table_matches_closed_form(fp, d):
     table = verify._coefficients(fp.q, d + 1)

@@ -74,6 +74,11 @@ class TestPicClass:
         with pytest.raises(LatticeMismatchError):
             Decomposition(ProjSpace(1), [(line([1]), 1)]).twist(PicClass((1,), ("L",)))
 
+    def test_decomposition_refuses_a_foreign_basis(self):
+        with pytest.raises(LatticeMismatchError,
+                           match=r"^basis \('X',\) is not a basis of ProjSpace\(d=2\)$"):
+            Decomposition(ProjSpace(2), [], basis=("X",))
+
 
 class TestDescriptors:
     def test_validation(self):
@@ -446,6 +451,12 @@ class TestRemoveTrivial:
         with pytest.raises(NotFSplitError):
             decomp.remove_trivial()
 
+    def test_trivial_of_unknown_multiplicity_errors(self):
+        decomp = Decomposition(Quadric(3), [((0,), None)], support_only=True)
+        with pytest.raises(NotFSplitError,
+                           match="^trivial summand present but with unknown multiplicity$"):
+            decomp.remove_trivial()
+
     @given(st.integers(2, 9))
     def test_drops_rank_by_one(self, mult):
         decomp = Decomposition(ProjSpace(1), [(line([0]), mult), (line([-1]), 1)])
@@ -474,3 +485,11 @@ class TestChangeBasis:
         fp = PrimePower(2, 1)
         with pytest.raises(LatticeMismatchError):
             change_basis(pushforward_projective_space(1, 0, fp), ("H", "E"))
+
+    def test_refuses_a_basis_the_blowup_lacks(self):
+        from frobpush.catalog import pushforward_linear_blowup
+
+        decomp = pushforward_linear_blowup(3, 1, PrimePower(2, 1))
+        with pytest.raises(LatticeMismatchError,
+                           match=r"^\('H', 'X'\) is not a basis of LinearBlowup\(d=3, r=1\)$"):
+            change_basis(decomp, ("H", "X"))

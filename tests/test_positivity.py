@@ -22,6 +22,7 @@ from frobpush.picard import (
     Product,
     ProjSpace,
     Quadric,
+    RationalNormalCone,
     SegreCone,
     SegreConeBlowup,
     Spinor,
@@ -78,6 +79,10 @@ class TestTraceKernel:
         kernel, report = kernel_verdict(Quadric(3), PrimePower(5, 1))
         assert report == quadric_kernel_verdict(3, PrimePower(5, 1))
         assert kernel == report.support.remove_trivial()
+        # Cones are refused.
+        with pytest.raises(InvalidParameterError, match=(
+                r"^ConeP\(kind=RationalNormalCone\(eps=2\)\) is not in the split catalog$")):
+            kernel_verdict(ConeP(RationalNormalCone(2)), PrimePower(2, 1))
 
 
 

@@ -12,18 +12,18 @@ from frobpush import verify
 # Each grid with, per suite, its number of cases and the digest of its
 # sorted case reprs.
 PINNED = [
-    ({}, {"identities": (320, "4a8e1e7a94d86da8"), "oracles": (454, "6a3fb35086bde4ab"),
-          "fixtures": (172, "1eb9e091ad388e4b")}),
+    ({}, {"identities": (320, "4a8e1e7a94d86da8"), "oracles": (464, "718ca289a17b445c"),
+          "fixtures": (160, "b96fabff8e7ea314")}),
     (dict(max_d=3, max_e=4, primes=(2, 3, 5, 7)),
-     {"identities": (840, "70e5a0782dcbff0e"), "oracles": (1233, "f67af4f3e0d84015"),
-      "fixtures": (456, "b5c39cb2ab9d0d75")}),
+     {"identities": (840, "70e5a0782dcbff0e"), "oracles": (1243, "a44dc9e0cb71ae05"),
+      "fixtures": (424, "cd38670dea29cbec")}),
     # Past the min(max_d, 3) caps and the mult-oracle cap q^(d+1) <= 2^20.
     (dict(max_d=5, max_e=1, primes=(11, 13)),
      {"identities": (142, "a8708a50d1cd3b5a"), "oracles": (174, "699b6c2f4028d3a0"),
-      "fixtures": (58, "7d4effda3a2737b9")}),
+      "fixtures": (54, "16babc876cb6c1a8")}),
     (dict(max_d=1, max_e=1, primes=(3,)),
-     {"identities": (33, "6d49fadb8be8dabe"), "oracles": (68, "f1e57bdba07826c2"),
-      "fixtures": (30, "14458be19aad91e5")}),
+     {"identities": (33, "6d49fadb8be8dabe"), "oracles": (71, "65e1d87522e21372"),
+      "fixtures": (28, "99d61641a4f264aa")}),
 ]
 GRIDS = [grid for grid, _ in PINNED]
 
