@@ -14,13 +14,10 @@ one string per summand, never building ``decomposition_to_json``'s dict.
 So no command imports ``json``: strings go through its C escaper, ``_json``.
 
 ``main`` builds its parser once per process and reuses it on every later
-call, and the parser reads each argv once: a regular argv (exact store flags
-only, see ``_Command.read``) from the subcommand's flag table, and any other
-by argparse's nested parse.  Both are built from one spec (``_commands``);
-argparse is imported, and its parser built, only when an argv or a
-handler's usage error first needs it, so every usage error is argparse's.
-``main`` refuses the one value the nested parse can store wrongly: an
-explicit ``--``, read as an empty list by Python 3.12.1 and older.
+call.  The parser reads each argv once, from the flag spec (``_commands``),
+as argparse reads it, and prints usage, ``-h`` help and usage errors from
+the spec itself, so no argv imports ``argparse``; the usage lines keep
+argparse's layout (``_usage``).
 ``verify`` is imported only when the ``verify`` subcommand runs.
 """
 
@@ -601,7 +598,7 @@ def cmd_verify(parser: _Command, args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The flag spec: its tables, and its argparse parser for every other argv
+# The flag spec, and the parser that reads every argv from it
 # ---------------------------------------------------------------------------
 
 
@@ -625,10 +622,11 @@ def _descriptor_flags(varieties: tuple[str, ...] = ()) -> list:
 
 
 def _commands() -> dict:
-    """The spec: each subcommand's handler, help line and flags, each flag
-    as ``add_argument`` takes it.  A flag with no ``action`` stores one
-    value.  It is built with each parser, so the parser calls the handlers
-    bound at that time, rebound ones (traced, say) included."""
+    """The spec: each subcommand's handler, help line and flags.  A flag
+    stores one value, checked by its ``type`` and ``choices``, unless its
+    ``action`` is ``store_true``.  It is built with each parser, so the
+    parser calls the handlers bound at that time, rebound ones (traced,
+    say) included."""
     return {
         "decompose": (cmd_decompose, "print a pushforward decomposition",
                       _descriptor_flags(VARIETIES)),
@@ -654,114 +652,234 @@ def _commands() -> dict:
     }
 
 
+_HELP = dict.fromkeys(("-h", "--help"), {"action": "help"})
+
+
+def _word(names: dict, word: str):
+    """How argparse reads ``word``, one before any ``--``, in a parser of the
+    option strings ``names``: None for a value (a negative number, say), the
+    message refusing an ambiguous prefix, or ``(option, value)``, ``option``
+    None for an unknown flag, ``value`` the rest after ``=`` (or ``-h``)."""
+    if word[:1] != "-" or word == "-":
+        return None
+    option, eq, value = word.partition("=")
+    if option in names:  # no option string holds "="
+        return option, value if eq else None
+    if word[1] == "-":
+        matches = [(name, value if eq else None) for name in names if name.startswith(option)]
+    else:  # "-h", the one short flag, takes the rest of the word
+        matches = [(word[:2], word[2:])] if word[:2] in names else []
+    if len(matches) > 1:
+        return f"ambiguous option: {word} could match {', '.join(name for name, _ in matches)}"
+    # argparse's negative number, r"^-\d+$|^-\d*\.\d+$" ("$" also before a final "\n")
+    whole, dot, part = word[1:-1 if word.endswith("\n") else None].partition(".")
+    if not matches and (whole.isdecimal() and not dot or " " in word
+                        or (not whole or whole.isdecimal()) and part.isdecimal()):
+        return None
+    return matches[0] if matches else (None, None)
+
+
+def _refusal(option: str, value: str | None) -> str | None:
+    """The message refusing the value after ``=`` of ``option``, or None (``-hh`` is ``-h -h``)."""
+    if option == "-h" and value:
+        value = value.lstrip("h") or None
+    name = "-h/--help" if option in _HELP else option
+    return None if value is None else f"argument {name}: ignored explicit argument {value!r}"
+
+
+def _usage(prog: str, parts: list[str], positionals: list[str]) -> str:
+    """The usage line of ``prog``, wrapped as argparse 3.10 to 3.12 wrap it
+    at the ``COLUMNS`` variable, else the terminal's width, else 80, less 2."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+        except (AttributeError, ValueError, OSError):
+            columns = 80
+    width, prefix = columns - 2, "usage: "
+
+    def lines(parts: list[str], indent: str, first: str = "") -> list[str]:
+        done, line, length = [], [], len(first or indent) - 1
+        for part in parts:
+            if length + len(part) >= width and line:
+                done.append(indent + " ".join(line))
+                line, length = [], len(indent) - 1
+            line.append(part)
+            length += len(part) + 1
+        return done + [indent + " ".join(line)] if line else done
+
+    if len(prefix) + len(" ".join([prog, *parts, *positionals])) <= width:
+        wrapped = [" ".join([prog, *parts, *positionals])]
+    elif len(prefix) + len(prog) <= 0.75 * width:
+        indent = " " * (len(prefix) + len(prog) + 1)
+        wrapped = lines([prog, *parts], indent, prefix)
+        wrapped[0] = wrapped[0][len(indent):]
+        wrapped += lines(positionals, indent)
+    else:
+        indent = " " * len(prefix)
+        # Here each part takes a line, so flags and positionals need no wrap apart.
+        wrapped = [prog, *lines(parts + positionals, indent)]
+    return prefix + "\n".join(wrapped) + "\n"
+
+
 class _Command:
-    """One subcommand's flag table: its flags by option string, each with
-    its ``dest``, and every destination's value before any flag is read.
-    It is also the handle through which a handler reports a usage error:
-    ``args.parser.error``, printed by the subcommand's argparse parser."""
+    """One subcommand's flag table, read from the spec, with every ``dest``'s
+    value before any flag is read.  It is also the handle through which a
+    handler reports a usage error: ``args.parser.error``."""
 
     def __init__(self, root: _Parser, name: str, handler, help: str, flags: list) -> None:
-        self.root, self.handler, self.help = root, handler, help
+        self.root, self.prog, self.handler, self.help = root, "frobpush " + name, handler, help
         self.flags = {option: {"dest": option[2:].replace("-", "_"), **kwargs}
                       for option, kwargs in flags}
         self.defaults = {"command": name, "handler": handler, "parser": self}
-        self.defaults.update((flag["dest"], flag.get("default"))
-                             for flag in self.flags.values())
-        # The store flags, which take one value each, and the required ones.
-        self.options = {option: flag for option, flag in self.flags.items()
-                        if "action" not in flag}
-        self.required = {option for option, flag in self.options.items()
-                         if flag.get("required")}
-        self._nested = None  # set by the root's ``nested``
+        self.defaults.update((flag["dest"], flag.get("default")) for flag in self.flags.values())
+        self.required = [option for option, flag in self.flags.items() if flag.get("required")]
+        self.names = {**_HELP, **self.flags}
+        # Each flag as usage and help print it.
+        self.terms = {option: option if "action" in flag else f"{option} " + (
+            "{" + ",".join(flag["choices"]) + "}" if "choices" in flag else flag["dest"].upper())
+            for option, flag in self.flags.items()}
 
-    def read(self, argv: list[str]) -> SimpleNamespace | None:
-        """The namespace argparse gives a regular argv, else None.  Regular:
-        exact store flags only, each ``--flag=value`` or ``--flag value`` with
-        a value not starting with ``-``, no value ``--``, each value passing
-        its ``type`` and ``choices``, and every required flag given; the last
-        of a repeated flag wins, as in argparse."""
-        values, seen, tokens = dict(self.defaults), set(), iter(argv)
-        for token in tokens:
-            option, eq, value = token.partition("=")
-            if not eq:
-                value = next(tokens, "-")  # no value left reads as a flag
-            flag = self.options.get(option)
-            # argparse 3.12.1 and older read a value "--" as no value at all.
-            if flag is None or value == "--" or not eq and value.startswith("-"):
-                return None
-            kind = flag.get("type")
-            try:
-                value = value if kind is None else kind(value)
-            except ValueError:
-                return None
-            choices = flag.get("choices")
-            if choices is not None and value not in choices:
-                return None
-            values[flag["dest"]] = value
-            seen.add(option)
-        return SimpleNamespace(**values) if seen.issuperset(self.required) else None
+    def read(self, argv: list[str], leftovers: list[str]):
+        """``argv``, the words after the subcommand, read as argparse reads
+        them, with ``leftovers`` the root's words that no flag took: the
+        namespace, or ``(parser, message)`` for a usage error of ``parser``
+        (None: the root), message None for ``-h``."""
+        end = argv.index("--") if "--" in argv else len(argv)
+        values, seen, leftovers = dict(self.defaults), set(), list(leftovers)
+        words = iter(argv[:end])
+        for word in words:
+            option, eq, value = word.partition("=")
+            flag = self.names.get(option)
+            if flag is None:
+                reading = _word(self.names, word)
+                if type(reading) is str:
+                    return self, reading
+                option, value = reading or (None, None)
+                flag = self.names.get(option)
+            elif not eq:
+                value = None
+            if flag is None:
+                leftovers.append(word)
+            elif "action" in flag:  # -h, or a flag that takes no value
+                refused = _refusal(option, value)
+                if refused or flag["action"] == "help":
+                    return self.refuse(refused, list(words))
+                values[flag["dest"]] = True
+            else:
+                if value is None:
+                    value = next(words, None)
+                    if value is None or value[:1] == "-" and _word(self.names, value):
+                        return self.refuse(f"argument {option}: expected one argument",
+                                           [value, *words])
+                kind, choices = flag.get("type"), flag.get("choices")
+                if value == "--":  # no value after "=": marked, and refused once all is read
+                    seen.add(value)
+                else:
+                    try:
+                        value = value if kind is None else kind(value)
+                    except ValueError:
+                        return self.refuse(f"argument {option}: invalid {kind.__name__} value: "
+                                           f"{value!r}", list(words))
+                    if choices is not None and value not in choices:
+                        return self.refuse(f"argument {option}: invalid choice: {value!r} (choose"
+                                           f" from {', '.join(map(repr, choices))})", list(words))
+                values[flag["dest"]] = value
+                seen.add(option)
+        leftovers += argv[end:]
+        if not seen.issuperset(self.required):
+            missing = ", ".join(option for option in self.required if option not in seen)
+            return self, "the following arguments are required: " + missing
+        if leftovers:
+            return None, "unrecognized arguments: " + " ".join(leftovers)
+        if "--" in seen and "--" in values.values():
+            option = next(o for o, flag in self.flags.items() if values[flag["dest"]] == "--")
+            return self, f"argument {option}: expected one argument"
+        return SimpleNamespace(**values)
 
-    def nested(self):
-        """The subcommand's argparse parser, built with the root's."""
-        self.root.nested()
-        return self._nested
+    def refuse(self, message: str | None, rest: list):
+        """``(self, message)``, unless a word of ``rest``, the words not read
+        yet, is an ambiguous prefix, which argparse refuses before reading."""
+        readings = (_word(self.names, word) for word in rest if word)
+        return self, next((reading for reading in readings if type(reading) is str), message)
 
     def error(self, message: str):
-        """Print the subcommand's usage and ``message`` and exit 2, by its
-        argparse parser."""
-        self.nested().error(message)
+        """Print the subcommand's usage and ``message`` and exit 2."""
+        self.root.error(self, message)
 
 
 class _Parser:
-    """The ``frobpush`` parser, which parses each argv once.
-
-    When ``argv[0]`` names a subcommand and the rest of argv is regular
-    (``_Command.read``), that subcommand's flag table reads it, without
-    argparse.  Every other argv takes argparse's nested parse (``nested``):
-    an empty argv, ``-h``, an unknown or misplaced subcommand, and any
-    irregular rest.  So every usage error is argparse's, printed by the
-    parser that prints it in the nested parse.
-    """
+    """The ``frobpush`` parser: one flag table per subcommand.  It reads each
+    argv once, as argparse reads it, and prints the spec's usage, ``-h`` help
+    and usage errors, building each text only when it is printed."""
 
     def __init__(self) -> None:
         self.commands = {name: _Command(self, name, *entry)
                          for name, entry in _commands().items()}
-        self._nested = None
 
-    def nested(self):
-        """The argparse parser of the same spec, built on first use; each
-        subcommand's ``nested`` is its parser in it."""
-        if self._nested is None:
-            import argparse  # a regular argv never needs it
-
-            nested = argparse.ArgumentParser(
-                prog="frobpush",
-                description="Exact Frobenius pushforward decompositions, trace-kernel "
-                "positivity verdicts, and F-signature arithmetic.",
-            )
-            sub = nested.add_subparsers(dest="command", required=True)
-            for name, command in self.commands.items():
-                parser = sub.add_parser(name, help=command.help)
-                parser.set_defaults(handler=command.handler, parser=command)
-                for option, flag in command.flags.items():
-                    parser.add_argument(option, **flag)
-                command._nested = parser
-            self._nested = nested
-        return self._nested
+    def read(self, argv: list[str]):
+        """``_Command.read`` of the words after the subcommand, the first word
+        that is no flag; else ``(None, message)``, message None for ``-h``."""
+        leftovers = []
+        for at, word in enumerate(argv):
+            if word in self.commands:
+                return self.commands[word].read(argv[at + 1:], leftovers)
+            reading = None if word == "--" else _word(_HELP, word)
+            if reading is None:
+                if word == "--" and at + 1 == len(argv):
+                    break
+                return None, (f"argument command: invalid choice: {word!r} "
+                              f"(choose from {', '.join(map(repr, self.commands))})")
+            if reading[0] is not None:
+                return None, _refusal(*reading)
+            leftovers.append(word)
+        return None, "the following arguments are required: command"
 
     def parse_args(self, args=None):
         argv = sys.argv[1:] if args is None else list(args)
-        command = self.commands.get(argv[0]) if argv else None
-        parsed = None if command is None else command.read(argv[1:])
-        return self.nested().parse_args(argv) if parsed is None else parsed
+        reading = self.read(argv)
+        if isinstance(reading, SimpleNamespace):
+            return reading
+        command, message = reading
+        if message is not None:
+            self.error(command, message)
+        if command is None:
+            head, title = ("Exact Frobenius pushforward decompositions, trace-kernel positivity "
+                           "verdicts,\nand F-signature arithmetic."), "commands"
+            rows = [(name, each.help) for name, each in self.commands.items()]
+        else:
+            head, title = command.help, "flags"
+            rows = [("-h, --help", "show this help message and exit")] + [
+                (term, command.flags[option].get("help", ""))
+                for option, term in command.terms.items()]
+        rows = "".join(f"  {term:20}  {text}".rstrip() + "\n" for term, text in rows)
+        try:
+            sys.stdout.write(f"{self.usage(command)}\n{head}\n\n{title}:\n{rows}")
+        except OSError:  # a reader that closed the pipe, as argparse allows
+            pass
+        raise SystemExit(0)
+
+    def usage(self, command: _Command | None) -> str:
+        if command is None:
+            return _usage("frobpush", ["[-h]"], ["{" + ",".join(self.commands) + "}", "..."])
+        parts = ["[-h]"]
+        for option, term in command.terms.items():
+            parts += term.split() if command.flags[option].get("required") else [f"[{term}]"]
+        return _usage(command.prog, parts, [])
+
+    def error(self, command: _Command | None, message: str):
+        """Print the usage of ``command`` and the ``error:`` line, and exit 2."""
+        prog = "frobpush" if command is None else command.prog
+        sys.stderr.write(self.usage(command) + f"{prog}: error: {message}\n")
+        raise SystemExit(2)
 
 
 def build_parser() -> _Parser:
-    """The ``frobpush`` parser: a flag table per subcommand, built from the
-    spec, and argparse's parser of the same spec, built when first needed.
-    Its ``parse_args`` parses argv once, by one of two routes (see
-    ``_Parser``), so a caller that wraps ``parse_args`` still sees every
-    parse."""
+    """The ``frobpush`` parser.  Its ``parse_args`` reads each argv once, so
+    a caller that wraps ``parse_args`` sees every parse."""
     return _Parser()
 
 
@@ -777,13 +895,6 @@ def main(argv: list[str] | None = None) -> int:
     if parser is None:
         parser = _PARSERS[builder] = builder()
     args = parser.parse_args(argv)
-    # argparse 3.12.1 and older store an explicit value "--" (``--bundle=--``)
-    # as an empty list: refuse it, as a store flag takes one argument.  A flag
-    # table declines that value, so only argparse's namespace can hold one.
-    if not isinstance(args, SimpleNamespace):
-        for option, flag in args.parser.options.items():
-            if isinstance(getattr(args, flag["dest"]), list):
-                args.parser.error(f"argument {option}: expected one argument")
     # Multiplicities may exceed the interpreter's int/str digit cap (4300
     # digits by default from Python 3.11; 0 means none): lift it while the
     # command runs.  Flags are parsed under the cap, so an integer flag of

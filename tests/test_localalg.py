@@ -54,8 +54,6 @@ class TestConePushforward:
     def test_rnc_display(self):
         for fp in FIELDS:
             for eps in (2, 3, 4):
-                if fp.q < eps:
-                    continue
                 sigma = hirzebruch_closed_multiplicities(eps, fp)
                 decomp = cone_pushforward(RationalNormalCone(eps), fp)
                 got = {s.cls.coords[0]: m for s, m in decomp.items()}
@@ -138,16 +136,14 @@ class TestSplittingNumber:
 
     def test_rnc_closed_displays(self):
         for fp in FIELDS:
-            for eps in (2, 3, 4, 5):
-                if fp.q < eps:
-                    continue
+            for eps in range(2, 15):
                 number = splitting_number(RationalNormalCone(eps), fp)
                 q, k = fp.q, fp.q % eps
                 if k == 0:
                     assert number == q * q // eps
                 else:
                     rho1 = k
-                    rho2 = (2 * k) % eps if eps > 2 else eps
+                    rho2 = (2 * k) % eps or eps
                     num = 2 * q * q - (
                         rho2**2 - 2 * rho1**2 + (eps + 2) * (2 * rho1 - rho2)
                     ) + 2 * eps
@@ -171,8 +167,6 @@ class TestSplittingNumber:
         # O(-E - eps*H') = O(-H) on the blowup.
         for fp in FIELDS:
             for eps in (2, 3):
-                if fp.q < eps:
-                    continue
                 d = eps - 1
                 sigma = exceptional_block(d, eps, fp)
                 number = splitting_number(VeroneseCone(d, eps), fp)

@@ -42,8 +42,6 @@ class TestHirzebruchSection:
         for fp in FIELDS:
             q = fp.q
             for eps in (1, 2, 3, 4):
-                if q < eps:
-                    continue
                 sigma = hirzebruch_closed_multiplicities(eps, fp)
                 restricted = restrict(pushforward_hirzebruch(eps, 0, 0, fp))
                 expected = {(0,): 1 + sigma[eps - 1], (-1,): q - 1 + sigma[eps]}
@@ -99,8 +97,6 @@ class TestVeroneseExceptional:
         for fp in FIELDS:
             for d in (1, 2):
                 for eps in (1, 2, 3):
-                    if fp.q < eps:
-                        continue
                     decomp = pushforward_veronese_cone(d, eps, 0, 0, fp)
                     cone = as_map(decomp)
 
@@ -125,8 +121,6 @@ class TestVeroneseExceptional:
     def test_trivial_multiplicity_witness(self):
         for fp in FIELDS:
             for eps in (1, 2, 3):
-                if fp.q < eps:
-                    continue
                 sigma = hirzebruch_closed_multiplicities(eps, fp)
                 restricted = restrict(pushforward_veronese_cone(1, eps, 0, 0, fp))
                 assert restricted.trivial_multiplicity() == 1 + sigma[eps - 1]
@@ -134,8 +128,6 @@ class TestVeroneseExceptional:
     def test_d1_matches_hirzebruch_section(self):
         for fp in FIELDS:
             for eps in (1, 2, 3, 4):
-                if fp.q < eps:
-                    continue
                 via_cone = restrict(pushforward_veronese_cone(1, eps, 0, 0, fp))
                 via_surface = restrict(pushforward_hirzebruch(eps, 0, 0, fp))
                 assert as_map(via_cone) == as_map(via_surface)
