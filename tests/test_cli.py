@@ -597,6 +597,28 @@ def test_fresh_start_loads_no_dataclasses():
                                   "argument --variety: invalid choice: 'nope'")
 
 
+def test_fresh_start_loads_no_typing():
+    """Under ``python -S``, whose start imports no ``site`` packages, the
+    set-up step and a regular text argv leave ``typing`` unloaded: the library
+    writes its annotations as strings and takes its abstract types from
+    ``collections.abc``.  With a JSON ``kernel`` after them, ``json`` stays
+    unloaded too, as the CLI writes JSON itself; ``cli.json`` still resolves
+    to it, on first use."""
+    script = (
+        "import sys\n"
+        "import frobpush; from frobpush import cli; cli.build_parser()\n"
+        "code = cli.main(['decompose', '--variety', 'projspace', '--d', '2', '--p', '3',\n"
+        "                 '--e', '2'])\n"
+        "code += cli.main(['kernel', '--variety', 'hirzebruch', '--eps', '1', '--p', '2',\n"
+        "                  '--e', '1', '--format', 'json'])\n"
+        "loaded = 'typing' in sys.modules, 'json' in sys.modules\n"
+        "print(code, *loaded, cli.json is sys.modules.get('json'))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=ENV, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False False True"
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
         argv = ["decompose", "--variety", "projspace", "--d", "2", "--e", "1"]
