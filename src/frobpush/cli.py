@@ -720,7 +720,9 @@ def _usage(prog: str, parts: list[str], positionals: list[str]) -> str:
         wrapped += lines(positionals, indent)
     else:
         indent = " " * len(prefix)
-        # Here each part takes a line, so flags and positionals need no wrap apart.
+        # argparse wraps flags and positionals apart here; only the root has
+        # positionals, and it comes here below 22 columns, where each of its
+        # parts takes a line either way.
         wrapped = [prog, *lines(parts + positionals, indent)]
     return prefix + "\n".join(wrapped) + "\n"
 
@@ -858,8 +860,9 @@ class _Parser:
         rows = "".join(f"  {term:20}  {text}".rstrip() + "\n" for term, text in rows)
         try:
             sys.stdout.write(f"{self.usage(command)}\n{head}\n\n{title}:\n{rows}")
-        except OSError:  # a reader that closed the pipe, as argparse allows
-            pass
+            sys.stdout.flush()  # a reader that closed the pipe is met here, not at exit
+        except BrokenPipeError:
+            _quiet_stdout()
         raise SystemExit(0)
 
     def usage(self, command: _Command | None) -> str:
@@ -875,6 +878,16 @@ class _Parser:
         prog = "frobpush" if command is None else command.prog
         sys.stderr.write(self.usage(command) + f"{prog}: error: {message}\n")
         raise SystemExit(2)
+
+
+def _quiet_stdout() -> None:
+    """Point stdout, whose reader closed the pipe, at devnull, so that the
+    interpreter's flush at exit is quiet."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    finally:
+        os.close(devnull)
 
 
 def build_parser() -> _Parser:
@@ -907,12 +920,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # a reader that closed the pipe is met here, not at exit
         return code
     except BrokenPipeError:
-        # Point stdout at devnull, so the interpreter's flush at exit is quiet.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        try:
-            os.dup2(devnull, sys.stdout.fileno())
-        finally:
-            os.close(devnull)
+        _quiet_stdout()
         return EXIT_DOMAIN
     except FrobpushError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -579,11 +579,9 @@ def check_fix_product_small(p: int, e: int) -> tuple[str, str]:
 
 def check_fix_rnc_closed(p: int, e: int, eps: int) -> tuple[str, str]:
     """Trivial and ruling-class multiplicities on the cone vs their residue
-    closed forms, at every q, q < eps included."""
+    closed forms, at every q, q < eps included, and eps >= 2 (the grid's)."""
     fp = PrimePower(p, e)
     q = fp.q
-    if eps < 2:  # the ruling class is the trivial class
-        return "PASS", "skipped (needs eps >= 2)"
     decomp = localalg.cone_pushforward(RationalNormalCone(eps), fp)
     trivial = decomp.trivial_multiplicity()
     ruling = decomp.multiplicity((-1,))

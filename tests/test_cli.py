@@ -44,8 +44,11 @@ from frobpush.picard import (
 )
 
 
-ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-    str(Path(cli.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")])))
+# The subprocesses' environment: the source tree on the path, and stdout
+# block-buffered, as it is for a pipe unless PYTHONUNBUFFERED is set.
+ENV = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [
+    str(Path(cli.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]))
 
 
 def outcome(capsys, argv):
@@ -90,8 +93,10 @@ class TestDecompose:
     def test_projspace_fixture(self, capsys):
         # Reconciled P^2 row at q=3: the middle multiplicity is
         # C(q+2,2) - 3 = 7 (the row must sum to q^2 = 9).
-        code, out, _ = run_cli(capsys, "decompose", "--variety", "projspace", "--d", "2",
-                               "--bundle", "0", "--p", "3", "--e", "1")
+        code, out, _ = run_cli(
+            capsys, "decompose", "--variety", "projspace", "--d", "2",
+            "--bundle", "0", "--p", "3", "--e", "1",
+        )
         assert code == 0
         assert "O: 1" in out
         assert "O(-1): 7" in out
@@ -99,16 +104,19 @@ class TestDecompose:
         assert "rank: 9" in out
 
     def test_quadric_support_output(self, capsys):
-        code, out, _ = run_cli(capsys, "decompose", "--variety", "quadric", "--d", "3", "--p", "2",
-                               "--e", "1")
+        code, out, _ = run_cli(
+            capsys, "decompose", "--variety", "quadric", "--d", "3", "--p", "2", "--e", "1",
+        )
         assert code == 0
         assert "O: 1" in out
         assert "unknown" in out
         assert "S(1): unknown" in out
 
     def test_json_mode(self, capsys):
-        code, out, _ = run_cli(capsys, "decompose", "--variety", "hirzebruch", "--eps", "1",
-                               "--bundle", "0,0", "--p", "2", "--e", "1", "--format", "json")
+        code, out, _ = run_cli(
+            capsys, "decompose", "--variety", "hirzebruch", "--eps", "1",
+            "--bundle", "0,0", "--p", "2", "--e", "1", "--format", "json",
+        )
         assert code == 0
         payload = json.loads(out)
         assert payload["variety"]["tag"] == "hirzebruch"
@@ -129,8 +137,10 @@ class TestDecompose:
 
 class TestConePDecompose:
     def test_rnc_classes(self, capsys):
-        code, out, _ = run_cli(capsys, "decompose", "--variety", "cone-p", "--kind", "rnc",
-                               "--eps", "2", "--p", "3", "--e", "1")
+        code, out, _ = run_cli(
+            capsys, "decompose", "--variety", "cone-p", "--kind", "rnc",
+            "--eps", "2", "--p", "3", "--e", "1",
+        )
         assert code == 0
         assert "O: 5" in out       # 1 + sigma_2 at q=3
         assert "O(-1): 4" in out   # q - 1 + sigma_1 + sigma_3
@@ -139,8 +149,10 @@ class TestConePDecompose:
     def test_veronese_q_below_eps(self, capsys):
         # q = 2 < eps = 5: the box [0, 1]^3 has 1, 3, 3, 1 points of degree
         # 0, 1, 2, 3 modulo 5, and -k*L takes those of degree 2k.
-        code, out, _ = run_cli(capsys, "decompose", "--variety", "cone-p", "--kind", "veronese",
-                               "--d", "2", "--eps", "5", "--p", "2", "--e", "1")
+        code, out, _ = run_cli(
+            capsys, "decompose", "--variety", "cone-p", "--kind", "veronese",
+            "--d", "2", "--eps", "5", "--p", "2", "--e", "1",
+        )
         assert code == 0
         assert out.splitlines()[2:] == ["  O: 1", "  O(-1): 3", "  O(-3): 3", "  O(-4): 1", "rank: 8"]
 
@@ -164,14 +176,16 @@ class TestConePDecompose:
 
 class TestKernel:
     def test_projspace_ample(self, capsys):
-        code, out, _ = run_cli(capsys, "kernel", "--variety", "projspace", "--d", "3", "--p", "2",
-                               "--e", "1")
+        code, out, _ = run_cli(
+            capsys, "kernel", "--variety", "projspace", "--d", "3", "--p", "2", "--e", "1",
+        )
         assert code == 0
         assert "verdict: Ample" in out
 
     def test_hirzebruch_witness(self, capsys):
-        code, out, _ = run_cli(capsys, "kernel", "--variety", "hirzebruch", "--eps", "2",
-                               "--p", "3", "--e", "1")
+        code, out, _ = run_cli(
+            capsys, "kernel", "--variety", "hirzebruch", "--eps", "2", "--p", "3", "--e", "1",
+        )
         assert code == 0
         assert "NotAmpleWithWitness" in out
         assert "witness on C0: O x5" in out
@@ -189,15 +203,17 @@ class TestKernel:
         assert json.loads(out)["verdict"]["witness"]["divisor"] == "C0"
 
     def test_quadric_p3_note(self, capsys):
-        code, out, _ = run_cli(capsys, "kernel", "--variety", "quadric", "--d", "3", "--p", "3",
-                               "--e", "1")
+        code, out, _ = run_cli(
+            capsys, "kernel", "--variety", "quadric", "--d", "3", "--p", "3", "--e", "1",
+        )
         assert code == 0
         assert "Ample" in out
         assert "S(2)" in out  # the (e,p)=(1,3) exclusion note
 
     def test_quadric_p2_d4_warns(self, capsys):
-        code, out, _ = run_cli(capsys, "kernel", "--variety", "quadric", "--d", "4", "--p", "2",
-                               "--e", "1")
+        code, out, _ = run_cli(
+            capsys, "kernel", "--variety", "quadric", "--d", "4", "--p", "2", "--e", "1",
+        )
         assert code == 0
         assert "disagree" in out
 
@@ -229,16 +245,19 @@ class TestKernel:
 
 class TestLocal:
     def test_segre_text(self, capsys):
-        code, out, _ = run_cli(capsys, "local", "--kind", "segre", "--r", "1", "--s", "1",
-                               "--p", "2", "--e", "1")
+        code, out, _ = run_cli(
+            capsys, "local", "--kind", "segre", "--r", "1", "--s", "1", "--p", "2", "--e", "1",
+        )
         assert code == 0
         assert "splitting number: 6" in out
         assert "convergent: 3/4" in out
         assert "f-signature: 2/3" in out
 
     def test_veronese_signature(self, capsys):
-        code, out, _ = run_cli(capsys, "local", "--kind", "veronese", "--d", "2", "--eps", "3",
-                               "--p", "7", "--e", "1")
+        code, out, _ = run_cli(
+            capsys, "local", "--kind", "veronese", "--d", "2", "--eps", "3",
+            "--p", "7", "--e", "1",
+        )
         assert code == 0
         assert "f-signature: 1/3" in out
 
@@ -255,23 +274,28 @@ class TestLocal:
     def test_veronese_d2_q_below_eps_answers(self, capsys):
         # q = 2 < eps = 5: of the box [0, 1]^3 only the origin has degree 0
         # modulo 5.
-        code, out, _ = run_cli(capsys, "local", "--kind", "veronese", "--d", "2", "--eps", "5",
-                               "--p", "2", "--e", "1")
+        code, out, _ = run_cli(
+            capsys, "local", "--kind", "veronese", "--d", "2", "--eps", "5",
+            "--p", "2", "--e", "1",
+        )
         assert code == 0
         assert "splitting number: 1" in out
         assert "convergent: 1/8" in out
 
     def test_rnc_k0_splitting(self, capsys):
-        code, out, _ = run_cli(capsys, "local", "--kind", "rnc", "--eps", "2", "--p", "2",
-                               "--e", "3")
+        code, out, _ = run_cli(
+            capsys, "local", "--kind", "rnc", "--eps", "2", "--p", "2", "--e", "3",
+        )
         assert code == 0
         assert "splitting number: 32" in out
 
     def test_segre_large_e(self, capsys):
         # q = 2^64: the sum over residues is taken by pieces, not j by j.
         q = 2**64
-        code, out, _ = run_cli(capsys, "local", "--kind", "segre", "--r", "1", "--s", "1",
-                               "--p", "2", "--e", "64", "--format", "json")
+        code, out, _ = run_cli(
+            capsys, "local", "--kind", "segre", "--r", "1", "--s", "1",
+            "--p", "2", "--e", "64", "--format", "json",
+        )
         assert code == 0
         payload = json.loads(out)
         number = int(payload["splitting_number"])
@@ -280,8 +304,10 @@ class TestLocal:
         assert abs(convergent - Fraction(2, 3)) < Fraction(1, q)
 
     def test_json_num_den(self, capsys):
-        code, out, _ = run_cli(capsys, "local", "--kind", "segre", "--r", "1", "--s", "1",
-                               "--p", "2", "--e", "1", "--format", "json")
+        code, out, _ = run_cli(
+            capsys, "local", "--kind", "segre", "--r", "1", "--s", "1",
+            "--p", "2", "--e", "1", "--format", "json",
+        )
         assert code == 0
         payload = json.loads(out)
         assert payload["splitting_number"] == "6"
@@ -292,8 +318,10 @@ class TestLocal:
 class TestLargeE:
     def test_hirzebruch_e40(self, capsys):
         q = 2**40
-        code, out, _ = run_cli(capsys, "decompose", "--variety", "hirzebruch", "--eps", "3",
-                               "--p", "2", "--e", "40", "--format", "json")
+        code, out, _ = run_cli(
+            capsys, "decompose", "--variety", "hirzebruch", "--eps", "3",
+            "--p", "2", "--e", "40", "--format", "json",
+        )
         assert code == 0
         payload = json.loads(out)
         assert int(payload["rank"]) == q**2
@@ -329,8 +357,10 @@ class TestBigIntegers:
 
     def test_local_output(self, capsys):
         with digit_cap(4300):
-            code, out, err = run_cli(capsys, "local", "--kind", "segre", "--r", "1", "--s", "1",
-                                     "--p", "2", "--e", "8000")
+            code, out, err = run_cli(
+                capsys, "local", "--kind", "segre", "--r", "1", "--s", "1",
+                "--p", "2", "--e", "8000",
+            )
         assert (code, err) == (0, "")
         assert out.splitlines()[-1] == "f-signature: 2/3"
 
@@ -430,7 +460,8 @@ class TestParserReuse:
 
 CORPUS = Path(__file__).resolve().parent / "argv_corpus.jsonl"
 with CORPUS.open() as lines:
-    ARGVS = [json.loads(line) for line in lines if not line.startswith("#")]
+    ROWS = [json.loads(line) for line in lines if not line.startswith("#")]
+ARGVS = [row if len(row) == 6 else [*row, "80", None] for row in ROWS]
 
 
 class TestOnePassParse:
@@ -438,13 +469,25 @@ class TestOnePassParse:
     code and output of argparse, which read every argv the flag tables
     declined when the corpus was recorded: edge argvs, the reading rules, the
     CI steps' argvs, then 100 drawn with seed 41 from the old fuzz alphabet
-    (a verify argv without ``--max-d`` ends in ``--max-d=1``).  stdout is kept
-    as ``-h``'s usage lines, as a digest, or (None) not for a verify report."""
+    (a verify argv without ``--max-d`` ends in ``--max-d=1``), and last the
+    usage errors of the root and each subcommand at other widths: COLUMNS 30
+    and 45, then 0 and "abc", which defer to the terminal's width, else 80,
+    and an empty one beside a terminal that reports no width.
+    stdout is kept as ``-h``'s usage lines, as a digest, or (None) not for a
+    verify report."""
 
-    @pytest.mark.parametrize("argv, code, out, err", ARGVS,
-                             ids=[" ".join(argv) or "(empty)" for argv, *_ in ARGVS])
-    def test_edge_argv_parses_alike(self, capsys, monkeypatch, argv, code, out, err):
-        monkeypatch.setenv("COLUMNS", "80")
+    @pytest.mark.parametrize("argv, code, out, err, columns, terminal", ARGVS, ids=[
+        (" ".join(argv) or "(empty)") + ("" if columns == "80" else f" COLUMNS={columns}")
+        for argv, _, _, _, columns, _ in ARGVS])
+    def test_edge_argv_parses_alike(self, capsys, monkeypatch, argv, code, out, err, columns,
+                                    terminal):
+        def terminal_size(fd):
+            if terminal is None:
+                raise OSError("not a terminal")
+            return os.terminal_size((terminal, 24))
+
+        monkeypatch.setenv("COLUMNS", columns)
+        monkeypatch.setattr(os, "get_terminal_size", terminal_size)
         got, printed, warned = outcome(capsys, argv)
         if got == 0 and printed.startswith("usage: "):
             printed = printed.split("\n\n", 1)[0] + "\n"
@@ -558,7 +601,9 @@ def test_cli_import_is_lazy():
     done = subprocess.run([sys.executable, "-c", script], env=ENV, capture_output=True,
                           text=True, check=True)
     built, code, ran, heavy, cap_kept = json.loads(done.stdout.splitlines()[-1])
-    assert (built, code, ran, heavy, cap_kept) == ([], 0, ["frobpush.verify"], [], True)
+    assert built == []
+    assert (code, ran, heavy) == (0, ["frobpush.verify"], [])
+    assert cap_kept
 
 
 def test_fresh_start_loads_no_dataclasses():
@@ -626,7 +671,8 @@ class TestExitCodes:
 
     def test_local_missing_parameter_is_2(self, capsys):
         code, _, err = outcome(capsys, ["local", "--kind", "rnc", "--p", "2", "--e", "1"])
-        assert code == 2 and "--eps is required for --kind rnc" in err
+        assert code == 2
+        assert "--eps is required for --kind rnc" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -669,8 +715,10 @@ class TestExitCodes:
         assert err.splitlines()[-1].startswith(f"frobpush {command}: error: ")
 
     def test_domain_error_is_1(self, capsys):
-        code, _, err = run_cli(capsys, "decompose", "--variety", "projspace", "--d", "2",
-                               "--p", "4", "--e", "1")
+        code, _, err = run_cli(
+            capsys, "decompose", "--variety", "projspace", "--d", "2",
+            "--p", "4", "--e", "1",
+        )
         assert code == 1
         assert "prime" in err
 
@@ -738,14 +786,16 @@ class TestExitCodes:
 
     def test_semiprime_p_is_1(self, capsys):
         p = str(1000000007 * 1000000009)
-        code, out, err = run_cli(capsys, "decompose", "--variety", "projspace", "--d", "1",
-                                 "--p", p, "--e", "1")
+        code, out, err = run_cli(
+            capsys, "decompose", "--variety", "projspace", "--d", "1", "--p", p, "--e", "1",
+        )
         assert (code, out, err) == (1, "", f"error: p must be prime; got p={p}\n")
 
     def test_p_beyond_primality_bound_is_1(self, capsys):
         p = "3317044064679887385961981"
-        code, out, err = run_cli(capsys, "decompose", "--variety", "projspace", "--d", "1",
-                                 "--p", p, "--e", "1")
+        code, out, err = run_cli(
+            capsys, "decompose", "--variety", "projspace", "--d", "1", "--p", p, "--e", "1",
+        )
         assert (code, out) == (1, "")
         assert err.startswith(f"error: p must be below {p}")
 
@@ -822,14 +872,17 @@ class TestExitCodes:
 
 class TestVerifyCommand:
     def test_identities_pass(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "identities", "--max-d", "2",
-                               "--max-e", "1", "--primes", "2,3")
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "identities", "--max-d", "2", "--max-e", "1",
+            "--primes", "2,3",
+        )
         assert code == 0
         assert "0 failed" in out
 
     def test_fixtures_green_with_warnings(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "fixtures", "--max-e", "1",
-                               "--primes", "2,3")
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "fixtures", "--max-e", "1", "--primes", "2,3",
+        )
         assert code == 0
         assert "WARN" in out
         assert "0 failed" in out
@@ -979,8 +1032,10 @@ class TestJsonRoundTrip:
 
     def test_summand_key_order(self, capsys):
         # Line and spinor summands, and the witness, list kind and class first.
-        code, out, _ = run_cli(capsys, "kernel", "--variety", "quadric", "--d", "3", "--p", "2",
-                               "--e", "1", "--format", "json")
+        code, out, _ = run_cli(
+            capsys, "kernel", "--variety", "quadric", "--d", "3", "--p", "2", "--e", "1",
+            "--format", "json",
+        )
         assert code == 0
         payload = json.loads(out)
         summands = payload["kernel"]["summands"]
